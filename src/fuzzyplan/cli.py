@@ -29,7 +29,7 @@ from .ingest import (
     read_samples,
     to_trapezoid,
 )
-from .model import DistributionProblem, midpoint_instance, to_lp
+from .model import FIELDS, DistributionProblem, ParameterTable, lanes, midpoint_instance, to_lp
 from .monte_carlo import ParameterSpecs, compare
 from .monte_carlo import run as mc_run
 from .simplex import solve
@@ -44,21 +44,9 @@ from .transport import (
 EXIT_OK = 0
 EXIT_USAGE = 2  # parse/schema/IO failures; argparse uses 2 as well
 EXIT_INFEASIBLE = 3
+EXIT_SOLVER = 4  # an LP or transport iteration failed to terminate
 
 MODES = ("crisp", "fuzzy", "montecarlo", "compare", "ingest")
-
-VECTOR_FIELDS = (
-    ("supply_max", "rows"),
-    ("demand_max", "cols"),
-    ("purchase_min", "rows"),
-    ("sale_min", "cols"),
-    ("purchase_price", "rows"),
-    ("sale_price", "cols"),
-)
-OPTIONAL_FIELDS = (
-    ("contract_purchase_price", "rows"),
-    ("contract_sale_price", "cols"),
-)
 
 
 class ProblemFormatError(ValueError):
@@ -169,68 +157,34 @@ def _as_trapezoid(value, where, base_dir, gamma_core, gamma_support):
     )
 
 
-def _field_vector(raw, field, count, where_len):
-    value = raw[field]
-    if not isinstance(value, list) or len(value) != count:
-        raise ProblemFormatError(f"{field}: must be a list of {count} entries ({where_len})")
-    return value
-
-
 def _parse_distribution(raw, path, gamma_core, gamma_support) -> DistributionProblem:
-    base_dir = path.parent
-    known = {"schema_version", "kind"}
-    known.update(f for f, _ in VECTOR_FIELDS)
-    known.update(f for f, _ in OPTIONAL_FIELDS)
-    known.add("transport_cost")
-    unknown = set(raw) - known
+    unknown = set(raw) - {"schema_version", "kind"} - {f.name for f in FIELDS}
     if unknown:
         raise ProblemFormatError(f"unknown fields: {sorted(unknown)}")
-    for field, _ in VECTOR_FIELDS:
-        if field not in raw:
-            raise ProblemFormatError(f"{field}: missing required field")
-    if "transport_cost" not in raw:
-        raise ProblemFormatError("transport_cost: missing required field")
-    if not isinstance(raw["supply_max"], list) or not isinstance(raw["demand_max"], list):
-        raise ProblemFormatError("supply_max and demand_max must be lists")
-    m, n = len(raw["supply_max"]), len(raw["demand_max"])
-    if m == 0 or n == 0:
-        raise ProblemFormatError("supply_max and demand_max must be nonempty")
-
-    def convert(field, count, axis):
-        vec = _field_vector(raw, field, count, f"one per {axis}")
-        return tuple(
-            _as_trapezoid(v, f"{field}[{i}]", base_dir, gamma_core, gamma_support)
-            for i, v in enumerate(vec)
-        )
-
-    kwargs = {}
-    for field, axis in VECTOR_FIELDS:
-        count = m if axis == "rows" else n
-        kwargs[field] = convert(field, count, "supply row" if axis == "rows" else "demand column")
-    for field, axis in OPTIONAL_FIELDS:
-        if field in raw:
-            count = m if axis == "rows" else n
-            kwargs[field] = convert(
-                field, count, "supply row" if axis == "rows" else "demand column"
-            )
-    cost = raw["transport_cost"]
-    if not isinstance(cost, list) or len(cost) != m:
-        raise ProblemFormatError(f"transport_cost: must be a list of {m} rows")
-    rows = []
-    for i, row in enumerate(cost):
-        if not isinstance(row, list) or len(row) != n:
-            raise ProblemFormatError(f"transport_cost[{i}]: must be a list of {n} entries")
-        rows.append(
-            tuple(
-                _as_trapezoid(v, f"transport_cost[{i}][{j}]", base_dir, gamma_core, gamma_support)
-                for j, v in enumerate(row)
-            )
-        )
-    kwargs["transport_cost"] = tuple(rows)
+    entries = {}
+    for f in FIELDS:
+        if f.name not in raw:
+            if f.optional:
+                continue
+            raise ProblemFormatError(f"{f.name}: missing required field")
+        value = raw[f.name]
+        if not isinstance(value, list):
+            raise ProblemFormatError(f"{f.name}: must be a list")
+        if f.axis == "lanes":
+            for i, row in enumerate(value):
+                if not isinstance(row, list):
+                    raise ProblemFormatError(f"{f.name}[{i}]: must be a list")
+        entries[f.name] = value
     try:
-        return DistributionProblem(**kwargs)
+        table = ParameterTable(**entries)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
+
+    def convert(field, index, value):
+        where = field.name + "".join(f"[{k}]" for k in index)
+        return _as_trapezoid(value, where, path.parent, gamma_core, gamma_support)
+
+    return table.map(DistributionProblem, convert)
 
 
 def _parse_transport(raw, path) -> TransportInstance:
@@ -316,21 +270,8 @@ def export_problem(problem, file) -> None:
         }
     else:
         payload = {"schema_version": 1, "kind": "distribution"}
-        for field, _ in VECTOR_FIELDS:
-            payload[field] = [_quad(t) for t in getattr(problem, field)]
-        payload["transport_cost"] = [
-            [_quad(t) for t in row] for row in problem.transport_cost
-        ]
-        for field, _ in OPTIONAL_FIELDS:
-            value = getattr(problem, field)
-            if value is not None:
-                payload[field] = [_quad(t) for t in value]
+        payload.update(problem.map(dict, lambda field, index, t: _quad(t)))
     path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _lane_names(shape):
-    m, n = shape
-    return [f"x_{i + 1}{j + 1}" for i in range(m) for j in range(n)]
 
 
 def _run_crisp(config: RunConfig, problem) -> int:
@@ -365,7 +306,7 @@ def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
     fz = solve_fuzzy(problem, AlphaGrid.uniform(config.alpha_levels))
     m, n = fz.shape
     header = ["alpha", "D_lo", "D_hi"]
-    for name in _lane_names(fz.shape):
+    for _, _, name in lanes(fz.shape):
         header.extend([f"{name}_lo", f"{name}_hi"])
     header.extend(["feasible", "repaired"])
     rows = []
@@ -384,9 +325,8 @@ def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
     _write_csv(config.out_dir / "fuzzy_levels.csv", header, rows)
     try:
         quads = {"D": _quad(fit_trapezoid(fz, "benefit"))}
-        for i in range(m):
-            for j in range(n):
-                quads[f"x_{i + 1}{j + 1}"] = _quad(fit_trapezoid(fz, (i, j)))
+        for i, j, name in lanes(fz.shape):
+            quads[name] = _quad(fit_trapezoid(fz, (i, j)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE, fz
@@ -420,14 +360,9 @@ def _run_montecarlo(config: RunConfig, problem: DistributionProblem):
         return EXIT_INFEASIBLE, mc
     header = ["bin_lo", "bin_hi", "count"]
     _write_csv(config.out_dir / "mc_hist_D.csv", header, _hist_rows(mc.benefit_histogram))
-    m, n = mc.shape
-    for i in range(m):
-        for j in range(n):
-            _write_csv(
-                config.out_dir / f"mc_hist_x_{i + 1}{j + 1}.csv",
-                header,
-                _hist_rows(mc.shipment_histograms[i][j]),
-            )
+    for i, j, name in lanes(mc.shape):
+        hist = mc.shipment_histograms[i][j]
+        _write_csv(config.out_dir / f"mc_hist_{name}.csv", header, _hist_rows(hist))
     return EXIT_OK, mc
 
 
@@ -540,12 +475,12 @@ def main(argv=None) -> int:
             export_problem=args.export_problem,
         )
         return run(config)
-    except (ProblemFormatError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # ProblemFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -62,46 +62,21 @@ def corner_instances(p: DistributionProblem, alpha: float):
     """(optimistic, pessimistic) crisp instances at one membership level.
 
     Optimistic: capacities at cut maxima, contract minimums at cut
-    minima, prices arranged for maximal per-lane profit. Pessimistic is
+    minima, prices arranged for maximal per-lane profit: each parameter
+    sits at the cut end its benefit direction favours. Pessimistic is
     the mirror image. Contract base prices are metadata and stay at
     their cut midpoints.
     """
 
-    def cut(t: TrapezoidalFuzzyNumber) -> Interval:
-        return t.alpha_cut(alpha)
+    def corner(sign):
+        def pick(field, index, t):
+            cut = t.alpha_cut(alpha)
+            direction = sign * field.direction
+            return cut.hi if direction > 0 else cut.lo if direction < 0 else cut.midpoint
 
-    def hi(seq):
-        return tuple(cut(t).hi for t in seq)
+        return p.map(CrispInstance, pick)
 
-    def lo(seq):
-        return tuple(cut(t).lo for t in seq)
-
-    def mid(seq):
-        return None if seq is None else tuple(cut(t).midpoint for t in seq)
-
-    optimistic = CrispInstance(
-        supply_max=hi(p.supply_max),
-        demand_max=hi(p.demand_max),
-        purchase_min=lo(p.purchase_min),
-        sale_min=lo(p.sale_min),
-        purchase_price=lo(p.purchase_price),
-        sale_price=hi(p.sale_price),
-        transport_cost=tuple(lo(row) for row in p.transport_cost),
-        contract_purchase_price=mid(p.contract_purchase_price),
-        contract_sale_price=mid(p.contract_sale_price),
-    )
-    pessimistic = CrispInstance(
-        supply_max=lo(p.supply_max),
-        demand_max=lo(p.demand_max),
-        purchase_min=hi(p.purchase_min),
-        sale_min=hi(p.sale_min),
-        purchase_price=hi(p.purchase_price),
-        sale_price=lo(p.sale_price),
-        transport_cost=tuple(hi(row) for row in p.transport_cost),
-        contract_purchase_price=mid(p.contract_purchase_price),
-        contract_sale_price=mid(p.contract_sale_price),
-    )
-    return optimistic, pessimistic
+    return corner(+1), corner(-1)
 
 
 def repair_bounds(inst: CrispInstance):

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .fuzzy import TrapezoidalFuzzyNumber
 from .simplex import LinearProgram
 
 __all__ = [
+    "Field",
+    "FIELDS",
+    "lanes",
+    "ParameterTable",
     "DistributionProblem",
     "CrispInstance",
     "FeasibilityReport",
@@ -28,14 +32,116 @@ __all__ = [
 ]
 
 
-def _check_dims(name_lengths, m, n):
-    for name, got, want in name_lengths:
-        if got != want:
-            raise ValueError(f"{name} has length {got}, expected {want}")
+class Field(NamedTuple):
+    """One model parameter: its name, its layout and how it moves the benefit."""
+
+    name: str
+    axis: str  # "rows": one per supplier, "cols": one per customer, "lanes": M rows of N
+    optional: bool
+    direction: int  # +1 raises the optimal benefit, -1 lowers it, 0 never enters the LP
 
 
-@dataclass(frozen=True)
-class DistributionProblem:
+# The parameter layout, declared once. Its order is the Monte Carlo draw
+# order and the key order of exported problem files.
+FIELDS = (
+    Field("supply_max", "rows", False, +1),  # units per supplier
+    Field("demand_max", "cols", False, +1),  # units per customer
+    Field("purchase_min", "rows", False, -1),  # contracted minimum purchase per supplier
+    Field("sale_min", "cols", False, -1),  # contracted minimum sale per customer
+    Field("purchase_price", "rows", False, -1),  # reduced purchase price per supplier
+    Field("sale_price", "cols", False, +1),  # reduced sale price per customer
+    Field("transport_cost", "lanes", False, -1),  # per (supplier, customer) lane
+    Field("contract_purchase_price", "rows", True, 0),
+    Field("contract_sale_price", "cols", True, 0),
+)
+
+
+def lanes(shape):
+    """(i, j, name) for every lane, row by row, with 0-based i and j.
+
+    Names are 1-based: x_ij while both M and N are at most 9, x_i_j
+    beyond that, so that (1, 11) and (11, 1) stay apart.
+    """
+    m, n = shape
+    sep = "" if max(m, n) <= 9 else "_"
+    for i in range(m):
+        for j in range(n):
+            yield i, j, f"x_{i + 1}{sep}{j + 1}"
+
+
+def _declare_fields(cls):
+    """Make cls a frozen dataclass with one field per FIELDS entry, in order."""
+    cls.__annotations__ = {f.name: "tuple | None" if f.optional else "tuple" for f in FIELDS}
+    for f in FIELDS:
+        if f.optional:
+            setattr(cls, f.name, None)
+    return dataclass(frozen=True)(cls)
+
+
+@_declare_fields
+class ParameterTable:
+    """One entry per model parameter, laid out as FIELDS says.
+
+    Subclasses fix what an entry is: a trapezoid, a float or a Gaussian.
+    Optional fields may be None; a present field must match the shape
+    given by supply_max (M) and demand_max (N).
+    """
+
+    def __post_init__(self):
+        m, n = self.shape
+        if m < 1 or n < 1:
+            raise ValueError("need at least one supplier and one customer")
+        for f in FIELDS:
+            value = getattr(self, f.name)
+            if value is None and f.optional:
+                continue
+            want = n if f.axis == "cols" else m
+            if len(value) != want:
+                raise ValueError(f"{f.name} has length {len(value)}, expected {want}")
+            if f.axis == "lanes":
+                for i, row in enumerate(value):
+                    if len(row) != n:
+                        raise ValueError(f"{f.name}[{i}] has length {len(row)}, expected {n}")
+
+    @property
+    def shape(self) -> tuple:
+        return len(self.supply_max), len(self.demand_max)
+
+    def values(self):
+        """Every entry in FIELDS order, lanes row by row; absent fields skipped."""
+        for f in FIELDS:
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if f.axis == "lanes":
+                for row in value:
+                    yield from row
+            else:
+                yield from value
+
+    def map(self, cls, fn):
+        """cls(**fields) with each entry replaced by fn(field, index, entry).
+
+        index is (i,) on supplier and customer fields and (i, j) on
+        lanes. Entries are visited in values() order; absent fields
+        stay absent.
+        """
+        kwargs = {}
+        for f in FIELDS:
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if f.axis == "lanes":
+                kwargs[f.name] = tuple(
+                    tuple([fn(f, (i, j), v) for j, v in enumerate(row)])
+                    for i, row in enumerate(value)
+                )
+            else:
+                kwargs[f.name] = tuple([fn(f, (i,), v) for i, v in enumerate(value)])
+        return cls(**kwargs)
+
+
+class DistributionProblem(ParameterTable):
     """Fuzzy model parameters; every entry is a TrapezoidalFuzzyNumber.
 
     contract_purchase_price and contract_sale_price are bookkeeping from
@@ -43,116 +149,17 @@ class DistributionProblem:
     only so problem files round-trip losslessly.
     """
 
-    supply_max: tuple        # per supplier, units
-    demand_max: tuple        # per customer, units
-    purchase_min: tuple      # contracted minimum purchase per supplier
-    sale_min: tuple          # contracted minimum sale per customer
-    purchase_price: tuple    # reduced purchase price per supplier
-    sale_price: tuple        # reduced sale price per customer
-    transport_cost: tuple    # per (supplier, customer) lane
-    contract_purchase_price: tuple | None = None
-    contract_sale_price: tuple | None = None
-
-    def __post_init__(self):
-        m, n = len(self.supply_max), len(self.demand_max)
-        if m < 1 or n < 1:
-            raise ValueError("need at least one supplier and one customer")
-        _check_dims(
-            [
-                ("purchase_min", len(self.purchase_min), m),
-                ("sale_min", len(self.sale_min), n),
-                ("purchase_price", len(self.purchase_price), m),
-                ("sale_price", len(self.sale_price), n),
-                ("transport_cost", len(self.transport_cost), m),
-            ],
-            m,
-            n,
-        )
-        for i, row in enumerate(self.transport_cost):
-            if len(row) != n:
-                raise ValueError(f"transport_cost[{i}] has length {len(row)}, expected {n}")
-        if self.contract_purchase_price is not None and len(self.contract_purchase_price) != m:
-            raise ValueError("contract_purchase_price length mismatch")
-        if self.contract_sale_price is not None and len(self.contract_sale_price) != n:
-            raise ValueError("contract_sale_price length mismatch")
-
-    @property
-    def shape(self) -> tuple:
-        return len(self.supply_max), len(self.demand_max)
-
     def is_crisp(self, tol: float = 0.0) -> bool:
-        return all(t.is_crisp(tol) for t in self._all_params())
-
-    def _all_params(self):
-        yield from self.supply_max
-        yield from self.demand_max
-        yield from self.purchase_min
-        yield from self.sale_min
-        yield from self.purchase_price
-        yield from self.sale_price
-        for row in self.transport_cost:
-            yield from row
-        for extra in (self.contract_purchase_price, self.contract_sale_price):
-            if extra is not None:
-                yield from extra
+        return all(t.is_crisp(tol) for t in self.values())
 
 
-@dataclass(frozen=True)
-class CrispInstance:
+class CrispInstance(ParameterTable):
     """Real-valued snapshot of the model parameters."""
 
-    supply_max: tuple
-    demand_max: tuple
-    purchase_min: tuple
-    sale_min: tuple
-    purchase_price: tuple
-    sale_price: tuple
-    transport_cost: tuple
-    contract_purchase_price: tuple | None = None
-    contract_sale_price: tuple | None = None
-
     def __post_init__(self):
-        m, n = len(self.supply_max), len(self.demand_max)
-        if m < 1 or n < 1:
-            raise ValueError("need at least one supplier and one customer")
-        _check_dims(
-            [
-                ("purchase_min", len(self.purchase_min), m),
-                ("sale_min", len(self.sale_min), n),
-                ("purchase_price", len(self.purchase_price), m),
-                ("sale_price", len(self.sale_price), n),
-                ("transport_cost", len(self.transport_cost), m),
-            ],
-            m,
-            n,
-        )
-        for i, row in enumerate(self.transport_cost):
-            if len(row) != n:
-                raise ValueError(f"transport_cost[{i}] has length {len(row)}, expected {n}")
-        if self.contract_purchase_price is not None and len(self.contract_purchase_price) != m:
-            raise ValueError("contract_purchase_price length mismatch")
-        if self.contract_sale_price is not None and len(self.contract_sale_price) != n:
-            raise ValueError("contract_sale_price length mismatch")
-        for v in self._all_values():
-            if not math.isfinite(v):
-                raise ValueError("crisp parameters must be finite")
-
-    def _all_values(self):
-        yield from self.supply_max
-        yield from self.demand_max
-        yield from self.purchase_min
-        yield from self.sale_min
-        yield from self.purchase_price
-        yield from self.sale_price
-        for row in self.transport_cost:
-            yield from row
-        for extra in (self.contract_purchase_price, self.contract_sale_price):
-            if extra is not None:
-                yield from extra
-
-    @property
-    def shape(self) -> tuple:
-        return len(self.supply_max), len(self.demand_max)
+        super().__post_init__()
+        if not all(math.isfinite(v) for v in self.values()):
+            raise ValueError("crisp parameters must be finite")
 
 
 def profit_coefficients(p: DistributionProblem) -> tuple:
@@ -259,21 +266,4 @@ def feasibility_precheck(inst: CrispInstance) -> FeasibilityReport:
 
 def midpoint_instance(p: DistributionProblem) -> CrispInstance:
     """Crisp snapshot at the core midpoints (the means, for symmetric input)."""
-
-    def mid(t: TrapezoidalFuzzyNumber) -> float:
-        return 0.5 * (t.b + t.c)
-
-    def mids(seq):
-        return None if seq is None else tuple(mid(t) for t in seq)
-
-    return CrispInstance(
-        supply_max=mids(p.supply_max),
-        demand_max=mids(p.demand_max),
-        purchase_min=mids(p.purchase_min),
-        sale_min=mids(p.sale_min),
-        purchase_price=mids(p.purchase_price),
-        sale_price=mids(p.sale_price),
-        transport_cost=tuple(mids(row) for row in p.transport_cost),
-        contract_purchase_price=mids(p.contract_purchase_price),
-        contract_sale_price=mids(p.contract_sale_price),
-    )
+    return p.map(CrispInstance, lambda field, index, t: 0.5 * (t.b + t.c))

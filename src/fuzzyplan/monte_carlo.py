@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .ingest import (
 )
 from .fuzzy import TrapezoidalFuzzyNumber
 from .fuzzy_solver import FuzzySolution, fit_trapezoid
-from .model import CrispInstance, DistributionProblem, to_lp
+from .model import CrispInstance, DistributionProblem, ParameterTable, lanes, to_lp
 from .simplex import solve
 from statistics import NormalDist
 
@@ -53,23 +54,8 @@ class GaussianSpec:
             raise ValueError(f"need finite mean and sigma >= 0, got {self}")
 
 
-@dataclass(frozen=True)
-class ParameterSpecs:
+class ParameterSpecs(ParameterTable):
     """One GaussianSpec per model parameter, same layout as the problem."""
-
-    supply_max: tuple
-    demand_max: tuple
-    purchase_min: tuple
-    sale_min: tuple
-    purchase_price: tuple
-    sale_price: tuple
-    transport_cost: tuple
-    contract_purchase_price: tuple | None = None
-    contract_sale_price: tuple | None = None
-
-    @property
-    def shape(self) -> tuple:
-        return len(self.supply_max), len(self.demand_max)
 
     @classmethod
     def from_problem(
@@ -84,52 +70,29 @@ class ParameterSpecs:
         """
         z = NormalDist().inv_cdf((1.0 + gamma_support) / 2.0)
 
-        def spec(t: TrapezoidalFuzzyNumber) -> GaussianSpec:
+        def spec(field, index, t: TrapezoidalFuzzyNumber) -> GaussianSpec:
             return GaussianSpec(0.5 * (t.b + t.c), (t.d - t.a) / (2.0 * z))
 
-        def specs(seq):
-            return None if seq is None else tuple(spec(t) for t in seq)
+        return p.map(cls, spec)
 
-        return cls(
-            supply_max=specs(p.supply_max),
-            demand_max=specs(p.demand_max),
-            purchase_min=specs(p.purchase_min),
-            sale_min=specs(p.sale_min),
-            purchase_price=specs(p.purchase_price),
-            sale_price=specs(p.sale_price),
-            transport_cost=tuple(specs(row) for row in p.transport_cost),
-            contract_purchase_price=specs(p.contract_purchase_price),
-            contract_sale_price=specs(p.contract_sale_price),
-        )
+    @cached_property
+    def moments(self) -> tuple:
+        """(means, sigmas) as arrays in values() order."""
+        specs = tuple(self.values())
+        return np.array([s.mean for s in specs]), np.array([s.sigma for s in specs])
 
 
 def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstance:
     """Scenario for one step; a pure function of (seed, index).
 
-    Draw order is fixed: supplies, demands, purchase minimums, sale
-    minimums, purchase prices, sale prices, transport costs row by row,
-    then the contract metadata. Changing it would silently reshuffle
-    every reproducible run, so don't.
+    Parameters are drawn in specs.values() order, which is FIELDS order:
+    changing it would silently reshuffle every reproducible run. One
+    vectorized normal call consumes the stream exactly as a scalar draw
+    per parameter would, so the floats match such a loop bit for bit.
     """
     rng = np.random.default_rng((seed, index))
-
-    def draw(seq):
-        return tuple(float(rng.normal(s.mean, s.sigma)) for s in seq)
-
-    def draw_opt(seq):
-        return None if seq is None else draw(seq)
-
-    return CrispInstance(
-        supply_max=draw(specs.supply_max),
-        demand_max=draw(specs.demand_max),
-        purchase_min=draw(specs.purchase_min),
-        sale_min=draw(specs.sale_min),
-        purchase_price=draw(specs.purchase_price),
-        sale_price=draw(specs.sale_price),
-        transport_cost=tuple(draw(row) for row in specs.transport_cost),
-        contract_purchase_price=draw_opt(specs.contract_purchase_price),
-        contract_sale_price=draw_opt(specs.contract_sale_price),
-    )
+    draws = iter(rng.normal(*specs.moments).tolist())
+    return specs.map(CrispInstance, lambda *_: next(draws))
 
 
 @dataclass(frozen=True)
@@ -166,6 +129,8 @@ def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> Partia
 
 def merge_partials(parts) -> PartialRun:
     parts = sorted(parts, key=lambda p: p.start)
+    if not parts:
+        raise ValueError("need at least one partial run")
     for a, b in zip(parts, parts[1:]):
         if a.stop != b.start or a.seed != b.seed or a.shape != b.shape:
             raise ValueError("partial runs must be contiguous, same-seed, same-shape")
@@ -316,7 +281,6 @@ def compare(
         raise ValueError(f"fuzzy solution is {fz.shape}, Monte Carlo is {mc.shape}")
     if mc.feasible_count == 0:
         raise ValueError("Monte Carlo run has no feasible scenarios to compare")
-    m, n = fz.shape
 
     def against(name, fuzzy_trap, hist):
         mc_trap = to_trapezoid(ecdf_from_histogram(hist), gamma_core, gamma_support)
@@ -334,13 +298,8 @@ def compare(
         )
 
     entries = [against("D", fit_trapezoid(fz, "benefit"), mc.benefit_histogram)]
-    for i in range(m):
-        for j in range(n):
-            entries.append(
-                against(
-                    f"x_{i + 1}{j + 1}",
-                    fit_trapezoid(fz, (i, j)),
-                    mc.shipment_histograms[i][j],
-                )
-            )
+    for i, j, name in lanes(fz.shape):
+        entries.append(
+            against(name, fit_trapezoid(fz, (i, j)), mc.shipment_histograms[i][j])
+        )
     return ComparisonReport(gamma_core, gamma_support, tuple(entries))

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from fuzzyplan import cli
 from fuzzyplan.cli import (
+    EXIT_SOLVER,
     ProblemFormatError,
     export_problem,
     main,
@@ -152,6 +154,24 @@ def test_export_round_trip(tmp_path):
     assert parse_problem(out2) == t
 
 
+def test_export_key_order(tmp_path):
+    out = tmp_path / "exported.json"
+    export_problem(parse_problem(TABLE1), out)
+    assert list(json.loads(out.read_text())) == [
+        "schema_version",
+        "kind",
+        "supply_max",
+        "demand_max",
+        "purchase_min",
+        "sale_min",
+        "purchase_price",
+        "sale_price",
+        "transport_cost",
+        "contract_purchase_price",
+        "contract_sale_price",
+    ]
+
+
 def test_crisp_mode_matches_expected_fixture(tmp_path):
     out = tmp_path / "run"
     assert main([TABLE1, "--mode", "crisp", "--out-dir", str(out)]) == 0
@@ -207,6 +227,33 @@ def test_montecarlo_mode_outputs(tmp_path):
             assert (out / f"mc_hist_x_{i}{j}.csv").exists()
 
 
+def test_lane_names_unique_beyond_nine(tmp_path):
+    m = n = 12
+    p = write_problem(
+        tmp_path / "p12.json",
+        supply_max=[{"mean": 100, "sigma": 2}] * m,
+        demand_max=[{"mean": 100, "sigma": 2}] * n,
+        purchase_min=[10] * m,
+        sale_min=[10] * n,
+        purchase_price=[50 + i for i in range(m)],
+        sale_price=[100 + j for j in range(n)],
+        transport_cost=[[(7 * i + 3 * j) % 20 for j in range(n)] for i in range(m)],
+    )
+    out = tmp_path / "run"
+    assert main([str(p), "--mode", "compare", "--mc-steps", "20", "--out-dir", str(out)]) == 0
+    names = [f"x_{i}_{j}" for i in range(1, m + 1) for j in range(1, n + 1)]
+    assert "x_1_11" in names and "x_11_1" in names
+
+    header = (out / "fuzzy_levels.csv").read_text().splitlines()[0].split(",")
+    assert header[3:-2:2] == [f"{name}_lo" for name in names]
+    assert list(json.loads((out / "fuzzy_quadruples.json").read_text())) == ["D"] + names
+    assert sorted(f.name for f in out.glob("mc_hist_x_*.csv")) == sorted(
+        f"mc_hist_{name}.csv" for name in names
+    )
+    entries = json.loads((out / "comparison.json").read_text())["entries"]
+    assert [e["name"] for e in entries] == ["D"] + names
+
+
 def test_ingest_mode(tmp_path):
     src = tmp_path / "samples.txt"
     src.write_text("".join(f"{v}\n" for v in range(1, 201)))
@@ -248,7 +295,7 @@ def test_compare_mode_deterministic(tmp_path):
     assert d["mc_inside_fuzzy"] is True
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main([str(tmp_path / "nope.json"), "--mode", "crisp"]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -294,3 +341,11 @@ def test_exit_codes(tmp_path, capsys):
 
     bad_gamma = main([TABLE1, "--mode", "crisp", "--gamma-core", "0.95"])
     assert bad_gamma == 2
+    capsys.readouterr()
+
+    def stuck(lp):
+        raise RuntimeError("simplex failed to terminate")
+
+    monkeypatch.setattr(cli, "solve", stuck)
+    assert main([TABLE1, "--mode", "crisp", "--out-dir", str(out)]) == EXIT_SOLVER == 4
+    assert "error: simplex failed to terminate" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
+from fuzzyplan.cli import parse_problem
 from fuzzyplan.fuzzy import TrapezoidalFuzzyNumber
 from fuzzyplan.fuzzy_solver import solve_fuzzy
 from fuzzyplan.ingest import gaussian_to_trapezoid
-from fuzzyplan.model import DistributionProblem, to_lp
+from fuzzyplan.model import CrispInstance, DistributionProblem, to_lp
 from fuzzyplan.monte_carlo import (
     GaussianSpec,
     ParameterSpecs,
@@ -83,6 +85,51 @@ def test_sample_instance_deterministic(demo_specs):
     assert a != d
 
 
+# Exact draws for the bundled table1 specs. The draw order (supplies,
+# demands, purchase minimums, sale minimums, purchase prices, sale
+# prices, transport costs row by row, contract prices) is part of the
+# (seed, index) reproducibility contract; reordering it fails here.
+TABLE1_DRAWS = {
+    0: dict(
+        supply_max=(463.0471707975443, 449.60015893759504, 617.5045119580645),
+        demand_max=(419.40564716391214, 490.4896481134616, 596.9782049313768),
+        purchase_min=(441.27840403167284, 436.8375740765642, 589.8319884249571),
+        sale_min=(381.4695607242642, 498.79397974862826, 597.7779193542895),
+        purchase_price=(590.6603069756121, 491.27241206968034, 574.6750934225205),
+        sale_price=(981.4070753711676, 1103.687507840825, 1170.41117399171),
+        transport_cost=(
+            (108.78450301307272, 29.50074089013747, 98.15137636454739),
+            (103.19070455596058, 48.22541338674031, 403.454705179312),
+            (115.71672177836894, 144.4786644951177, 16.323091855533487),
+        ),
+        contract_purchase_price=(603.6544406436408, 495.1273261159599, 585.3082100300788),
+        contract_sale_price=(1021.4164760087046, 1125.935849836154, 1191.8775727092846),
+    ),
+    9999: dict(
+        supply_max=(443.0676252729903, 472.3985788379115, 602.5855947737041),
+        demand_max=(411.5196011465448, 520.0438874843543, 612.619376993776),
+        purchase_min=(419.96244754283225, 451.2705206190844, 586.0908816950397),
+        sale_min=(386.948811501506, 493.89646496469015, 601.0748966449946),
+        purchase_price=(588.1839716801459, 483.35217054205583, 561.0424185541367),
+        sale_price=(974.2093475074045, 1102.7958817025512, 1177.3138689632935),
+        transport_cost=(
+            (95.56774250285848, 35.98993798436149, 91.07808054146207),
+            (100.57760078165401, 37.511317928737796, 412.6828892862544),
+            (133.6787747383154, 157.40774883529917, 23.771169682381192),
+        ),
+        contract_purchase_price=(606.4162917100464, 496.74558413650686, 584.8207118632299),
+        contract_sale_price=(990.9447360614096, 1146.0430365465622, 1222.707353902528),
+    ),
+}
+
+
+@pytest.mark.parametrize("index", sorted(TABLE1_DRAWS))
+def test_sample_instance_table1_draws_pinned(index):
+    table1 = files("fuzzyplan").joinpath("data/table1.json")
+    specs = ParameterSpecs.from_problem(parse_problem(str(table1)))
+    assert sample_instance(specs, 42, index) == CrispInstance(**TABLE1_DRAWS[index])
+
+
 def test_sample_moments_match_spec():
     specs = single_lane_specs(sigma=10.0)
     vals = np.array(
@@ -141,6 +188,8 @@ def test_merge_validation(demo_specs):
     c = run_range(demo_specs, 5, 10, 43)
     with pytest.raises(ValueError):
         merge_partials([a, c])
+    with pytest.raises(ValueError, match="at least one partial run"):
+        merge_partials([])
 
 
 def test_feasible_samples_satisfy_their_scenarios(demo_specs):
