@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
-from .simplex import LinearProgram
+import numpy as np
+
+from .simplex import FEAS_TOL, LinearProgram
 
 __all__ = [
     "Field",
@@ -25,8 +28,14 @@ __all__ = [
     "CrispInstance",
     "FeasibilityReport",
     "profit_coefficients",
+    "PROFIT_FIELDS",
+    "lane_profits",
     "crisp_profits",
+    "RHS_FIELDS",
+    "LpSkeleton",
+    "lp_skeleton",
     "to_lp",
+    "necessary_violations",
     "feasibility_precheck",
     "midpoint_instance",
 ]
@@ -162,6 +171,10 @@ class CrispInstance(ParameterTable):
             raise ValueError("crisp parameters must be finite")
 
 
+# The fields lane_profits takes, in its argument order.
+PROFIT_FIELDS = ("purchase_price", "sale_price", "transport_cost")
+
+
 def profit_coefficients(p: DistributionProblem) -> tuple:
     """Fuzzy per-lane profit: sale price minus purchase price minus haul cost."""
     m, n = p.shape
@@ -174,49 +187,51 @@ def profit_coefficients(p: DistributionProblem) -> tuple:
     )
 
 
+def lane_profits(purchase_price, sale_price, transport_cost) -> np.ndarray:
+    """Per-lane profit (sale - purchase) - haul, elementwise.
+
+    Arrays of shape (..., M), (..., N) and (..., M, N) give (..., M, N):
+    one scenario, or a batch of them along the leading axes. The order
+    of the two subtractions is fixed, so a scenario gets the same floats
+    alone or in a batch.
+    """
+    return (sale_price[..., None, :] - purchase_price[..., :, None]) - transport_cost
+
+
 def crisp_profits(inst: CrispInstance) -> tuple:
-    m, n = inst.shape
-    return tuple(
-        tuple(
-            inst.sale_price[j] - inst.purchase_price[i] - inst.transport_cost[i][j]
-            for j in range(n)
-        )
-        for i in range(m)
-    )
+    z = lane_profits(*(np.array(getattr(inst, name)) for name in PROFIT_FIELDS))
+    return tuple(map(tuple, z.tolist()))
+
+
+# The fields whose entries are the LP's right-hand side, in constraint-row order.
+RHS_FIELDS = ("supply_max", "demand_max", "purchase_min", "sale_min")
+
+
+class LpSkeleton(NamedTuple):
+    """The constraint rows of the distributor LP of one shape; only c and b vary."""
+
+    coeffs: tuple  # 2(M+N) rows of 0/1 floats: supplier row sums, customer column sums, twice
+    relations: tuple  # "<=" on the first M+N rows (capacities), ">=" on the rest (contracts)
+
+
+@cache
+def lp_skeleton(shape) -> LpSkeleton:
+    """Row sums are capped by supply and floored by the purchase contracts;
+    column sums are capped by demand and floored by the sale contracts.
+    Row k pairs with the k-th entry of the RHS_FIELDS values.
+    """
+    m, n = shape
+    rows = [tuple(1.0 if k // n == i else 0.0 for k in range(m * n)) for i in range(m)]
+    cols = [tuple(1.0 if k % n == j else 0.0 for k in range(m * n)) for j in range(n)]
+    return LpSkeleton(tuple(rows + cols) * 2, ("<=",) * (m + n) + (">=",) * (m + n))
 
 
 def to_lp(inst: CrispInstance) -> LinearProgram:
-    """Profit-maximizing LP: MN shipment variables, 2(M+N) constraints.
-
-    Row sums are capped by supply and floored by the purchase contracts;
-    column sums are capped by demand and floored by the sale contracts.
-    """
-    m, n = inst.shape
-    z = crisp_profits(inst)
-    objective = tuple(z[i][j] for i in range(m) for j in range(n))
-
-    def row_vec(i):
-        e = [0.0] * (m * n)
-        for j in range(n):
-            e[i * n + j] = 1.0
-        return tuple(e)
-
-    def col_vec(j):
-        e = [0.0] * (m * n)
-        for i in range(m):
-            e[i * n + j] = 1.0
-        return tuple(e)
-
-    constraints = []
-    for i in range(m):
-        constraints.append((row_vec(i), "<=", float(inst.supply_max[i])))
-    for j in range(n):
-        constraints.append((col_vec(j), "<=", float(inst.demand_max[j])))
-    for i in range(m):
-        constraints.append((row_vec(i), ">=", float(inst.purchase_min[i])))
-    for j in range(n):
-        constraints.append((col_vec(j), ">=", float(inst.sale_min[j])))
-    return LinearProgram(objective, "max", tuple(constraints))
+    """Profit-maximizing LP: MN shipment variables, 2(M+N) constraints."""
+    skeleton = lp_skeleton(inst.shape)
+    objective = tuple(v for row in crisp_profits(inst) for v in row)
+    rhs = [float(v) for name in RHS_FIELDS for v in getattr(inst, name)]
+    return LinearProgram(objective, "max", tuple(zip(skeleton.coeffs, skeleton.relations, rhs)))
 
 
 @dataclass(frozen=True)
@@ -228,38 +243,54 @@ class FeasibilityReport:
         return self.ok
 
 
+def necessary_violations(supply_max, demand_max, purchase_min, sale_min):
+    """Which necessary feasibility conditions fail, for a batch of scenarios.
+
+    Arguments are (K, M) or (K, N) arrays, one row per scenario, in
+    RHS_FIELDS order. Returns boolean masks: (K, M) for a supplier whose
+    purchase minimum exceeds its capacity, (K, N) for a customer whose
+    sale minimum exceeds its demand, and (K,) for total sale minimums
+    over total supply and for total purchase minimums over total demand.
+    Each flags a violation by more than FEAS_TOL; the phase-1 sum of
+    artificials is at least the violation, so the simplex reports every
+    flagged scenario infeasible.
+    """
+    return (
+        purchase_min > supply_max + FEAS_TOL,
+        sale_min > demand_max + FEAS_TOL,
+        sale_min.sum(axis=1) > supply_max.sum(axis=1) + FEAS_TOL,
+        purchase_min.sum(axis=1) > demand_max.sum(axis=1) + FEAS_TOL,
+    )
+
+
 def feasibility_precheck(inst: CrispInstance) -> FeasibilityReport:
     """Necessary-condition screen; passing does not guarantee feasibility.
 
     The full check is the phase-1 LP, which the solver runs anyway; this
     exists to give named diagnostics before any solve.
     """
-    tol = 1e-9
-    m, n = inst.shape
+    batch = (np.array([getattr(inst, name)]) for name in RHS_FIELDS)
+    rows, cols, sale_total, purchase_total = necessary_violations(*batch)
     violations = []
-    for i in range(m):
-        if inst.purchase_min[i] > inst.supply_max[i] + tol:
-            violations.append(
-                f"purchase_min[{i}]={inst.purchase_min[i]:g} exceeds "
-                f"supply_max[{i}]={inst.supply_max[i]:g}"
-            )
-    for j in range(n):
-        if inst.sale_min[j] > inst.demand_max[j] + tol:
-            violations.append(
-                f"sale_min[{j}]={inst.sale_min[j]:g} exceeds "
-                f"demand_max[{j}]={inst.demand_max[j]:g}"
-            )
-    total_supply = sum(inst.supply_max)
-    total_demand = sum(inst.demand_max)
-    total_purchase = sum(inst.purchase_min)
-    total_sale = sum(inst.sale_min)
-    if total_sale > total_supply + tol:
+    for i in np.flatnonzero(rows[0]):
         violations.append(
-            f"total sale_min {total_sale:g} exceeds total supply_max {total_supply:g}"
+            f"purchase_min[{i}]={inst.purchase_min[i]:g} exceeds "
+            f"supply_max[{i}]={inst.supply_max[i]:g}"
         )
-    if total_purchase > total_demand + tol:
+    for j in np.flatnonzero(cols[0]):
         violations.append(
-            f"total purchase_min {total_purchase:g} exceeds total demand_max {total_demand:g}"
+            f"sale_min[{j}]={inst.sale_min[j]:g} exceeds "
+            f"demand_max[{j}]={inst.demand_max[j]:g}"
+        )
+    if sale_total[0]:
+        violations.append(
+            f"total sale_min {sum(inst.sale_min):g} exceeds "
+            f"total supply_max {sum(inst.supply_max):g}"
+        )
+    if purchase_total[0]:
+        violations.append(
+            f"total purchase_min {sum(inst.purchase_min):g} exceeds "
+            f"total demand_max {sum(inst.demand_max):g}"
         )
     return FeasibilityReport(not violations, tuple(violations))
 

@@ -5,6 +5,21 @@ full crisp scenario, solves it, and the optimal benefit and shipments
 of the feasible scenarios are accumulated into histograms. Sampling is
 counter-based: step i draws from default_rng((seed, i)), so a run can
 be split across workers and merged without changing a single draw.
+
+Most scenarios need no simplex solve. run_range works in chunks: it
+draws a chunk into one array, builds every scenario's profits c and
+right-hand side b elementwise, counts the ones that break a necessary
+feasibility condition as infeasible, and tests the rest against the
+optimal bases found so far in the run. Basis B answers (c, b) when
+x_B = B^-1 b is strictly positive and every nonbasic reduced cost is
+strictly negative, so that B is the unique optimum; anything else is
+solved cold and its basis joins the cache. A basis leaves the cache
+after a chunk in which it answered no step but the one it came from, so
+where optimal supports seldom repeat, each cold solve costs about one
+extra test. Strictness means at most one basis can answer a scenario,
+and the certifier sums in a fixed order, so every result stays a pure
+function of (seed, index), however the run is chunked or split and
+whichever bases are cached.
 """
 
 from __future__ import annotations
@@ -12,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +41,19 @@ from .ingest import (
 )
 from .fuzzy import TrapezoidalFuzzyNumber
 from .fuzzy_solver import FuzzySolution, fit_trapezoid
-from .model import CrispInstance, DistributionProblem, ParameterTable, lanes, to_lp
-from .simplex import solve
+from .model import (
+    PROFIT_FIELDS,
+    RHS_FIELDS,
+    CrispInstance,
+    DistributionProblem,
+    ParameterTable,
+    lane_profits,
+    lanes,
+    lp_skeleton,
+    necessary_violations,
+    to_lp,
+)
+from .simplex import PIVOT_TOL, solve
 from statistics import NormalDist
 
 __all__ = [
@@ -90,9 +118,12 @@ def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstan
     vectorized normal call consumes the stream exactly as a scalar draw
     per parameter would, so the floats match such a loop bit for bit.
     """
-    rng = np.random.default_rng((seed, index))
-    draws = iter(rng.normal(*specs.moments).tolist())
-    return specs.map(CrispInstance, lambda *_: next(draws))
+    return _instance(specs, _draws(specs, seed, index, index + 1)[0])
+
+
+def _instance(specs: ParameterSpecs, draws: np.ndarray) -> CrispInstance:
+    values = iter(draws.tolist())
+    return specs.map(CrispInstance, lambda *_: next(values))
 
 
 @dataclass(frozen=True)
@@ -108,22 +139,218 @@ class PartialRun:
     infeasible_count: int
 
 
+# Steps drawn, screened and certified together. Results do not depend on
+# it: larger chunks spread numpy's per-call overhead, smaller ones hold
+# less memory.
+CHUNK = 1024
+
+# A cached basis answers a scenario only when every nonbasic reduced
+# cost is below -CERTIFY_MARGIN * max(1, max |c|): then it is the unique
+# optimum, and the cold solve would end on it as well.
+CERTIFY_MARGIN = 1e-7
+
+# How many basic variables certify tests before it computes the rest of
+# x_B. Results do not depend on it; it only saves work on the scenarios
+# a basis does not fit.
+FIRST_BASICS = 8
+
+
+def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarray:
+    """One row per step in [start, stop): the floats sample_instance draws."""
+    means, sigmas = specs.moments
+    draws = np.empty((stop - start, means.size))
+    for row, index in enumerate(range(start, stop)):
+        draws[row] = np.random.default_rng((seed, index)).normal(means, sigmas)
+    if not np.isfinite(draws).all():
+        raise ValueError("crisp parameters must be finite")
+    return draws
+
+
+def _columns(specs: ParameterSpecs) -> dict:
+    """Each present field's column indices into a row of draws.
+
+    draws[:, np.array(index)] then gives the field for every step:
+    (K, M), (K, N) or (K, M, N).
+    """
+    at = count()
+    return specs.map(dict, lambda *_: next(at))
+
+
+def _accumulate(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """vectors @ matrix for (K, R) by (R, P), summed in a fixed order.
+
+    Every entry is the same left-to-right sum whatever K is. A BLAS
+    product may block differently with the batch size and move the last
+    bits, and then results would depend on how a run is split. A row of
+    matrix that is all zeros would add exact zeros, so it is skipped.
+    """
+    out = np.zeros((vectors.shape[0], matrix.shape[1]))
+    for r in np.flatnonzero(matrix.any(axis=1)):
+        out += vectors[:, r : r + 1] * matrix[r]
+    return out
+
+
+class _Basis(NamedTuple):
+    basic: np.ndarray  # standard-form columns, ascending
+    nonbasic: np.ndarray
+    inverse: np.ndarray  # of the basis matrix; row r gives basic variable r
+
+
+def _floor(b: np.ndarray) -> np.ndarray:
+    """The least value of a basic variable, per right-hand side (rows of b).
+
+    A vertex with a value at or below it counts as degenerate: learn
+    leaves its basis out and certify refuses it, so the two agree.
+    """
+    return PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=-1))
+
+
+class _BasisCache:
+    """Optimal bases found so far in a run, and the test that reuses them.
+
+    Columns index the standard form [A | diag(±1)] of the shape's LP
+    skeleton: MN shipments, then one slack per row, +1 on capacity rows
+    and -1 on contract rows. Every cached basis has been tested on every
+    step still waiting for an answer.
+    """
+
+    def __init__(self, shape):
+        skeleton = lp_skeleton(shape)
+        self.signs = np.array([1.0 if rel == "<=" else -1.0 for rel in skeleton.relations])
+        self.lanes = shape[0] * shape[1]
+        self.matrix = np.hstack([np.array(skeleton.coeffs), np.diag(self.signs)])
+        self.bases = {}  # basic columns as bytes -> _Basis
+
+    def learn(self, x: np.ndarray, b: np.ndarray):
+        """Add the basis at a cold optimum x to the cache and return it.
+
+        The basis is the support of [x, slacks]. Returns None when that
+        basis is cached already, or when the vertex is degenerate: then
+        it has fewer nonzeros than there are rows, and it could not be
+        certified anyway.
+        """
+        a = self.matrix
+        slacks = (b - a[:, : self.lanes] @ x) * self.signs
+        chosen = np.concatenate([x, slacks]) > _floor(b)
+        basic = np.flatnonzero(chosen)
+        if len(basic) != a.shape[0] or basic.tobytes() in self.bases:
+            return None
+        try:
+            inverse = np.linalg.inv(a[:, basic])
+        except np.linalg.LinAlgError:
+            return None
+        basis = _Basis(basic, np.flatnonzero(~chosen), inverse)
+        self.bases[basic.tobytes()] = basis
+        return basis
+
+    def keep(self, bases):
+        """Forget every cached basis not in bases."""
+        self.bases = {basis.basic.tobytes(): basis for basis in bases}
+
+    def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
+        """Which scenarios (rows of c and b) have basis as their unique optimum.
+
+        Returns the mask, and the optimal shipments (one row each) and
+        benefits of the certified rows. Certified means strictly: every
+        basic variable above _floor(b), every nonbasic reduced cost below
+        the margin. Ties and degenerate vertices go to the cold solve, so
+        an answer never depends on which bases were found before it.
+        A basis from another scenario mostly fails on x_B, so x_B is
+        computed for the first FIRST_BASICS basic variables, then in full
+        where those pass, and reduced costs only where all of x_B does.
+        """
+        floor = _floor(b)
+        head = _accumulate(b, basis.inverse[:FIRST_BASICS].T)
+        rows = np.flatnonzero((head > floor[:, None]).all(axis=1))
+        x_basic = _accumulate(b[rows], basis.inverse.T)
+        primal = (x_basic > floor[rows, None]).all(axis=1)
+        rows, x_basic = rows[primal], x_basic[primal]
+        costs = np.zeros((len(rows), self.matrix.shape[1]))
+        costs[:, : self.lanes] = c[rows]
+        c_basic = costs[:, basis.basic]
+        duals = _accumulate(c_basic, basis.inverse)
+        reduced = costs[:, basis.nonbasic] - _accumulate(duals, self.matrix[:, basis.nonbasic])
+        margin = CERTIFY_MARGIN * np.maximum(1.0, np.abs(c[rows]).max(axis=1))
+        optimal = (reduced < -margin[:, None]).all(axis=1)
+        rows, x_basic, c_basic = rows[optimal], x_basic[optimal], c_basic[optimal]
+        ok = np.zeros(len(b), dtype=bool)
+        ok[rows] = True
+        shipped = np.flatnonzero(basis.basic < self.lanes)
+        x = np.zeros((len(x_basic), self.lanes))
+        x[:, basis.basic[shipped]] = x_basic[:, shipped]
+        benefit = np.zeros(len(x))
+        for r in shipped:
+            benefit += c_basic[:, r] * x_basic[:, r]
+        return ok, x, benefit
+
+
+def _solve_chunk(specs: ParameterSpecs, index: dict, cache: _BasisCache, draws: np.ndarray):
+    """(benefit, x) per step of the chunk, or None for an infeasible one.
+
+    Afterwards the cache holds only the bases that answered a step of
+    the chunk other than the one they were learned from: where optimal
+    supports do not repeat, no basis is retested in the next chunk.
+    """
+    field = {name: draws[:, np.array(cols)] for name, cols in index.items()}
+    c = lane_profits(*(field[name] for name in PROFIT_FIELDS)).reshape(len(draws), -1)
+    b = np.hstack([field[name] for name in RHS_FIELDS])
+    screened = np.zeros(len(draws), dtype=bool)
+    for mask in necessary_violations(*(field[name] for name in RHS_FIELDS)):
+        screened |= mask.reshape(len(draws), -1).any(axis=1)
+    answers = [None] * len(draws)
+    pending = np.flatnonzero(~screened)
+
+    def settle(basis) -> int:
+        """Answer the pending steps basis certifies; return how many."""
+        nonlocal pending
+        ok, x, benefit = cache.certify(basis, c[pending], b[pending])
+        for row, value, ship in zip(pending[ok].tolist(), benefit.tolist(), x.tolist()):
+            answers[row] = (value, tuple(ship))
+        pending = pending[~ok]
+        return len(x)
+
+    useful = [basis for basis in cache.bases.values() if settle(basis)]
+    while pending.size:
+        row = int(pending[0])
+        sol = solve(to_lp(_instance(specs, draws[row])))
+        basis = cache.learn(np.array(sol.x), b[row]) if sol.status == "optimal" else None
+        others = settle(basis) if basis is not None else 0
+        if pending.size and pending[0] == row:  # not certified: the cold answer stands
+            if sol.status == "optimal":
+                answers[row] = (sol.objective_value, sol.x)
+            pending = pending[1:]
+        else:
+            others -= 1  # its own step
+        if others:
+            useful.append(basis)
+    cache.keep(useful)
+    return answers
+
+
 def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> PartialRun:
+    """Solve every step in [start, stop).
+
+    Steps go in chunks of CHUNK: draw, screen out scenarios that break a
+    necessary feasibility condition, answer the rest from optimal bases
+    already found in this run, and cold-solve what no basis certifies.
+    """
     if not 0 <= start <= stop:
         raise ValueError(f"bad step range [{start}, {stop})")
-    benefits = []
-    shipments = []
-    infeasible = 0
-    for index in range(start, stop):
-        inst = sample_instance(specs, seed, index)
-        sol = solve(to_lp(inst))
-        if sol.status == "optimal":
-            benefits.append(sol.objective_value)
-            shipments.append(sol.x)
-        else:
-            infeasible += 1
+    cache = _BasisCache(specs.shape)
+    index = _columns(specs)
+    answers = []
+    for lo in range(start, stop, CHUNK):
+        draws = _draws(specs, seed, lo, min(lo + CHUNK, stop))
+        answers += _solve_chunk(specs, index, cache, draws)
+    feasible = [a for a in answers if a is not None]
     return PartialRun(
-        start, stop, seed, specs.shape, tuple(benefits), tuple(shipments), infeasible
+        start,
+        stop,
+        seed,
+        specs.shape,
+        tuple(value for value, _ in feasible),
+        tuple(x for _, x in feasible),
+        len(answers) - len(feasible),
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from fuzzyplan.model import (
     DistributionProblem,
     crisp_profits,
     feasibility_precheck,
+    lane_profits,
+    lp_skeleton,
     midpoint_instance,
     profit_coefficients,
     to_lp,
@@ -124,6 +128,41 @@ def test_to_lp_demo_optimum(demo_means):
     assert sol.objective_value == pytest.approx(DEMO_OPTIMUM)
 
 
+def test_to_lp_rows_and_relations():
+    inst = CrispInstance(
+        supply_max=(10.0, 11.0),
+        demand_max=(5.0, 6.0, 7.0),
+        purchase_min=(1.0, 2.0),
+        sale_min=(3.0, 4.0, 4.5),
+        purchase_price=(1.0, 2.0),
+        sale_price=(5.0, 6.0, 7.0),
+        transport_cost=((0.5, 0.25, 1.0), (2.0, 0.0, 1.5)),
+    )
+    row = [(1.0, 1.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)]
+    col = [tuple(1.0 if k % 3 == j else 0.0 for k in range(6)) for j in range(3)]
+    want = (
+        [(row[i], "<=", inst.supply_max[i]) for i in range(2)]
+        + [(col[j], "<=", inst.demand_max[j]) for j in range(3)]
+        + [(row[i], ">=", inst.purchase_min[i]) for i in range(2)]
+        + [(col[j], ">=", inst.sale_min[j]) for j in range(3)]
+    )
+    lp = to_lp(inst)
+    assert lp.constraints == tuple(want)
+    assert lp.objective == (3.5, 4.75, 5.0, 1.0, 4.0, 3.5)
+    assert lp.sense == "max"
+    assert lp_skeleton((2, 3)) is lp_skeleton((2, 3))
+
+
+@pytest.mark.parametrize("excess, feasible", [(5e-8, True), (5e-7, False)])
+def test_precheck_tolerance_agrees_with_simplex(demo_means, excess, feasible):
+    # the simplex accepts a phase-1 optimum down to -FEAS_TOL, so a
+    # violation below FEAS_TOL is not proof of infeasibility
+    purchase_min = (demo_means.supply_max[0] + excess,) + demo_means.purchase_min[1:]
+    inst = dataclasses.replace(demo_means, purchase_min=purchase_min)
+    assert feasibility_precheck(inst).ok is feasible
+    assert (solve(to_lp(inst)).status == "optimal") is feasible
+
+
 def test_precheck_demo_passes(demo_means):
     report = feasibility_precheck(demo_means)
     assert report.ok
@@ -176,6 +215,28 @@ def test_crisp_profits_match_fuzzy_cores(demo_problem, demo_means):
         for j in range(3):
             core = z_fuzzy[i][j].core
             assert z_crisp[i][j] == pytest.approx(core.midpoint)
+
+
+def test_lane_profits_batch_matches_scalar_formula(demo_means):
+    # a scenario gets the same floats alone (crisp_profits) as inside a batch
+    rng = np.random.default_rng(3)
+    purchase = rng.normal(500.0, 50.0, (4, 3)).tolist()
+    sale = rng.normal(1000.0, 50.0, (4, 3)).tolist()
+    haul = rng.normal(100.0, 20.0, (4, 3, 3)).tolist()
+    batch = lane_profits(np.array(purchase), np.array(sale), np.array(haul))
+    for k in range(4):
+        want = tuple(
+            tuple((sale[k][j] - purchase[k][i]) - haul[k][i][j] for j in range(3))
+            for i in range(3)
+        )
+        inst = dataclasses.replace(
+            demo_means,
+            purchase_price=tuple(purchase[k]),
+            sale_price=tuple(sale[k]),
+            transport_cost=tuple(map(tuple, haul[k])),
+        )
+        assert crisp_profits(inst) == want
+        assert tuple(map(tuple, batch[k].tolist())) == want
 
 
 def test_lp_matches_transport_on_saturated_instances():

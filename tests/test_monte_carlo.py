@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib.resources import files
 
@@ -9,7 +10,9 @@ from fuzzyplan.fuzzy import TrapezoidalFuzzyNumber
 from fuzzyplan.fuzzy_solver import solve_fuzzy
 from fuzzyplan.ingest import gaussian_to_trapezoid
 from fuzzyplan.model import CrispInstance, DistributionProblem, to_lp
+import fuzzyplan.monte_carlo as monte_carlo
 from fuzzyplan.monte_carlo import (
+    CHUNK,
     GaussianSpec,
     ParameterSpecs,
     compare,
@@ -37,6 +40,25 @@ def single_lane_specs(sigma=10.0):
         sale_price=(GaussianSpec(100.0, 0.0),),
         transport_cost=((z,),),
     )
+
+
+@pytest.fixture
+def table1_specs():
+    table1 = files("fuzzyplan").joinpath("data/table1.json")
+    return ParameterSpecs.from_problem(parse_problem(str(table1)))
+
+
+@pytest.fixture
+def counted_solves(monkeypatch):
+    """Counts the cold solves Monte Carlo runs make."""
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(monte_carlo, "solve", counted)
+    return calls
 
 
 @pytest.fixture
@@ -130,6 +152,27 @@ def test_sample_instance_table1_draws_pinned(index):
     assert sample_instance(specs, 42, index) == CrispInstance(**TABLE1_DRAWS[index])
 
 
+def test_batch_draws_match_sample_instance(table1_specs):
+    # a run of `stop` steps draws two chunks: [0, CHUNK) and [CHUNK, stop)
+    stop = CHUNK + 300
+    first = monte_carlo._draws(table1_specs, 42, 0, CHUNK)
+    second = monte_carlo._draws(table1_specs, 42, CHUNK, stop)
+    for draws, row, index in [
+        (first, 0, 0),
+        (first, -1, CHUNK - 1),
+        (second, 0, CHUNK),
+        (second, -1, stop - 1),
+    ]:
+        want = np.array(list(sample_instance(table1_specs, 42, index).values()))
+        assert np.array_equal(draws[row], want)
+
+
+def test_batch_draws_reject_non_finite():
+    specs = single_lane_specs(sigma=1e308)
+    with pytest.raises(ValueError, match="finite"):
+        run_range(specs, 0, 20, 0)
+
+
 def test_sample_moments_match_spec():
     specs = single_lane_specs(sigma=10.0)
     vals = np.array(
@@ -178,6 +221,109 @@ def test_partial_runs_merge(demo_specs):
     assert merged == whole
     assert finalize(merged) == finalize(whole)
     assert finalize(whole) == run(demo_specs, 30, seed=42)
+
+
+def test_split_runs_merge_exactly(table1_specs):
+    # the cuts cross a chunk boundary; each part has its own basis cache
+    whole = run_range(table1_specs, 0, 3000, 7)
+    cuts = [0, 1000, 1777, 3000]
+    parts = [run_range(table1_specs, a, b, 7) for a, b in zip(cuts, cuts[1:])]
+    assert merge_partials(parts) == whole
+
+
+def _support(x):
+    return tuple(k for k, v in enumerate(x) if v != 0.0)
+
+
+@pytest.mark.parametrize("specs_name, seed", [("table1", 1), ("table1", 42), ("demo", 5)])
+def test_certified_results_agree_with_cold_solves(
+    specs_name, seed, table1_specs, demo_specs, counted_solves
+):
+    specs = table1_specs if specs_name == "table1" else demo_specs
+    part = run_range(specs, 0, 2000, seed)
+    assert len(counted_solves) < 100  # most answers come from cached bases
+    cold = [solve(to_lp(sample_instance(specs, seed, index))) for index in range(2000)]
+    optimal = [sol for sol in cold if sol.status == "optimal"]
+    assert part.infeasible_count == len(cold) - len(optimal)
+    assert len(part.benefits) == len(optimal)
+    for sol, benefit, x in zip(optimal, part.benefits, part.shipments):
+        assert _support(x) == _support(sol.x)
+        for got, want in zip(x, sol.x):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        assert abs(benefit - sol.objective_value) <= 1e-9 * abs(sol.objective_value)
+
+
+@pytest.mark.parametrize("sale_prices, cold_solves", [((5.0, 5.0), 3), ((5.0, 6.0), 1)])
+def test_tied_optimum_is_not_certified(sale_prices, cold_solves, counted_solves):
+    # equal lane profits: every point between (8, 2) and (2, 8) is
+    # optimal and both vertices are nondegenerate; no cached basis may
+    # answer, so every step is today's cold solve
+    def fixed(*values):
+        return tuple(GaussianSpec(v, 0.0) for v in values)
+
+    specs = ParameterSpecs(
+        supply_max=fixed(10.0),
+        demand_max=fixed(8.0, 8.0),
+        purchase_min=fixed(1.0),
+        sale_min=fixed(1.0, 1.0),
+        purchase_price=fixed(1.0),
+        sale_price=fixed(*sale_prices),
+        transport_cost=(fixed(0.0, 0.0),),
+    )
+    part = run_range(specs, 0, 3, 0)
+    assert len(counted_solves) == cold_solves
+    if cold_solves == 3:
+        sol = solve(to_lp(sample_instance(specs, 0, 0)))
+        assert part.benefits == (sol.objective_value,) * 3
+        assert part.shipments == (sol.x,) * 3
+
+
+def test_cache_keeps_only_bases_that_answer_other_steps():
+    # one supplier, two customers, no noise: every step is one scenario.
+    # Customer 2 pays more, so the optimum fills lane 2 and sends the
+    # rest down lane 1; the basis of the mirrored prices never fits.
+    def specs(sale_prices):
+        def fixed(*values):
+            return tuple(GaussianSpec(v, 0.0) for v in values)
+
+        return ParameterSpecs(
+            supply_max=fixed(10.0),
+            demand_max=fixed(8.0, 8.0),
+            purchase_min=fixed(1.0),
+            sale_min=fixed(1.0, 1.0),
+            purchase_price=fixed(1.0),
+            sale_price=fixed(*sale_prices),
+            transport_cost=(fixed(0.0, 0.0),),
+        )
+
+    here, mirrored = specs((5.0, 6.0)), specs((6.0, 5.0))
+    cache = monte_carlo._BasisCache(here.shape)
+    other = solve(to_lp(sample_instance(mirrored, 0, 0)))
+    stale = cache.learn(np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]))
+    assert stale is not None
+    index = monte_carlo._columns(here)
+    answers = monte_carlo._solve_chunk(here, index, cache, monte_carlo._draws(here, 0, 0, 5))
+    assert [a[1] for a in answers] == [(2.0, 8.0)] * 5
+    # the stale basis (supply and customer 1 tight: slacks 2 and 3 out)
+    # answered nothing; the new one (slacks 2 and 4 out) answered steps 1 to 4
+    assert stale.basic.tolist() == [0, 1, 4, 5, 6, 7]
+    assert [basis.basic.tolist() for basis in cache.bases.values()] == [[0, 1, 3, 5, 6, 7]]
+    # a basis that answers only the step it was learned from is dropped
+    cache = monte_carlo._BasisCache(here.shape)
+    monte_carlo._solve_chunk(here, index, cache, monte_carlo._draws(here, 0, 0, 1))
+    assert cache.bases == {}
+
+
+@pytest.mark.parametrize("excess, feasible", [(5e-8, True), (5e-7, False)])
+def test_screen_tolerance(demo_crisp_specs, excess, feasible, counted_solves):
+    first = demo_crisp_specs.supply_max[0].mean + excess
+    purchase_min = (GaussianSpec(first, 0.0),) + demo_crisp_specs.purchase_min[1:]
+    specs = dataclasses.replace(demo_crisp_specs, purchase_min=purchase_min)
+    res = run(specs, 5, seed=0)
+    assert res.feasible_count == (5 if feasible else 0)
+    assert res.infeasible_count == (0 if feasible else 5)
+    if not feasible:
+        assert counted_solves == []  # screened out, never solved
 
 
 def test_merge_validation(demo_specs):
