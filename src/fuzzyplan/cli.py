@@ -441,19 +441,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "problem",
+        type=Path,
         help="problem JSON file; in ingest mode, a samples .txt or histogram .csv",
     )
     parser.add_argument("--mode", choices=MODES, default="crisp")
-    parser.add_argument("--alpha-levels", type=int, default=11, metavar="K")
-    parser.add_argument("--mc-steps", type=int, default=10_000, metavar="N")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--gamma-core", type=float, default=DEFAULT_GAMMA_CORE)
-    parser.add_argument("--gamma-support", type=float, default=DEFAULT_GAMMA_SUPPORT)
-    parser.add_argument("--out-dir", type=Path, default=Path("."), metavar="DIR")
+    parser.add_argument("--alpha-levels", type=int, default=RunConfig.alpha_levels, metavar="K")
+    parser.add_argument("--mc-steps", type=int, default=RunConfig.mc_steps, metavar="N")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--gamma-core", type=float, default=RunConfig.gamma_core)
+    parser.add_argument("--gamma-support", type=float, default=RunConfig.gamma_support)
+    parser.add_argument("--out-dir", type=Path, default=RunConfig.out_dir, metavar="DIR")
     parser.add_argument(
         "--export-problem",
         type=Path,
-        default=None,
+        default=RunConfig.export_problem,
         metavar="FILE",
         help="also write the parsed problem back out in canonical quadruple form",
     )
@@ -463,18 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            mode=args.mode,
-            problem=Path(args.problem),
-            alpha_levels=args.alpha_levels,
-            mc_steps=args.mc_steps,
-            seed=args.seed,
-            gamma_core=args.gamma_core,
-            gamma_support=args.gamma_support,
-            out_dir=args.out_dir,
-            export_problem=args.export_problem,
-        )
-        return run(config)
+        return run(RunConfig(**vars(args)))
     except (OSError, ValueError) as exc:  # ProblemFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,12 +4,21 @@ Provides the balance test, two initial-plan heuristics (north-west
 corner and Vogel's approximation), the alternating-loop predicate, and
 the potentials (MODI) optimizer. All plans carry an explicit basis so
 degeneracy is visible instead of implicit.
+
+A basis is a spanning tree of the bipartite graph whose nodes are the M
+rows and N columns and whose edges are the basis cells: M+N-1 cells, no
+loop. Both starts are such trees by construction. MODI walks the tree
+once per pivot, from row 0, for the potentials and the parent links that
+trace the entering loop, and prices every cell at once over a numpy
+cost matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "TransportInstance",
@@ -51,9 +60,6 @@ class TransportPlan:
     shipments: tuple  # row-major matrix
     basis: frozenset  # of (i, j); superset of the positive cells
 
-    def cell(self, i: int, j: int) -> float:
-        return self.shipments[i][j]
-
 
 def plan_cost(t: TransportInstance, plan: TransportPlan) -> float:
     return sum(
@@ -80,7 +86,8 @@ def north_west_corner(t: TransportInstance) -> TransportPlan:
 
     Each step exhausts a column (move right) or a row (move down); a tie
     exhausts the column first, leaving a zero-shipment basic cell on the
-    path. The path visits exactly M+N-1 cells.
+    path. The last row always moves right, since balance holds only to a
+    tolerance. The path visits exactly M+N-1 cells.
     """
     _require_balanced(t)
     m, n = t.shape
@@ -97,18 +104,11 @@ def north_west_corner(t: TransportInstance) -> TransportPlan:
         demand[j] -= q
         if i == m - 1 and j == n - 1:
             break
-        if demand[j] <= 0 and j < n - 1:
+        if j < n - 1 and (demand[j] <= 0 or i == m - 1):
             j += 1
         else:
             i += 1
     return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
-
-
-def _penalty(costs_line: list) -> float:
-    if len(costs_line) == 1:
-        return costs_line[0]
-    lo1, lo2 = sorted(costs_line)[:2]
-    return lo2 - lo1
 
 
 def vogel_approximation(t: TransportInstance) -> TransportPlan:
@@ -119,14 +119,17 @@ def vogel_approximation(t: TransportInstance) -> TransportPlan:
     cheapest cell. Ties prefer rows over columns, then the lowest index;
     cheapest-cell ties take the lexicographically first cell. Exactly one
     line closes per allocation (a simultaneous exhaustion closes the
-    column and leaves the zero-supply row open).
+    column and leaves the zero-supply row open), so each cell joins two
+    components that each hold one open line: the cells form a spanning
+    tree with no loop to prune.
     """
     _require_balanced(t)
     m, n = t.shape
+    costs = np.array(t.costs, dtype=float)
     supply = list(t.supplies)
     demand = list(t.demands)
-    open_rows = set(range(m))
-    open_cols = set(range(n))
+    rows = list(range(m))  # open lines, ascending
+    cols = list(range(n))
     x = [[0.0] * n for _ in range(m)]
     basis = []
 
@@ -137,97 +140,27 @@ def vogel_approximation(t: TransportInstance) -> TransportPlan:
         supply[i] -= q
         demand[j] -= q
 
-    while open_rows and open_cols:
-        if len(open_rows) == 1:
-            i = next(iter(open_rows))
-            for j in sorted(open_cols):
-                allocate(i, j)
-            break
-        if len(open_cols) == 1:
-            j = next(iter(open_cols))
-            for i in sorted(open_rows):
-                allocate(i, j)
-            break
-        candidates = []  # (-penalty, kind, index) so min() picks max penalty
-        for i in sorted(open_rows):
-            candidates.append((-_penalty([t.costs[i][j] for j in sorted(open_cols)]), 0, i))
-        for j in sorted(open_cols):
-            candidates.append((-_penalty([t.costs[i][j] for i in sorted(open_rows)]), 1, j))
-        _, kind, idx = min(candidates)
-        if kind == 0:
-            i = idx
-            j = min(sorted(open_cols), key=lambda jj: (t.costs[i][jj], jj))
+    while len(rows) > 1 and len(cols) > 1:
+        open_costs = costs[np.ix_(rows, cols)]
+        lo = np.partition(open_costs, 1, axis=1)
+        row_gap = lo[:, 1] - lo[:, 0]
+        lo = np.partition(open_costs, 1, axis=0)
+        col_gap = lo[1] - lo[0]
+        r, c = int(row_gap.argmax()), int(col_gap.argmax())
+        if row_gap[r] >= col_gap[c]:
+            i, j = rows[r], cols[int(open_costs[r].argmin())]
         else:
-            j = idx
-            i = min(sorted(open_rows), key=lambda ii: (t.costs[ii][j], ii))
+            i, j = rows[int(open_costs[:, c].argmin())], cols[c]
         allocate(i, j)
         if demand[j] <= 0:
-            open_cols.discard(j)
+            cols.remove(j)
         else:
-            open_rows.discard(i)
-
-    basis = _prune_loops(basis, x)
+            rows.remove(i)
+    # one line is left open: it takes every open cell across it, in order
+    for i in rows:
+        for j in cols:
+            allocate(i, j)
     return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
-
-
-def _prune_loops(basis: list, x: list) -> list:
-    """Drop zero-shipment cells until the basis graph is a forest."""
-    cells = list(dict.fromkeys(basis))
-    while True:
-        loop = _find_cycle(cells)
-        if loop is None:
-            return cells
-        dead = [c for c in loop if x[c[0]][c[1]] == 0.0]
-        if not dead:  # positive-shipment loop cannot come from a valid build
-            raise AssertionError("allocation heuristics produced a positive loop")
-        cells.remove(dead[0])
-
-
-def _find_cycle(cells):
-    """Any cycle in the bipartite row/column graph of the cells, else None.
-
-    DFS keeps the current tree path explicit so a back edge always hits
-    an ancestor, which makes the cell ring trivial to cut out.
-    """
-    cell_set = set(cells)
-    adj = {}
-    for (i, j) in cell_set:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    visited = set()
-    for start in sorted(adj):
-        if start in visited:
-            continue
-        visited.add(start)
-        path = [start]
-        on_path = {start: 0}
-        stack = [(start, None, iter(adj[start]))]
-        while stack:
-            node, par, neighbours = stack[-1]
-            pushed = False
-            for nxt in neighbours:
-                if nxt == par:
-                    continue  # each neighbour pair shares exactly one cell, no multiedges
-                if nxt in on_path:
-                    ring = path[on_path[nxt]:]
-                    out = []
-                    for a, b in zip(ring, ring[1:] + ring[:1]):
-                        ri = a[1] if a[0] == "r" else b[1]
-                        cj = a[1] if a[0] == "c" else b[1]
-                        out.append((ri, cj))
-                    return out
-                if nxt not in visited:
-                    visited.add(nxt)
-                    on_path[nxt] = len(path)
-                    path.append(nxt)
-                    stack.append((nxt, node, iter(adj[nxt])))
-                    pushed = True
-                    break
-            if not pushed:
-                stack.pop()
-                path.pop()
-                del on_path[node]
-    return None
 
 
 def detect_loop(cells) -> bool:
@@ -267,44 +200,30 @@ def modi_optimize(t: TransportInstance, start: TransportPlan, sense: str = "min"
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     m, n = t.shape
-    costs = [
-        [(-t.costs[i][j] if sense == "max" else t.costs[i][j]) for j in range(n)]
-        for i in range(m)
-    ]
+    costs = np.array(t.costs, dtype=float)
+    if sense == "max":
+        costs = -costs
     x = [list(row) for row in start.shipments]
-    basis = set(start.basis)
-    for i in range(m):
-        for j in range(n):
-            if x[i][j] > 0 and (i, j) not in basis:
-                raise ValueError(f"positive shipment at ({i},{j}) missing from basis")
-    if _find_cycle(list(basis)) is not None:
-        raise ValueError("start basis contains a loop")
-    _complete_basis(basis, m, n)
-
-    tol = 1e-9 * (1.0 + max(abs(c) for row in costs for c in row))
+    for i, j in np.argwhere(np.array(x) > 0).tolist():  # row-major
+        if (i, j) not in start.basis:
+            raise ValueError(f"positive shipment at ({i},{j}) missing from basis")
+    basis = _spanning_basis(start.basis, m, n)
+    tol = 1e-9 * (1.0 + float(np.abs(costs).max()))
     stall = 0
     lex_rule = False
     for _ in range(10_000):
-        u, v = _potentials(costs, basis, m, n)
-        entering = None
-        best = -tol
-        for i in range(m):
-            for j in range(n):
-                if (i, j) in basis:
-                    continue
-                red = costs[i][j] - u[i] - v[j]
-                if lex_rule:
-                    if red < -tol:
-                        entering = (i, j)
-                        break
-                elif red < best:
-                    best = red
-                    entering = (i, j)
-            if lex_rule and entering:
-                break
-        if entering is None:
+        potential, up, depth = _walk_tree(costs, basis, m, n)
+        uv = np.array(potential)
+        reduced = costs - uv[:m, None] - uv[m:]  # c_ij - u_i - v_j
+        reduced[tuple(zip(*basis))] = np.inf
+        if lex_rule:  # first improving cell in row-major order
+            flat = int(np.argmax(reduced < -tol))
+        else:  # Dantzig: the most negative reduced cost, first on ties
+            flat = int(reduced.argmin())
+        if not reduced.flat[flat] < -tol:
             return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
-        loop = _basis_loop(basis, entering, m, n)
+        entering = divmod(flat, n)
+        loop = _entering_loop(entering, up, depth, m)
         minus = loop[1::2]
         theta = min(x[i][j] for i, j in minus)
         leaving = min((c for c in minus if x[c[0]][c[1]] == theta))
@@ -322,94 +241,84 @@ def modi_optimize(t: TransportInstance, start: TransportPlan, sense: str = "min"
     raise RuntimeError("potentials method failed to terminate")
 
 
-def _complete_basis(basis: set, m: int, n: int):
-    """Grow the basis to a spanning tree using lex-smallest loop-free cells."""
-    parent = {}
+def _spanning_basis(cells, m: int, n: int) -> set:
+    """Start cells plus lex-smallest loop-free cells, up to a spanning tree.
+
+    Union-find over row nodes 0..m-1 and column nodes m..m+n-1; a start
+    cell whose row and column are already joined closes a loop.
+    """
+    parent = list(range(m + n))
 
     def find(a):
-        while parent.get(a, a) != a:
-            parent[a] = parent.get(parent[a], parent[a])
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
+    def union(i, j):
+        a, b = find(i), find(m + j)
+        parent[a] = b
+        return a != b
 
-    for (i, j) in basis:
-        union(("r", i), ("c", j))
-    need = m + n - 1 - len(basis)
-    if need < 0:
-        raise ValueError(f"basis has {len(basis)} cells, more than {m + n - 1}")
-    if need == 0:
-        return
+    basis = set()
+    for (i, j) in cells:
+        if not union(i, j):
+            raise ValueError("start basis contains a loop")
+        basis.add((i, j))
     for i in range(m):
         for j in range(n):
-            if need == 0:
-                return
-            if (i, j) in basis:
-                continue
-            if union(("r", i), ("c", j)):
+            if len(basis) == m + n - 1:
+                return basis
+            if (i, j) not in basis and union(i, j):
                 basis.add((i, j))
-                need -= 1
+    return basis
 
 
-def _potentials(costs, basis, m, n):
-    """Solve u_i + v_j = c_ij over the spanning-tree basis, u_0 = 0."""
-    u = [None] * m
-    v = [None] * n
-    u[0] = 0.0
-    remaining = set(basis)
-    while remaining:
-        progressed = False
-        for (i, j) in list(remaining):
-            if u[i] is not None and v[j] is None:
-                v[j] = costs[i][j] - u[i]
-            elif v[j] is not None and u[i] is None:
-                u[i] = costs[i][j] - v[j]
-            elif u[i] is None:
+def _walk_tree(costs, basis, m: int, n: int):
+    """Potentials u_i + v_j = c_ij from u_0 = 0, and parent and depth links.
+
+    One walk of the tree from row 0 (column j is node m+j). Each node's
+    path from row 0 is unique, so any walk order gives the same floats.
+    """
+    adj = [[] for _ in range(m + n)]
+    for (i, j) in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    potential = [0.0] * (m + n)
+    up = [-1] * (m + n)
+    depth = [0] * (m + n)
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if b == up[a]:
                 continue
-            remaining.discard((i, j))
-            progressed = True
-        if not progressed:
-            raise ValueError("basis does not span all rows and columns")
-    if any(w is None for w in u) or any(w is None for w in v):
-        raise ValueError("basis does not span all rows and columns")
-    return u, v
+            up[b] = a
+            depth[b] = depth[a] + 1
+            potential[b] = costs[_edge(a, b, m)] - potential[a]
+            stack.append(b)
+    return potential, up, depth
 
 
-def _basis_loop(basis, entering, m, n):
+def _entering_loop(entering, up, depth, m: int) -> list:
     """Unique alternating cycle created by adding `entering` to the tree.
 
-    Returned as an ordered cell list starting at `entering`; the odd
-    positions are the cells whose shipments decrease.
+    Its row and column climb their parent chains until they meet. The
+    cells run from `entering` along the path from its row to its column;
+    the odd positions are the cells whose shipments decrease.
     """
-    # path in the bipartite tree from entering's row node to its col node
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append((("c", j), (i, j)))
-        adj.setdefault(("c", j), []).append((("r", i), (i, j)))
-    src = ("r", entering[0])
-    dst = ("c", entering[1])
-    prev = {src: (None, None)}
-    stack = [src]
-    while stack:
-        node = stack.pop()
-        if node == dst:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = (node, cell)
-                stack.append(nxt)
-    if dst not in prev:
-        raise ValueError("entering cell not connected through the basis")
-    cells = []
-    cur = dst
-    while cur != src:
-        cur, cell = prev[cur]
-        cells.append(cell)
-    cells.reverse()
-    return [entering] + cells
+    a, b = entering[0], m + entering[1]
+    from_row, from_col = [], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            from_row.append(_edge(a, up[a], m))
+            a = up[a]
+        else:
+            from_col.append(_edge(b, up[b], m))
+            b = up[b]
+    return [entering] + from_row + from_col[::-1]
+
+
+def _edge(a: int, b: int, m: int) -> tuple:
+    """The cell joining tree nodes a and b, one a row and one a column."""
+    return (a, b - m) if a < m else (b, a - m)

@@ -1,8 +1,9 @@
 """Independent slow-path oracles used to cross-check the package.
 
 Nothing in here shares code with src/: the LP oracle brute-forces
-vertices, the ordering oracle is plain Monte Carlo, and the transport
-certificate only *checks* optimality conditions instead of searching.
+vertices, the ordering oracle is plain Monte Carlo, the transport
+certificate only *checks* optimality conditions instead of searching, and
+the spanning-tree check relabels components instead of walking a tree.
 """
 
 from __future__ import annotations
@@ -134,3 +135,21 @@ def check_transport_optimal(costs, supply, demand, flows, basis, sense="min", to
             if sense == "max" and reduced > tol:
                 errs.append(f"cell ({i},{j}) reduced cost {reduced:.3g} > 0")
     return errs
+
+
+def is_spanning_tree(cells, m, n):
+    """True iff the cells, as edges between m row and n column nodes, form a spanning tree.
+
+    A spanning tree of the m + n nodes has exactly m + n - 1 edges, and
+    none of them joins two nodes that already share a component.
+    """
+    cells = set(cells)
+    if len(cells) != m + n - 1:
+        return False
+    label = list(range(m + n))  # rows are nodes 0..m-1, columns m..m+n-1
+    for i, j in cells:
+        a, b = label[i], label[m + j]
+        if a == b:
+            return False
+        label = [a if x == b else x for x in label]
+    return True

@@ -16,7 +16,6 @@ from fuzzyplan.monte_carlo import ParameterSpecs, compare, run
 from fuzzyplan.simplex import LinearProgram, solve
 from fuzzyplan.transport import (
     TransportInstance,
-    _find_cycle,
     modi_optimize,
     north_west_corner,
     plan_cost,
@@ -24,7 +23,7 @@ from fuzzyplan.transport import (
 )
 
 from conftest import DEMO_OPTIMUM
-from oracles import lp_optimum_by_enumeration, mc_prob_geq
+from oracles import is_spanning_tree, lp_optimum_by_enumeration, mc_prob_geq
 
 
 def _report(capsys, num, name, problems):
@@ -236,7 +235,7 @@ def _check_start(inst, plan, label, trial, problems):
     if not positive <= plan.basis:
         problems.append(f"trial {trial}: {label} positive cell outside basis")
         return False
-    if _find_cycle(plan.basis) is not None:
+    if not is_spanning_tree(plan.basis, m, n):
         problems.append(f"trial {trial}: {label} basis has a loop")
         return False
     return True

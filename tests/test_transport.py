@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,8 @@ from fuzzyplan.transport import (
     plan_cost,
     vogel_approximation,
 )
-from fuzzyplan.transport import _find_cycle
 
-from oracles import check_transport_optimal
+from oracles import check_transport_optimal, is_spanning_tree
 
 PROFITS = ((300.0, 480.0, 490.0), (400.0, 584.0, 295.0), (300.0, 382.0, 599.0))
 SUPPLIES = (460.0, 460.0, 610.0)
@@ -43,7 +44,7 @@ def assert_feasible(t, plan):
             assert plan.shipments[i][j] >= -1e-9
             if plan.shipments[i][j] > 0:
                 assert (i, j) in plan.basis
-    assert _find_cycle(plan.basis) is None
+    assert is_spanning_tree(plan.basis, m, n)
 
 
 def transport_lp(t, sense="min"):
@@ -252,3 +253,56 @@ def test_plans_deterministic():
     assert north_west_corner(t) == north_west_corner(t)
     p = north_west_corner(t)
     assert modi_optimize(t, p, "min") == modi_optimize(t, p, "min")
+
+
+def test_nwcr_last_row_moves_right():
+    # balanced within tolerance, but the first column still wants 1e-12 when
+    # the walk reaches the last row: it must step right, not below the table
+    t = inst((1.0, 1.0), (2.0 + 1e-12, 0.0), [[1.0, 2.0], [3.0, 4.0]])
+    assert check_balance(t)
+    plan = north_west_corner(t)
+    assert plan.basis == frozenset({(0, 0), (1, 0), (1, 1)})
+    assert is_spanning_tree(plan.basis, 2, 2)
+    best = modi_optimize(t, plan, "min")
+    assert is_spanning_tree(best.basis, 2, 2)
+    assert plan_cost(t, best) == pytest.approx(4.0)
+
+
+def _degenerate_instance(rng):
+    # integer data with zero supplies and demands and costs in {1, 2, 3}:
+    # exact balance, simultaneous exhaustions and tied penalties everywhere
+    m = int(rng.integers(1, 9))
+    n = int(rng.integers(1, 9))
+    supplies = rng.integers(0, 6, m)
+    demands = rng.multinomial(int(supplies.sum()), np.full(n, 1.0 / n))
+    costs = rng.integers(1, 4, (m, n)).astype(float)
+    return inst(supplies.astype(float).tolist(), demands.astype(float).tolist(), costs.tolist())
+
+
+def test_starts_are_spanning_trees():
+    rng = np.random.default_rng(2718)
+    for _ in range(300):
+        t = _degenerate_instance(rng)
+        m, n = t.shape
+        for build in (north_west_corner, vogel_approximation):
+            plan = build(t)
+            assert is_spanning_tree(plan.basis, m, n), (build.__name__, t)
+            assert_feasible(t, plan)
+
+
+def test_modi_tie_breaks_pinned():
+    # ties in supplies, demands and costs: the digest pins which start cells,
+    # entering and leaving cells every tie-break picks
+    rng = np.random.default_rng(12)
+    supplies = rng.integers(1, 10, 12).astype(float)
+    demands = rng.permutation(supplies)
+    costs = rng.integers(1, 4, (12, 12)).astype(float)
+    t = inst(supplies.tolist(), demands.tolist(), costs.tolist())
+    runs = []
+    for start in (north_west_corner(t), vogel_approximation(t)):
+        runs.append((start.shipments, sorted(start.basis)))
+        for sense in ("min", "max"):
+            plan = modi_optimize(t, start, sense)
+            runs.append((plan.shipments, sorted(plan.basis)))
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == "8ecfe4d756c0092b38d4cbfc864cc378f1bac4832d76270f0d5b99702fa78d26"
