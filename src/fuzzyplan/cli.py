@@ -110,18 +110,58 @@ def _quad(t: TrapezoidalFuzzyNumber):
     return [t.a, t.b, t.c, t.d]
 
 
+def _rows(per_lane, shape):
+    """Lane-order values as M rows of N, the layout of the JSON files; None stays None."""
+    if per_lane is None:
+        return None
+    m, n = shape
+    return [list(per_lane[start : start + n]) for start in range(0, m * n, n)]
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _float(value, where) -> float:
+    """A JSON number as a finite float.
+
+    JSON integers may exceed the float range, and Python's reader turns
+    1e400 into inf and accepts NaN and Infinity.
+    """
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ProblemFormatError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(number):
+        raise ProblemFormatError(f"{where}: must be finite, got {value}")
+    return number
+
+
+def _floats(values, where) -> tuple:
+    """A list of JSON numbers as finite floats; an error names entry where[k].
+
+    Converts in bulk, and goes entry by entry (raising at the bad one)
+    only when that fails: transport cost matrices run to tens of
+    thousands of entries.
+    """
+    try:
+        numbers = tuple(map(float, values))
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    except OverflowError:
+        pass
+    return tuple(_float(v, f"{where}[{k}]") for k, v in enumerate(values))
+
+
 def _as_trapezoid(value, where, base_dir, gamma_core, gamma_support):
     if _is_number(value):
-        return TrapezoidalFuzzyNumber.crisp(float(value))
+        return TrapezoidalFuzzyNumber.crisp(_float(value, where))
     if isinstance(value, list):
         if len(value) != 4 or not all(_is_number(v) for v in value):
             raise ProblemFormatError(f"{where}: quadruple must be four numbers")
+        corners = _floats(value, where)
         try:
-            return TrapezoidalFuzzyNumber(*map(float, value))
+            return TrapezoidalFuzzyNumber(*corners)
         except ValueError as exc:
             raise ProblemFormatError(f"{where}: {exc}") from None
     if isinstance(value, dict):
@@ -129,10 +169,9 @@ def _as_trapezoid(value, where, base_dir, gamma_core, gamma_support):
         if keys == {"mean", "sigma"}:
             if not (_is_number(value["mean"]) and _is_number(value["sigma"])):
                 raise ProblemFormatError(f"{where}: mean and sigma must be numbers")
+            mean, sigma = _float(value["mean"], where), _float(value["sigma"], where)
             try:
-                return gaussian_to_trapezoid(
-                    float(value["mean"]), float(value["sigma"]), gamma_core, gamma_support
-                )
+                return gaussian_to_trapezoid(mean, sigma, gamma_core, gamma_support)
             except ValueError as exc:
                 raise ProblemFormatError(f"{where}: {exc}") from None
         if keys == {"histogram"} or keys == {"samples"}:
@@ -199,7 +238,7 @@ def _parse_transport(raw, path) -> TransportInstance:
         value = raw[field]
         if not isinstance(value, list) or not all(_is_number(v) for v in value):
             raise ProblemFormatError(f"{field}: must be a list of numbers")
-        return tuple(float(v) for v in value)
+        return _floats(value, field)
 
     supplies = crisp_vector("supplies")
     demands = crisp_vector("demands")
@@ -210,7 +249,7 @@ def _parse_transport(raw, path) -> TransportInstance:
     for i, row in enumerate(costs):
         if not isinstance(row, list) or not all(_is_number(v) for v in row):
             raise ProblemFormatError(f"costs[{i}]: must be a list of numbers")
-        matrix.append(tuple(float(v) for v in row))
+        matrix.append(_floats(row, f"costs[{i}]"))
     try:
         return TransportInstance(supplies, demands, tuple(matrix))
     except ValueError as exc:
@@ -237,7 +276,7 @@ def parse_problem(
         raise ProblemFormatError(f"cannot read {path}: {exc}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ProblemFormatError(f"{path}: top level must be a JSON object")
@@ -296,37 +335,33 @@ def _run_crisp(config: RunConfig, problem) -> int:
         _write_json(out, {"status": sol.status, "benefit": None, "shipments": None})
         print(f"error: crisp problem is {sol.status}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    m, n = problem.shape
-    rows = [[sol.x[i * n + j] for j in range(n)] for i in range(m)]
+    rows = _rows(sol.x, problem.shape)
     _write_json(out, {"status": "optimal", "benefit": sol.objective_value, "shipments": rows})
     return EXIT_OK
 
 
 def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
     fz = solve_fuzzy(problem, AlphaGrid.uniform(config.alpha_levels))
-    m, n = fz.shape
-    header = ["alpha", "D_lo", "D_hi"]
-    for _, _, name in lanes(fz.shape):
+    names = lanes(fz.shape)
+    header = ["alpha"]
+    for name in ("D", *names):
         header.extend([f"{name}_lo", f"{name}_hi"])
     header.extend(["feasible", "repaired"])
     rows = []
     for level in fz.levels:
         row = [_fmt(level.alpha)]
         if level.feasible:
-            row.extend([_fmt(level.benefit.lo), _fmt(level.benefit.hi)])
-            for i in range(m):
-                for j in range(n):
-                    cut = level.shipments[i][j]
-                    row.extend([_fmt(cut.lo), _fmt(cut.hi)])
+            for cut in (level.benefit, *level.shipments):
+                row.extend([_fmt(cut.lo), _fmt(cut.hi)])
         else:
-            row.extend([""] * (2 + 2 * m * n))
+            row.extend([""] * (2 + 2 * len(names)))
         row.extend([str(level.feasible).lower(), str(level.repaired).lower()])
         rows.append(row)
     _write_csv(config.out_dir / "fuzzy_levels.csv", header, rows)
     try:
         quads = {"D": _quad(fit_trapezoid(fz, "benefit"))}
-        for i, j, name in lanes(fz.shape):
-            quads[name] = _quad(fit_trapezoid(fz, (i, j)))
+        for k, name in enumerate(names):
+            quads[name] = _quad(fit_trapezoid(fz, k))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE, fz
@@ -351,8 +386,8 @@ def _run_montecarlo(config: RunConfig, problem: DistributionProblem):
         "infeasible": mc.infeasible_count,
         "benefit_mean": mc.benefit_mean,
         "benefit_std": mc.benefit_std,
-        "shipment_means": mc.shipment_means,
-        "shipment_stds": mc.shipment_stds,
+        "shipment_means": _rows(mc.shipment_means, mc.shape),
+        "shipment_stds": _rows(mc.shipment_stds, mc.shape),
     }
     _write_json(config.out_dir / "mc_summary.json", summary)
     if mc.feasible_count == 0:
@@ -360,8 +395,7 @@ def _run_montecarlo(config: RunConfig, problem: DistributionProblem):
         return EXIT_INFEASIBLE, mc
     header = ["bin_lo", "bin_hi", "count"]
     _write_csv(config.out_dir / "mc_hist_D.csv", header, _hist_rows(mc.benefit_histogram))
-    for i, j, name in lanes(mc.shape):
-        hist = mc.shipment_histograms[i][j]
+    for name, hist in zip(lanes(mc.shape), mc.shipment_histograms):
         _write_csv(config.out_dir / f"mc_hist_{name}.csv", header, _hist_rows(hist))
     return EXIT_OK, mc
 

@@ -11,6 +11,10 @@ Shipment intervals are envelopes of the two corner optima, not exact
 ranges: with alternate optima the corner argmax can jump around, so the
 per-lane quantities are reported as indicative spans while the benefit
 interval itself is exact.
+
+Per-lane results are flat tuples in lane order: row by row, the order
+of the LP's x and of the names model.lanes returns. A level's
+shipments[k] is lane k's cut, and fit_trapezoid(sol, k) its trapezoid.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class AlphaLevelResult:
     feasible: bool
     repaired: bool
     benefit: Interval | None
-    shipments: tuple | None  # M x N of Interval, None when infeasible
+    shipments: tuple | None  # Interval per lane in lane order, None when infeasible
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,6 @@ def solve_fuzzy(p: DistributionProblem, grid: AlphaGrid | None = None) -> FuzzyS
     """Corner-solve every level, then enforce interval nesting."""
     if grid is None:
         grid = AlphaGrid.uniform(11)
-    m, n = p.shape
     levels = []
     for alpha in grid:
         optimistic, pessimistic = corner_instances(p, alpha)
@@ -113,18 +116,9 @@ def solve_fuzzy(p: DistributionProblem, grid: AlphaGrid | None = None) -> FuzzyS
             continue
         lo_v, hi_v = sorted((sol_pes.objective_value, sol_opt.objective_value))
         benefit = Interval(lo_v, hi_v)
-        shipments = tuple(
-            tuple(
-                Interval(
-                    min(sol_pes.x[i * n + j], sol_opt.x[i * n + j]),
-                    max(sol_pes.x[i * n + j], sol_opt.x[i * n + j]),
-                )
-                for j in range(n)
-            )
-            for i in range(m)
-        )
+        shipments = tuple(Interval(min(a, b), max(a, b)) for a, b in zip(sol_pes.x, sol_opt.x))
         levels.append(AlphaLevelResult(alpha, True, repaired, benefit, shipments))
-    raw = FuzzySolution(grid, (m, n), tuple(levels))
+    raw = FuzzySolution(grid, p.shape, tuple(levels))
     return enforce_nesting(raw)
 
 
@@ -133,50 +127,29 @@ def enforce_nesting(sol: FuzzySolution) -> FuzzySolution:
 
     Bound repair and LP tie-breaking can leave small inversions in the
     raw staircase; fuzzy-number semantics require cuts to nest, so each
-    interval absorbs the hull of the level above. nesting_adjusted
-    records whether anything actually moved.
+    level's cuts (benefit, then every lane) absorb the hull of the level
+    above. nesting_adjusted records whether anything actually moved.
     """
-    m, n = sol.shape
-    ordered = sorted(sol.levels, key=lambda lv: -lv.alpha)
-    hull_benefit = None
-    hull_ship = None
     adjusted = sol.nesting_adjusted
+    hull = None
     widened = {}
-    for lv in ordered:
+    for lv in sorted(sol.levels, key=lambda lv: -lv.alpha):
         if not lv.feasible:
             continue
-        if hull_benefit is None:
-            hull_benefit = lv.benefit
-            hull_ship = [list(row) for row in lv.shipments]
-            widened[lv.alpha] = lv
-            continue
-        new_benefit = hull_benefit.hull(lv.benefit)
-        new_ship = [
-            [hull_ship[i][j].hull(lv.shipments[i][j]) for j in range(n)] for i in range(m)
-        ]
-        if new_benefit != lv.benefit or any(
-            new_ship[i][j] != lv.shipments[i][j] for i in range(m) for j in range(n)
-        ):
-            adjusted = True
-        hull_benefit = new_benefit
-        hull_ship = new_ship
-        widened[lv.alpha] = AlphaLevelResult(
-            lv.alpha,
-            True,
-            lv.repaired,
-            new_benefit,
-            tuple(tuple(row) for row in new_ship),
-        )
+        cuts = (lv.benefit, *lv.shipments)
+        hull = cuts if hull is None else tuple(map(Interval.hull, hull, cuts))
+        adjusted = adjusted or hull != cuts
+        widened[lv.alpha] = replace(lv, benefit=hull[0], shipments=hull[1:])
     levels = tuple(widened.get(lv.alpha, lv) for lv in sol.levels)
-    return FuzzySolution(sol.grid, sol.shape, levels, adjusted)
+    return replace(sol, levels=levels, nesting_adjusted=adjusted)
 
 
 def fit_trapezoid(sol: FuzzySolution, quantity="benefit") -> TrapezoidalFuzzyNumber:
     """Trapezoid for the total benefit or one lane's shipment.
 
-    quantity is "benefit" or an (i, j) lane index. Uses the alpha=0 cut
-    as support and the alpha=1 cut as core; both levels must be present
-    and feasible.
+    quantity is "benefit" or a lane index k in lane order. Uses the
+    alpha=0 cut as support and the alpha=1 cut as core; both levels must
+    be present and feasible.
     """
     try:
         lo_level = sol.level_at(0.0)
@@ -188,8 +161,7 @@ def fit_trapezoid(sol: FuzzySolution, quantity="benefit") -> TrapezoidalFuzzyNum
     if quantity == "benefit":
         support, core = lo_level.benefit, hi_level.benefit
     else:
-        i, j = quantity
-        support, core = lo_level.shipments[i][j], hi_level.shipments[i][j]
+        support, core = lo_level.shipments[quantity], hi_level.shipments[quantity]
     return TrapezoidalFuzzyNumber(support.lo, core.lo, core.hi, support.hi)
 
 

@@ -66,16 +66,15 @@ FIELDS = (
 
 
 def lanes(shape):
-    """(i, j, name) for every lane, row by row, with 0-based i and j.
+    """Lane names in lane order: row by row, the order of the LP's x.
 
-    Names are 1-based: x_ij while both M and N are at most 9, x_i_j
-    beyond that, so that (1, 11) and (11, 1) stay apart.
+    Every per-lane result is a flat tuple in this order. Names are
+    1-based: x_ij while both M and N are at most 9, x_i_j beyond that,
+    so that (1, 11) and (11, 1) stay apart.
     """
     m, n = shape
     sep = "" if max(m, n) <= 9 else "_"
-    for i in range(m):
-        for j in range(n):
-            yield i, j, f"x_{i + 1}{sep}{j + 1}"
+    return tuple(f"x_{i + 1}{sep}{j + 1}" for i in range(m) for j in range(n))
 
 
 def _declare_fields(cls):

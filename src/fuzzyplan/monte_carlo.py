@@ -20,6 +20,11 @@ extra test. Strictness means at most one basis can answer a scenario,
 and the certifier sums in a fixed order, so every result stays a pure
 function of (seed, index), however the run is chunked or split and
 whichever bases are cached.
+
+Per-lane results are flat, in lane order (the order of the LP's x):
+each PartialRun shipment row and McResult's shipment histograms, means
+and standard deviations. compare pairs entry k with fit_trapezoid(fz, k)
+under the k-th name of model.lanes.
 """
 
 from __future__ import annotations
@@ -384,7 +389,7 @@ class McResult:
     benefit_histogram: BinnedHistogram | None
     benefit_mean: float | None
     benefit_std: float | None
-    shipment_histograms: tuple | None  # M x N
+    shipment_histograms: tuple | None  # per lane, in lane order
     shipment_means: tuple | None
     shipment_stds: tuple | None
 
@@ -410,7 +415,6 @@ def _mean_std(values: np.ndarray):
 
 
 def finalize(part: PartialRun) -> McResult:
-    m, n = part.shape
     steps = part.stop - part.start
     if not part.benefits:
         return McResult(
@@ -418,22 +422,9 @@ def finalize(part: PartialRun) -> McResult:
             None, None, None, None, None, None,
         )
     benefits = np.asarray(part.benefits)
-    xs = np.asarray(part.shipments)  # feasible_count rows, m*n cols
+    per_lane = np.asarray(part.shipments).T  # one row per lane, in lane order
     benefit_mean, benefit_std = _mean_std(benefits)
-    ship_hists = []
-    ship_means = []
-    ship_stds = []
-    for i in range(m):
-        hist_row, mean_row, std_row = [], [], []
-        for j in range(n):
-            col = xs[:, i * n + j]
-            hist_row.append(_histogram(col))
-            mu, sd = _mean_std(col)
-            mean_row.append(mu)
-            std_row.append(sd)
-        ship_hists.append(tuple(hist_row))
-        ship_means.append(tuple(mean_row))
-        ship_stds.append(tuple(std_row))
+    ship_means, ship_stds = zip(*map(_mean_std, per_lane))
     return McResult(
         steps=steps,
         seed=part.seed,
@@ -443,9 +434,9 @@ def finalize(part: PartialRun) -> McResult:
         benefit_histogram=_histogram(benefits),
         benefit_mean=benefit_mean,
         benefit_std=benefit_std,
-        shipment_histograms=tuple(ship_hists),
-        shipment_means=tuple(ship_means),
-        shipment_stds=tuple(ship_stds),
+        shipment_histograms=tuple(map(_histogram, per_lane)),
+        shipment_means=ship_means,
+        shipment_stds=ship_stds,
     )
 
 
@@ -525,8 +516,6 @@ def compare(
         )
 
     entries = [against("D", fit_trapezoid(fz, "benefit"), mc.benefit_histogram)]
-    for i, j, name in lanes(fz.shape):
-        entries.append(
-            against(name, fit_trapezoid(fz, (i, j)), mc.shipment_histograms[i][j])
-        )
+    for k, name in enumerate(lanes(fz.shape)):
+        entries.append(against(name, fit_trapezoid(fz, k), mc.shipment_histograms[k]))
     return ComparisonReport(gamma_core, gamma_support, tuple(entries))

@@ -117,6 +117,68 @@ def test_parse_rejects_schema_violations(tmp_path):
         parse_problem(write_problem(tmp_path / "g.json", purchase_min=[{"mean": 5}]))
 
 
+HUGE = 10**400  # a valid JSON integer that no float can hold
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"supply_max": [HUGE]}, r"supply_max\[0\]"),
+        ({"demand_max": [[1, 2, 3, HUGE]]}, r"demand_max\[0\]\[3\]"),
+        ({"purchase_min": [{"mean": 5, "sigma": HUGE}]}, r"purchase_min\[0\]"),
+        ({"transport_cost": [[HUGE]]}, r"transport_cost\[0\]\[0\]"),
+    ],
+    ids=["number", "quadruple", "gaussian", "lane"],
+)
+def test_parse_rejects_integer_beyond_float(tmp_path, capsys, overrides, path):
+    p = write_problem(tmp_path / "p.json", **overrides)
+    with pytest.raises(ProblemFormatError, match="^" + path + ": integer too large"):
+        parse_problem(p)
+    assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("supplies", [HUGE, 5], r"supplies\[0\]"),
+        ("costs", [[1, 2], [2, HUGE]], r"costs\[1\]\[1\]"),
+    ],
+    ids=["supplies", "costs"],
+)
+def test_parse_transport_rejects_integer_beyond_float(tmp_path, capsys, field, value, path):
+    doc = {"schema_version": 1, "kind": "transport", "supplies": [5, 5], "demands": [5, 5]}
+    doc["costs"] = [[1, 2], [2, 1]]
+    doc[field] = value
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ProblemFormatError, match="^" + path + ": integer too large"):
+        parse_problem(p)
+    assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parse_rejects_non_finite_number(tmp_path):
+    p = write_problem(tmp_path / "p.json")
+    p.write_text(p.read_text().replace("[460]", "[1e400]", 1))  # supply_max, read as inf
+    with pytest.raises(ProblemFormatError, match=r"^supply_max\[0\]: must be finite"):
+        parse_problem(p)
+    doc = {"schema_version": 1, "kind": "transport", "supplies": [5], "demands": [5]}
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(doc)[:-1] + ', "costs": [[NaN]]}')
+    with pytest.raises(ProblemFormatError, match=r"^costs\[0\]\[0\]: must be finite"):
+        parse_problem(t)
+
+
+def test_parse_rejects_integer_beyond_digit_limit(tmp_path):
+    p = write_problem(tmp_path / "p.json")
+    p.write_text(p.read_text().replace("[460]", "[" + "1" * 5000 + "]", 1))
+    with pytest.raises(ProblemFormatError, match="p.json: not valid JSON"):
+        parse_problem(p)
+
+
 def test_parse_transport_kind(tmp_path):
     p = tmp_path / "t.json"
     p.write_text(

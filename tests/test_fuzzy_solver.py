@@ -105,9 +105,8 @@ def test_solve_fuzzy_crisp_collapses(demo_crisp_problem):
         assert not lv.repaired
         assert lv.benefit.width <= 1e-6
         assert lv.benefit.lo == pytest.approx(DEMO_OPTIMUM, abs=1e-6)
-        for row in lv.shipments:
-            for iv in row:
-                assert iv.width <= 1e-6
+        for iv in lv.shipments:
+            assert iv.width <= 1e-6
 
 
 def test_solve_fuzzy_single_lane_closed_form():
@@ -118,10 +117,10 @@ def test_solve_fuzzy_single_lane_closed_form():
     assert at0.benefit.hi == pytest.approx(40.0)
     assert at1.benefit.lo == pytest.approx(20.0)
     assert at1.benefit.hi == pytest.approx(30.0)
-    assert at0.shipments[0][0].lo == pytest.approx(10.0)
-    assert at0.shipments[0][0].hi == pytest.approx(10.0)
+    assert at0.shipments[0].lo == pytest.approx(10.0)
+    assert at0.shipments[0].hi == pytest.approx(10.0)
     assert fit_trapezoid(sol, "benefit") == T(10.0, 20.0, 30.0, 40.0)
-    assert fit_trapezoid(sol, (0, 0)) == T(10.0, 10.0, 10.0, 10.0)
+    assert fit_trapezoid(sol, 0) == T(10.0, 10.0, 10.0, 10.0)
 
 
 def test_solve_fuzzy_demo(demo_problem):
@@ -134,9 +133,8 @@ def test_solve_fuzzy_demo(demo_problem):
     assert core.lo <= DEMO_OPTIMUM <= core.hi
     for lo_lv, hi_lv in zip(sol.levels, sol.levels[1:]):
         assert lo_lv.benefit.contains(hi_lv.benefit)
-        for i in range(3):
-            for j in range(3):
-                assert lo_lv.shipments[i][j].contains(hi_lv.shipments[i][j])
+        for k in range(9):
+            assert lo_lv.shipments[k].contains(hi_lv.shipments[k])
 
 
 def test_solve_fuzzy_corner_dominance(demo_problem):
@@ -173,15 +171,15 @@ def test_enforce_nesting_widens():
         grid,
         (1, 1),
         (
-            AlphaLevelResult(0.0, True, False, Interval(5.5, 5.8), ((Interval(1.0, 2.0),),)),
-            AlphaLevelResult(1.0, True, False, Interval(5.0, 6.0), ((Interval(1.2, 1.8),),)),
+            AlphaLevelResult(0.0, True, False, Interval(5.5, 5.8), (Interval(1.0, 2.0),)),
+            AlphaLevelResult(1.0, True, False, Interval(5.0, 6.0), (Interval(1.2, 1.8),)),
         ),
     )
     fixed = enforce_nesting(raw)
     assert fixed.nesting_adjusted
     assert fixed.level_at(0.0).benefit == Interval(5.0, 6.0)
     assert fixed.level_at(1.0).benefit == Interval(5.0, 6.0)
-    assert fixed.level_at(0.0).shipments[0][0] == Interval(1.0, 2.0)
+    assert fixed.level_at(0.0).shipments[0] == Interval(1.0, 2.0)
 
 
 def test_enforce_nesting_identity():
@@ -190,8 +188,8 @@ def test_enforce_nesting_identity():
         grid,
         (1, 1),
         (
-            AlphaLevelResult(0.0, True, False, Interval(0.0, 10.0), ((Interval(0.0, 5.0),),)),
-            AlphaLevelResult(1.0, True, False, Interval(2.0, 8.0), ((Interval(1.0, 4.0),),)),
+            AlphaLevelResult(0.0, True, False, Interval(0.0, 10.0), (Interval(0.0, 5.0),)),
+            AlphaLevelResult(1.0, True, False, Interval(2.0, 8.0), (Interval(1.0, 4.0),)),
         ),
     )
     fixed = enforce_nesting(raw)
@@ -205,8 +203,8 @@ def test_fit_trapezoid_requires_end_levels():
         grid,
         (1, 1),
         (
-            AlphaLevelResult(0.2, True, False, Interval(0.0, 1.0), ((Interval(0.0, 1.0),),)),
-            AlphaLevelResult(0.8, True, False, Interval(0.2, 0.8), ((Interval(0.2, 0.8),),)),
+            AlphaLevelResult(0.2, True, False, Interval(0.0, 1.0), (Interval(0.0, 1.0),)),
+            AlphaLevelResult(0.8, True, False, Interval(0.2, 0.8), (Interval(0.2, 0.8),)),
         ),
     )
     with pytest.raises(ValueError, match="levels 0 and 1"):

@@ -204,9 +204,8 @@ def test_run_counts_and_histogram_mass(demo_specs):
     assert res.feasible_count + res.infeasible_count == 200
     assert res.infeasible_count > 0  # no repair on this path, wide draws do fail
     assert sum(res.benefit_histogram.counts) == res.feasible_count
-    for row in res.shipment_histograms:
-        for hist in row:
-            assert sum(hist.counts) == res.feasible_count
+    for hist in res.shipment_histograms:
+        assert sum(hist.counts) == res.feasible_count
 
 
 def test_run_deterministic(demo_specs):
