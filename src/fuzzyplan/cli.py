@@ -77,6 +77,8 @@ class RunConfig:
             raise ValueError(f"need at least 2 alpha levels, got {self.alpha_levels}")
         if self.mc_steps < 1:
             raise ValueError(f"need at least one Monte Carlo step, got {self.mc_steps}")
+        if self.seed < 0:
+            raise ValueError(f"need a seed >= 0, got {self.seed}")
 
 
 def _fmt(v: float) -> str:

@@ -12,6 +12,17 @@ ranges: with alternate optima the corner argmax can jump around, so the
 per-lane quantities are reported as indicative spans while the benefit
 interval itself is exact.
 
+The cuts nest, so neighbouring levels change c and b only a little,
+and a corner's optimal basis mostly stays optimal one level up. Each
+side (optimistic, pessimistic) therefore tests the basis of its last
+optimal corner with the strict certificate of the basis module, and
+solves cold only where it fails. A degenerate optimum yields no basis,
+so after one that side solves cold again. Answers do not depend on the
+order of the levels: a certified basis is the corner's unique,
+nondegenerate optimum, so a cold-solved corner is answered from that
+same basis whenever it certifies, and any other corner keeps its cold
+solve. The order only decides how many cold solves run.
+
 Per-lane results are flat tuples in lane order: row by row, the order
 of the LP's x and of the names model.lanes returns. A level's
 shipments[k] is lane k's cut, and fit_trapezoid(sol, k) its trapezoid.
@@ -21,9 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from .basis import _BasisCache
 from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber, prob_geq_fuzzy
 from .intervals import Interval
-from .model import CrispInstance, DistributionProblem, to_lp
+from .model import CrispInstance, DistributionProblem, lp_arrays, to_lp
 from .simplex import solve
 
 __all__ = [
@@ -100,26 +114,62 @@ def repair_bounds(inst: CrispInstance):
 
 
 def solve_fuzzy(p: DistributionProblem, grid: AlphaGrid | None = None) -> FuzzySolution:
-    """Corner-solve every level, then enforce interval nesting."""
+    """Corner-solve every level, then enforce interval nesting.
+
+    Each side (optimistic, pessimistic) first tries the basis of its
+    last optimal corner, and cold-solves only where that does not
+    certify.
+    """
     if grid is None:
         grid = AlphaGrid.uniform(11)
+    cache = _BasisCache(p.shape)
+    bases = [None, None]  # per side: the basis of its last optimal corner
     levels = []
     for alpha in grid:
-        optimistic, pessimistic = corner_instances(p, alpha)
-        optimistic, rep_opt = repair_bounds(optimistic)
-        pessimistic, rep_pes = repair_bounds(pessimistic)
-        repaired = rep_opt or rep_pes
-        sol_opt = solve(to_lp(optimistic))
-        sol_pes = solve(to_lp(pessimistic))
-        if sol_opt.status != "optimal" or sol_pes.status != "optimal":
+        answers, repaired = [], False
+        for side, corner in enumerate(corner_instances(p, alpha)):
+            inst, rep = repair_bounds(corner)
+            repaired = repaired or rep
+            answer, bases[side] = _solve_corner(cache, bases[side], inst)
+            answers.append(answer)
+        if None in answers:
             levels.append(AlphaLevelResult(alpha, False, repaired, None, None))
             continue
-        lo_v, hi_v = sorted((sol_pes.objective_value, sol_opt.objective_value))
+        (opt_v, opt_x), (pes_v, pes_x) = answers
+        lo_v, hi_v = sorted((pes_v, opt_v))
         benefit = Interval(lo_v, hi_v)
-        shipments = tuple(Interval(min(a, b), max(a, b)) for a, b in zip(sol_pes.x, sol_opt.x))
+        shipments = tuple(Interval(min(a, b), max(a, b)) for a, b in zip(pes_x, opt_x))
         levels.append(AlphaLevelResult(alpha, True, repaired, benefit, shipments))
     raw = FuzzySolution(grid, p.shape, tuple(levels))
     return enforce_nesting(raw)
+
+
+def _solve_corner(cache: _BasisCache, basis, inst: CrispInstance):
+    """((benefit, x) or None if infeasible, the basis to try next) at one corner.
+
+    basis answers the corner if it certifies it. Otherwise the corner is
+    solved cold, and the basis of that optimum answers in its place if
+    it certifies the corner: so an answer never depends on which basis
+    was tried first.
+    """
+    c, b = (v[None] for v in lp_arrays(inst))
+    answer = _certified(cache, basis, c, b)
+    if answer:
+        return answer, basis
+    sol = solve(to_lp(inst))
+    if sol.status != "optimal":
+        return None, basis
+    cache.keep(())  # learn refuses a basis it holds already
+    basis = cache.learn(np.array(sol.x), b[0])
+    return _certified(cache, basis, c, b) or (sol.objective_value, sol.x), basis
+
+
+def _certified(cache: _BasisCache, basis, c: np.ndarray, b: np.ndarray):
+    """(benefit, x) if basis is the unique optimum of the one-row (c, b), else None."""
+    if basis is None:
+        return None
+    ok, x, benefit = cache.certify(basis, c, b)
+    return (benefit.item(), tuple(x[0].tolist())) if ok[0] else None
 
 
 def enforce_nesting(sol: FuzzySolution) -> FuzzySolution:

@@ -34,6 +34,7 @@ __all__ = [
     "RHS_FIELDS",
     "LpSkeleton",
     "lp_skeleton",
+    "lp_arrays",
     "to_lp",
     "necessary_violations",
     "feasibility_precheck",
@@ -198,8 +199,7 @@ def lane_profits(purchase_price, sale_price, transport_cost) -> np.ndarray:
 
 
 def crisp_profits(inst: CrispInstance) -> tuple:
-    z = lane_profits(*(np.array(getattr(inst, name)) for name in PROFIT_FIELDS))
-    return tuple(map(tuple, z.tolist()))
+    return tuple(map(tuple, lp_arrays(inst)[0].reshape(inst.shape).tolist()))
 
 
 # The fields whose entries are the LP's right-hand side, in constraint-row order.
@@ -225,12 +225,23 @@ def lp_skeleton(shape) -> LpSkeleton:
     return LpSkeleton(tuple(rows + cols) * 2, ("<=",) * (m + n) + (">=",) * (m + n))
 
 
+def lp_arrays(inst: CrispInstance) -> tuple:
+    """(c, b): the LP's lane profits in lane order and its right-hand side.
+
+    c is lane_profits flattened row by row, the order of the LP's x; b
+    is the RHS_FIELDS values in constraint-row order.
+    """
+    c = lane_profits(*(np.array(getattr(inst, name)) for name in PROFIT_FIELDS)).ravel()
+    b = np.array([v for name in RHS_FIELDS for v in getattr(inst, name)], dtype=float)
+    return c, b
+
+
 def to_lp(inst: CrispInstance) -> LinearProgram:
     """Profit-maximizing LP: MN shipment variables, 2(M+N) constraints."""
     skeleton = lp_skeleton(inst.shape)
-    objective = tuple(v for row in crisp_profits(inst) for v in row)
-    rhs = [float(v) for name in RHS_FIELDS for v in getattr(inst, name)]
-    return LinearProgram(objective, "max", tuple(zip(skeleton.coeffs, skeleton.relations, rhs)))
+    c, b = lp_arrays(inst)
+    constraints = tuple(zip(skeleton.coeffs, skeleton.relations, b.tolist()))
+    return LinearProgram(tuple(c.tolist()), "max", constraints)
 
 
 @dataclass(frozen=True)

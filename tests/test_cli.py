@@ -405,6 +405,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert bad_gamma == 2
     capsys.readouterr()
 
+    # a negative seed is refused before the fuzzy half of compare writes anything
+    negative = tmp_path / "negative-seed"
+    negative.mkdir()
+    assert main([TABLE1, "--mode", "compare", "--seed", "-1", "--out-dir", str(negative)]) == 2
+    assert "error: need a seed >= 0, got -1" in capsys.readouterr().err
+    assert list(negative.iterdir()) == []
+
     def stuck(lp):
         raise RuntimeError("simplex failed to terminate")
 

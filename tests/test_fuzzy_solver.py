@@ -5,6 +5,7 @@ from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from fuzzyplan.ingest import gaussian_to_trapezoid
 from fuzzyplan.intervals import Interval
 from fuzzyplan.model import DistributionProblem, to_lp
+import fuzzyplan.fuzzy_solver as fuzzy_solver
 from fuzzyplan.fuzzy_solver import (
     AlphaLevelResult,
     FuzzySolution,
@@ -272,3 +273,126 @@ def test_random_problems_nest_and_dominate():
         for lv in feasible:
             assert lv.benefit.lo <= lv.benefit.hi
     assert solved >= 5  # generator must produce mostly solvable problems
+
+
+@pytest.fixture
+def raw_cold_solves(monkeypatch):
+    """Counts the cold solves solve_fuzzy makes; its levels stay unnested."""
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(fuzzy_solver, "solve", counted)
+    monkeypatch.setattr(fuzzy_solver, "enforce_nesting", lambda sol: sol)
+    return calls
+
+
+def cold_levels(p, grid):
+    """Each level from one cold solve per repaired corner, before nesting."""
+    levels = []
+    for alpha in grid:
+        corners = [repair_bounds(corner) for corner in corner_instances(p, alpha)]
+        repaired = any(rep for _, rep in corners)
+        opt, pes = (solve(to_lp(inst)) for inst, _ in corners)
+        if opt.status != "optimal" or pes.status != "optimal":
+            levels.append(AlphaLevelResult(alpha, False, repaired, None, None))
+            continue
+        benefit = Interval(*sorted((pes.objective_value, opt.objective_value)))
+        shipments = tuple(Interval(min(a, b), max(a, b)) for a, b in zip(pes.x, opt.x))
+        levels.append(AlphaLevelResult(alpha, True, repaired, benefit, shipments))
+    return tuple(levels)
+
+
+def nondegenerate_problem(k=6, seed=0):
+    # generic numbers, so corner optima are mostly unique and nondegenerate;
+    # lane profits near zero, so the optimal bases change with alpha
+    rng = np.random.default_rng(seed)
+
+    def fz(means, sigma):
+        return tuple(gaussian_to_trapezoid(float(v), sigma) for v in means)
+
+    return DistributionProblem(
+        supply_max=fz(rng.uniform(300.0, 700.0, k), 40.0),
+        demand_max=fz(rng.uniform(300.0, 700.0, k), 40.0),
+        purchase_min=fz(rng.uniform(50.0, 150.0, k), 10.0),
+        sale_min=fz(rng.uniform(50.0, 150.0, k), 10.0),
+        purchase_price=fz(rng.uniform(500.0, 600.0, k), 10.0),
+        sale_price=fz(rng.uniform(600.0, 700.0, k), 10.0),
+        transport_cost=tuple(fz(rng.uniform(30.0, 200.0, k), 20.0) for _ in range(k)),
+    )
+
+
+def infeasible_low_problem():
+    # the pessimistic corner needs 11 - 4a units of sale contract from a
+    # supply of 5 + 5a: infeasible below alpha 2/3, feasible above. The
+    # optimistic corner ships min(15 - 5a, 12.2): its basis changes at
+    # alpha 0.56, where the old one stops being feasible
+    return DistributionProblem(
+        supply_max=(T(5.0, 10.0, 10.0, 15.0),),
+        demand_max=(T.crisp(12.2),),
+        purchase_min=(T.crisp(1.0),),
+        sale_min=(T(6.0, 7.0, 7.0, 11.0),),
+        purchase_price=(T.crisp(1.0),),
+        sale_price=(T(4.0, 5.0, 5.0, 6.0),),
+        transport_cost=((T.crisp(0.0),),),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, levels, expected_cold",
+    [
+        ("demo", 11, 22),  # every corner optimum is degenerate: none is certified
+        ("nondegenerate", 21, None),
+        ("infeasible_low", 11, None),
+    ],
+)
+def test_warm_results_equal_cold_solves(name, levels, expected_cold, demo_problem, raw_cold_solves):
+    p = {
+        "demo": demo_problem,
+        "nondegenerate": nondegenerate_problem(),
+        "infeasible_low": infeasible_low_problem(),
+    }[name]
+    grid = AlphaGrid.uniform(levels)
+    got = solve_fuzzy(p, grid).levels
+    want = cold_levels(p, grid)
+    assert [(lv.alpha, lv.feasible, lv.repaired) for lv in got] == [
+        (lv.alpha, lv.feasible, lv.repaired) for lv in want
+    ]
+    for g, w in zip(got, want):
+        if not w.feasible:
+            continue
+        for g_cut, w_cut in zip((g.benefit, *g.shipments), (w.benefit, *w.shipments)):
+            for value, cold in ((g_cut.lo, w_cut.lo), (g_cut.hi, w_cut.hi)):
+                assert (value == 0.0) == (cold == 0.0)  # same support
+                assert abs(value - cold) <= 1e-9 * max(1.0, abs(cold))
+    if expected_cold is None:
+        assert len(raw_cold_solves) < levels  # most corners certified by the level below
+    else:
+        assert len(raw_cold_solves) == expected_cold
+    if name == "infeasible_low":
+        assert not got[0].feasible and got[-1].feasible
+
+
+@pytest.mark.parametrize("sale_prices, tied", [((5.0, 5.0), True), ((5.0, 6.0), False)])
+def test_tied_optimum_is_never_certified(sale_prices, tied, raw_cold_solves):
+    # one supplier, two customers with equal crisp sale prices: every
+    # split of the supply between them is optimal at every level, so no
+    # basis may answer and every corner keeps its cold solve
+    p = DistributionProblem(
+        supply_max=(T(9.0, 10.0, 10.0, 11.0),),
+        demand_max=(T.crisp(8.0), T.crisp(8.0)),
+        purchase_min=(T.crisp(1.0),),
+        sale_min=(T.crisp(1.0), T.crisp(1.0)),
+        purchase_price=(T.crisp(1.0),),
+        sale_price=tuple(map(T.crisp, sale_prices)),
+        transport_cost=((T.crisp(0.0), T.crisp(0.0)),),
+    )
+    grid = AlphaGrid.uniform(11)
+    got = solve_fuzzy(p, grid).levels
+    if tied:
+        assert len(raw_cold_solves) == 2 * len(grid)
+        assert got == cold_levels(p, grid)
+    else:
+        assert len(raw_cold_solves) < 2 * len(grid)

@@ -5,6 +5,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from fuzzyplan.basis import _BasisCache
 from fuzzyplan.cli import parse_problem
 from fuzzyplan.fuzzy import TrapezoidalFuzzyNumber
 from fuzzyplan.fuzzy_solver import solve_fuzzy
@@ -296,7 +297,7 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
         )
 
     here, mirrored = specs((5.0, 6.0)), specs((6.0, 5.0))
-    cache = monte_carlo._BasisCache(here.shape)
+    cache = _BasisCache(here.shape)
     other = solve(to_lp(sample_instance(mirrored, 0, 0)))
     stale = cache.learn(np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]))
     assert stale is not None
@@ -308,7 +309,7 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
     assert stale.basic.tolist() == [0, 1, 4, 5, 6, 7]
     assert [basis.basic.tolist() for basis in cache.bases.values()] == [[0, 1, 3, 5, 6, 7]]
     # a basis that answers only the step it was learned from is dropped
-    cache = monte_carlo._BasisCache(here.shape)
+    cache = _BasisCache(here.shape)
     monte_carlo._solve_chunk(here, index, cache, monte_carlo._draws(here, 0, 0, 1))
     assert cache.bases == {}
 
