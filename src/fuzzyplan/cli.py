@@ -29,7 +29,15 @@ from .ingest import (
     read_samples,
     to_trapezoid,
 )
-from .model import FIELDS, DistributionProblem, ParameterTable, lanes, midpoint_instance, to_lp
+from .model import (
+    FIELDS,
+    DistributionProblem,
+    ParameterTable,
+    feasibility_precheck,
+    lanes,
+    midpoint_instance,
+    to_lp,
+)
 from .monte_carlo import ParameterSpecs, compare
 from .monte_carlo import run as mc_run
 from .simplex import solve
@@ -332,10 +340,13 @@ def _run_crisp(config: RunConfig, problem) -> int:
         )
         return EXIT_OK
     inst = midpoint_instance(problem)
-    sol = solve(to_lp(inst))
-    if sol.status != "optimal":
-        _write_json(out, {"status": sol.status, "benefit": None, "shipments": None})
-        print(f"error: crisp problem is {sol.status}", file=sys.stderr)
+    report = feasibility_precheck(inst)  # names what phase 1 would only report
+    sol = solve(to_lp(inst)) if report else None
+    if sol is None or sol.status != "optimal":
+        status = sol.status if sol else "infeasible"
+        _write_json(out, {"status": status, "benefit": None, "shipments": None})
+        detail = "" if report else ": " + "; ".join(report.violations)
+        print(f"error: crisp problem is {status}{detail}", file=sys.stderr)
         return EXIT_INFEASIBLE
     rows = _rows(sol.x, problem.shape)
     _write_json(out, {"status": "optimal", "benefit": sol.objective_value, "shipments": rows})

@@ -37,7 +37,7 @@ import numpy as np
 from .basis import _BasisCache
 from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber, prob_geq_fuzzy
 from .intervals import Interval
-from .model import CrispInstance, DistributionProblem, lp_arrays, to_lp
+from .model import CrispInstance, DistributionProblem, feasibility_precheck, lp_arrays, to_lp
 from .simplex import solve
 
 __all__ = [
@@ -147,15 +147,18 @@ def solve_fuzzy(p: DistributionProblem, grid: AlphaGrid | None = None) -> FuzzyS
 def _solve_corner(cache: _BasisCache, basis, inst: CrispInstance):
     """((benefit, x) or None if infeasible, the basis to try next) at one corner.
 
-    basis answers the corner if it certifies it. Otherwise the corner is
-    solved cold, and the basis of that optimum answers in its place if
-    it certifies the corner: so an answer never depends on which basis
-    was tried first.
+    basis answers the corner if it certifies it. A corner that breaks a
+    necessary feasibility condition is infeasible without a solve, as in
+    Monte Carlo's screen. Otherwise the corner is solved cold, and the
+    basis of that optimum answers in its place if it certifies the
+    corner: so an answer never depends on which basis was tried first.
     """
     c, b = (v[None] for v in lp_arrays(inst))
     answer = _certified(cache, basis, c, b)
     if answer:
         return answer, basis
+    if not feasibility_precheck(inst):  # phase 1 would report it infeasible
+        return None, basis
     sol = solve(to_lp(inst))
     if sol.status != "optimal":
         return None, basis

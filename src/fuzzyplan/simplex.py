@@ -1,9 +1,16 @@
 """Two-phase primal simplex on a dense tableau.
 
-Problem sizes in this package are tiny (a 3x3 distribution problem gives
-9 variables and 12 constraints), so everything is kept dense and simple.
 Dantzig pricing runs by default; Bland's rule takes over permanently
 once the objective stalls long enough to suggest degenerate cycling.
+Each step is a numpy operation over the tableau: pricing is one argmin
+(or, under Bland, one search for the first eligible column) over the
+allowed columns, the ratio test visits only the rows with a positive
+pivot-column entry, and a pivot updates only the rows whose pivot-column
+entry is nonzero. Only the scan for the leaving row stays sequential,
+since its tolerance tie-break depends on the order of the rows. The
+pivots, and every float they produce, are those of the element-by-element
+loop this replaced (Bertsimas & Tsitsiklis, Introduction to Linear
+Optimization, ch. 3).
 """
 
 from __future__ import annotations
@@ -73,46 +80,49 @@ class _Tableau:
     def pivot(self, row: int, col: int):
         mat = self.mat
         mat[row] /= mat[row, col]
-        for r in range(mat.shape[0]):
-            if r != row and mat[r, col] != 0.0:
-                mat[r] -= mat[r, col] * mat[row]
+        pivot_row = mat[row]
+        # rows with a zero pivot-column entry would subtract nothing
+        for r in mat[:, col].nonzero()[0].tolist():
+            if r != row:
+                mat[r] -= mat[r, col] * pivot_row
         self.basis[row] = col
         self.iterations += 1
 
-    def run(self, allowed_cols, stall_limit: int) -> str:
-        """Maximize until optimal ("optimal") or an unbounded ray ("unbounded")."""
+    def run(self, allowed_cols: np.ndarray, stall_limit: int) -> str:
+        """Maximize until optimal ("optimal") or an unbounded ray ("unbounded").
+
+        allowed_cols is an ascending index array of the columns that may
+        enter the basis.
+        """
         mat = self.mat
         m = mat.shape[0] - 1
         while True:
-            obj = mat[-1, :-1]
-            col = -1
+            reduced = mat[-1, allowed_cols]
             if self.use_bland:
-                for j in allowed_cols:
-                    if obj[j] < -PIVOT_TOL:
-                        col = j
-                        break
+                # the first allowed column with a negative reduced cost
+                hits = (reduced < -PIVOT_TOL).nonzero()[0]
+                k = hits[0] if hits.size else -1
             else:
-                best = -PIVOT_TOL
-                for j in allowed_cols:
-                    if obj[j] < best:
-                        best = obj[j]
-                        col = j
-            if col < 0:
+                # Dantzig: the first column at the strict minimum
+                k = int(reduced.argmin())
+                if not reduced[k] < -PIVOT_TOL:
+                    k = -1
+            if k < 0:
                 return "optimal"
-            # ratio test over rows with positive pivot entries
+            col = int(allowed_cols[k])
+            # ratio test over rows with positive pivot entries, in row order
+            rows = (mat[:m, col] > PIVOT_TOL).nonzero()[0]
+            ratios = mat[rows, -1] / mat[rows, col]
             row = -1
             best_ratio = math.inf
-            for r in range(m):
-                a = mat[r, col]
-                if a > PIVOT_TOL:
-                    ratio = mat[r, -1] / a
-                    if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and row >= 0
-                        and self.basis[r] < self.basis[row]
-                    ):
-                        best_ratio = ratio
-                        row = r
+            for r, ratio in zip(rows.tolist(), ratios.tolist()):
+                if ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL
+                    and row >= 0
+                    and self.basis[r] < self.basis[row]
+                ):
+                    best_ratio = ratio
+                    row = r
             if row < 0:
                 return "unbounded"
             before = mat[-1, -1]
@@ -183,7 +193,7 @@ def solve(lp: LinearProgram) -> SimplexSolution:
         for i, b in enumerate(basis):
             if b in art_cols:
                 mat[-1] -= mat[i]
-        tab.run(range(total), stall_limit)
+        tab.run(np.arange(total), stall_limit)
         if mat[-1, -1] < -FEAS_TOL:
             return SimplexSolution("infeasible", None, None, tab.iterations)
         _evict_artificials(tab, art_cols, n + n_slack)
@@ -196,9 +206,8 @@ def solve(lp: LinearProgram) -> SimplexSolution:
     for i, b in enumerate(basis):
         if mat[-1, b] != 0.0:
             mat[-1] -= mat[-1, b] * mat[i]
-    art_set = set(art_cols)
-    cols = [j for j in range(total) if j not in art_set]
-    status = tab.run(cols, stall_limit)
+    # the artificials, the last columns, never re-enter
+    status = tab.run(np.arange(n + n_slack), stall_limit)
     if status == "unbounded":
         return SimplexSolution("unbounded", None, None, tab.iterations)
 
@@ -221,13 +230,9 @@ def _evict_artificials(tab: _Tableau, art_cols: list, n_real: int):
     for i in range(len(tab.basis)):
         if tab.basis[i] not in art_set:
             continue
-        pivot_col = -1
-        for j in range(n_real):
-            if abs(tab.mat[i, j]) > PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            tab.pivot(i, pivot_col)
+        nonzero = np.flatnonzero(np.abs(tab.mat[i, :n_real]) > PIVOT_TOL)
+        if nonzero.size:
+            tab.pivot(i, int(nonzero[0]))
         else:
             tab.mat[i, :] = 0.0
 

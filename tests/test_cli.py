@@ -370,7 +370,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     )
     out = tmp_path / "run"
     assert main([str(infeasible), "--mode", "crisp", "--out-dir", str(out)]) == 3
-    assert "infeasible" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "infeasible" in err
+    assert "purchase_min[0]=50 exceeds supply_max[0]=40" in err
     assert json.loads((out / "crisp_solution.json").read_text())["status"] == "infeasible"
 
     transport = tmp_path / "t.json"
@@ -418,3 +420,6 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve", stuck)
     assert main([TABLE1, "--mode", "crisp", "--out-dir", str(out)]) == EXIT_SOLVER == 4
     assert "error: simplex failed to terminate" in capsys.readouterr().err
+    # a failed precheck answers without a simplex run
+    assert main([str(infeasible), "--mode", "crisp", "--out-dir", str(out)]) == 3
+    assert "purchase_min[0]=50 exceeds supply_max[0]=40" in capsys.readouterr().err

@@ -396,3 +396,13 @@ def test_tied_optimum_is_never_certified(sale_prices, tied, raw_cold_solves):
         assert got == cold_levels(p, grid)
     else:
         assert len(raw_cold_solves) < 2 * len(grid)
+
+
+def test_screened_corners_skip_the_cold_solve(raw_cold_solves):
+    # 7 of the pessimistic corners break "total sale_min <= total
+    # supply_max"; they are infeasible without a simplex run
+    p = infeasible_low_problem()
+    grid = AlphaGrid.uniform(11)
+    got = solve_fuzzy(p, grid).levels
+    assert len(raw_cold_solves) == 3
+    assert got == cold_levels(p, grid)

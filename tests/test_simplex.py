@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from fuzzyplan import simplex
+from fuzzyplan.model import CrispInstance, to_lp
 from fuzzyplan.simplex import FEAS_TOL, LinearProgram, solve
 from fuzzyplan.simplex import residuals
 
@@ -160,3 +164,84 @@ def test_solution_residuals_property():
         sol = solve(problem)
         if sol.status == "optimal":
             assert residuals(problem, sol.x) <= FEAS_TOL
+
+
+def _integer_lp(rng):
+    # small integer data: many tied ratios and reduced costs, and a large
+    # share of infeasible and unbounded problems
+    n = int(rng.integers(1, 5))
+    cons = []
+    for _ in range(int(rng.integers(1, 6))):
+        coeffs = tuple(float(v) for v in rng.integers(-2, 3, n))
+        rel = str(rng.choice(["<=", ">=", "="], p=[0.5, 0.35, 0.15]))
+        cons.append((coeffs, rel, float(rng.integers(-2, 5))))
+    objective = tuple(float(v) for v in rng.integers(-2, 3, n))
+    return lp(objective, str(rng.choice(["max", "min"])), cons)
+
+
+def _distribution_lp(rng, k):
+    # supplies and demands on a coarse grid, so some bases tie
+    def draw(lo, hi, size):
+        return tuple(float(v) for v in np.round(rng.uniform(lo, hi, size), 1))
+
+    inst = CrispInstance(
+        supply_max=draw(300.0, 700.0, k),
+        demand_max=draw(300.0, 700.0, k),
+        purchase_min=draw(50.0, 150.0, k),
+        sale_min=draw(50.0, 150.0, k),
+        purchase_price=draw(500.0, 600.0, k),
+        sale_price=draw(600.0, 700.0, k),
+        transport_cost=tuple(draw(30.0, 200.0, k) for _ in range(k)),
+    )
+    return to_lp(inst)
+
+
+BEALE = lp(
+    [-0.75, 150.0, -0.02, 6.0],
+    "min",
+    [
+        ((0.25, -60.0, -1.0 / 25.0, 9.0), "<=", 0.0),
+        ((0.5, -90.0, -1.0 / 50.0, 3.0), "<=", 0.0),
+        ((0.0, 0.0, 1.0, 0.0), "<=", 1.0),
+    ],
+)
+
+
+def test_solutions_pinned():
+    # every status, x, value and iteration count, bit for bit: any change
+    # in pricing, tie-breaking or pivot order changes the digest
+    rng = np.random.default_rng(7)
+    problems = [_integer_lp(rng) for _ in range(2000)]
+    for k, count in ((3, 20), (8, 5), (15, 2)):
+        problems += [_distribution_lp(rng, k) for _ in range(count)]
+    problems.append(BEALE)
+    digest = hashlib.sha256()
+    statuses = []
+    for problem in problems:
+        sol = solve(problem)
+        statuses.append(sol.status)
+        digest.update(repr((sol.status, sol.x, sol.objective_value, sol.iterations)).encode())
+    assert {s: statuses.count(s) for s in set(statuses)} == {
+        "optimal": 597,
+        "infeasible": 1000,
+        "unbounded": 431,
+    }
+    assert digest.hexdigest() == "eaf17205650252678288e5a93712d249ee3d47d7839daf35813053b5e71a29c4"
+
+
+def test_beale_switches_to_bland(monkeypatch):
+    # Dantzig pricing cycles on Beale's instance; the stall counter must
+    # hand over to Bland's rule, which then reaches the optimum
+    seen = []
+    run = simplex._Tableau.run
+
+    def recording(tab, allowed_cols, stall_limit):
+        status = run(tab, allowed_cols, stall_limit)
+        seen.append((status, tab.use_bland))
+        return status
+
+    monkeypatch.setattr(simplex._Tableau, "run", recording)
+    sol = solve(BEALE)
+    assert seen == [("optimal", True)]
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
