@@ -5,6 +5,14 @@ full crisp scenario, solves it, and the optimal benefit and shipments
 of the feasible scenarios are accumulated into histograms. Sampling is
 counter-based: step i draws from default_rng((seed, i)), so a run can
 be split across workers and merged without changing a single draw.
+sample_instance is that definition, one generator per step. run_range
+draws a chunk of steps without building their generators: it runs
+numpy's SeedSequence hash over every step's (seed, i) entropy at once
+in uint32 arrays, turns each step's hashed words into PCG64's state
+with srandom's 128-bit arithmetic, and draws each step's standard
+normals through one reused generator set to that state. The floats
+equal default_rng((seed, i)).normal(means, sigmas) by construction,
+and tests/test_monte_carlo.py checks them against it.
 
 Most scenarios need no simplex solve. run_range works in chunks: it
 draws a chunk into one array, builds every scenario's profits c and
@@ -117,12 +125,13 @@ class ParameterSpecs(ParameterTable):
 def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstance:
     """Scenario for one step; a pure function of (seed, index).
 
-    Parameters are drawn in specs.values() order, which is FIELDS order:
-    changing it would silently reshuffle every reproducible run. One
-    vectorized normal call consumes the stream exactly as a scalar draw
-    per parameter would, so the floats match such a loop bit for bit.
+    This is the reference definition of a step's draws: run_range's
+    chunked _draws gives the same floats, bit for bit. Parameters are
+    drawn in specs.values() order, which is FIELDS order: changing it
+    would silently reshuffle every reproducible run.
     """
-    return _instance(specs, _draws(specs, seed, index, index + 1)[0])
+    means, sigmas = specs.moments
+    return _instance(specs, np.random.default_rng((seed, index)).normal(means, sigmas))
 
 
 def _instance(specs: ParameterSpecs, draws: np.ndarray) -> CrispInstance:
@@ -149,12 +158,96 @@ class PartialRun:
 CHUNK = 1024
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe) and PCG64's multiplier
+POOL_WORDS = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _words(n: int) -> int:
+    """Length of n as SeedSequence entropy: little-endian 32-bit words, at least one."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, uint64) for each column of entropy.
+
+    entropy is (L, K) uint32: column k holds one step's L entropy words.
+    The hash constants depend only on how many hashes came before, so
+    every column runs the same sequence of uint32 operations, which wrap
+    as the C code's do. Returns (4, K) uint64.
+    """
+    hash_const = INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * MULT_A & MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = MIX_MULT_L * x - MIX_MULT_R * y
+        return result ^ result >> 16
+
+    zero = np.zeros(entropy.shape[1], dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(POOL_WORDS)]
+    for src in range(POOL_WORDS):
+        for dst in range(POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(POOL_WORDS, len(entropy)):  # entropy longer than the pool
+        for dst in range(POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    state, hash_const = [], INIT_B
+    for i in range(2 * POOL_WORDS):
+        value = pool[i % POOL_WORDS] ^ hash_const
+        hash_const = hash_const * MULT_B & MASK32
+        value = value * hash_const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return np.array([state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)])
+
+
 def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarray:
-    """One row per step in [start, stop): the floats sample_instance draws."""
+    """One row per step in [start, stop): the floats sample_instance draws.
+
+    Step i's stream is default_rng((seed, i))'s, bit for bit, derived
+    without building a generator per step. SeedSequence hashes the
+    entropy words of seed then i (_seed_states, the whole range at once,
+    grouped by how many words i takes); PCG64 seeds itself from the four
+    hashed words by srandom's 128-bit steps, here in Python ints; one
+    reused generator, set to each step's state, fills that step's row
+    of standard normals. Scaling by sigma and adding the mean is then
+    one array operation, the same product and sum normal() makes per
+    float. tests/test_monte_carlo.py checks the equality at chunk edges,
+    where i gains a word, and with entropy longer than the pool.
+    """
     means, sigmas = specs.moments
-    draws = np.empty((stop - start, means.size))
-    for row, index in enumerate(range(start, stop)):
-        draws[row] = np.random.default_rng((seed, index)).normal(means, sigmas)
+    z = np.empty((stop - start, means.size))
+    generator = np.random.Generator(np.random.PCG64())
+    prefix = seed.to_bytes(4 * _words(seed), "little")
+    lo = start
+    while lo < stop:
+        width = _words(lo)
+        hi = min(stop, 1 << 32 * width)
+        raw = b"".join(prefix + i.to_bytes(4 * width, "little") for i in range(lo, hi))
+        entropy = np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(hi - lo, -1).T
+        for row, (s0, s1, q0, q1) in enumerate(_seed_states(entropy).T.tolist(), lo - start):
+            inc = ((q0 << 64 | q1) << 1 | 1) & MASK128
+            state = ((inc + (s0 << 64 | s1)) * PCG_MULT + inc) & MASK128
+            generator.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            generator.standard_normal(out=z[row])
+        lo = hi
+    with np.errstate(over="ignore"):
+        draws = means + sigmas * z
     if not np.isfinite(draws).all():
         raise ValueError("crisp parameters must be finite")
     return draws
@@ -223,6 +316,8 @@ def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> Partia
     """
     if not 0 <= start <= stop:
         raise ValueError(f"bad step range [{start}, {stop})")
+    if seed < 0:
+        raise ValueError(f"need a seed >= 0, got {seed}")
     cache = _BasisCache(specs.shape)
     index = _columns(specs)
     answers = []

@@ -1,9 +1,9 @@
 """Classical balanced transportation problem.
 
 Provides the balance test, two initial-plan heuristics (north-west
-corner and Vogel's approximation), the alternating-loop predicate, and
-the potentials (MODI) optimizer. All plans carry an explicit basis so
-degeneracy is visible instead of implicit.
+corner and Vogel's approximation) and the potentials (MODI) optimizer.
+All plans carry an explicit basis so degeneracy is visible instead of
+implicit.
 
 A basis is a spanning tree of the bipartite graph whose nodes are the M
 rows and N columns and whose edges are the basis cells: M+N-1 cells, no
@@ -26,7 +26,6 @@ __all__ = [
     "check_balance",
     "north_west_corner",
     "vogel_approximation",
-    "detect_loop",
     "modi_optimize",
     "plan_cost",
 ]
@@ -161,32 +160,6 @@ def vogel_approximation(t: TransportInstance) -> TransportPlan:
         for j in cols:
             allocate(i, j)
     return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
-
-
-def detect_loop(cells) -> bool:
-    """True iff the ordered cells trace a closed alternating loop.
-
-    Needs at least four cells; consecutive cells (wrapping around) must
-    share exactly a row or a column, and the shared dimension must
-    alternate, which also rules out three collinear consecutive cells.
-    """
-    cells = list(cells)
-    n = len(cells)
-    if n < 4:
-        return False
-    if len(set(cells)) != n:
-        return False
-    dims = []
-    for k in range(n):
-        r1, c1 = cells[k]
-        r2, c2 = cells[(k + 1) % n]
-        if r1 == r2 and c1 != c2:
-            dims.append(0)
-        elif c1 == c2 and r1 != r2:
-            dims.append(1)
-        else:
-            return False
-    return all(dims[k] != dims[(k + 1) % n] for k in range(n))
 
 
 def modi_optimize(t: TransportInstance, start: TransportPlan, sense: str = "min") -> TransportPlan:

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import math
 from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyplan.basis import _BasisCache
 from fuzzyplan.cli import parse_problem
@@ -168,6 +171,32 @@ def test_batch_draws_match_sample_instance(table1_specs):
         assert np.array_equal(draws[row], want)
 
 
+@pytest.mark.parametrize("seed", [0, 83, 2**63, 2**128 + 5])
+@pytest.mark.parametrize(
+    "start, stop, rows",
+    [
+        (0, CHUNK + 2, [0, CHUNK - 1, CHUNK, CHUNK + 1]),
+        (2**32 - 3, 2**32 + 3, range(6)),  # the index gains a 32-bit word
+        (2**64 - 2, 2**64 + 2, range(4)),
+    ],
+)
+@pytest.mark.parametrize("specs_name", ["table1", "some sigmas zero"])
+def test_batch_draws_equal_default_rng(specs_name, seed, start, stop, rows, table1_specs):
+    # seed 2**128 + 5 alone is five entropy words, more than the 4-word pool
+    specs = table1_specs if specs_name == "table1" else single_lane_specs(sigma=3.0)
+    means, sigmas = specs.moments
+    draws = monte_carlo._draws(specs, seed, start, stop)
+    assert draws.shape == (stop - start, means.size)
+    for row in rows:
+        want = np.random.default_rng((seed, start + row)).normal(means, sigmas)
+        assert np.array_equal(draws[row], want), (seed, start + row)
+
+
+def test_run_range_rejects_negative_seed(demo_specs):
+    with pytest.raises(ValueError, match="seed >= 0"):
+        run_range(demo_specs, 0, 5, -1)
+
+
 def test_batch_draws_reject_non_finite():
     specs = single_lane_specs(sigma=1e308)
     with pytest.raises(ValueError, match="finite"):
@@ -228,6 +257,30 @@ def test_split_runs_merge_exactly(table1_specs):
     whole = run_range(table1_specs, 0, 3000, 7)
     cuts = [0, 1000, 1777, 3000]
     parts = [run_range(table1_specs, a, b, 7) for a, b in zip(cuts, cuts[1:])]
+    assert merge_partials(parts) == whole
+
+
+SHARD_STEPS = 2600  # three chunks, the last one partial
+
+
+@functools.cache
+def _table1_whole_run():
+    table1 = files("fuzzyplan").joinpath("data/table1.json")
+    specs = ParameterSpecs.from_problem(parse_problem(str(table1)))
+    return specs, run_range(specs, 0, SHARD_STEPS, 3)
+
+
+cut = st.integers(0, SHARD_STEPS) | st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(cuts=st.lists(cut, max_size=4).map(sorted))
+def test_any_shard_cuts_merge_to_one_run(cuts):
+    # cuts may repeat (an empty shard) and fall on or off chunk edges;
+    # every shard starts with an empty basis cache
+    specs, whole = _table1_whole_run()
+    bounds = [0, *cuts, SHARD_STEPS]
+    parts = [run_range(specs, a, b, 3) for a, b in zip(bounds, bounds[1:])]
     assert merge_partials(parts) == whole
 
 

@@ -8,7 +8,6 @@ from fuzzyplan.transport import (
     TransportInstance,
     TransportPlan,
     check_balance,
-    detect_loop,
     modi_optimize,
     north_west_corner,
     plan_cost,
@@ -149,24 +148,6 @@ def test_vam_usually_beats_nwcr():
         if plan_cost(t, va) <= plan_cost(t, nw) + 1e-9:
             wins += 1
     assert wins >= 90
-
-
-def test_detect_loop_examples():
-    assert detect_loop([(1, 1), (1, 2), (2, 2), (2, 1)])
-    assert not detect_loop([(1, 1), (1, 2), (2, 2)])
-    assert not detect_loop([(1, 1), (1, 2), (1, 3), (2, 3)])
-
-
-def test_detect_loop_rotation_invariant():
-    ring = [(0, 0), (0, 2), (1, 2), (1, 1), (2, 1), (2, 0)]
-    for k in range(len(ring)):
-        assert detect_loop(ring[k:] + ring[:k])
-
-
-def test_detect_loop_rejects_junk():
-    assert not detect_loop([(0, 0), (1, 1), (0, 1), (1, 0)])  # consecutive share nothing
-    assert not detect_loop([(0, 0), (0, 1), (0, 0), (0, 1)])  # duplicates
-    assert not detect_loop([(0, 0), (0, 1), (1, 1), (1, 0), (2, 0)])  # odd wrap
 
 
 def test_modi_diagonal_min():
