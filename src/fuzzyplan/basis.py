@@ -11,9 +11,12 @@ answer a given (c, b), and the certifier sums in a fixed order, so a
 certified answer does not depend on which bases were tried, or in what
 order.
 
-Monte Carlo tests the bases of a run on each chunk of scenarios; the
-fuzzy solver tests each corner's basis on the same corner one alpha
-level up.
+_BasisCache.answer is the one way to answer a batch of these LPs, for
+Monte Carlo's chunks of scenarios and the fuzzy solver's alpha-cut
+corners alike: screen, certify the cached bases, cold-solve and learn
+what is left. So every answer is a function of its own row's (c, b),
+whatever the other rows of the batch are and in whatever order they
+come.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import lp_skeleton
+from .model import lp_skeleton, necessary_violations
 from .simplex import PIVOT_TOL
 
 __all__ = ["CERTIFY_MARGIN", "FIRST_BASICS"]
@@ -77,6 +80,7 @@ class _BasisCache:
 
     def __init__(self, shape):
         skeleton = lp_skeleton(shape)
+        self.shape = shape
         self.signs = np.array([1.0 if rel == "<=" else -1.0 for rel in skeleton.relations])
         self.lanes = shape[0] * shape[1]
         self.matrix = np.hstack([np.array(skeleton.coeffs), np.diag(self.signs)])
@@ -103,10 +107,6 @@ class _BasisCache:
         basis = _Basis(basic, np.flatnonzero(~chosen), inverse)
         self.bases[basic.tobytes()] = basis
         return basis
-
-    def keep(self, bases):
-        """Forget every cached basis not in bases."""
-        self.bases = {basis.basic.tobytes(): basis for basis in bases}
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
         """Which scenarios (rows of c and b) have basis as their unique optimum.
@@ -143,3 +143,52 @@ class _BasisCache:
         for r in shipped:
             benefit += c_basic[:, r] * x_basic[:, r]
         return ok, x, benefit
+
+    def answer(self, c: np.ndarray, b: np.ndarray, cold):
+        """(feasible, benefit, x) of each LP in a batch: one per row of c and b.
+
+        c is (K, MN) lane profits in lane order, b the (K, 2(M+N))
+        right-hand sides in constraint-row order, and cold(row) returns
+        the SimplexSolution of that row's LP. Results are (K,) bool, (K,)
+        and (K, MN); an infeasible row has benefit 0 and x all zeros.
+
+        A row that breaks a necessary feasibility condition is
+        infeasible without a solve. Every cached basis, and every basis
+        learned here, is tested on every row still waiting for an
+        answer; the first row none certifies is solved cold. Afterwards
+        the cache holds only the bases that answered a row other than
+        the one they were learned from: where optimal supports do not
+        repeat, no basis is retested on the next batch.
+        """
+        m, n = self.shape
+        feasible = np.ones(len(b), dtype=bool)
+        for mask in necessary_violations(*np.split(b, [m, m + n, 2 * m + n], axis=1)):
+            feasible &= ~mask.reshape(len(b), -1).any(axis=1)
+        benefit, x = np.zeros(len(b)), np.zeros((len(b), self.lanes))
+        pending = np.flatnonzero(feasible)
+
+        def settle(basis) -> int:
+            """Answer the pending rows basis certifies; return how many."""
+            nonlocal pending
+            ok, x_ok, benefit_ok = self.certify(basis, c[pending], b[pending])
+            x[pending[ok]], benefit[pending[ok]] = x_ok, benefit_ok
+            pending = pending[~ok]
+            return len(x_ok)
+
+        useful = [basis for basis in self.bases.values() if settle(basis)]
+        while pending.size:
+            row = int(pending[0])
+            sol = cold(row)
+            basis = self.learn(np.array(sol.x), b[row]) if sol.status == "optimal" else None
+            others = settle(basis) if basis is not None else 0
+            if pending.size and pending[0] == row:  # not certified: the cold answer stands
+                feasible[row] = sol.status == "optimal"
+                if feasible[row]:
+                    benefit[row], x[row] = sol.objective_value, sol.x
+                pending = pending[1:]
+            else:
+                others -= 1  # its own row
+            if others:
+                useful.append(basis)
+        self.bases = {basis.basic.tobytes(): basis for basis in useful}
+        return feasible, benefit, x

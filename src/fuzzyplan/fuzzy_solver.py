@@ -12,16 +12,9 @@ ranges: with alternate optima the corner argmax can jump around, so the
 per-lane quantities are reported as indicative spans while the benefit
 interval itself is exact.
 
-The cuts nest, so neighbouring levels change c and b only a little,
-and a corner's optimal basis mostly stays optimal one level up. Each
-side (optimistic, pessimistic) therefore tests the basis of its last
-optimal corner with the strict certificate of the basis module, and
-solves cold only where it fails. A degenerate optimum yields no basis,
-so after one that side solves cold again. Answers do not depend on the
-order of the levels: a certified basis is the corner's unique,
-nondegenerate optimum, so a cold-solved corner is answered from that
-same basis whenever it certifies, and any other corner keeps its cold
-solve. The order only decides how many cold solves run.
+All levels' corner LPs go to basis._BasisCache.answer as one batch,
+so a corner that another corner's optimal basis certifies needs no
+simplex run, and no answer depends on the order of the batch.
 
 Per-lane results are flat tuples in lane order: row by row, the order
 of the LP's x and of the names model.lanes returns. A level's
@@ -35,21 +28,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import _BasisCache
-from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber, prob_geq_fuzzy
+from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from .intervals import Interval
-from .model import CrispInstance, DistributionProblem, feasibility_precheck, lp_arrays, to_lp
+from .model import CrispInstance, DistributionProblem, lp_arrays, to_lp
 from .simplex import solve
 
 __all__ = [
     "AlphaLevelResult",
     "FuzzySolution",
-    "RankingReport",
     "corner_instances",
     "repair_bounds",
     "solve_fuzzy",
     "enforce_nesting",
     "fit_trapezoid",
-    "rank_fuzzy",
 ]
 
 
@@ -114,65 +105,44 @@ def repair_bounds(inst: CrispInstance):
 
 
 def solve_fuzzy(p: DistributionProblem, grid: AlphaGrid | None = None) -> FuzzySolution:
-    """Corner-solve every level, then enforce interval nesting.
-
-    Each side (optimistic, pessimistic) first tries the basis of its
-    last optimal corner, and cold-solves only where that does not
-    certify.
-    """
+    """Corner-solve every level, then enforce interval nesting."""
     if grid is None:
         grid = AlphaGrid.uniform(11)
-    cache = _BasisCache(p.shape)
-    bases = [None, None]  # per side: the basis of its last optimal corner
-    levels = []
-    for alpha in grid:
-        answers, repaired = [], False
-        for side, corner in enumerate(corner_instances(p, alpha)):
-            inst, rep = repair_bounds(corner)
-            repaired = repaired or rep
-            answer, bases[side] = _solve_corner(cache, bases[side], inst)
-            answers.append(answer)
-        if None in answers:
-            levels.append(AlphaLevelResult(alpha, False, repaired, None, None))
-            continue
-        (opt_v, opt_x), (pes_v, pes_x) = answers
-        lo_v, hi_v = sorted((pes_v, opt_v))
-        benefit = Interval(lo_v, hi_v)
-        shipments = tuple(Interval(min(a, b), max(a, b)) for a, b in zip(pes_x, opt_x))
-        levels.append(AlphaLevelResult(alpha, True, repaired, benefit, shipments))
-    raw = FuzzySolution(grid, p.shape, tuple(levels))
-    return enforce_nesting(raw)
+    return enforce_nesting(FuzzySolution(grid, p.shape, _corner_levels(p, grid)))
 
 
-def _solve_corner(cache: _BasisCache, basis, inst: CrispInstance):
-    """((benefit, x) or None if infeasible, the basis to try next) at one corner.
+def _corner_levels(p: DistributionProblem, grid: AlphaGrid) -> tuple:
+    """AlphaLevelResult per level, from its two repaired corners.
 
-    basis answers the corner if it certifies it. A corner that breaks a
-    necessary feasibility condition is infeasible without a solve, as in
-    Monte Carlo's screen. Otherwise the corner is solved cold, and the
-    basis of that optimum answers in its place if it certifies the
-    corner: so an answer never depends on which basis was tried first.
+    The corners of every level are answered as one batch, in the order
+    optimistic, pessimistic at the first level, then at the next, and
+    so on. The batch's arrays are freed before the nesting pass.
     """
-    c, b = (v[None] for v in lp_arrays(inst))
-    answer = _certified(cache, basis, c, b)
-    if answer:
-        return answer, basis
-    if not feasibility_precheck(inst):  # phase 1 would report it infeasible
-        return None, basis
-    sol = solve(to_lp(inst))
-    if sol.status != "optimal":
-        return None, basis
-    cache.keep(())  # learn refuses a basis it holds already
-    basis = cache.learn(np.array(sol.x), b[0])
-    return _certified(cache, basis, c, b) or (sol.objective_value, sol.x), basis
+    lps, repaired = [], []
+    for alpha in grid:
+        for corner in corner_instances(p, alpha):
+            inst, rep = repair_bounds(corner)
+            lps.append(lp_arrays(inst))
+            repaired.append(rep)
+    c, b = map(np.array, zip(*lps))
 
+    def cold(row):
+        inst, _ = repair_bounds(corner_instances(p, grid.levels[row // 2])[row % 2])
+        return solve(to_lp(inst))
 
-def _certified(cache: _BasisCache, basis, c: np.ndarray, b: np.ndarray):
-    """(benefit, x) if basis is the unique optimum of the one-row (c, b), else None."""
-    if basis is None:
-        return None
-    ok, x, benefit = cache.certify(basis, c, b)
-    return (benefit.item(), tuple(x[0].tolist())) if ok[0] else None
+    feasible, benefit, x = _BasisCache(p.shape).answer(c, b, cold)
+    benefit, x = benefit.tolist(), x.tolist()
+    levels = []
+    for k, alpha in enumerate(grid):
+        opt, pes = 2 * k, 2 * k + 1
+        rep = repaired[opt] or repaired[pes]
+        if not (feasible[opt] and feasible[pes]):
+            levels.append(AlphaLevelResult(alpha, False, rep, None, None))
+            continue
+        cut = Interval(*sorted((benefit[pes], benefit[opt])))
+        shipments = tuple(Interval(min(u, v), max(u, v)) for u, v in zip(x[pes], x[opt]))
+        levels.append(AlphaLevelResult(alpha, True, rep, cut, shipments))
+    return tuple(levels)
 
 
 def enforce_nesting(sol: FuzzySolution) -> FuzzySolution:
@@ -216,25 +186,3 @@ def fit_trapezoid(sol: FuzzySolution, quantity="benefit") -> TrapezoidalFuzzyNum
     else:
         support, core = lo_level.shipments[quantity], hi_level.shipments[quantity]
     return TrapezoidalFuzzyNumber(support.lo, core.lo, core.hi, support.hi)
-
-
-@dataclass(frozen=True)
-class RankingReport:
-    probability: float  # P(first >= second)
-    preference: str  # "first" | "second" | "tie"
-
-
-def rank_fuzzy(
-    a: TrapezoidalFuzzyNumber,
-    b: TrapezoidalFuzzyNumber,
-    grid: AlphaGrid | None = None,
-) -> RankingReport:
-    """Probabilistic order of two fuzzy outcomes; 0.5 is a tie."""
-    prob = prob_geq_fuzzy(a, b, grid)
-    if abs(prob - 0.5) <= 1e-12:
-        preference = "tie"
-    elif prob > 0.5:
-        preference = "first"
-    else:
-        preference = "second"
-    return RankingReport(prob, preference)

@@ -27,7 +27,6 @@ __all__ = [
     "DistributionProblem",
     "CrispInstance",
     "FeasibilityReport",
-    "profit_coefficients",
     "PROFIT_FIELDS",
     "lane_profits",
     "crisp_profits",
@@ -173,18 +172,6 @@ class CrispInstance(ParameterTable):
 
 # The fields lane_profits takes, in its argument order.
 PROFIT_FIELDS = ("purchase_price", "sale_price", "transport_cost")
-
-
-def profit_coefficients(p: DistributionProblem) -> tuple:
-    """Fuzzy per-lane profit: sale price minus purchase price minus haul cost."""
-    m, n = p.shape
-    return tuple(
-        tuple(
-            (p.sale_price[j] - p.purchase_price[i]) - p.transport_cost[i][j]
-            for j in range(n)
-        )
-        for i in range(m)
-    )
 
 
 def lane_profits(purchase_price, sale_price, transport_cost) -> np.ndarray:

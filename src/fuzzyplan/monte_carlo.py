@@ -14,20 +14,18 @@ normals through one reused generator set to that state. The floats
 equal default_rng((seed, i)).normal(means, sigmas) by construction,
 and tests/test_monte_carlo.py checks them against it.
 
-Most scenarios need no simplex solve. run_range works in chunks: it
-draws a chunk into one array, builds every scenario's profits c and
-right-hand side b elementwise, counts the ones that break a necessary
-feasibility condition as infeasible, and tests the rest against the
-optimal bases found so far in the run with the strict certificate of
-the basis module: basis B answers (c, b) only where it is the unique,
-nondegenerate optimum. Anything else is solved cold and its basis
-joins the cache. A basis leaves the cache after a chunk in which it
-answered no step but the one it came from, so where optimal supports
-seldom repeat, each cold solve costs about one extra test. Strictness
-means at most one basis can answer a scenario, and the certifier sums
-in a fixed order, so every result stays a pure function of (seed,
-index), however the run is chunked or split and whichever bases are
-cached.
+Most scenarios need no simplex solve. run_range draws a chunk into one
+array, builds every scenario's profits c and right-hand side b
+elementwise, and answers the chunk with basis._BasisCache.answer, on
+one cache for the whole range: a scenario that breaks a necessary
+feasibility condition counts as infeasible, one that an optimal basis
+found earlier in the run certifies as its unique, nondegenerate
+optimum is answered from that basis, and anything else is solved cold
+and its basis joins the cache. A basis leaves the cache after a chunk
+in which it answered no step but the one it came from, so where
+optimal supports seldom repeat, each cold solve costs about one extra
+test. Every result stays a pure function of (seed, index), however the
+run is chunked or split and whichever bases are cached.
 
 Per-lane results are flat, in lane order (the order of the LP's x):
 each PartialRun shipment row and McResult's shipment histograms, means
@@ -62,7 +60,6 @@ from .model import (
     ParameterTable,
     lane_profits,
     lanes,
-    necessary_violations,
     to_lp,
 )
 from .simplex import solve
@@ -263,56 +260,18 @@ def _columns(specs: ParameterSpecs) -> dict:
     return specs.map(dict, lambda *_: next(at))
 
 
-def _solve_chunk(specs: ParameterSpecs, index: dict, cache: _BasisCache, draws: np.ndarray):
-    """(benefit, x) per step of the chunk, or None for an infeasible one.
-
-    Every cached basis, and every basis learned here, is tested on every
-    step still waiting for an answer. Afterwards the cache holds only the bases that answered a step of
-    the chunk other than the one they were learned from: where optimal
-    supports do not repeat, no basis is retested in the next chunk.
-    """
+def _lps(index: dict, draws: np.ndarray) -> tuple:
+    """(c, b) for each step of a chunk: (K, MN) lane profits, (K, 2(M+N)) RHS."""
     field = {name: draws[:, np.array(cols)] for name, cols in index.items()}
     c = lane_profits(*(field[name] for name in PROFIT_FIELDS)).reshape(len(draws), -1)
-    b = np.hstack([field[name] for name in RHS_FIELDS])
-    screened = np.zeros(len(draws), dtype=bool)
-    for mask in necessary_violations(*(field[name] for name in RHS_FIELDS)):
-        screened |= mask.reshape(len(draws), -1).any(axis=1)
-    answers = [None] * len(draws)
-    pending = np.flatnonzero(~screened)
-
-    def settle(basis) -> int:
-        """Answer the pending steps basis certifies; return how many."""
-        nonlocal pending
-        ok, x, benefit = cache.certify(basis, c[pending], b[pending])
-        for row, value, ship in zip(pending[ok].tolist(), benefit.tolist(), x.tolist()):
-            answers[row] = (value, tuple(ship))
-        pending = pending[~ok]
-        return len(x)
-
-    useful = [basis for basis in cache.bases.values() if settle(basis)]
-    while pending.size:
-        row = int(pending[0])
-        sol = solve(to_lp(_instance(specs, draws[row])))
-        basis = cache.learn(np.array(sol.x), b[row]) if sol.status == "optimal" else None
-        others = settle(basis) if basis is not None else 0
-        if pending.size and pending[0] == row:  # not certified: the cold answer stands
-            if sol.status == "optimal":
-                answers[row] = (sol.objective_value, sol.x)
-            pending = pending[1:]
-        else:
-            others -= 1  # its own step
-        if others:
-            useful.append(basis)
-    cache.keep(useful)
-    return answers
+    return c, np.hstack([field[name] for name in RHS_FIELDS])
 
 
 def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> PartialRun:
     """Solve every step in [start, stop).
 
-    Steps go in chunks of CHUNK: draw, screen out scenarios that break a
-    necessary feasibility condition, answer the rest from optimal bases
-    already found in this run, and cold-solve what no basis certifies.
+    Steps go in chunks of CHUNK: draw, then answer the chunk's LPs with
+    basis._BasisCache.answer, on one cache for the whole range.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"bad step range [{start}, {stop})")
@@ -320,19 +279,17 @@ def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> Partia
         raise ValueError(f"need a seed >= 0, got {seed}")
     cache = _BasisCache(specs.shape)
     index = _columns(specs)
-    answers = []
+    benefits, shipments, infeasible = [], [], 0
     for lo in range(start, stop, CHUNK):
         draws = _draws(specs, seed, lo, min(lo + CHUNK, stop))
-        answers += _solve_chunk(specs, index, cache, draws)
-    feasible = [a for a in answers if a is not None]
+        feasible, benefit, x = cache.answer(
+            *_lps(index, draws), lambda row: solve(to_lp(_instance(specs, draws[row])))
+        )
+        benefits += benefit[feasible].tolist()
+        shipments += map(tuple, x[feasible].tolist())
+        infeasible += len(draws) - int(feasible.sum())
     return PartialRun(
-        start,
-        stop,
-        seed,
-        specs.shape,
-        tuple(value for value, _ in feasible),
-        tuple(x for _, x in feasible),
-        len(answers) - len(feasible),
+        start, stop, seed, specs.shape, tuple(benefits), tuple(shipments), infeasible
     )
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from fuzzyplan.basis import _BasisCache
 from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from fuzzyplan.ingest import gaussian_to_trapezoid
 from fuzzyplan.intervals import Interval
-from fuzzyplan.model import DistributionProblem, to_lp
+from fuzzyplan.model import DistributionProblem, lp_arrays, to_lp
 import fuzzyplan.fuzzy_solver as fuzzy_solver
 from fuzzyplan.fuzzy_solver import (
     AlphaLevelResult,
@@ -12,7 +13,6 @@ from fuzzyplan.fuzzy_solver import (
     corner_instances,
     enforce_nesting,
     fit_trapezoid,
-    rank_fuzzy,
     repair_bounds,
     solve_fuzzy,
 )
@@ -222,20 +222,6 @@ def test_grid_refinement_keeps_end_levels(demo_problem):
         assert a.hi == pytest.approx(b.hi, abs=1e-9)
 
 
-def test_rank_fuzzy():
-    x = T(0.0, 1.0, 2.0, 3.0)
-    y = T(1.0, 2.0, 3.0, 4.0)
-    same = rank_fuzzy(x, x)
-    assert same.probability == pytest.approx(0.5)
-    assert same.preference == "tie"
-    high = rank_fuzzy(T(10.0, 11.0, 12.0, 13.0), x)
-    assert high.probability == 1.0
-    assert high.preference == "first"
-    report = rank_fuzzy(x, y, AlphaGrid((0.0, 0.5, 1.0)))
-    assert report.probability == pytest.approx((2 / 9 + 1 / 8) / 3, abs=1e-9)
-    assert report.preference == "second"
-
-
 def _random_problem(rng):
     m = int(rng.integers(1, 4))
     n = int(rng.integers(1, 4))
@@ -404,5 +390,34 @@ def test_screened_corners_skip_the_cold_solve(raw_cold_solves):
     p = infeasible_low_problem()
     grid = AlphaGrid.uniform(11)
     got = solve_fuzzy(p, grid).levels
-    assert len(raw_cold_solves) == 3
+    assert len(raw_cold_solves) == 2
     assert got == cold_levels(p, grid)
+
+
+@pytest.mark.parametrize(
+    "problem", [*(nondegenerate_problem(seed=seed) for seed in range(4)), infeasible_low_problem()]
+)
+def test_batch_answers_do_not_depend_on_row_order(problem):
+    # solve_fuzzy's outputs rest on this: each row of a batch gets the
+    # same bytes wherever it sits in the batch, on a fresh cache
+    grid = AlphaGrid.uniform(21)
+    corners = [
+        repair_bounds(corner)[0] for alpha in grid for corner in corner_instances(problem, alpha)
+    ]
+    c, b = map(np.array, zip(*map(lp_arrays, corners)))
+    cold_rows = []
+
+    def cold(row):
+        cold_rows.append(row)
+        return solve(to_lp(corners[row]))
+
+    want = _BasisCache(problem.shape).answer(c, b, cold)
+    assert len(cold_rows) < want[0].sum()  # bases answered corners besides their own
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        perm = rng.permutation(len(b))
+        got = _BasisCache(problem.shape).answer(
+            c[perm], b[perm], lambda row: solve(to_lp(corners[perm[row]]))
+        )
+        for g, w in zip(got, want):
+            assert g.tobytes() == w[perm].tobytes()

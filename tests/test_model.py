@@ -3,24 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fuzzyplan.fuzzy import TrapezoidalFuzzyNumber
 from fuzzyplan.model import (
     CrispInstance,
-    DistributionProblem,
     crisp_profits,
     feasibility_precheck,
     lane_profits,
     lp_skeleton,
     midpoint_instance,
-    profit_coefficients,
     to_lp,
 )
 from fuzzyplan.simplex import solve
 from fuzzyplan.transport import TransportInstance, modi_optimize, north_west_corner, plan_cost
 
 from conftest import DEMO, DEMO_OPTIMUM
-
-T = TrapezoidalFuzzyNumber
 
 
 def one_by_one(purchase_price, sale_price, a=10.0, b=10.0, p=5.0, q=5.0):
@@ -69,40 +64,6 @@ def test_dimension_validation():
             transport_cost=((1.0,),),
             contract_sale_price=(1.0, 2.0),
         )
-
-
-def test_profit_coefficients_demo(demo_crisp_problem):
-    z = profit_coefficients(demo_crisp_problem)
-    assert z[0][0] == T.crisp(300.0)
-    assert z[1][1] == T.crisp(584.0)
-    assert z[2][2] == T.crisp(599.0)
-
-
-def test_profit_coefficients_zero():
-    p = DistributionProblem(
-        supply_max=(T.crisp(0.0),),
-        demand_max=(T.crisp(0.0),),
-        purchase_min=(T.crisp(0.0),),
-        sale_min=(T.crisp(0.0),),
-        purchase_price=(T.crisp(0.0),),
-        sale_price=(T.crisp(0.0),),
-        transport_cost=((T.crisp(0.0),),),
-    )
-    assert profit_coefficients(p)[0][0] == T(0.0, 0.0, 0.0, 0.0)
-
-
-def test_profit_cut_commutes(demo_problem):
-    # cutting the fuzzy profit equals interval arithmetic on the cut parts
-    z = profit_coefficients(demo_problem)
-    for alpha in (0.0, 0.3, 1.0):
-        for i in range(3):
-            for j in range(3):
-                cut = z[i][j].alpha_cut(alpha)
-                r = demo_problem.sale_price[j].alpha_cut(alpha)
-                k = demo_problem.purchase_price[i].alpha_cut(alpha)
-                c = demo_problem.transport_cost[i][j].alpha_cut(alpha)
-                assert cut.lo == pytest.approx(r.lo - k.hi - c.hi)
-                assert cut.hi == pytest.approx(r.hi - k.lo - c.lo)
 
 
 def test_to_lp_single_lane_positive_profit():
@@ -206,15 +167,6 @@ def test_precheck_trivial_pass():
 
 def test_midpoint_instance(demo_problem, demo_means):
     assert midpoint_instance(demo_problem) == demo_means
-
-
-def test_crisp_profits_match_fuzzy_cores(demo_problem, demo_means):
-    z_fuzzy = profit_coefficients(demo_problem)
-    z_crisp = crisp_profits(demo_means)
-    for i in range(3):
-        for j in range(3):
-            core = z_fuzzy[i][j].core
-            assert z_crisp[i][j] == pytest.approx(core.midpoint)
 
 
 def test_lane_profits_batch_matches_scalar_formula(demo_means):

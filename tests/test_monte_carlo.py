@@ -355,15 +355,19 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
     stale = cache.learn(np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]))
     assert stale is not None
     index = monte_carlo._columns(here)
-    answers = monte_carlo._solve_chunk(here, index, cache, monte_carlo._draws(here, 0, 0, 5))
-    assert [a[1] for a in answers] == [(2.0, 8.0)] * 5
+
+    def cold(row):
+        return solve(to_lp(sample_instance(here, 0, row)))
+
+    _, _, x = cache.answer(*monte_carlo._lps(index, monte_carlo._draws(here, 0, 0, 5)), cold)
+    assert [tuple(ship) for ship in x.tolist()] == [(2.0, 8.0)] * 5
     # the stale basis (supply and customer 1 tight: slacks 2 and 3 out)
     # answered nothing; the new one (slacks 2 and 4 out) answered steps 1 to 4
     assert stale.basic.tolist() == [0, 1, 4, 5, 6, 7]
     assert [basis.basic.tolist() for basis in cache.bases.values()] == [[0, 1, 3, 5, 6, 7]]
     # a basis that answers only the step it was learned from is dropped
     cache = _BasisCache(here.shape)
-    monte_carlo._solve_chunk(here, index, cache, monte_carlo._draws(here, 0, 0, 1))
+    cache.answer(*monte_carlo._lps(index, monte_carlo._draws(here, 0, 0, 1)), cold)
     assert cache.bases == {}
 
 

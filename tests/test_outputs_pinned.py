@@ -3,7 +3,8 @@
 The bundled 3x3 table1 and a 2x3 problem whose six lanes all have
 different costs and different optimal shipments: a writer that mixes up
 rows and columns changes the 2x3 bytes even where a square problem's
-shape would still look right.
+shape would still look right. A 1x1 fuzzy run pins levels that are
+infeasible and repaired.
 """
 
 import hashlib
@@ -29,6 +30,20 @@ TWO_BY_THREE = {
     "transport_cost": [[10, [30, 33, 37, 40], 70], [45, 20, {"mean": 90, "sigma": 3}]],
 }
 
+# pessimistic corner: sale_min 11 - 4a over supply 5 + 5a, infeasible
+# below alpha 0.7; purchase_min 30 - 28a clipped to the supply up to 0.7
+LOW_LEVELS = {
+    "schema_version": 1,
+    "kind": "distribution",
+    "supply_max": [[5, 10, 10, 15]],
+    "demand_max": [[8, 10, 10, 12]],
+    "purchase_min": [[1, 2, 2, 30]],
+    "sale_min": [[6, 7, 7, 11]],
+    "purchase_price": [1],
+    "sale_price": [[4, 5, 5, 6]],
+    "transport_cost": [[0]],
+}
+
 MODES = {
     "crisp": ["--mode", "crisp"],
     "fuzzy": ["--mode", "fuzzy"],
@@ -47,6 +62,7 @@ DIGESTS = {
     ("2x3", "montecarlo"): "abc2e56d85c5132689b3fa487776d2e11846320383a8e9eb438b61dc9fae12c0",
     ("2x3", "compare"): "991d7f6341247a373242fd4689849cd3bbc49f0bd83e1faf1ebb02e367d32a87",
 }
+LOW_LEVELS_FUZZY = "982516c3ffa9a6185aeb7172c0645bc2e00c8c12e605b837293f68ce13645518"
 
 
 def _digest(out_dir) -> str:
@@ -70,3 +86,14 @@ def test_cli_outputs_pinned(tmp_path, problem, mode):
         argv += ["--export-problem", str(out / "exported.json")]
     assert main(argv) == 0
     assert _digest(out) == DIGESTS[problem, mode]
+
+
+def test_fuzzy_outputs_pinned_through_the_screen(tmp_path):
+    # levels 0 to 0.6 infeasible (screened), 0 to 0.7 repaired; level 0
+    # cannot be fitted, so the run exits 3 after writing fuzzy_levels.csv
+    source = tmp_path / "low_levels.json"
+    source.write_text(json.dumps(LOW_LEVELS))
+    out = tmp_path / "out"
+    assert main([str(source), "--mode", "fuzzy", "--seed", "42", "--out-dir", str(out)]) == 3
+    assert [path.name for path in out.iterdir()] == ["fuzzy_levels.csv"]
+    assert _digest(out) == LOW_LEVELS_FUZZY
