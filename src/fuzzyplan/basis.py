@@ -13,10 +13,11 @@ order.
 
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 Monte Carlo's chunks of scenarios and the fuzzy solver's alpha-cut
-corners alike: screen, certify the cached bases, cold-solve and learn
-what is left. So every answer is a function of its own row's (c, b),
-whatever the other rows of the batch are and in whatever order they
-come.
+corners alike: screen, certify the cached bases, and cold-solve what
+is left from the row's own (c, b) and the shape's constraint matrix,
+learning its basis. So every answer is a function of its own row's
+(c, b), whatever the other rows of the batch are and in whatever order
+they come.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import lp_skeleton, necessary_violations
-from .simplex import PIVOT_TOL
+from .simplex import PIVOT_TOL, solve_arrays
 
 __all__ = ["CERTIFY_MARGIN", "FIRST_BASICS"]
 
@@ -81,6 +82,7 @@ class _BasisCache:
     def __init__(self, shape):
         skeleton = lp_skeleton(shape)
         self.shape = shape
+        self.relations = skeleton.relations
         self.signs = np.array([1.0 if rel == "<=" else -1.0 for rel in skeleton.relations])
         self.lanes = shape[0] * shape[1]
         self.matrix = np.hstack([np.array(skeleton.coeffs), np.diag(self.signs)])
@@ -144,21 +146,23 @@ class _BasisCache:
             benefit += c_basic[:, r] * x_basic[:, r]
         return ok, x, benefit
 
-    def answer(self, c: np.ndarray, b: np.ndarray, cold):
+    def answer(self, c: np.ndarray, b: np.ndarray):
         """(feasible, benefit, x) of each LP in a batch: one per row of c and b.
 
-        c is (K, MN) lane profits in lane order, b the (K, 2(M+N))
-        right-hand sides in constraint-row order, and cold(row) returns
-        the SimplexSolution of that row's LP. Results are (K,) bool, (K,)
-        and (K, MN); an infeasible row has benefit 0 and x all zeros.
+        c is (K, MN) lane profits in lane order and b the (K, 2(M+N))
+        right-hand sides in constraint-row order, both finite. Results
+        are (K,) bool, (K,) and (K, MN); an infeasible row has benefit 0
+        and x all zeros.
 
         A row that breaks a necessary feasibility condition is
         infeasible without a solve. Every cached basis, and every basis
         learned here, is tested on every row still waiting for an
-        answer; the first row none certifies is solved cold. Afterwards
-        the cache holds only the bases that answered a row other than
-        the one they were learned from: where optimal supports do not
-        repeat, no basis is retested on the next batch.
+        answer; the first row none certifies is solved cold, by
+        simplex.solve_arrays on that row's c and b and the cache's own
+        constraint matrix. Afterwards the cache holds only the bases
+        that answered a row other than the one they were learned from:
+        where optimal supports do not repeat, no basis is retested on
+        the next batch.
         """
         m, n = self.shape
         feasible = np.ones(len(b), dtype=bool)
@@ -178,7 +182,7 @@ class _BasisCache:
         useful = [basis for basis in self.bases.values() if settle(basis)]
         while pending.size:
             row = int(pending[0])
-            sol = cold(row)
+            sol = solve_arrays(self.matrix[:, : self.lanes], self.relations, b[row], c[row])
             basis = self.learn(np.array(sol.x), b[row]) if sol.status == "optimal" else None
             others = settle(basis) if basis is not None else 0
             if pending.size and pending[0] == row:  # not certified: the cold answer stands

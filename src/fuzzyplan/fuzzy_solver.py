@@ -12,9 +12,10 @@ ranges: with alternate optima the corner argmax can jump around, so the
 per-lane quantities are reported as indicative spans while the benefit
 interval itself is exact.
 
-All levels' corner LPs go to basis._BasisCache.answer as one batch,
-so a corner that another corner's optimal basis certifies needs no
-simplex run, and no answer depends on the order of the batch.
+All levels' corner LPs go to basis._BasisCache.answer as one batch of
+(c, b) rows, so a corner that another corner's optimal basis certifies
+needs no simplex run, one that none certifies is solved from its own
+row, and no answer depends on the order of the batch.
 
 Per-lane results are flat tuples in lane order: row by row, the order
 of the LP's x and of the names model.lanes returns. A level's
@@ -30,8 +31,7 @@ import numpy as np
 from .basis import _BasisCache
 from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from .intervals import Interval
-from .model import CrispInstance, DistributionProblem, lp_arrays, to_lp
-from .simplex import solve
+from .model import CrispInstance, DistributionProblem, lp_arrays
 
 __all__ = [
     "AlphaLevelResult",
@@ -124,13 +124,7 @@ def _corner_levels(p: DistributionProblem, grid: AlphaGrid) -> tuple:
             inst, rep = repair_bounds(corner)
             lps.append(lp_arrays(inst))
             repaired.append(rep)
-    c, b = map(np.array, zip(*lps))
-
-    def cold(row):
-        inst, _ = repair_bounds(corner_instances(p, grid.levels[row // 2])[row % 2])
-        return solve(to_lp(inst))
-
-    feasible, benefit, x = _BasisCache(p.shape).answer(c, b, cold)
+    feasible, benefit, x = _BasisCache(p.shape).answer(*map(np.array, zip(*lps)))
     benefit, x = benefit.tolist(), x.tolist()
     levels = []
     for k, alpha in enumerate(grid):

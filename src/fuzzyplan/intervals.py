@@ -36,7 +36,10 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        # halve before adding only where the sum overflows: halving a
+        # subnormal endpoint first would drop its last bit
+        mid = 0.5 * (self.lo + self.hi)
+        return mid if math.isfinite(mid) else 0.5 * self.lo + 0.5 * self.hi
 
     def is_degenerate(self, tol: float = 0.0) -> bool:
         return self.width <= tol

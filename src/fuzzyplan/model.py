@@ -29,7 +29,6 @@ __all__ = [
     "FeasibilityReport",
     "PROFIT_FIELDS",
     "lane_profits",
-    "crisp_profits",
     "RHS_FIELDS",
     "LpSkeleton",
     "lp_skeleton",
@@ -180,13 +179,14 @@ def lane_profits(purchase_price, sale_price, transport_cost) -> np.ndarray:
     Arrays of shape (..., M), (..., N) and (..., M, N) give (..., M, N):
     one scenario, or a batch of them along the leading axes. The order
     of the two subtractions is fixed, so a scenario gets the same floats
-    alone or in a batch.
+    alone or in a batch. Finite prices can still overflow here, so a
+    profit that is not finite raises ValueError, before any LP is built.
     """
-    return (sale_price[..., None, :] - purchase_price[..., :, None]) - transport_cost
-
-
-def crisp_profits(inst: CrispInstance) -> tuple:
-    return tuple(map(tuple, lp_arrays(inst)[0].reshape(inst.shape).tolist()))
+    with np.errstate(over="ignore"):
+        profits = (sale_price[..., None, :] - purchase_price[..., :, None]) - transport_cost
+    if not np.isfinite(profits).all():
+        raise ValueError("lane profits must be finite")
+    return profits
 
 
 # The fields whose entries are the LP's right-hand side, in constraint-row order.
@@ -294,4 +294,4 @@ def feasibility_precheck(inst: CrispInstance) -> FeasibilityReport:
 
 def midpoint_instance(p: DistributionProblem) -> CrispInstance:
     """Crisp snapshot at the core midpoints (the means, for symmetric input)."""
-    return p.map(CrispInstance, lambda field, index, t: 0.5 * (t.b + t.c))
+    return p.map(CrispInstance, lambda field, index, t: t.core.midpoint)

@@ -21,11 +21,12 @@ one cache for the whole range: a scenario that breaks a necessary
 feasibility condition counts as infeasible, one that an optimal basis
 found earlier in the run certifies as its unique, nondegenerate
 optimum is answered from that basis, and anything else is solved cold
-and its basis joins the cache. A basis leaves the cache after a chunk
-in which it answered no step but the one it came from, so where
-optimal supports seldom repeat, each cold solve costs about one extra
-test. Every result stays a pure function of (seed, index), however the
-run is chunked or split and whichever bases are cached.
+from its own row of (c, b), with no CrispInstance built, and its basis
+joins the cache. A basis leaves the cache after a chunk in which it
+answered no step but the one it came from, so where optimal supports
+seldom repeat, each cold solve costs about one extra test. Every
+result stays a pure function of (seed, index), however the run is
+chunked or split and whichever bases are cached.
 
 Per-lane results are flat, in lane order (the order of the LP's x):
 each PartialRun shipment row and McResult's shipment histograms, means
@@ -60,9 +61,7 @@ from .model import (
     ParameterTable,
     lane_profits,
     lanes,
-    to_lp,
 )
-from .simplex import solve
 from statistics import NormalDist
 
 __all__ = [
@@ -108,7 +107,7 @@ class ParameterSpecs(ParameterTable):
         z = NormalDist().inv_cdf((1.0 + gamma_support) / 2.0)
 
         def spec(field, index, t: TrapezoidalFuzzyNumber) -> GaussianSpec:
-            return GaussianSpec(0.5 * (t.b + t.c), (t.d - t.a) / (2.0 * z))
+            return GaussianSpec(t.core.midpoint, (t.d - t.a) / (2.0 * z))
 
         return p.map(cls, spec)
 
@@ -128,11 +127,7 @@ def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstan
     would silently reshuffle every reproducible run.
     """
     means, sigmas = specs.moments
-    return _instance(specs, np.random.default_rng((seed, index)).normal(means, sigmas))
-
-
-def _instance(specs: ParameterSpecs, draws: np.ndarray) -> CrispInstance:
-    values = iter(draws.tolist())
+    values = iter(np.random.default_rng((seed, index)).normal(means, sigmas).tolist())
     return specs.map(CrispInstance, lambda *_: next(values))
 
 
@@ -282,9 +277,7 @@ def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> Partia
     benefits, shipments, infeasible = [], [], 0
     for lo in range(start, stop, CHUNK):
         draws = _draws(specs, seed, lo, min(lo + CHUNK, stop))
-        feasible, benefit, x = cache.answer(
-            *_lps(index, draws), lambda row: solve(to_lp(_instance(specs, draws[row])))
-        )
+        feasible, benefit, x = cache.answer(*_lps(index, draws))
         benefits += benefit[feasible].tolist()
         shipments += map(tuple, x[feasible].tolist())
         infeasible += len(draws) - int(feasible.sum())

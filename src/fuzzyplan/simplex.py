@@ -11,16 +11,21 @@ since its tolerance tie-break depends on the order of the rows. The
 pivots, and every float they produce, are those of the element-by-element
 loop this replaced (Bertsimas & Tsitsiklis, Introduction to Linear
 Optimization, ch. 3).
+
+solve_arrays is the one tableau builder: it takes an LP as arrays, as
+the distributor path holds it (the shape's constraint matrix, and one
+scenario's b and c). solve adapts a LinearProgram, whose tuples are
+validated once when it is built, to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["LinearProgram", "SimplexSolution", "solve", "PIVOT_TOL", "FEAS_TOL"]
+__all__ = ["LinearProgram", "SimplexSolution", "solve", "solve_arrays", "PIVOT_TOL", "FEAS_TOL"]
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -138,97 +143,85 @@ class _Tableau:
 
 
 def solve(lp: LinearProgram) -> SimplexSolution:
-    """Two-phase solve; returns an exact vertex or the infeasible/unbounded flag."""
-    n = lp.n_vars
-    m = len(lp.constraints)
-    c = np.asarray(lp.objective, dtype=float)
-    if lp.sense == "min":
-        c = -c
+    """solve_arrays on lp's rows; a "min" LP maximizes -c.x and reports c.x."""
+    c = np.array(lp.objective, dtype=float)
+    a, relations, b = zip(*lp.constraints) if lp.constraints else ((), (), ())
+    a = np.array(a, dtype=float).reshape(len(b), len(c))
+    sol = solve_arrays(a, relations, np.array(b, dtype=float), c if lp.sense == "max" else -c)
+    if lp.sense == "max" or sol.x is None:
+        return sol
+    return replace(sol, objective_value=float(c @ np.array(sol.x)))
 
-    # normalize rows to b >= 0 and count extra columns
-    rows = []
-    for coeffs, rel, rhs in lp.constraints:
-        a = np.asarray(coeffs, dtype=float)
-        if rhs < 0:
-            a = -a
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((a, rel, float(rhs)))
 
-    n_slack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
-    n_art = sum(1 for _, rel, _ in rows if rel in (">=", "="))
-    total = n + n_slack + n_art
+def solve_arrays(a: np.ndarray, relations, b: np.ndarray, c: np.ndarray) -> SimplexSolution:
+    """Two-phase solve of max c.x subject to a x (relations) b and x >= 0.
+
+    a is an (m, n) float array, relations m of "<=", ">=" and "=", b
+    (m,) and c (n,). Returns an exact vertex or the infeasible/unbounded
+    flag. The arrays are taken as they are: finiteness is the caller's
+    to check.
+    """
+    m, n = a.shape
+    relations = np.asarray(relations, dtype=str)
+    flip = b < 0  # rows are normalized to b >= 0
+    # each normalized row's slack coefficient: +1 on <=, -1 on >=, 0 on =;
+    # a row without a +1 slack starts from an artificial
+    slack = np.select([relations == "<=", relations == ">="], [1.0, -1.0])
+    slack[flip] *= -1.0
+    has_slack, art = slack != 0.0, slack <= 0.0
+    # tableau columns: x, the slacks, the artificials (each in row order), b
+    n_real = n + int(has_slack.sum())
+    total = n_real + int(art.sum())
+    slack_at = n - 1 + np.cumsum(has_slack)
+    art_at = n_real - 1 + np.cumsum(art)
     mat = np.zeros((m + 1, total + 1))
-    basis = [-1] * m
-    slack_at = n
-    art_at = n + n_slack
-    art_cols = []
-    for i, (a, rel, rhs) in enumerate(rows):
-        mat[i, :n] = a
-        mat[i, -1] = rhs
-        if rel == "<=":
-            mat[i, slack_at] = 1.0
-            basis[i] = slack_at
-            slack_at += 1
-        elif rel == ">=":
-            mat[i, slack_at] = -1.0
-            slack_at += 1
-            mat[i, art_at] = 1.0
-            basis[i] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            mat[i, art_at] = 1.0
-            basis[i] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-
-    tab = _Tableau(mat, basis)
+    rows = mat[:m]
+    rows[:, :n] = a
+    rows[flip, :n] *= -1.0  # only the flipped rows: negating all of a would copy it
+    rows[:, -1] = np.where(flip, -b, b)
+    rows[has_slack, slack_at[has_slack]] = slack[has_slack]
+    rows[art, art_at[art]] = 1.0
+    tab = _Tableau(mat, np.where(art, art_at, slack_at).tolist())
     stall_limit = 2 * (n + m)
 
-    if art_cols:
+    if total > n_real:
         # phase 1: maximize -(sum of artificials), priced out over the basis
-        for j in art_cols:
-            mat[-1, j] = 1.0
-        for i, b in enumerate(basis):
-            if b in art_cols:
-                mat[-1] -= mat[i]
+        mat[-1, n_real:total] = 1.0
+        for i in np.flatnonzero(art):
+            mat[-1] -= mat[i]
         tab.run(np.arange(total), stall_limit)
         if mat[-1, -1] < -FEAS_TOL:
             return SimplexSolution("infeasible", None, None, tab.iterations)
-        _evict_artificials(tab, art_cols, n + n_slack)
+        _evict_artificials(tab, n_real)
         mat[-1, :] = 0.0
 
     # phase 2 prices the true objective over the current basis
     mat[-1, :n] = -c
-    for j in art_cols:
-        mat[-1, j] = 0.0
-    for i, b in enumerate(basis):
-        if mat[-1, b] != 0.0:
-            mat[-1] -= mat[-1, b] * mat[i]
+    for i, col in enumerate(tab.basis):
+        if mat[-1, col] != 0.0:
+            mat[-1] -= mat[-1, col] * mat[i]
     # the artificials, the last columns, never re-enter
-    status = tab.run(np.arange(n + n_slack), stall_limit)
+    status = tab.run(np.arange(n_real), stall_limit)
     if status == "unbounded":
         return SimplexSolution("unbounded", None, None, tab.iterations)
 
     x = np.zeros(n)
-    for i, b in enumerate(tab.basis):
-        if b < n:
-            x[b] = mat[i, -1]
+    for i, col in enumerate(tab.basis):
+        if col < n:
+            x[col] = mat[i, -1]
     x[np.abs(x) < PIVOT_TOL] = 0.0
-    value = float(np.asarray(lp.objective) @ x)
+    value = float(c @ x)
     return SimplexSolution("optimal", tuple(map(float, x)), value, tab.iterations)
 
 
-def _evict_artificials(tab: _Tableau, art_cols: list, n_real: int):
-    """Pivot zero-level artificials out of the basis; drop redundant rows in place.
+def _evict_artificials(tab: _Tableau, n_real: int):
+    """Pivot zero-level artificials (columns from n_real on) out of the basis.
 
     Rows whose only nonzeros sit in artificial columns are redundant
     constraints; zeroing them is equivalent to deleting the row.
     """
-    art_set = set(art_cols)
     for i in range(len(tab.basis)):
-        if tab.basis[i] not in art_set:
+        if tab.basis[i] < n_real:
             continue
         nonzero = np.flatnonzero(np.abs(tab.mat[i, :n_real]) > PIVOT_TOL)
         if nonzero.size:

@@ -1,5 +1,6 @@
 import pytest
 
+import fuzzyplan.basis as basis
 from fuzzyplan.fuzzy import TrapezoidalFuzzyNumber
 from fuzzyplan.ingest import gaussian_to_trapezoid
 from fuzzyplan.model import CrispInstance, DistributionProblem
@@ -51,3 +52,18 @@ def demo_problem() -> DistributionProblem:
     return DistributionProblem(
         **_map_values(DEMO, lambda v: gaussian_to_trapezoid(v, DEMO_SIGMA))
     )
+
+
+@pytest.fixture
+def counted_solves(monkeypatch):
+    """Counts the cold solves of basis._BasisCache.answer, where every
+    Monte Carlo and fuzzy run calls the simplex."""
+    calls = []
+    solve_arrays = basis.solve_arrays
+
+    def counted(*arrays):
+        calls.append(arrays)
+        return solve_arrays(*arrays)
+
+    monkeypatch.setattr(basis, "solve_arrays", counted)
+    return calls

@@ -11,7 +11,7 @@ import numpy as np
 from fuzzyplan.fuzzy_solver import fit_trapezoid, solve_fuzzy
 from fuzzyplan.ingest import SampleSet, ecdf_from_samples, to_trapezoid
 from fuzzyplan.intervals import Interval, prob_geq
-from fuzzyplan.model import crisp_profits, to_lp
+from fuzzyplan.model import lp_arrays, to_lp
 from fuzzyplan.monte_carlo import ParameterSpecs, compare, run
 from fuzzyplan.simplex import LinearProgram, solve
 from fuzzyplan.transport import (
@@ -42,7 +42,9 @@ def test_criterion_1_crisp_anchor(capsys, demo_means):
     elif abs(sol.objective_value - DEMO_OPTIMUM) > 1e-6:
         problems.append(f"simplex benefit {sol.objective_value}")
     inst = TransportInstance(
-        demo_means.supply_max, demo_means.demand_max, crisp_profits(demo_means)
+        demo_means.supply_max,
+        demo_means.demand_max,
+        lp_arrays(demo_means)[0].reshape(demo_means.shape),
     )
     plan = modi_optimize(inst, north_west_corner(inst), sense="max")
     benefit = plan_cost(inst, plan)

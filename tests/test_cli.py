@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -158,6 +161,25 @@ def test_parse_transport_rejects_integer_beyond_float(tmp_path, capsys, field, v
     assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["crisp", "fuzzy", "montecarlo", "compare"])
+def test_overflowing_lane_profit_exits_2(tmp_path, mode):
+    # finite prices whose difference overflows: every mode stops with one
+    # line naming the lane profits, and numpy prints no overflow warning.
+    # A fresh interpreter shows stderr as a user would see it.
+    doc = json.loads(Path(TABLE1).read_text())
+    doc["sale_price"][0], doc["purchase_price"][0] = 1e308, -1e308
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    argv = [str(p), "--mode", mode, "--out-dir", str(tmp_path / "run")]
+    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (2, "error: lane profits must be finite\n")
 
 
 def test_parse_rejects_non_finite_number(tmp_path):

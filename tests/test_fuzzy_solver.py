@@ -262,17 +262,10 @@ def test_random_problems_nest_and_dominate():
 
 
 @pytest.fixture
-def raw_cold_solves(monkeypatch):
+def raw_cold_solves(counted_solves, monkeypatch):
     """Counts the cold solves solve_fuzzy makes; its levels stay unnested."""
-    calls = []
-
-    def counted(lp):
-        calls.append(lp)
-        return solve(lp)
-
-    monkeypatch.setattr(fuzzy_solver, "solve", counted)
     monkeypatch.setattr(fuzzy_solver, "enforce_nesting", lambda sol: sol)
-    return calls
+    return counted_solves
 
 
 def cold_levels(p, grid):
@@ -397,7 +390,7 @@ def test_screened_corners_skip_the_cold_solve(raw_cold_solves):
 @pytest.mark.parametrize(
     "problem", [*(nondegenerate_problem(seed=seed) for seed in range(4)), infeasible_low_problem()]
 )
-def test_batch_answers_do_not_depend_on_row_order(problem):
+def test_batch_answers_do_not_depend_on_row_order(problem, raw_cold_solves):
     # solve_fuzzy's outputs rest on this: each row of a batch gets the
     # same bytes wherever it sits in the batch, on a fresh cache
     grid = AlphaGrid.uniform(21)
@@ -405,19 +398,11 @@ def test_batch_answers_do_not_depend_on_row_order(problem):
         repair_bounds(corner)[0] for alpha in grid for corner in corner_instances(problem, alpha)
     ]
     c, b = map(np.array, zip(*map(lp_arrays, corners)))
-    cold_rows = []
-
-    def cold(row):
-        cold_rows.append(row)
-        return solve(to_lp(corners[row]))
-
-    want = _BasisCache(problem.shape).answer(c, b, cold)
-    assert len(cold_rows) < want[0].sum()  # bases answered corners besides their own
+    want = _BasisCache(problem.shape).answer(c, b)
+    assert len(raw_cold_solves) < want[0].sum()  # bases answered corners besides their own
     rng = np.random.default_rng(0)
     for _ in range(5):
         perm = rng.permutation(len(b))
-        got = _BasisCache(problem.shape).answer(
-            c[perm], b[perm], lambda row: solve(to_lp(corners[perm[row]]))
-        )
+        got = _BasisCache(problem.shape).answer(c[perm], b[perm])
         for g, w in zip(got, want):
             assert g.tobytes() == w[perm].tobytes()

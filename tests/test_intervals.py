@@ -128,3 +128,13 @@ def test_add_monotone_in_inclusion():
         assert (outer + other).contains(inner + other)
         assert (outer - other).contains(inner - other)
         assert (outer * other).contains(inner * other)
+
+
+def test_midpoint_of_huge_and_subnormal_endpoints():
+    # 0.5 * (lo + hi) overflows on these sums; the midpoint must not
+    assert Interval(1e308, 1e308).midpoint == 1e308
+    assert Interval(-1e308, -1e308).midpoint == -1e308
+    assert 1e308 < Interval(1e308, 1.7e308).midpoint < 1.7e308
+    assert Interval(-1e308, 1e308).midpoint == 0.0
+    # halving a subnormal endpoint first would round it to zero
+    assert Interval(5e-324, 5e-324).midpoint == 5e-324

@@ -5,13 +5,14 @@ import pytest
 
 from fuzzyplan.model import (
     CrispInstance,
-    crisp_profits,
     feasibility_precheck,
     lane_profits,
+    lp_arrays,
     lp_skeleton,
     midpoint_instance,
     to_lp,
 )
+from fuzzyplan.monte_carlo import ParameterSpecs
 from fuzzyplan.simplex import solve
 from fuzzyplan.transport import TransportInstance, modi_optimize, north_west_corner, plan_cost
 
@@ -169,8 +170,25 @@ def test_midpoint_instance(demo_problem, demo_means):
     assert midpoint_instance(demo_problem) == demo_means
 
 
+def test_huge_crisp_prices_keep_finite_midpoints(demo_crisp_problem):
+    # each price's core sums to +-2e308; its midpoint is the price itself,
+    # and only the lane profit between the two overflows
+    sale, purchase = demo_crisp_problem.sale_price, demo_crisp_problem.purchase_price
+    huge = dataclasses.replace(
+        demo_crisp_problem,
+        sale_price=(sale[0].crisp(1e308),) + sale[1:],
+        purchase_price=(purchase[0].crisp(-1e308),) + purchase[1:],
+    )
+    inst = midpoint_instance(huge)
+    assert (inst.sale_price[0], inst.purchase_price[0]) == (1e308, -1e308)
+    specs = ParameterSpecs.from_problem(huge)
+    assert (specs.sale_price[0].mean, specs.purchase_price[0].mean) == (1e308, -1e308)
+    with pytest.raises(ValueError, match="^lane profits must be finite$"):
+        lp_arrays(inst)
+
+
 def test_lane_profits_batch_matches_scalar_formula(demo_means):
-    # a scenario gets the same floats alone (crisp_profits) as inside a batch
+    # a scenario gets the same floats alone (lp_arrays) as inside a batch
     rng = np.random.default_rng(3)
     purchase = rng.normal(500.0, 50.0, (4, 3)).tolist()
     sale = rng.normal(1000.0, 50.0, (4, 3)).tolist()
@@ -187,7 +205,7 @@ def test_lane_profits_batch_matches_scalar_formula(demo_means):
             sale_price=tuple(sale[k]),
             transport_cost=tuple(map(tuple, haul[k])),
         )
-        assert crisp_profits(inst) == want
+        assert tuple(map(tuple, lp_arrays(inst)[0].reshape(inst.shape).tolist())) == want
         assert tuple(map(tuple, batch[k].tolist())) == want
 
 

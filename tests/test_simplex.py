@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fuzzyplan import simplex
-from fuzzyplan.model import CrispInstance, to_lp
-from fuzzyplan.simplex import FEAS_TOL, LinearProgram, solve
+from fuzzyplan.model import CrispInstance, lp_arrays, lp_skeleton, to_lp
+from fuzzyplan.simplex import FEAS_TOL, LinearProgram, solve, solve_arrays
 from fuzzyplan.simplex import residuals
 
 from oracles import lp_optimum_by_enumeration
@@ -245,3 +245,34 @@ def test_beale_switches_to_bland(monkeypatch):
     assert seen == [("optimal", True)]
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
+
+
+def test_solve_arrays_equals_solve_on_distributor_lps():
+    # the batch engine's cold solve and the CLI's crisp solve give the
+    # same SimplexSolution on the same instance, with negative contract
+    # minimums (rows the simplex flips) and infeasible instances included
+    rng = np.random.default_rng(12)
+    statuses, flipped = set(), 0
+    for m in range(1, 9):
+        for n in range(1, 9):
+
+            def draw(lo, hi, size):
+                return tuple(rng.uniform(lo, hi, size).tolist())
+
+            inst = CrispInstance(
+                supply_max=draw(300.0, 700.0, m),
+                demand_max=draw(300.0, 700.0, n),
+                purchase_min=draw(-100.0, 250.0, m),
+                sale_min=draw(-100.0, 250.0, n),
+                purchase_price=draw(500.0, 600.0, m),
+                sale_price=draw(550.0, 700.0, n),
+                transport_cost=tuple(draw(30.0, 200.0, n) for _ in range(m)),
+            )
+            skeleton = lp_skeleton(inst.shape)
+            c, b = lp_arrays(inst)
+            got = solve_arrays(np.array(skeleton.coeffs), skeleton.relations, b, c)
+            assert got == solve(to_lp(inst))
+            statuses.add(got.status)
+            flipped += bool((b < 0).any())
+    assert statuses == {"optimal", "infeasible"}
+    assert flipped > 10
