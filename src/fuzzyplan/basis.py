@@ -12,12 +12,13 @@ certified answer does not depend on which bases were tried, or in what
 order.
 
 _BasisCache.answer is the one way to answer a batch of these LPs, for
-Monte Carlo's chunks of scenarios and the fuzzy solver's alpha-cut
-corners alike: screen, certify the cached bases, and cold-solve what
-is left from the row's own (c, b) and the shape's constraint matrix,
-learning its basis. So every answer is a function of its own row's
-(c, b), whatever the other rows of the batch are and in whatever order
-they come.
+the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
+scenarios and the fuzzy solver's alpha-cut corners alike: screen,
+certify the cached bases, and cold-solve what is left from the row's
+own (c, b) and the shape's lp_skeleton, learning its basis. So every
+answer is a function of its own row's (c, b), whatever the other rows
+of the batch are and in whatever order they come. This is the only
+module that calls simplex.solve.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import lp_skeleton, necessary_violations
-from .simplex import PIVOT_TOL, solve_arrays
+from .simplex import PIVOT_TOL, LinearProgram, solve
 
 __all__ = ["CERTIFY_MARGIN", "FIRST_BASICS"]
 
@@ -80,12 +81,12 @@ class _BasisCache:
     """
 
     def __init__(self, shape):
-        skeleton = lp_skeleton(shape)
+        self.skeleton = lp_skeleton(shape)
+        a, relations = self.skeleton
         self.shape = shape
-        self.relations = skeleton.relations
-        self.signs = np.array([1.0 if rel == "<=" else -1.0 for rel in skeleton.relations])
+        self.signs = np.array([1.0 if rel == "<=" else -1.0 for rel in relations])
         self.lanes = shape[0] * shape[1]
-        self.matrix = np.hstack([np.array(skeleton.coeffs), np.diag(self.signs)])
+        self.matrix = np.hstack([a, np.diag(self.signs)])
         self.bases = {}  # basic columns as bytes -> _Basis
 
     def learn(self, x: np.ndarray, b: np.ndarray):
@@ -158,11 +159,10 @@ class _BasisCache:
         infeasible without a solve. Every cached basis, and every basis
         learned here, is tested on every row still waiting for an
         answer; the first row none certifies is solved cold, by
-        simplex.solve_arrays on that row's c and b and the cache's own
-        constraint matrix. Afterwards the cache holds only the bases
-        that answered a row other than the one they were learned from:
-        where optimal supports do not repeat, no basis is retested on
-        the next batch.
+        simplex.solve on that row's c and b and the shape's skeleton.
+        Afterwards the cache holds only the bases that answered a row
+        other than the one they were learned from: where optimal
+        supports do not repeat, no basis is retested on the next batch.
         """
         m, n = self.shape
         feasible = np.ones(len(b), dtype=bool)
@@ -182,7 +182,7 @@ class _BasisCache:
         useful = [basis for basis in self.bases.values() if settle(basis)]
         while pending.size:
             row = int(pending[0])
-            sol = solve_arrays(self.matrix[:, : self.lanes], self.relations, b[row], c[row])
+            sol = solve(LinearProgram(*self.skeleton, b[row], c[row]))
             basis = self.learn(np.array(sol.x), b[row]) if sol.status == "optimal" else None
             others = settle(basis) if basis is not None else 0
             if pending.size and pending[0] == row:  # not certified: the cold answer stands

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .basis import _BasisCache
 from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from .fuzzy_solver import fit_trapezoid, solve_fuzzy
 from .ingest import (
@@ -40,7 +41,6 @@ from .model import (
 )
 from .monte_carlo import ParameterSpecs, compare
 from .monte_carlo import run as mc_run
-from .simplex import solve
 from .transport import (
     TransportInstance,
     check_balance,
@@ -341,15 +341,16 @@ def _run_crisp(config: RunConfig, problem) -> int:
         return EXIT_OK
     inst = midpoint_instance(problem)
     report = feasibility_precheck(inst)  # names what phase 1 would only report
-    sol = solve(to_lp(inst)) if report else None
-    if sol is None or sol.status != "optimal":
-        status = sol.status if sol else "infeasible"
-        _write_json(out, {"status": status, "benefit": None, "shipments": None})
+    if report:
+        lp = to_lp(inst)
+        feasible, benefit, x = _BasisCache(problem.shape).answer(lp.c[None], lp.b[None])
+    if not (report and feasible[0]):
+        _write_json(out, {"status": "infeasible", "benefit": None, "shipments": None})
         detail = "" if report else ": " + "; ".join(report.violations)
-        print(f"error: crisp problem is {status}{detail}", file=sys.stderr)
+        print(f"error: crisp problem is infeasible{detail}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    rows = _rows(sol.x, problem.shape)
-    _write_json(out, {"status": "optimal", "benefit": sol.objective_value, "shipments": rows})
+    rows = _rows(x[0].tolist(), problem.shape)
+    _write_json(out, {"status": "optimal", "benefit": float(benefit[0]), "shipments": rows})
     return EXIT_OK
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .basis import _BasisCache
 from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from .intervals import Interval
-from .model import CrispInstance, DistributionProblem, lp_arrays
+from .model import CrispInstance, DistributionProblem, to_lp
 
 __all__ = [
     "AlphaLevelResult",
@@ -122,9 +122,10 @@ def _corner_levels(p: DistributionProblem, grid: AlphaGrid) -> tuple:
     for alpha in grid:
         for corner in corner_instances(p, alpha):
             inst, rep = repair_bounds(corner)
-            lps.append(lp_arrays(inst))
+            lps.append(to_lp(inst))
             repaired.append(rep)
-    feasible, benefit, x = _BasisCache(p.shape).answer(*map(np.array, zip(*lps)))
+    c, b = np.array([lp.c for lp in lps]), np.array([lp.b for lp in lps])
+    feasible, benefit, x = _BasisCache(p.shape).answer(c, b)
     benefit, x = benefit.tolist(), x.tolist()
     levels = []
     for k, alpha in enumerate(grid):

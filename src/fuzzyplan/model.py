@@ -5,7 +5,9 @@ minimum purchases) and sells to N customers (demand-bounded, with
 contracted minimum sales). Unit profit on a lane is the sale price minus
 the purchase price minus the transport cost; the model maximizes total
 profit. Parameters are trapezoidal fuzzy numbers; a crisp snapshot of
-them instantiates an ordinary LP.
+them instantiates an ordinary LP. The LP is held as arrays: the
+constraint matrix of a shape never changes (lp_skeleton), and an
+instance adds its lane profits c and right-hand side b (to_lp).
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ __all__ = [
     "PROFIT_FIELDS",
     "lane_profits",
     "RHS_FIELDS",
-    "LpSkeleton",
     "lp_skeleton",
-    "lp_arrays",
     "to_lp",
     "necessary_violations",
     "feasibility_precheck",
@@ -193,42 +193,36 @@ def lane_profits(purchase_price, sale_price, transport_cost) -> np.ndarray:
 RHS_FIELDS = ("supply_max", "demand_max", "purchase_min", "sale_min")
 
 
-class LpSkeleton(NamedTuple):
-    """The constraint rows of the distributor LP of one shape; only c and b vary."""
-
-    coeffs: tuple  # 2(M+N) rows of 0/1 floats: supplier row sums, customer column sums, twice
-    relations: tuple  # "<=" on the first M+N rows (capacities), ">=" on the rest (contracts)
-
-
 @cache
-def lp_skeleton(shape) -> LpSkeleton:
-    """Row sums are capped by supply and floored by the purchase contracts;
+def lp_skeleton(shape) -> tuple:
+    """(a, relations): the constraint rows of the distributor LP of one shape.
+
+    Row sums are capped by supply and floored by the purchase contracts;
     column sums are capped by demand and floored by the sale contracts.
-    Row k pairs with the k-th entry of the RHS_FIELDS values.
+    a is the read-only (2(M+N), MN) 0/1 matrix of supplier row sums,
+    customer column sums, then both again, held as bool: it stays cached
+    for the run, and a float copy would take eight times the memory.
+    relations are "<=" on the first M+N rows (capacities) and ">=" on
+    the rest (contracts). Row k pairs with the k-th entry of the
+    RHS_FIELDS values. Only c and b vary between LPs of one shape.
     """
     m, n = shape
-    rows = [tuple(1.0 if k // n == i else 0.0 for k in range(m * n)) for i in range(m)]
-    cols = [tuple(1.0 if k % n == j else 0.0 for k in range(m * n)) for j in range(n)]
-    return LpSkeleton(tuple(rows + cols) * 2, ("<=",) * (m + n) + (">=",) * (m + n))
+    lane = np.arange(m * n)
+    sums = np.vstack([lane // n == np.arange(m)[:, None], lane % n == np.arange(n)[:, None]])
+    a = np.vstack([sums, sums])
+    a.flags.writeable = False
+    return a, ("<=",) * (m + n) + (">=",) * (m + n)
 
 
-def lp_arrays(inst: CrispInstance) -> tuple:
-    """(c, b): the LP's lane profits in lane order and its right-hand side.
+def to_lp(inst: CrispInstance) -> LinearProgram:
+    """Profit-maximizing LP: MN shipment variables, 2(M+N) constraints.
 
     c is lane_profits flattened row by row, the order of the LP's x; b
     is the RHS_FIELDS values in constraint-row order.
     """
     c = lane_profits(*(np.array(getattr(inst, name)) for name in PROFIT_FIELDS)).ravel()
     b = np.array([v for name in RHS_FIELDS for v in getattr(inst, name)], dtype=float)
-    return c, b
-
-
-def to_lp(inst: CrispInstance) -> LinearProgram:
-    """Profit-maximizing LP: MN shipment variables, 2(M+N) constraints."""
-    skeleton = lp_skeleton(inst.shape)
-    c, b = lp_arrays(inst)
-    constraints = tuple(zip(skeleton.coeffs, skeleton.relations, b.tolist()))
-    return LinearProgram(tuple(c.tolist()), "max", constraints)
+    return LinearProgram(*lp_skeleton(inst.shape), b, c)
 
 
 @dataclass(frozen=True)
@@ -252,11 +246,20 @@ def necessary_violations(supply_max, demand_max, purchase_min, sale_min):
     artificials is at least the violation, so the simplex reports every
     flagged scenario infeasible.
     """
+    # Totals near the float limit may overflow, and the screen still
+    # flags only infeasible LPs. An infinite capacity total is never
+    # exceeded. A minimum total reaches +inf only when its positive
+    # minimums sum past the float maximum, more than a finite capacity
+    # total can carry. A capacity total reaches -inf only when some
+    # capacity is negative, which no x >= 0 meets.
+    with np.errstate(over="ignore"):
+        sale_total, purchase_total = sale_min.sum(axis=1), purchase_min.sum(axis=1)
+        supply_total, demand_total = supply_max.sum(axis=1), demand_max.sum(axis=1)
     return (
         purchase_min > supply_max + FEAS_TOL,
         sale_min > demand_max + FEAS_TOL,
-        sale_min.sum(axis=1) > supply_max.sum(axis=1) + FEAS_TOL,
-        purchase_min.sum(axis=1) > demand_max.sum(axis=1) + FEAS_TOL,
+        sale_total > supply_total + FEAS_TOL,
+        purchase_total > demand_total + FEAS_TOL,
     )
 
 

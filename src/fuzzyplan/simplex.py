@@ -12,56 +12,33 @@ pivots, and every float they produce, are those of the element-by-element
 loop this replaced (Bertsimas & Tsitsiklis, Introduction to Linear
 Optimization, ch. 3).
 
-solve_arrays is the one tableau builder: it takes an LP as arrays, as
-the distributor path holds it (the shape's constraint matrix, and one
-scenario's b and c). solve adapts a LinearProgram, whose tuples are
-validated once when it is built, to it.
+An LP is a LinearProgram of arrays, as the distributor path holds it:
+the shape's constraint matrix, its row relations, and one scenario's b
+and c. Its sense is always max; checking that the arrays are finite is
+the caller's job.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["LinearProgram", "SimplexSolution", "solve", "solve_arrays", "PIVOT_TOL", "FEAS_TOL"]
+__all__ = ["LinearProgram", "SimplexSolution", "solve", "PIVOT_TOL", "FEAS_TOL"]
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
-RELATIONS = ("<=", ">=", "=")
 
+class LinearProgram(NamedTuple):
+    """max c.x subject to a x (relations) b and x >= 0."""
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """max/min c.x subject to row constraints and implicit x >= 0."""
-
-    objective: tuple
-    sense: str
-    constraints: tuple  # of (coeffs tuple, relation, rhs)
-
-    def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
-        n = len(self.objective)
-        if n == 0:
-            raise ValueError("objective must have at least one coefficient")
-        if not all(math.isfinite(c) for c in self.objective):
-            raise ValueError("objective coefficients must be finite")
-        for i, (coeffs, rel, rhs) in enumerate(self.constraints):
-            if len(coeffs) != n:
-                raise ValueError(
-                    f"constraint {i} has {len(coeffs)} coefficients, expected {n}"
-                )
-            if rel not in RELATIONS:
-                raise ValueError(f"constraint {i} relation {rel!r} not one of {RELATIONS}")
-            if not all(math.isfinite(c) for c in coeffs) or not math.isfinite(rhs):
-                raise ValueError(f"constraint {i} has non-finite entries")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.objective)
+    a: np.ndarray  # (m, n)
+    relations: tuple  # m of "<=", ">=" and "="
+    b: np.ndarray  # (m,)
+    c: np.ndarray  # (n,)
 
 
 @dataclass(frozen=True)
@@ -143,24 +120,8 @@ class _Tableau:
 
 
 def solve(lp: LinearProgram) -> SimplexSolution:
-    """solve_arrays on lp's rows; a "min" LP maximizes -c.x and reports c.x."""
-    c = np.array(lp.objective, dtype=float)
-    a, relations, b = zip(*lp.constraints) if lp.constraints else ((), (), ())
-    a = np.array(a, dtype=float).reshape(len(b), len(c))
-    sol = solve_arrays(a, relations, np.array(b, dtype=float), c if lp.sense == "max" else -c)
-    if lp.sense == "max" or sol.x is None:
-        return sol
-    return replace(sol, objective_value=float(c @ np.array(sol.x)))
-
-
-def solve_arrays(a: np.ndarray, relations, b: np.ndarray, c: np.ndarray) -> SimplexSolution:
-    """Two-phase solve of max c.x subject to a x (relations) b and x >= 0.
-
-    a is an (m, n) float array, relations m of "<=", ">=" and "=", b
-    (m,) and c (n,). Returns an exact vertex or the infeasible/unbounded
-    flag. The arrays are taken as they are: finiteness is the caller's
-    to check.
-    """
+    """Two-phase solve of lp: an exact vertex or the infeasible/unbounded flag."""
+    a, relations, b, c = lp
     m, n = a.shape
     relations = np.asarray(relations, dtype=str)
     flip = b < 0  # rows are normalized to b >= 0
@@ -229,17 +190,3 @@ def _evict_artificials(tab: _Tableau, n_real: int):
         else:
             tab.mat[i, :] = 0.0
 
-
-def residuals(lp: LinearProgram, x) -> float:
-    """Worst constraint violation of x, sign-adjusted so 0 means feasible."""
-    x = np.asarray(x, dtype=float)
-    worst = max(0.0, float(-(x.min())) if x.size else 0.0)
-    for coeffs, rel, rhs in lp.constraints:
-        lhs = float(np.asarray(coeffs) @ x)
-        if rel == "<=":
-            worst = max(worst, lhs - rhs)
-        elif rel == ">=":
-            worst = max(worst, rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - rhs))
-    return worst

@@ -57,13 +57,13 @@ def demo_problem() -> DistributionProblem:
 @pytest.fixture
 def counted_solves(monkeypatch):
     """Counts the cold solves of basis._BasisCache.answer, where every
-    Monte Carlo and fuzzy run calls the simplex."""
+    crisp, Monte Carlo and fuzzy run calls the simplex."""
     calls = []
-    solve_arrays = basis.solve_arrays
+    solve = basis.solve
 
-    def counted(*arrays):
-        calls.append(arrays)
-        return solve_arrays(*arrays)
+    def counted(lp):
+        calls.append(lp)
+        return solve(lp)
 
-    monkeypatch.setattr(basis, "solve_arrays", counted)
+    monkeypatch.setattr(basis, "solve", counted)
     return calls

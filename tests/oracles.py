@@ -4,13 +4,55 @@ Nothing in here shares code with src/: the LP oracle brute-forces
 vertices, the ordering oracle is plain Monte Carlo, the transport
 certificate only *checks* optimality conditions instead of searching, and
 the spanning-tree check relabels components instead of walking a tree.
+The one exception is GeneralLP, which only translates a general LP
+(either sense, any relations, rows as tuples) into the arrays that
+simplex.solve takes.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
+
+from fuzzyplan.simplex import LinearProgram, SimplexSolution, solve
+
+
+class GeneralLP(NamedTuple):
+    """max or min objective.x subject to (coeffs, relation, rhs) rows and x >= 0."""
+
+    objective: tuple
+    sense: str  # "max" or "min"
+    constraints: tuple  # of (coeffs tuple, "<=" | ">=" | "=", rhs)
+
+    def as_max(self) -> LinearProgram:
+        """The rows as arrays; a "min" LP becomes the max of -objective.x."""
+        c = np.array(self.objective, dtype=float)
+        a, relations, b = zip(*self.constraints) if self.constraints else ((), (), ())
+        a = np.array(a, dtype=float).reshape(len(b), len(c))
+        b = np.array(b, dtype=float)
+        return LinearProgram(a, relations, b, c if self.sense == "max" else -c)
+
+
+def solve_general(problem: GeneralLP) -> SimplexSolution:
+    """simplex.solve on problem.as_max(); a "min" LP reports objective.x."""
+    sol = solve(problem.as_max())
+    if problem.sense == "max" or sol.x is None:
+        return sol
+    return replace(sol, objective_value=float(np.array(problem.objective) @ np.array(sol.x)))
+
+
+def residuals(lp: LinearProgram, x) -> float:
+    """Worst constraint violation of x in lp, sign-adjusted so 0 means feasible."""
+    x = np.asarray(x, dtype=float)
+    lhs = lp.a @ x
+    relations = np.asarray(lp.relations, dtype=str)
+    gaps = np.select(
+        [relations == "<=", relations == ">="], [lhs - lp.b, lp.b - lhs], np.abs(lhs - lp.b)
+    )
+    return float(max(0.0, -x.min(initial=0.0), gaps.max(initial=0.0)))
 
 
 def mc_prob_geq(a_lo, a_hi, b_lo, b_hi, n=1_000_000, seed=0):

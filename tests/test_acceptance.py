@@ -11,9 +11,9 @@ import numpy as np
 from fuzzyplan.fuzzy_solver import fit_trapezoid, solve_fuzzy
 from fuzzyplan.ingest import SampleSet, ecdf_from_samples, to_trapezoid
 from fuzzyplan.intervals import Interval, prob_geq
-from fuzzyplan.model import lp_arrays, to_lp
+from fuzzyplan.model import to_lp
 from fuzzyplan.monte_carlo import ParameterSpecs, compare, run
-from fuzzyplan.simplex import LinearProgram, solve
+from fuzzyplan.simplex import solve
 from fuzzyplan.transport import (
     TransportInstance,
     modi_optimize,
@@ -23,7 +23,13 @@ from fuzzyplan.transport import (
 )
 
 from conftest import DEMO_OPTIMUM
-from oracles import is_spanning_tree, lp_optimum_by_enumeration, mc_prob_geq
+from oracles import (
+    GeneralLP,
+    is_spanning_tree,
+    lp_optimum_by_enumeration,
+    mc_prob_geq,
+    solve_general,
+)
 
 
 def _report(capsys, num, name, problems):
@@ -44,7 +50,7 @@ def test_criterion_1_crisp_anchor(capsys, demo_means):
     inst = TransportInstance(
         demo_means.supply_max,
         demo_means.demand_max,
-        lp_arrays(demo_means)[0].reshape(demo_means.shape),
+        to_lp(demo_means).c.reshape(demo_means.shape),
     )
     plan = modi_optimize(inst, north_west_corner(inst), sense="max")
     benefit = plan_cost(inst, plan)
@@ -171,7 +177,7 @@ def _random_lp(rng):
         constraints.append((box, "<=", float(rng.integers(1, 11))))
     objective = tuple(float(v) for v in rng.integers(-5, 6, n))
     sense = "max" if rng.integers(0, 2) else "min"
-    return LinearProgram(objective, sense, tuple(constraints))
+    return GeneralLP(objective, sense, tuple(constraints))
 
 
 def test_criterion_6_simplex_vs_oracle(capsys):
@@ -179,7 +185,7 @@ def test_criterion_6_simplex_vs_oracle(capsys):
     rng = np.random.default_rng(11)
     for trial in range(200):
         lp = _random_lp(rng)
-        sol = solve(lp)
+        sol = solve_general(lp)
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for coeffs, rel, rhs in lp.constraints:
             if rel == "<=":
@@ -257,7 +263,7 @@ def test_criterion_7_transport_suite(capsys):
         for j in range(n):
             col = tuple(1.0 if k % n == j else 0.0 for k in range(m * n))
             constraints.append((col, "=", inst.demands[j]))
-        ref = solve(LinearProgram(costs_flat, "min", tuple(constraints)))
+        ref = solve_general(GeneralLP(costs_flat, "min", tuple(constraints)))
         if ref.status != "optimal":
             problems.append(f"trial {trial}: simplex reference {ref.status}")
             break

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzyplan import cli
+from fuzzyplan import basis, cli
 from fuzzyplan.cli import (
     EXIT_SOLVER,
     ProblemFormatError,
@@ -180,6 +180,46 @@ def test_overflowing_lane_profit_exits_2(tmp_path, mode):
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert (proc.returncode, proc.stderr) == (2, "error: lane profits must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "mode, code", [("crisp", 0), ("fuzzy", 3), ("montecarlo", 0), ("compare", 3)]
+)
+def test_overflowing_capacity_total_runs_without_warning(tmp_path, mode, code):
+    # finite capacities whose total overflows: the feasibility screen's
+    # sums reach inf, which it compares right, so no mode may turn numpy's
+    # overflow warning into a traceback. Fuzzy and compare exit 3 because
+    # the alpha-0 pessimistic corner is infeasible.
+    doc = json.loads(Path(TABLE1).read_text())
+    doc["supply_max"] = [1e308, 1e308, 610]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def run(out, warnings):
+        argv = [str(p), "--mode", mode, "--mc-steps", "200", "--out-dir", str(out)]
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": warnings}
+        command = [sys.executable, "-c", script, *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run(tmp_path / "run", "error")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    if mode == "crisp":
+        assert run(tmp_path / "quiet", "ignore").returncode == 0
+        written = (tmp_path / "run" / "crisp_solution.json").read_bytes()
+        assert written == (tmp_path / "quiet" / "crisp_solution.json").read_bytes()
+
+
+def test_crisp_mode_makes_one_cold_solve(tmp_path, counted_solves):
+    assert main([TABLE1, "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 0
+    assert len(counted_solves) == 1
+    infeasible = write_problem(
+        tmp_path / "inf.json", supply_max=[40], purchase_min=[50], demand_max=[100]
+    )
+    assert main([str(infeasible), "--mode", "crisp", "--out-dir", str(tmp_path / "inf")]) == 3
+    assert len(counted_solves) == 1  # the precheck answered without a solve
 
 
 def test_parse_rejects_non_finite_number(tmp_path):
@@ -439,7 +479,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     def stuck(lp):
         raise RuntimeError("simplex failed to terminate")
 
-    monkeypatch.setattr(cli, "solve", stuck)
+    monkeypatch.setattr(basis, "solve", stuck)
     assert main([TABLE1, "--mode", "crisp", "--out-dir", str(out)]) == EXIT_SOLVER == 4
     assert "error: simplex failed to terminate" in capsys.readouterr().err
     # a failed precheck answers without a simplex run

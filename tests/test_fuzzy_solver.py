@@ -5,7 +5,7 @@ from fuzzyplan.basis import _BasisCache
 from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from fuzzyplan.ingest import gaussian_to_trapezoid
 from fuzzyplan.intervals import Interval
-from fuzzyplan.model import DistributionProblem, lp_arrays, to_lp
+from fuzzyplan.model import DistributionProblem, to_lp
 import fuzzyplan.fuzzy_solver as fuzzy_solver
 from fuzzyplan.fuzzy_solver import (
     AlphaLevelResult,
@@ -397,7 +397,8 @@ def test_batch_answers_do_not_depend_on_row_order(problem, raw_cold_solves):
     corners = [
         repair_bounds(corner)[0] for alpha in grid for corner in corner_instances(problem, alpha)
     ]
-    c, b = map(np.array, zip(*map(lp_arrays, corners)))
+    lps = [to_lp(corner) for corner in corners]
+    c, b = np.array([lp.c for lp in lps]), np.array([lp.b for lp in lps])
     want = _BasisCache(problem.shape).answer(c, b)
     assert len(raw_cold_solves) < want[0].sum()  # bases answered corners besides their own
     rng = np.random.default_rng(0)

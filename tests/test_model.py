@@ -7,7 +7,6 @@ from fuzzyplan.model import (
     CrispInstance,
     feasibility_precheck,
     lane_profits,
-    lp_arrays,
     lp_skeleton,
     midpoint_instance,
     to_lp,
@@ -83,8 +82,7 @@ def test_to_lp_single_lane_negative_profit():
 
 def test_to_lp_demo_optimum(demo_means):
     lp = to_lp(demo_means)
-    assert lp.n_vars == 9
-    assert len(lp.constraints) == 12
+    assert lp.a.shape == (12, 9)
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(DEMO_OPTIMUM)
@@ -109,10 +107,12 @@ def test_to_lp_rows_and_relations():
         + [(col[j], ">=", inst.sale_min[j]) for j in range(3)]
     )
     lp = to_lp(inst)
-    assert lp.constraints == tuple(want)
-    assert lp.objective == (3.5, 4.75, 5.0, 1.0, 4.0, 3.5)
-    assert lp.sense == "max"
+    assert tuple(zip(map(tuple, lp.a.tolist()), lp.relations, lp.b.tolist())) == tuple(want)
+    assert tuple(lp.c.tolist()) == (3.5, 4.75, 5.0, 1.0, 4.0, 3.5)
     assert lp_skeleton((2, 3)) is lp_skeleton((2, 3))
+    assert lp.a is lp_skeleton((2, 3))[0]
+    with pytest.raises(ValueError, match="read-only"):
+        lp.a[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("excess, feasible", [(5e-8, True), (5e-7, False)])
@@ -184,11 +184,11 @@ def test_huge_crisp_prices_keep_finite_midpoints(demo_crisp_problem):
     specs = ParameterSpecs.from_problem(huge)
     assert (specs.sale_price[0].mean, specs.purchase_price[0].mean) == (1e308, -1e308)
     with pytest.raises(ValueError, match="^lane profits must be finite$"):
-        lp_arrays(inst)
+        to_lp(inst)
 
 
 def test_lane_profits_batch_matches_scalar_formula(demo_means):
-    # a scenario gets the same floats alone (lp_arrays) as inside a batch
+    # a scenario gets the same floats alone (to_lp) as inside a batch
     rng = np.random.default_rng(3)
     purchase = rng.normal(500.0, 50.0, (4, 3)).tolist()
     sale = rng.normal(1000.0, 50.0, (4, 3)).tolist()
@@ -205,7 +205,7 @@ def test_lane_profits_batch_matches_scalar_formula(demo_means):
             sale_price=tuple(sale[k]),
             transport_cost=tuple(map(tuple, haul[k])),
         )
-        assert tuple(map(tuple, lp_arrays(inst)[0].reshape(inst.shape).tolist())) == want
+        assert tuple(map(tuple, to_lp(inst).c.reshape(inst.shape).tolist())) == want
         assert tuple(map(tuple, batch[k].tolist())) == want
 
 

@@ -26,9 +26,10 @@ from fuzzyplan.monte_carlo import (
     run_range,
     sample_instance,
 )
-from fuzzyplan.simplex import residuals, solve
+from fuzzyplan.simplex import solve
 
 from conftest import DEMO, DEMO_OPTIMUM
+from oracles import residuals
 
 T = TrapezoidalFuzzyNumber
 

@@ -1,22 +1,22 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from fuzzyplan import simplex
-from fuzzyplan.model import CrispInstance, lp_arrays, lp_skeleton, to_lp
-from fuzzyplan.simplex import FEAS_TOL, LinearProgram, solve, solve_arrays
-from fuzzyplan.simplex import residuals
+from fuzzyplan import cli, simplex
+from fuzzyplan.model import CrispInstance, to_lp
+from fuzzyplan.simplex import FEAS_TOL, LinearProgram, solve
 
-from oracles import lp_optimum_by_enumeration
+from oracles import GeneralLP, lp_optimum_by_enumeration, residuals, solve_general
 
 
 def lp(objective, sense, constraints):
-    return LinearProgram(tuple(objective), sense, tuple(constraints))
+    return GeneralLP(tuple(objective), sense, tuple(constraints))
 
 
 def test_box_corner():
-    sol = solve(lp([1.0, 1.0], "max", [((1.0, 0.0), "<=", 1.0), ((0.0, 1.0), "<=", 1.0)]))
+    sol = solve_general(lp([1.0, 1.0], "max", [((1.0, 0.0), "<=", 1.0), ((0.0, 1.0), "<=", 1.0)]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(2.0)
     assert sol.x == pytest.approx((1.0, 1.0))
@@ -24,21 +24,21 @@ def test_box_corner():
 
 
 def test_infeasible_negative_bound():
-    sol = solve(lp([1.0], "max", [((1.0,), "<=", -1.0)]))
+    sol = solve_general(lp([1.0], "max", [((1.0,), "<=", -1.0)]))
     assert sol.status == "infeasible"
     assert sol.x is None
     assert sol.objective_value is None
 
 
 def test_unbounded():
-    sol = solve(lp([1.0, 0.0], "max", [((0.0, 1.0), "<=", 5.0)]))
+    sol = solve_general(lp([1.0, 0.0], "max", [((0.0, 1.0), "<=", 5.0)]))
     assert sol.status == "unbounded"
-    sol = solve(lp([1.0], "max", [((1.0,), ">=", 1.0)]))
+    sol = solve_general(lp([1.0], "max", [((1.0,), ">=", 1.0)]))
     assert sol.status == "unbounded"
 
 
 def test_min_sense():
-    sol = solve(
+    sol = solve_general(
         lp([2.0, 3.0], "min", [((1.0, 1.0), ">=", 4.0), ((1.0, 0.0), "<=", 10.0), ((0.0, 1.0), "<=", 10.0)])
     )
     assert sol.status == "optimal"
@@ -47,7 +47,7 @@ def test_min_sense():
 
 
 def test_equality_constraints():
-    sol = solve(lp([3.0, 1.0], "max", [((1.0, 1.0), "=", 2.0), ((1.0, 0.0), "<=", 1.5)]))
+    sol = solve_general(lp([3.0, 1.0], "max", [((1.0, 1.0), "=", 2.0), ((1.0, 0.0), "<=", 1.5)]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(3.0 * 1.5 + 0.5)
     assert sol.x == pytest.approx((1.5, 0.5))
@@ -55,7 +55,7 @@ def test_equality_constraints():
 
 def test_redundant_equalities():
     # second row is the first doubled; the solver must drop it, not choke
-    sol = solve(
+    sol = solve_general(
         lp([1.0, 0.0], "max", [((1.0, 1.0), "=", 2.0), ((2.0, 2.0), "=", 4.0)])
     )
     assert sol.status == "optimal"
@@ -64,14 +64,14 @@ def test_redundant_equalities():
 
 def test_negative_rhs_normalisation():
     # x1 - x2 >= -3 with negative rhs exercises the row flip
-    sol = solve(lp([1.0, 1.0], "max", [((1.0, -1.0), ">=", -3.0), ((1.0, 1.0), "<=", 4.0)]))
+    sol = solve_general(lp([1.0, 1.0], "max", [((1.0, -1.0), ">=", -3.0), ((1.0, 1.0), "<=", 4.0)]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(4.0)
 
 
 def test_beale_degenerate_terminates():
     # classic cycling instance for Dantzig pricing; optimum is -1/20
-    sol = solve(
+    sol = solve_general(
         lp(
             [-0.75, 150.0, -0.02, 6.0],
             "min",
@@ -86,19 +86,6 @@ def test_beale_degenerate_terminates():
     assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
 
-def test_validation():
-    with pytest.raises(ValueError):
-        LinearProgram((1.0,), "best", ())
-    with pytest.raises(ValueError):
-        LinearProgram((1.0, 2.0), "max", (((1.0,), "<=", 1.0),))
-    with pytest.raises(ValueError):
-        LinearProgram((1.0,), "max", (((1.0,), "<", 1.0),))
-    with pytest.raises(ValueError):
-        LinearProgram((float("nan"),), "max", ())
-    with pytest.raises(ValueError):
-        LinearProgram((1.0,), "max", (((1.0,), "<=", float("inf")),))
-
-
 def test_deterministic():
     problem = lp(
         [1.0, 2.0, -1.0],
@@ -109,9 +96,9 @@ def test_deterministic():
             ((0.0, 1.0, 3.0), "<=", 6.0),
         ],
     )
-    first = solve(problem)
+    first = solve_general(problem)
     for _ in range(3):
-        again = solve(problem)
+        again = solve_general(problem)
         assert again == first
 
 
@@ -137,7 +124,7 @@ def test_random_lps_match_vertex_oracle():
     checked = 0
     for _ in range(80):
         problem = _random_lp(rng)
-        sol = solve(problem)
+        sol = solve_general(problem)
         a_ub = [c for c, r, _ in problem.constraints if r == "<="]
         b_ub = [v for _, r, v in problem.constraints if r == "<="]
         ge = [(tuple(-x for x in c), -v) for c, r, v in problem.constraints if r == ">="]
@@ -151,7 +138,7 @@ def test_random_lps_match_vertex_oracle():
         assert sol.status == status, f"{problem} -> {sol.status} vs oracle {status}"
         if status == "optimal":
             assert sol.objective_value == pytest.approx(value, abs=1e-6)
-            assert residuals(problem, sol.x) <= FEAS_TOL
+            assert residuals(problem.as_max(), sol.x) <= FEAS_TOL
             assert min(sol.x) >= -1e-9
             checked += 1
     assert checked >= 20  # the generator must not be degenerate
@@ -161,9 +148,9 @@ def test_solution_residuals_property():
     rng = np.random.default_rng(77)
     for _ in range(40):
         problem = _random_lp(rng)
-        sol = solve(problem)
+        sol = solve_general(problem)
         if sol.status == "optimal":
-            assert residuals(problem, sol.x) <= FEAS_TOL
+            assert residuals(problem.as_max(), sol.x) <= FEAS_TOL
 
 
 def _integer_lp(rng):
@@ -218,7 +205,7 @@ def test_solutions_pinned():
     digest = hashlib.sha256()
     statuses = []
     for problem in problems:
-        sol = solve(problem)
+        sol = solve(problem) if isinstance(problem, LinearProgram) else solve_general(problem)
         statuses.append(sol.status)
         digest.update(repr((sol.status, sol.x, sol.objective_value, sol.iterations)).encode())
     assert {s: statuses.count(s) for s in set(statuses)} == {
@@ -241,16 +228,17 @@ def test_beale_switches_to_bland(monkeypatch):
         return status
 
     monkeypatch.setattr(simplex._Tableau, "run", recording)
-    sol = solve(BEALE)
+    sol = solve_general(BEALE)
     assert seen == [("optimal", True)]
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
 
-def test_solve_arrays_equals_solve_on_distributor_lps():
-    # the batch engine's cold solve and the CLI's crisp solve give the
-    # same SimplexSolution on the same instance, with negative contract
-    # minimums (rows the simplex flips) and infeasible instances included
+def test_crisp_mode_writes_the_tableau_optimum(tmp_path):
+    # crisp mode answers through the batch engine, whose certified floats
+    # may differ from the tableau's in the last bits; the 9-digit output
+    # must not, with negative contract minimums (rows the simplex flips)
+    # and infeasible instances included
     rng = np.random.default_rng(12)
     statuses, flipped = set(), 0
     for m in range(1, 9):
@@ -268,11 +256,24 @@ def test_solve_arrays_equals_solve_on_distributor_lps():
                 sale_price=draw(550.0, 700.0, n),
                 transport_cost=tuple(draw(30.0, 200.0, n) for _ in range(m)),
             )
-            skeleton = lp_skeleton(inst.shape)
-            c, b = lp_arrays(inst)
-            got = solve_arrays(np.array(skeleton.coeffs), skeleton.relations, b, c)
-            assert got == solve(to_lp(inst))
-            statuses.add(got.status)
-            flipped += bool((b < 0).any())
+            lp = to_lp(inst)
+            want = solve(lp)
+            problem = tmp_path / f"p{m}x{n}.json"
+            fields = inst.map(dict, lambda field, index, v: v)
+            problem.write_text(json.dumps({"schema_version": 1, **fields}))
+            out = tmp_path / f"run{m}x{n}"
+            code = cli.main([str(problem), "--mode", "crisp", "--out-dir", str(out)])
+            got = json.loads((out / "crisp_solution.json").read_text())
+            if want.status == "optimal":
+                shipments = np.reshape(want.x, inst.shape).tolist()
+                assert code == cli.EXIT_OK
+                assert got == cli._jsonable(
+                    {"status": "optimal", "benefit": want.objective_value, "shipments": shipments}
+                )
+            else:
+                assert code == cli.EXIT_INFEASIBLE
+                assert got == {"status": "infeasible", "benefit": None, "shipments": None}
+            statuses.add(want.status)
+            flipped += bool((lp.b < 0).any())
     assert statuses == {"optimal", "infeasible"}
     assert flipped > 10
