@@ -147,6 +147,7 @@ class _BasisCache:
             benefit += c_basic[:, r] * x_basic[:, r]
         return ok, x, benefit
 
+    @np.errstate(over="ignore", invalid="ignore")
     def answer(self, c: np.ndarray, b: np.ndarray):
         """(feasible, benefit, x) of each LP in a batch: one per row of c and b.
 
@@ -163,6 +164,11 @@ class _BasisCache:
         Afterwards the cache holds only the bases that answered a row
         other than the one they were learned from: where optimal
         supports do not repeat, no basis is retested on the next batch.
+
+        Finite data can still overflow on the way, in the simplex's
+        pricing or in a benefit past the float maximum: numpy stays
+        quiet, and a feasible row whose benefit or x is not finite
+        raises ValueError.
         """
         m, n = self.shape
         feasible = np.ones(len(b), dtype=bool)
@@ -195,4 +201,6 @@ class _BasisCache:
             if others:
                 useful.append(basis)
         self.bases = {basis.basic.tobytes(): basis for basis in useful}
+        if not (np.isfinite(benefit[feasible]).all() and np.isfinite(x[feasible]).all()):
+            raise ValueError("optimal benefit must be finite")
         return feasible, benefit, x

@@ -5,9 +5,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .intervals import Interval, prob_geq
 
-__all__ = ["TrapezoidalFuzzyNumber", "AlphaGrid", "prob_geq_fuzzy"]
+__all__ = ["TrapezoidalFuzzyNumber", "AlphaGrid", "cut_ends", "prob_geq_fuzzy"]
+
+
+def cut_ends(a, b, c, d, alpha):
+    """(lo, hi) of the alpha-cut of trapezoids (a, b, c, d): floats or arrays.
+
+    The one cut formula. Each end is held to the core, which rounding at
+    alpha 1 could push it past, putting lo above hi.
+    """
+    if not np.logical_and(0.0 <= alpha, alpha <= 1.0).all():
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = a + alpha * (b - a), d - alpha * (d - c)
+    if not (np.isfinite(lo) & np.isfinite(hi)).all():
+        raise ValueError("alpha-cut ends must be finite")
+    return np.minimum(lo, b), np.maximum(hi, c)
 
 
 @dataclass(frozen=True)
@@ -62,12 +79,8 @@ class TrapezoidalFuzzyNumber:
 
         alpha = 0 returns the support (the closure convention).
         """
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        return Interval(
-            self.a + alpha * (self.b - self.a),
-            self.d - alpha * (self.d - self.c),
-        )
+        lo, hi = cut_ends(self.a, self.b, self.c, self.d, alpha)
+        return Interval(float(lo), float(hi))
 
     def __add__(self, other: "TrapezoidalFuzzyNumber") -> "TrapezoidalFuzzyNumber":
         return TrapezoidalFuzzyNumber(

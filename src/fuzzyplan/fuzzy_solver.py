@@ -12,10 +12,11 @@ ranges: with alternate optima the corner argmax can jump around, so the
 per-lane quantities are reported as indicative spans while the benefit
 interval itself is exact.
 
-All levels' corner LPs go to basis._BasisCache.answer as one batch of
-(c, b) rows, so a corner that another corner's optimal basis certifies
-needs no simplex run, one that none certifies is solved from its own
-row, and no answer depends on the order of the batch.
+All levels' corners are built at once as parameter rows, repaired in
+place, and go through model.lp_rows to basis._BasisCache.answer as one
+batch: a corner that another corner's optimal basis certifies needs no
+simplex run, one that none certifies is solved from its own row, and no
+answer depends on the order of the batch.
 
 Per-lane results are flat tuples in lane order: row by row, the order
 of the LP's x and of the names model.lanes returns. A level's
@@ -29,13 +30,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import _BasisCache
-from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
+from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber, cut_ends
 from .intervals import Interval
-from .model import CrispInstance, DistributionProblem, to_lp
+from .model import CrispInstance, DistributionProblem, ParameterTable, lp_rows
 
 __all__ = [
     "AlphaLevelResult",
     "FuzzySolution",
+    "corner_rows",
     "corner_instances",
     "repair_bounds",
     "solve_fuzzy",
@@ -67,25 +69,39 @@ class FuzzySolution:
         raise KeyError(f"no result at alpha={alpha}")
 
 
-def corner_instances(p: DistributionProblem, alpha: float):
-    """(optimistic, pessimistic) crisp instances at one membership level.
+def corner_rows(p: DistributionProblem, alphas) -> np.ndarray:
+    """(2L, P) parameter rows in values() order: both corners at each level.
 
-    Optimistic: capacities at cut maxima, contract minimums at cut
-    minima, prices arranged for maximal per-lane profit: each parameter
-    sits at the cut end its benefit direction favours. Pessimistic is
-    the mirror image. Contract base prices are metadata and stay at
-    their cut midpoints.
+    Rows 2k and 2k + 1 are the optimistic and pessimistic corner at
+    alphas[k]. Optimistic: capacities at cut maxima, contract minimums
+    at cut minima, prices arranged for maximal per-lane profit: each
+    parameter sits at the cut end its benefit direction favours.
+    Pessimistic is the mirror image. Contract base prices are metadata
+    and stay at their cut midpoints (Interval.midpoint's floats).
     """
+    a, b, c, d = np.array([(t.a, t.b, t.c, t.d) for t in p.values()]).T
+    lo, hi = cut_ends(a, b, c, d, np.array(alphas, dtype=float)[:, None])
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    mid = np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+    direction = np.array(list(p.map(ParameterTable, lambda f, index, t: f.direction).values()))
+    ends = (lo, mid, hi)
+    corners = np.choose(1 + direction, ends), np.choose(1 - direction, ends)
+    return np.stack(corners, axis=1).reshape(-1, len(direction))
 
-    def corner(sign):
-        def pick(field, index, t):
-            cut = t.alpha_cut(alpha)
-            direction = sign * field.direction
-            return cut.hi if direction > 0 else cut.lo if direction < 0 else cut.midpoint
 
-        return p.map(CrispInstance, pick)
+def _repair(shape, rows: np.ndarray) -> np.ndarray:
+    """Clip each row's contract minimums to the capacities beside them, in place."""
+    k = sum(shape)
+    capacity, minimum = rows[:, :k], rows[:, k : 2 * k]
+    over = capacity < minimum
+    minimum[...] = np.where(over, capacity, minimum)  # a tie keeps the minimum's own float
+    return over.any(axis=1)
 
-    return corner(+1), corner(-1)
+
+def corner_instances(p: DistributionProblem, alpha: float):
+    """(optimistic, pessimistic) crisp instances at one level: corner_rows' two rows."""
+    return tuple(p.with_values(CrispInstance, row) for row in corner_rows(p, [alpha]).tolist())
 
 
 def repair_bounds(inst: CrispInstance):
@@ -96,12 +112,10 @@ def repair_bounds(inst: CrispInstance):
     contract lines are lowered to the capacity and the change flagged.
     Returns (instance, repaired).
     """
-    purchase = tuple(min(pm, am) for pm, am in zip(inst.purchase_min, inst.supply_max))
-    sale = tuple(min(qm, bm) for qm, bm in zip(inst.sale_min, inst.demand_max))
-    repaired = purchase != inst.purchase_min or sale != inst.sale_min
-    if not repaired:
+    rows = np.array([list(inst.values())], dtype=float)
+    if not _repair(inst.shape, rows)[0]:
         return inst, False
-    return replace(inst, purchase_min=purchase, sale_min=sale), True
+    return inst.with_values(CrispInstance, rows[0].tolist()), True
 
 
 def solve_fuzzy(p: DistributionProblem, grid: AlphaGrid | None = None) -> FuzzySolution:
@@ -114,29 +128,23 @@ def solve_fuzzy(p: DistributionProblem, grid: AlphaGrid | None = None) -> FuzzyS
 def _corner_levels(p: DistributionProblem, grid: AlphaGrid) -> tuple:
     """AlphaLevelResult per level, from its two repaired corners.
 
-    The corners of every level are answered as one batch, in the order
-    optimistic, pessimistic at the first level, then at the next, and
-    so on. The batch's arrays are freed before the nesting pass.
+    The corners of every level are answered as one batch, in
+    corner_rows' order. The batch's arrays are freed before the nesting
+    pass.
     """
-    lps, repaired = [], []
-    for alpha in grid:
-        for corner in corner_instances(p, alpha):
-            inst, rep = repair_bounds(corner)
-            lps.append(to_lp(inst))
-            repaired.append(rep)
-    c, b = np.array([lp.c for lp in lps]), np.array([lp.b for lp in lps])
-    feasible, benefit, x = _BasisCache(p.shape).answer(c, b)
+    rows = corner_rows(p, grid.levels)
+    repaired = _repair(p.shape, rows).reshape(-1, 2).any(axis=1).tolist()
+    feasible, benefit, x = _BasisCache(p.shape).answer(*lp_rows(p.shape, rows))
     benefit, x = benefit.tolist(), x.tolist()
     levels = []
     for k, alpha in enumerate(grid):
         opt, pes = 2 * k, 2 * k + 1
-        rep = repaired[opt] or repaired[pes]
         if not (feasible[opt] and feasible[pes]):
-            levels.append(AlphaLevelResult(alpha, False, rep, None, None))
+            levels.append(AlphaLevelResult(alpha, False, repaired[k], None, None))
             continue
         cut = Interval(*sorted((benefit[pes], benefit[opt])))
         shipments = tuple(Interval(min(u, v), max(u, v)) for u, v in zip(x[pes], x[opt]))
-        levels.append(AlphaLevelResult(alpha, True, rep, cut, shipments))
+        levels.append(AlphaLevelResult(alpha, True, repaired[k], cut, shipments))
     return tuple(levels)
 
 

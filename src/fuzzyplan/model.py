@@ -6,8 +6,9 @@ contracted minimum sales). Unit profit on a lane is the sale price minus
 the purchase price minus the transport cost; the model maximizes total
 profit. Parameters are trapezoidal fuzzy numbers; a crisp snapshot of
 them instantiates an ordinary LP. The LP is held as arrays: the
-constraint matrix of a shape never changes (lp_skeleton), and an
-instance adds its lane profits c and right-hand side b (to_lp).
+constraint matrix of a shape never changes (lp_skeleton), and lp_rows
+turns scenarios, rows of parameter values in values() order, into their
+lane profits c and right-hand sides b, for every mode.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ __all__ = [
     "DistributionProblem",
     "CrispInstance",
     "FeasibilityReport",
-    "PROFIT_FIELDS",
     "lane_profits",
-    "RHS_FIELDS",
     "lp_skeleton",
+    "lp_rows",
     "to_lp",
     "necessary_violations",
     "feasibility_precheck",
@@ -49,8 +49,8 @@ class Field(NamedTuple):
     direction: int  # +1 raises the optimal benefit, -1 lowers it, 0 never enters the LP
 
 
-# The parameter layout, declared once. Its order is the Monte Carlo draw
-# order and the key order of exported problem files.
+# The parameter layout, declared once. Its order is the column order of
+# scenario rows (see lp_rows), Monte Carlo draws and exported problem files.
 FIELDS = (
     Field("supply_max", "rows", False, +1),  # units per supplier
     Field("demand_max", "cols", False, +1),  # units per customer
@@ -147,6 +147,11 @@ class ParameterTable:
                 kwargs[f.name] = tuple([fn(f, (i,), v) for i, v in enumerate(value)])
         return cls(**kwargs)
 
+    def with_values(self, cls, values):
+        """cls(**fields) with the entries taken from values, in values() order."""
+        values = iter(values)
+        return self.map(cls, lambda *_: next(values))
+
 
 class DistributionProblem(ParameterTable):
     """Fuzzy model parameters; every entry is a TrapezoidalFuzzyNumber.
@@ -169,10 +174,6 @@ class CrispInstance(ParameterTable):
             raise ValueError("crisp parameters must be finite")
 
 
-# The fields lane_profits takes, in its argument order.
-PROFIT_FIELDS = ("purchase_price", "sale_price", "transport_cost")
-
-
 def lane_profits(purchase_price, sale_price, transport_cost) -> np.ndarray:
     """Per-lane profit (sale - purchase) - haul, elementwise.
 
@@ -189,10 +190,6 @@ def lane_profits(purchase_price, sale_price, transport_cost) -> np.ndarray:
     return profits
 
 
-# The fields whose entries are the LP's right-hand side, in constraint-row order.
-RHS_FIELDS = ("supply_max", "demand_max", "purchase_min", "sale_min")
-
-
 @cache
 def lp_skeleton(shape) -> tuple:
     """(a, relations): the constraint rows of the distributor LP of one shape.
@@ -203,8 +200,8 @@ def lp_skeleton(shape) -> tuple:
     customer column sums, then both again, held as bool: it stays cached
     for the run, and a float copy would take eight times the memory.
     relations are "<=" on the first M+N rows (capacities) and ">=" on
-    the rest (contracts). Row k pairs with the k-th entry of the
-    RHS_FIELDS values. Only c and b vary between LPs of one shape.
+    the rest (contracts). Row k pairs with the k-th entry of b. Only c
+    and b vary between LPs of one shape.
     """
     m, n = shape
     lane = np.arange(m * n)
@@ -214,14 +211,23 @@ def lp_skeleton(shape) -> tuple:
     return a, ("<=",) * (m + n) + (">=",) * (m + n)
 
 
-def to_lp(inst: CrispInstance) -> LinearProgram:
-    """Profit-maximizing LP: MN shipment variables, 2(M+N) constraints.
+def lp_rows(shape, rows: np.ndarray) -> tuple:
+    """(c, b) of the LP of each scenario: each row of (K, P) values.
 
-    c is lane_profits flattened row by row, the order of the LP's x; b
-    is the RHS_FIELDS values in constraint-row order.
+    The four right-hand-side fields lead FIELDS in constraint-row order,
+    so b is the first 2(M+N) columns, a view of rows; the next M+N+MN
+    are the prices.
     """
-    c = lane_profits(*(np.array(getattr(inst, name)) for name in PROFIT_FIELDS)).ravel()
-    b = np.array([v for name in RHS_FIELDS for v in getattr(inst, name)], dtype=float)
+    m, n = shape
+    k = 2 * (m + n)
+    purchase, sale, haul = np.split(rows[:, k : k + m + n + m * n], [m, m + n], axis=1)
+    c = lane_profits(purchase, sale, haul.reshape(-1, m, n)).reshape(len(rows), -1)
+    return c, rows[:, :k]
+
+
+def to_lp(inst: CrispInstance) -> LinearProgram:
+    """Profit-maximizing LP of one scenario: MN shipments, 2(M+N) constraints."""
+    (c,), (b,) = lp_rows(inst.shape, np.array([list(inst.values())], dtype=float))
     return LinearProgram(*lp_skeleton(inst.shape), b, c)
 
 
@@ -238,7 +244,7 @@ def necessary_violations(supply_max, demand_max, purchase_min, sale_min):
     """Which necessary feasibility conditions fail, for a batch of scenarios.
 
     Arguments are (K, M) or (K, N) arrays, one row per scenario, in
-    RHS_FIELDS order. Returns boolean masks: (K, M) for a supplier whose
+    FIELDS order. Returns boolean masks: (K, M) for a supplier whose
     purchase minimum exceeds its capacity, (K, N) for a customer whose
     sale minimum exceeds its demand, and (K,) for total sale minimums
     over total supply and for total purchase minimums over total demand.
@@ -269,7 +275,7 @@ def feasibility_precheck(inst: CrispInstance) -> FeasibilityReport:
     The full check is the phase-1 LP, which the solver runs anyway; this
     exists to give named diagnostics before any solve.
     """
-    batch = (np.array([getattr(inst, name)]) for name in RHS_FIELDS)
+    batch = (np.array([getattr(inst, f.name)]) for f in FIELDS[:4])
     rows, cols, sale_total, purchase_total = necessary_violations(*batch)
     violations = []
     for i in np.flatnonzero(rows[0]):

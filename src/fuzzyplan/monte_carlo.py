@@ -15,9 +15,9 @@ equal default_rng((seed, i)).normal(means, sigmas) by construction,
 and tests/test_monte_carlo.py checks them against it.
 
 Most scenarios need no simplex solve. run_range draws a chunk into one
-array, builds every scenario's profits c and right-hand side b
-elementwise, and answers the chunk with basis._BasisCache.answer, on
-one cache for the whole range: a scenario that breaks a necessary
+array, one scenario row per step, turns it into every scenario's (c, b)
+with model.lp_rows, and answers the chunk with basis._BasisCache.answer,
+on one cache for the whole range: a scenario that breaks a necessary
 feasibility condition counts as infeasible, one that an optimal basis
 found earlier in the run certifies as its unique, nondegenerate
 optimum is answered from that basis, and anything else is solved cold
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 
 import numpy as np
 
@@ -53,15 +52,7 @@ from .ingest import (
 )
 from .fuzzy import TrapezoidalFuzzyNumber
 from .fuzzy_solver import FuzzySolution, fit_trapezoid
-from .model import (
-    PROFIT_FIELDS,
-    RHS_FIELDS,
-    CrispInstance,
-    DistributionProblem,
-    ParameterTable,
-    lane_profits,
-    lanes,
-)
+from .model import CrispInstance, DistributionProblem, ParameterTable, lanes, lp_rows
 from statistics import NormalDist
 
 __all__ = [
@@ -127,8 +118,8 @@ def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstan
     would silently reshuffle every reproducible run.
     """
     means, sigmas = specs.moments
-    values = iter(np.random.default_rng((seed, index)).normal(means, sigmas).tolist())
-    return specs.map(CrispInstance, lambda *_: next(values))
+    values = np.random.default_rng((seed, index)).normal(means, sigmas).tolist()
+    return specs.with_values(CrispInstance, values)
 
 
 @dataclass(frozen=True)
@@ -245,23 +236,6 @@ def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarra
     return draws
 
 
-def _columns(specs: ParameterSpecs) -> dict:
-    """Each present field's column indices into a row of draws.
-
-    draws[:, np.array(index)] then gives the field for every step:
-    (K, M), (K, N) or (K, M, N).
-    """
-    at = count()
-    return specs.map(dict, lambda *_: next(at))
-
-
-def _lps(index: dict, draws: np.ndarray) -> tuple:
-    """(c, b) for each step of a chunk: (K, MN) lane profits, (K, 2(M+N)) RHS."""
-    field = {name: draws[:, np.array(cols)] for name, cols in index.items()}
-    c = lane_profits(*(field[name] for name in PROFIT_FIELDS)).reshape(len(draws), -1)
-    return c, np.hstack([field[name] for name in RHS_FIELDS])
-
-
 def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> PartialRun:
     """Solve every step in [start, stop).
 
@@ -273,11 +247,10 @@ def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> Partia
     if seed < 0:
         raise ValueError(f"need a seed >= 0, got {seed}")
     cache = _BasisCache(specs.shape)
-    index = _columns(specs)
     benefits, shipments, infeasible = [], [], 0
     for lo in range(start, stop, CHUNK):
         draws = _draws(specs, seed, lo, min(lo + CHUNK, stop))
-        feasible, benefit, x = cache.answer(*_lps(index, draws))
+        feasible, benefit, x = cache.answer(*lp_rows(specs.shape, draws))
         benefits += benefit[feasible].tolist()
         shipments += map(tuple, x[feasible].tolist())
         infeasible += len(draws) - int(feasible.sum())

@@ -212,6 +212,42 @@ def test_overflowing_capacity_total_runs_without_warning(tmp_path, mode, code):
         assert written == (tmp_path / "quiet" / "crisp_solution.json").read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["crisp", "fuzzy", "montecarlo", "compare"])
+@pytest.mark.parametrize("warnings", ["error", "default"])
+def test_overflowing_benefit_exits_2(tmp_path, mode, warnings):
+    # finite data whose optimal benefit passes the float maximum: every
+    # mode stops with the same one line, and no numpy warning becomes a
+    # traceback on the way
+    doc = json.loads(Path(TABLE1).read_text())
+    scale = dict.fromkeys(["supply_max", "demand_max", "purchase_min", "sale_min"], 1e10)
+    for name, k in {**scale, "sale_price": 1e300}.items():
+        doc[name] = [{"mean": v["mean"] * k, "sigma": v["sigma"] * k} for v in doc[name]]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    argv = [str(p), "--mode", mode, "--mc-steps", "200", "--out-dir", str(tmp_path / "run")]
+    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": warnings}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (2, "error: optimal benefit must be finite\n")
+
+
+def test_triangle_whose_cut_rounds_past_its_peak_runs(tmp_path):
+    # at alpha 1, a + (b - a) and d - (d - c) round to either side of this
+    # triangle's peak; the cut must still be the peak
+    doc = json.loads(Path(TABLE1).read_text())
+    doc["transport_cost"][0][0] = [
+        -147.8186406236996, -91.69534310295919, -91.69534310295919, 778.3148120736806
+    ]
+    p = tmp_path / "triangle.json"
+    p.write_text(json.dumps(doc))
+    for mode in ("fuzzy", "compare"):
+        argv = [str(p), "--mode", mode, "--mc-steps", "200", "--out-dir", str(tmp_path / mode)]
+        assert main(argv) == 0
+
+
 def test_crisp_mode_makes_one_cold_solve(tmp_path, counted_solves):
     assert main([TABLE1, "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 0
     assert len(counted_solves) == 1

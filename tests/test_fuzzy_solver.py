@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,19 @@ from fuzzyplan.basis import _BasisCache
 from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from fuzzyplan.ingest import gaussian_to_trapezoid
 from fuzzyplan.intervals import Interval
-from fuzzyplan.model import DistributionProblem, to_lp
+from fuzzyplan.model import (
+    CrispInstance,
+    DistributionProblem,
+    lp_rows,
+    necessary_violations,
+    to_lp,
+)
 import fuzzyplan.fuzzy_solver as fuzzy_solver
 from fuzzyplan.fuzzy_solver import (
     AlphaLevelResult,
     FuzzySolution,
     corner_instances,
+    corner_rows,
     enforce_nesting,
     fit_trapezoid,
     repair_bounds,
@@ -407,3 +416,97 @@ def test_batch_answers_do_not_depend_on_row_order(problem, raw_cold_solves):
         got = _BasisCache(problem.shape).answer(c[perm], b[perm])
         for g, w in zip(got, want):
             assert g.tobytes() == w[perm].tobytes()
+
+
+def mixed_problem(rng, m, n, contracts):
+    """Crisp, triangular and trapezoidal entries, drawn so that some corners
+    need repair and some break a necessary feasibility condition."""
+
+    def entry(center, spread):
+        kind = rng.integers(3)
+        if kind == 0:
+            return T.crisp(float(center))
+        a, b, c, d = np.sort(center + spread * rng.uniform(-1.0, 1.0, 4)).tolist()
+        return T.triangular(a, b, d) if kind == 1 else T(a, b, c, d)
+
+    def vector(size, center, spread):
+        return tuple(entry(center, spread) for _ in range(size))
+
+    fields = dict(
+        supply_max=vector(m, 100.0, 40.0),
+        demand_max=vector(n, 100.0, 40.0),
+        purchase_min=vector(m, rng.uniform(20.0, 110.0), 30.0),
+        sale_min=vector(n, rng.uniform(20.0, 110.0) * m / n, 30.0),
+        purchase_price=vector(m, 50.0, 20.0),
+        sale_price=vector(n, 150.0, 20.0),
+        transport_cost=tuple(vector(n, 30.0, 20.0) for _ in range(m)),
+    )
+    if contracts:
+        fields.update(contract_purchase_price=vector(m, 60.0, 20.0))
+        fields.update(contract_sale_price=vector(n, 1e308, 5e307))  # midpoint sum overflows
+    return DistributionProblem(**fields)
+
+
+def mixed_problems():
+    rng = np.random.default_rng(2024)
+    shapes = [(1, 1), (8, 8), *(tuple(rng.integers(1, 9, 2)) for _ in range(22))]
+    return [mixed_problem(rng, int(m), int(n), k % 2 == 0) for k, (m, n) in enumerate(shapes)]
+
+
+def test_corner_rows_give_the_lps_of_the_corner_instances():
+    # the batch (every level's corners, repaired in place, through
+    # lp_rows) equals, byte for byte, the one-corner-at-a-time views
+    levels = (*AlphaGrid.uniform(11), 0.37, 0.999)
+    kinds = {"crisp": 0, "triangular": 0, "repaired": 0, "screened": 0}
+    for p in mixed_problems():
+        rows = corner_rows(p, levels)
+        repaired = fuzzy_solver._repair(p.shape, rows)
+        c, b = lp_rows(p.shape, rows)
+        corners = [repair_bounds(inst) for alpha in levels for inst in corner_instances(p, alpha)]
+        lps = [to_lp(inst) for inst, _ in corners]
+        assert c.tobytes() == np.array([lp.c for lp in lps]).tobytes()
+        assert b.tobytes() == np.array([lp.b for lp in lps]).tobytes()
+        assert repaired.tolist() == [rep for _, rep in corners]
+        m, n = p.shape
+        screened = np.zeros(len(b), dtype=bool)
+        for mask in necessary_violations(*np.split(b, [m, m + n, 2 * m + n], axis=1)):
+            screened |= mask.reshape(len(b), -1).any(axis=1)
+        kinds["crisp"] += sum(t.is_crisp() for t in p.values())
+        kinds["triangular"] += sum(t.b == t.c and not t.is_crisp() for t in p.values())
+        kinds["repaired"] += int(repaired.sum())
+        kinds["screened"] += int(screened.sum())
+    assert all(kinds.values()), kinds
+
+
+def reference_corners(p, alpha):
+    """Each entry's cut end picked one at a time, by its field's direction."""
+
+    def corner(sign):
+        def pick(field, index, t):
+            cut = t.alpha_cut(alpha)
+            direction = sign * field.direction
+            return cut.hi if direction > 0 else cut.lo if direction < 0 else cut.midpoint
+
+        return p.map(CrispInstance, pick)
+
+    return corner(+1), corner(-1)
+
+
+def test_cut_past_the_float_maximum_raises():
+    # b - a overflows: one cut or all of them, the error is the same, and
+    # numpy's overflow warning does not surface on the way
+    wide = T(-1e308, 1e308, 1e308, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^alpha-cut ends must be finite$"):
+            wide.alpha_cut(0.5)
+        with pytest.raises(ValueError, match="^alpha-cut ends must be finite$"):
+            solve_fuzzy(single_lane_problem(sale=wide))
+
+
+def test_corner_instances_pick_each_entrys_cut_end():
+    for p in mixed_problems()[:8]:
+        for alpha in (0.0, 0.25, 0.6, 1.0):
+            got, want = corner_instances(p, alpha), reference_corners(p, alpha)
+            for g, w in zip(got, want):
+                assert np.array(list(g.values())).tobytes() == np.array(list(w.values())).tobytes()

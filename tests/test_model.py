@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fuzzyplan.model import (
+    FIELDS,
     CrispInstance,
     feasibility_precheck,
     lane_profits,
+    lp_rows,
     lp_skeleton,
     midpoint_instance,
     to_lp,
@@ -113,6 +115,24 @@ def test_to_lp_rows_and_relations():
     assert lp.a is lp_skeleton((2, 3))[0]
     with pytest.raises(ValueError, match="read-only"):
         lp.a[0, 0] = 2.0
+
+
+def test_scenario_row_layout():
+    # lp_rows reads a scenario row by position: b is the first four
+    # fields' entries, the prices the next three's. Reordering FIELDS
+    # must fail here, not quietly swap a capacity for a price.
+    rhs = ["supply_max", "demand_max", "purchase_min", "sale_min"]
+    assert [f.name for f in FIELDS[:4]] == rhs
+    assert [f.name for f in FIELDS[4:7]] == ["purchase_price", "sale_price", "transport_cost"]
+    assert [f.axis for f in FIELDS[:7]] == ["rows", "cols"] * 3 + ["lanes"]
+    assert all(f.optional for f in FIELDS[7:])
+    # a 2x3 row of distinct values, 1 to 21, and one row of 21 zeros
+    rows = np.vstack([np.arange(1.0, 22.0), np.zeros(21)])
+    c, b = lp_rows((2, 3), rows)
+    assert b.tolist() == [list(range(1, 11)), [0] * 10]
+    purchase, sale, haul = [11.0, 12.0], [13.0, 14.0, 15.0], np.arange(16.0, 22.0).reshape(2, 3)
+    want = [[(sale[j] - purchase[i]) - haul[i, j] for i in range(2) for j in range(3)], [0] * 6]
+    assert c.tolist() == want
 
 
 @pytest.mark.parametrize("excess, feasible", [(5e-8, True), (5e-7, False)])

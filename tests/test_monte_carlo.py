@@ -13,7 +13,7 @@ from fuzzyplan.cli import parse_problem
 from fuzzyplan.fuzzy import TrapezoidalFuzzyNumber
 from fuzzyplan.fuzzy_solver import solve_fuzzy
 from fuzzyplan.ingest import gaussian_to_trapezoid
-from fuzzyplan.model import CrispInstance, DistributionProblem, to_lp
+from fuzzyplan.model import CrispInstance, DistributionProblem, lp_rows, to_lp
 import fuzzyplan.monte_carlo as monte_carlo
 from fuzzyplan.monte_carlo import (
     CHUNK,
@@ -350,8 +350,7 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
     other = solve(to_lp(sample_instance(mirrored, 0, 0)))
     stale = cache.learn(np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]))
     assert stale is not None
-    index = monte_carlo._columns(here)
-    _, _, x = cache.answer(*monte_carlo._lps(index, monte_carlo._draws(here, 0, 0, 5)))
+    _, _, x = cache.answer(*lp_rows(here.shape, monte_carlo._draws(here, 0, 0, 5)))
     assert [tuple(ship) for ship in x.tolist()] == [(2.0, 8.0)] * 5
     # the stale basis (supply and customer 1 tight: slacks 2 and 3 out)
     # answered nothing; the new one (slacks 2 and 4 out) answered steps 1 to 4
@@ -359,7 +358,7 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
     assert [basis.basic.tolist() for basis in cache.bases.values()] == [[0, 1, 3, 5, 6, 7]]
     # a basis that answers only the step it was learned from is dropped
     cache = _BasisCache(here.shape)
-    cache.answer(*monte_carlo._lps(index, monte_carlo._draws(here, 0, 0, 1)))
+    cache.answer(*lp_rows(here.shape, monte_carlo._draws(here, 0, 0, 1)))
     assert cache.bases == {}
 
 

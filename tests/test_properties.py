@@ -1,6 +1,6 @@
 """Property tests over random fuzzy problems, 1x1 to 3x3, non-square included."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
@@ -111,3 +111,23 @@ def test_alpha_cuts_bracket_crisp_optima_and_nest(p, data):
     for lower, upper in zip(cuts, cuts[1:]):
         for outer, inner in zip(lower, upper):
             assert outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    corners=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4),
+    triangular=st.booleans(),
+    alpha=unit | st.just(1.0),
+)
+@example(
+    corners=[-147.8186406236996, -91.69534310295919, -91.69534310295919, 778.3148120736806],
+    triangular=True,
+    alpha=1.0,
+)
+def test_alpha_cut_ends_stay_ordered(corners, triangular, alpha):
+    """A valid trapezoid's cut never raises, and its ends bracket the core."""
+    a, b, c, d = sorted(corners)
+    if triangular:
+        c = b
+    cut = TrapezoidalFuzzyNumber(a, b, c, d).alpha_cut(alpha)
+    assert a <= cut.lo <= b <= c <= cut.hi <= d
