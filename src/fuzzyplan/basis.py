@@ -14,11 +14,16 @@ order.
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
 scenarios and the fuzzy solver's alpha-cut corners alike: screen,
-certify the cached bases, and cold-solve what is left from the row's
-own (c, b) and the shape's lp_skeleton, learning its basis. So every
-answer is a function of its own row's (c, b), whatever the other rows
-of the batch are and in whatever order they come. This is the only
-module that calls simplex.solve.
+certify the cached bases, and answer what is left from the row's own
+(c, b), learning its basis (_BasisCache.fresh). There the transport
+solver proposes a basis first: the distributor LP is a transportation
+problem once each node splits in two (_BasisCache.propose). A proposal
+stands only where it certifies its own row, as the unique optimum the
+tableau would end on too; every other row is solved by the tableau
+from the shape's lp_skeleton, as before. So every answer is a function
+of its own row's (c, b), whatever the other rows of the batch are and
+in whatever order they come. This is the only module that calls
+simplex.solve.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 
 from .model import lp_skeleton, necessary_violations
 from .simplex import PIVOT_TOL, LinearProgram, solve
+from .transport import modi_arrays, vogel_arrays
 
 __all__ = ["CERTIFY_MARGIN", "FIRST_BASICS"]
 
@@ -92,10 +98,20 @@ class _BasisCache:
     def learn(self, x: np.ndarray, b: np.ndarray):
         """Add the basis at a cold optimum x to the cache and return it.
 
-        The basis is the support of [x, slacks]. Returns None when that
-        basis is cached already, or when the vertex is degenerate: then
-        it has fewer nonzeros than there are rows, and it could not be
-        certified anyway.
+        Returns None when that basis is cached already, or when the
+        vertex is degenerate (see _basis_at).
+        """
+        basis = self._basis_at(x, b)
+        if basis is not None:
+            self.bases[basis.basic.tobytes()] = basis
+        return basis
+
+    def _basis_at(self, x: np.ndarray, b: np.ndarray):
+        """The basis at vertex x, when it is new: the support of [x, slacks].
+
+        None when that basis is cached already, or when the vertex is
+        degenerate: then it has fewer nonzeros than there are rows, and
+        it could not be certified anyway.
         """
         a = self.matrix
         slacks = (b - a[:, : self.lanes] @ x) * self.signs
@@ -107,9 +123,68 @@ class _BasisCache:
             inverse = np.linalg.inv(a[:, basic])
         except np.linalg.LinAlgError:
             return None
-        basis = _Basis(basic, np.flatnonzero(~chosen), inverse)
-        self.bases[basic.tobytes()] = basis
-        return basis
+        return _Basis(basic, np.flatnonzero(~chosen), inverse)
+
+    def propose(self, c: np.ndarray, b: np.ndarray):
+        """Lane shipments of an optimum of one LP, by the transport solver.
+
+        The LP is a balanced transportation problem to minimize -c once
+        each supplier splits into a mandatory node (the positive part of
+        its minimum) and an optional node (the rest of its capacity),
+        each customer likewise, and a dummy supplier and a dummy customer
+        take up the capacity left unused. A unit between a mandatory node
+        and a dummy costs a big M; one between an optional node and a
+        dummy, or between the dummies, costs 0. A lane ships the sum of
+        its four node pairs. M only has to be large in practice: the
+        certificate decides.
+
+        Returns None, and leaves the LP to the tableau, where a capacity
+        is at or below its minimum or 0 (the row is infeasible, or its
+        two constraints hold a slack at 0 and no basis can certify it,
+        as on every repaired corner), where a total or M passes the
+        float maximum, or where MODI runs out of pivots.
+        """
+        m, n = self.shape
+        least = np.maximum(b[m + n :], 0.0)
+        spare = b[: m + n] - least
+        big = 1.0 + 4 * (m + n) * np.abs(c).max()
+        nodes = 2 * (m + n + 1)  # a potential sums at most one cost per node
+        supply = np.concatenate([least[:m], spare[:m], [least[m:].sum() + spare[m:].sum()]])
+        demand = np.concatenate([least[m:], spare[m:], [least[:m].sum() + spare[:m].sum()]])
+        limits = ((2 * nodes + 1) * big, supply[-1], demand[-1])
+        if (spare <= 0).any() or not np.isfinite(limits).all():
+            return None
+        costs = np.zeros((2 * m + 1, 2 * n + 1))
+        costs[: 2 * m, : 2 * n] = np.tile(-c.reshape(m, n), (2, 2))
+        costs[:m, -1] = costs[-1, :n] = big
+        plan = modi_arrays(costs, *vogel_arrays(costs, supply.tolist(), demand.tolist()))
+        if plan is None:
+            return None
+        f = np.array(plan[0])
+        return (f[:m, :n] + f[m:-1, :n] + f[:m, n:-1] + f[m:-1, n:-1]).ravel()
+
+    def fresh(self, c: np.ndarray, b: np.ndarray):
+        """Answer LP 0 of the pending LPs (rows of c and b): none certifies it.
+
+        Returns (basis, certified, cold solution): the basis learned for
+        LP 0 (None when degenerate or cached already), what certify
+        gives for it on every row, and the tableau's solution of LP 0.
+        The transport solver proposes first. When the basis of its plan
+        certifies LP 0, that basis is learned and there is no cold
+        solution: the tableau would end on the same unique optimum.
+        Otherwise the proposal is dropped unlearned, and simplex.solve
+        answers LP 0 cold.
+        """
+        x = self.propose(c[0], b[0])
+        basis = None if x is None else self._basis_at(x, b[0])
+        if basis is not None:
+            certified = self.certify(basis, c, b)
+            if certified[0][0]:
+                self.bases[basis.basic.tobytes()] = basis
+                return basis, certified, None
+        sol = solve(LinearProgram(*self.skeleton, b[0], c[0]))
+        basis = self.learn(np.array(sol.x), b[0]) if sol.status == "optimal" else None
+        return basis, (None if basis is None else self.certify(basis, c, b)), sol
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
         """Which scenarios (rows of c and b) have basis as their unique optimum.
@@ -159,8 +234,9 @@ class _BasisCache:
         A row that breaks a necessary feasibility condition is
         infeasible without a solve. Every cached basis, and every basis
         learned here, is tested on every row still waiting for an
-        answer; the first row none certifies is solved cold, by
-        simplex.solve on that row's c and b and the shape's skeleton.
+        answer; the first row none certifies goes to fresh, which
+        proposes a basis or solves the row cold, and tests the basis it
+        learns on the rows still pending.
         Afterwards the cache holds only the bases that answered a row
         other than the one they were learned from: where optimal
         supports do not repeat, no basis is retested on the next batch.
@@ -177,20 +253,22 @@ class _BasisCache:
         benefit, x = np.zeros(len(b)), np.zeros((len(b), self.lanes))
         pending = np.flatnonzero(feasible)
 
-        def settle(basis) -> int:
-            """Answer the pending rows basis certifies; return how many."""
+        def settle(ok, x_ok, benefit_ok) -> int:
+            """Answer the pending rows a basis certifies (ok); return how many."""
             nonlocal pending
-            ok, x_ok, benefit_ok = self.certify(basis, c[pending], b[pending])
             x[pending[ok]], benefit[pending[ok]] = x_ok, benefit_ok
             pending = pending[~ok]
             return len(x_ok)
 
-        useful = [basis for basis in self.bases.values() if settle(basis)]
+        useful = [
+            basis
+            for basis in self.bases.values()
+            if settle(*self.certify(basis, c[pending], b[pending]))
+        ]
         while pending.size:
             row = int(pending[0])
-            sol = solve(LinearProgram(*self.skeleton, b[row], c[row]))
-            basis = self.learn(np.array(sol.x), b[row]) if sol.status == "optimal" else None
-            others = settle(basis) if basis is not None else 0
+            basis, certified, sol = self.fresh(c[pending], b[pending])
+            others = settle(*certified) if basis is not None else 0
             if pending.size and pending[0] == row:  # not certified: the cold answer stands
                 feasible[row] = sol.status == "optimal"
                 if feasible[row]:

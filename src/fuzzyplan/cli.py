@@ -330,11 +330,14 @@ def _run_crisp(config: RunConfig, problem) -> int:
             print("error: transport instance is unbalanced", file=sys.stderr)
             return EXIT_INFEASIBLE
         plan = modi_optimize(problem, vogel_approximation(problem))
+        total = plan_cost(problem, plan)
+        if not math.isfinite(total):
+            raise ValueError("optimal total cost must be finite")
         _write_json(
             out,
             {
                 "status": "optimal",
-                "total_cost": plan_cost(problem, plan),
+                "total_cost": total,
                 "shipments": [list(row) for row in plan.shipments],
             },
         )

@@ -7,10 +7,17 @@ implicit.
 
 A basis is a spanning tree of the bipartite graph whose nodes are the M
 rows and N columns and whose edges are the basis cells: M+N-1 cells, no
-loop. Both starts are such trees by construction. MODI walks the tree
-once per pivot, from row 0, for the potentials and the parent links that
-trace the entering loop, and prices every cell at once over a numpy
-cost matrix.
+loop. Both starts are such trees by construction. MODI keeps the tree,
+rooted at row 0, across its pivots: each node's neighbours, parent,
+depth and potential. A pivot cuts the tree at the leaving cell and hangs
+the cut-off part back on by the entering cell, and only that part is
+walked again, with the same c_ij - u formula along the same paths, so
+every float is the one a full walk from row 0 would give. Each pivot
+prices every cell at once over a numpy cost matrix.
+
+vogel_approximation and modi_optimize take and give tuples;
+vogel_arrays and modi_arrays are their array cores, which
+fuzzyplan.basis also calls to propose distributor bases.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ __all__ = [
     "check_balance",
     "north_west_corner",
     "vogel_approximation",
+    "vogel_arrays",
     "modi_optimize",
+    "modi_arrays",
     "plan_cost",
 ]
 
@@ -69,8 +78,16 @@ def plan_cost(t: TransportInstance, plan: TransportPlan) -> float:
 
 
 def check_balance(t: TransportInstance) -> bool:
-    sa, sb = sum(t.supplies), sum(t.demands)
-    return abs(sa - sb) <= 1e-9 * max(1.0, abs(sa), abs(sb))
+    """Total supply equals total demand, to 1e-9 of the larger total.
+
+    The totals are of the amounts divided by a power of two above the
+    largest, which is exact in binary and keeps them below the float
+    maximum.
+    """
+    e = max(0, math.frexp(max(t.supplies + t.demands))[1])
+    sa = sum(math.ldexp(v, -e) for v in t.supplies)
+    sb = sum(math.ldexp(v, -e) for v in t.demands)
+    return abs(sa - sb) <= 1e-9 * max(math.ldexp(1.0, -e), abs(sa), abs(sb))
 
 
 def _require_balanced(t: TransportInstance):
@@ -123,43 +140,67 @@ def vogel_approximation(t: TransportInstance) -> TransportPlan:
     tree with no loop to prune.
     """
     _require_balanced(t)
-    m, n = t.shape
-    costs = np.array(t.costs, dtype=float)
-    supply = list(t.supplies)
-    demand = list(t.demands)
+    x, cells = vogel_arrays(np.array(t.costs, dtype=float), list(t.supplies), list(t.demands))
+    return TransportPlan(tuple(tuple(row) for row in x), frozenset(cells))
+
+
+@np.errstate(over="ignore")
+def vogel_arrays(costs: np.ndarray, supply: list, demand: list):
+    """vogel_approximation on an (M, N) cost array: (x as M row lists, cells).
+
+    supply and demand are lists and are used up in place; cells are the
+    M+N-1 basis cells in allocation order. Each line's penalty is kept
+    between allocations and found again only where the closed line held
+    one of its two cheapest open cells, from the same two floats.
+    """
+    m, n = costs.shape
     rows = list(range(m))  # open lines, ascending
     cols = list(range(n))
     x = [[0.0] * n for _ in range(m)]
-    basis = []
+    cells = []
+    open_costs = costs.copy()  # closed lines at +inf
+    row_low, row_gap, col_low, col_gap = np.empty(m), np.empty(m), np.empty(n), np.empty(n)
 
     def allocate(i, j):
         q = min(supply[i], demand[j])
         x[i][j] += q
-        basis.append((i, j))
+        cells.append((i, j))
         supply[i] -= q
         demand[j] -= q
 
+    def reprice(line, low, gap, touched):
+        """Penalties again of the open lines (rows of line) in touched."""
+        lo = np.partition(line[touched], 1, axis=1)
+        low[touched], gap[touched] = lo[:, 1], lo[:, 1] - lo[:, 0]
+
+    if m > 1 and n > 1:
+        reprice(open_costs, row_low, row_gap, np.ones(m, dtype=bool))
+        reprice(open_costs.T, col_low, col_gap, np.ones(n, dtype=bool))
     while len(rows) > 1 and len(cols) > 1:
-        open_costs = costs[np.ix_(rows, cols)]
-        lo = np.partition(open_costs, 1, axis=1)
-        row_gap = lo[:, 1] - lo[:, 0]
-        lo = np.partition(open_costs, 1, axis=0)
-        col_gap = lo[1] - lo[0]
+        # closed lines hold a -inf gap, so the first largest is an open line
         r, c = int(row_gap.argmax()), int(col_gap.argmax())
         if row_gap[r] >= col_gap[c]:
-            i, j = rows[r], cols[int(open_costs[r].argmin())]
+            i, j = r, int(open_costs[r].argmin())
         else:
-            i, j = rows[int(open_costs[:, c].argmin())], cols[c]
+            i, j = int(open_costs[:, c].argmin()), c
         allocate(i, j)
         if demand[j] <= 0:
             cols.remove(j)
+            touched = (costs[:, j] <= row_low) & (row_gap > -np.inf)
+            open_costs[:, j], col_gap[j] = np.inf, -np.inf
+            if len(cols) > 1:
+                reprice(open_costs, row_low, row_gap, touched)
         else:
             rows.remove(i)
+            touched = (costs[i] <= col_low) & (col_gap > -np.inf)
+            open_costs[i], row_gap[i] = np.inf, -np.inf
+            if len(rows) > 1:
+                reprice(open_costs.T, col_low, col_gap, touched)
     # one line is left open: it takes every open cell across it, in order
     for i in rows:
         for j in cols:
             allocate(i, j)
-    return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
+    return x, cells
 
 
 def modi_optimize(t: TransportInstance, start: TransportPlan, sense: str = "min") -> TransportPlan:
@@ -180,38 +221,58 @@ def modi_optimize(t: TransportInstance, start: TransportPlan, sense: str = "min"
     for i, j in np.argwhere(np.array(x) > 0).tolist():  # row-major
         if (i, j) not in start.basis:
             raise ValueError(f"positive shipment at ({i},{j}) missing from basis")
-    basis = _spanning_basis(start.basis, m, n)
+    plan = modi_arrays(costs, x, _spanning_basis(start.basis, m, n))
+    if plan is None:
+        raise RuntimeError("potentials method failed to terminate")
+    x, cells = plan
+    return TransportPlan(tuple(tuple(row) for row in x), frozenset(cells))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def modi_arrays(costs: np.ndarray, x: list, cells):
+    """modi_optimize on an (M, N) cost array to minimize: (x, cells) or None.
+
+    x holds the start's shipments as M row lists and is updated in
+    place; cells is its spanning tree. Returns the optimal x and its
+    basis cells, or None after 10,000 pivots. Costs large enough to
+    overflow the potentials raise no numpy warning; the caller checks
+    what it needs of the plan (the CLI, that its total cost is finite).
+    """
+    m, n = costs.shape
+    tree = _Tree(costs.tolist(), cells, m, n)
+    basic = np.zeros((m, n), dtype=bool)
+    basic[tuple(zip(*cells))] = True
     tol = 1e-9 * (1.0 + float(np.abs(costs).max()))
     stall = 0
     lex_rule = False
     for _ in range(10_000):
-        potential, up, depth = _walk_tree(costs, basis, m, n)
-        uv = np.array(potential)
+        uv = np.array(tree.potential)
         reduced = costs - uv[:m, None] - uv[m:]  # c_ij - u_i - v_j
-        reduced[tuple(zip(*basis))] = np.inf
+        reduced[basic] = np.inf
         if lex_rule:  # first improving cell in row-major order
             flat = int(np.argmax(reduced < -tol))
         else:  # Dantzig: the most negative reduced cost, first on ties
             flat = int(reduced.argmin())
         if not reduced.flat[flat] < -tol:
-            return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
+            return x, [tuple(cell) for cell in np.argwhere(basic).tolist()]
         entering = divmod(flat, n)
-        loop = _entering_loop(entering, up, depth, m)
+        loop = tree.loop(entering)
         minus = loop[1::2]
         theta = min(x[i][j] for i, j in minus)
         leaving = min((c for c in minus if x[c[0]][c[1]] == theta))
         for k, (i, j) in enumerate(loop):
             x[i][j] += theta if k % 2 == 0 else -theta
         x[leaving[0]][leaving[1]] = 0.0
-        basis.remove(leaving)
-        basis.add(entering)
+        basic[leaving] = False
+        basic[entering] = True
+        tree.exchange(entering, leaving)
         if theta <= tol:
             stall += 1
             if stall >= 2 * (m + n):
                 lex_rule = True
         else:
             stall = 0
-    raise RuntimeError("potentials method failed to terminate")
+    return None
 
 
 def _spanning_basis(cells, m: int, n: int) -> set:
@@ -247,51 +308,88 @@ def _spanning_basis(cells, m: int, n: int) -> set:
     return basis
 
 
-def _walk_tree(costs, basis, m: int, n: int):
-    """Potentials u_i + v_j = c_ij from u_0 = 0, and parent and depth links.
+class _Tree:
+    """A basis as a spanning tree rooted at row 0 (column j is node m+j).
 
-    One walk of the tree from row 0 (column j is node m+j). Each node's
-    path from row 0 is unique, so any walk order gives the same floats.
+    Holds each node's adjacency, parent (up), depth and potential, with
+    u_i + v_j = c_ij on every basis cell and u_0 = 0. Each node's path
+    from row 0 is unique, so its potential is the same float whatever
+    order a walk takes, and exchange keeps every figure equal to a full
+    walk of the new tree.
     """
-    adj = [[] for _ in range(m + n)]
-    for (i, j) in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    potential = [0.0] * (m + n)
-    up = [-1] * (m + n)
-    depth = [0] * (m + n)
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b == up[a]:
-                continue
-            up[b] = a
-            depth[b] = depth[a] + 1
-            potential[b] = costs[_edge(a, b, m)] - potential[a]
-            stack.append(b)
-    return potential, up, depth
 
+    def __init__(self, costs: list, cells, m: int, n: int):
+        self.costs, self.m = costs, m
+        self.adj = [[] for _ in range(m + n)]
+        for (i, j) in cells:
+            self.adj[i].append(m + j)
+            self.adj[m + j].append(i)
+        self.up = [-1] * (m + n)
+        self.depth = [0] * (m + n)
+        self.potential = [0.0] * (m + n)
+        self._walk(0)
 
-def _entering_loop(entering, up, depth, m: int) -> list:
-    """Unique alternating cycle created by adding `entering` to the tree.
+    def _cell(self, a: int, b: int) -> tuple:
+        """The cell joining nodes a and b, one a row and one a column."""
+        return (a, b - self.m) if a < self.m else (b, a - self.m)
 
-    Its row and column climb their parent chains until they meet. The
-    cells run from `entering` along the path from its row to its column;
-    the odd positions are the cells whose shipments decrease.
-    """
-    a, b = entering[0], m + entering[1]
-    from_row, from_col = [], []
-    while a != b:
-        if depth[a] >= depth[b]:
-            from_row.append(_edge(a, up[a], m))
-            a = up[a]
-        else:
-            from_col.append(_edge(b, up[b], m))
-            b = up[b]
-    return [entering] + from_row + from_col[::-1]
+    def _walk(self, root: int):
+        """Parent, depth and potential of every node below root, from root's own."""
+        costs, m = self.costs, self.m
+        adj, up, depth, potential = self.adj, self.up, self.depth, self.potential
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b in adj[a]:
+                if b == up[a]:
+                    continue
+                up[b] = a
+                depth[b] = depth[a] + 1
+                cost = costs[a][b - m] if a < m else costs[b][a - m]
+                potential[b] = cost - potential[a]
+                stack.append(b)
 
+    def loop(self, entering) -> list:
+        """Unique alternating cycle created by adding `entering` to the tree.
 
-def _edge(a: int, b: int, m: int) -> tuple:
-    """The cell joining tree nodes a and b, one a row and one a column."""
-    return (a, b - m) if a < m else (b, a - m)
+        Its row and column climb their parent chains until they meet. The
+        cells run from `entering` along the path from its row to its
+        column; the odd positions are the cells whose shipments decrease.
+        """
+        m, up, depth = self.m, self.up, self.depth
+        a, b = entering[0], m + entering[1]
+        from_row, from_col = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                from_row.append(self._cell(a, up[a]))
+                a = up[a]
+            else:
+                from_col.append(self._cell(b, up[b]))
+                b = up[b]
+        return [entering] + from_row + from_col[::-1]
+
+    def exchange(self, entering, leaving):
+        """Replace the leaving cell by the entering one.
+
+        Cutting the leaving cell parts the subtree below it from row 0;
+        the entering cell hangs it back on by whichever end lies in it,
+        and only that subtree is walked again.
+        """
+        m, up, depth = self.m, self.up, self.depth
+        child = max(leaving[0], m + leaving[1], key=depth.__getitem__)
+        parent = up[child]
+        root, hook = entering[0], m + entering[1]
+        node = root
+        while depth[node] > depth[child]:
+            node = up[node]
+        if node != child:
+            root, hook = hook, root
+        self.adj[child].remove(parent)
+        self.adj[parent].remove(child)
+        self.adj[root].append(hook)
+        self.adj[hook].append(root)
+        up[root] = hook
+        depth[root] = depth[hook] + 1
+        i, j = self._cell(root, hook)
+        self.potential[root] = self.costs[i][j] - self.potential[hook]
+        self._walk(root)

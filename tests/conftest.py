@@ -56,8 +56,25 @@ def demo_problem() -> DistributionProblem:
 
 @pytest.fixture
 def counted_solves(monkeypatch):
-    """Counts the cold solves of basis._BasisCache.answer, where every
-    crisp, Monte Carlo and fuzzy run calls the simplex."""
+    """Counts the cold rows of basis._BasisCache.answer: the LPs that no
+    cached basis certifies, which every crisp, Monte Carlo and fuzzy run
+    hands to _BasisCache.fresh (the transport proposal, then the simplex),
+    one call each, with the rows still pending."""
+    calls = []
+    fresh = basis._BasisCache.fresh
+
+    def counted(self, c, b):
+        calls.append((c, b))
+        return fresh(self, c, b)
+
+    monkeypatch.setattr(basis._BasisCache, "fresh", counted)
+    return calls
+
+
+@pytest.fixture
+def tableau_solves(monkeypatch):
+    """Counts the simplex solves of basis: the cold rows that no transport
+    proposal certified."""
     calls = []
     solve = basis.solve
 

@@ -195,3 +195,26 @@ def is_spanning_tree(cells, m, n):
             return False
         label = [a if x == b else x for x in label]
     return True
+
+
+def walk_tree(costs, cells, m, n):
+    """Potentials, parents and depths of a spanning tree, by one full walk.
+
+    Rows are nodes 0..m-1 and columns m..m+n-1; the walk starts at row 0
+    with potential 0 and parent -1, and gives each node the potential
+    c_ij - (its parent's potential) over the cell joining them.
+    """
+    adj = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    potential, up, depth = [0.0] * (m + n), [-1] * (m + n), [0] * (m + n)
+    queue = [0]
+    for a in queue:
+        for b in adj[a]:
+            if b != up[a]:
+                i, j = (a, b - m) if a < m else (b, a - m)
+                potential[b] = costs[i][j] - potential[a]
+                up[b], depth[b] = a, depth[a] + 1
+                queue.append(b)
+    return potential, up, depth

@@ -30,6 +30,16 @@ from fuzzyplan.transport import TransportInstance
 TABLE1 = str(files("fuzzyplan").joinpath("data/table1.json"))
 EXPECTED = json.loads(files("fuzzyplan").joinpath("data/table1_expected.json").read_text())
 
+def fresh_cli(argv, warnings=None):
+    """The console entry point in a fresh interpreter, as a user runs it."""
+    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    if warnings is not None:
+        env["PYTHONWARNINGS"] = warnings
+    command = [sys.executable, "-c", script, *map(str, argv)]
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+
 FUZZY_HEADER = (
     "alpha,D_lo,D_hi,"
     "x_11_lo,x_11_hi,x_12_lo,x_12_hi,x_13_lo,x_13_hi,"
@@ -172,13 +182,7 @@ def test_overflowing_lane_profit_exits_2(tmp_path, mode):
     doc["sale_price"][0], doc["purchase_price"][0] = 1e308, -1e308
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))
-    argv = [str(p), "--mode", mode, "--out-dir", str(tmp_path / "run")]
-    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = fresh_cli([p, "--mode", mode, "--out-dir", tmp_path / "run"])
     assert (proc.returncode, proc.stderr) == (2, "error: lane profits must be finite\n")
 
 
@@ -194,14 +198,9 @@ def test_overflowing_capacity_total_runs_without_warning(tmp_path, mode, code):
     doc["supply_max"] = [1e308, 1e308, 610]
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))
-    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
-    src = str(Path(cli.__file__).resolve().parents[1])
 
     def run(out, warnings):
-        argv = [str(p), "--mode", mode, "--mc-steps", "200", "--out-dir", str(out)]
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": warnings}
-        command = [sys.executable, "-c", script, *argv]
-        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+        return fresh_cli([p, "--mode", mode, "--mc-steps", "200", "--out-dir", out], warnings)
 
     proc = run(tmp_path / "run", "error")
     assert proc.returncode == code, proc.stderr
@@ -224,14 +223,32 @@ def test_overflowing_benefit_exits_2(tmp_path, mode, warnings):
         doc[name] = [{"mean": v["mean"] * k, "sigma": v["sigma"] * k} for v in doc[name]]
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))
-    argv = [str(p), "--mode", mode, "--mc-steps", "200", "--out-dir", str(tmp_path / "run")]
-    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": warnings}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    argv = [p, "--mode", mode, "--mc-steps", "200", "--out-dir", tmp_path / "run"]
+    proc = fresh_cli(argv, warnings)
     assert (proc.returncode, proc.stderr) == (2, "error: optimal benefit must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "supplies, demands, costs, total",
+    [
+        # balanced, though both totals pass the float maximum
+        ([1e308, 1e308], [1e308, 1e308], [[1e-10, 2e-10], [3e-10, 4e-10]], 5e298),
+        ([1, 2], [3], [[1e308], [1e308]], None),  # the optimal cost overflows
+        ([1, 2], [3], [[1e308], [-1e308]], None),  # and so do the potentials
+    ],
+)
+def test_transport_near_the_float_maximum(tmp_path, supplies, demands, costs, total):
+    doc = {"schema_version": 1, "kind": "transport"}
+    p = tmp_path / "transport.json"
+    p.write_text(json.dumps({**doc, "supplies": supplies, "demands": demands, "costs": costs}))
+    proc = fresh_cli([p, "--mode", "crisp", "--out-dir", tmp_path / "run"], "error")
+    if total is None:
+        assert (proc.returncode, proc.stderr) == (2, "error: optimal total cost must be finite\n")
+        assert not (tmp_path / "run" / "crisp_solution.json").exists()
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        written = json.loads((tmp_path / "run" / "crisp_solution.json").read_text())
+        assert written["total_cost"] == total
 
 
 def test_triangle_whose_cut_rounds_past_its_peak_runs(tmp_path):
@@ -248,14 +265,30 @@ def test_triangle_whose_cut_rounds_past_its_peak_runs(tmp_path):
         assert main(argv) == 0
 
 
-def test_crisp_mode_makes_one_cold_solve(tmp_path, counted_solves):
+def test_crisp_mode_makes_one_cold_solve(tmp_path, counted_solves, tableau_solves):
     assert main([TABLE1, "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 0
-    assert len(counted_solves) == 1
+    # table1's midpoint optimum is degenerate: both capacity totals are
+    # 1530 and every capacity binds. No basis certifies it, so the tableau
+    # answers
+    assert len(counted_solves) == len(tableau_solves) == 1
+    generic = write_problem(
+        tmp_path / "generic.json",
+        supply_max=[460, 380],
+        demand_max=[300, 290, 350],
+        purchase_min=[100, 120],
+        sale_min=[80, 90, 70],
+        purchase_price=[480, 510],
+        sale_price=[1100, 1050, 990],
+        transport_cost=[[30, 45, 80], [60, 25, 40]],
+    )
+    assert main([str(generic), "--mode", "crisp", "--out-dir", str(tmp_path / "generic")]) == 0
+    assert len(counted_solves) == 2
+    assert len(tableau_solves) == 1  # the transport proposal's basis certified it
     infeasible = write_problem(
         tmp_path / "inf.json", supply_max=[40], purchase_min=[50], demand_max=[100]
     )
     assert main([str(infeasible), "--mode", "crisp", "--out-dir", str(tmp_path / "inf")]) == 3
-    assert len(counted_solves) == 1  # the precheck answered without a solve
+    assert len(counted_solves) == 2  # the precheck answered without a solve
 
 
 def test_parse_rejects_non_finite_number(tmp_path):

@@ -364,7 +364,7 @@ def test_warm_results_equal_cold_solves(name, levels, expected_cold, demo_proble
 
 
 @pytest.mark.parametrize("sale_prices, tied", [((5.0, 5.0), True), ((5.0, 6.0), False)])
-def test_tied_optimum_is_never_certified(sale_prices, tied, raw_cold_solves):
+def test_tied_optimum_is_never_certified(sale_prices, tied, raw_cold_solves, tableau_solves):
     # one supplier, two customers with equal crisp sale prices: every
     # split of the supply between them is optimal at every level, so no
     # basis may answer and every corner keeps its cold solve
@@ -380,10 +380,35 @@ def test_tied_optimum_is_never_certified(sale_prices, tied, raw_cold_solves):
     grid = AlphaGrid.uniform(11)
     got = solve_fuzzy(p, grid).levels
     if tied:
-        assert len(raw_cold_solves) == 2 * len(grid)
+        assert len(raw_cold_solves) == len(tableau_solves) == 2 * len(grid)
         assert got == cold_levels(p, grid)
     else:
         assert len(raw_cold_solves) < 2 * len(grid)
+
+
+def test_repaired_corner_goes_straight_to_the_tableau(
+    demo_problem, counted_solves, tableau_solves, monkeypatch
+):
+    # repair sets a clipped minimum to its capacity. The two constraint
+    # rows then hold one of their slacks at 0, so no basis can certify
+    # the corner, and the transport solver proposes nothing
+    _, pes = corner_instances(demo_problem, 0.0)
+    fixed, repaired = repair_bounds(pes)
+    assert repaired
+    proposals = []
+    propose = _BasisCache.propose
+
+    def recorded(cache, c, b):
+        proposals.append(propose(cache, c, b))
+        return proposals[-1]
+
+    monkeypatch.setattr(_BasisCache, "propose", recorded)
+    lp = to_lp(fixed)
+    feasible, benefit, x = _BasisCache(fixed.shape).answer(lp.c[None], lp.b[None])
+    assert proposals == [None]
+    assert len(counted_solves) == len(tableau_solves) == 1
+    sol = solve(lp)
+    assert (feasible[0], benefit[0], tuple(x[0])) == (True, sol.objective_value, sol.x)
 
 
 def test_screened_corners_skip_the_cold_solve(raw_cold_solves):

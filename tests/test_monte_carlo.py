@@ -302,11 +302,15 @@ def test_table1_cold_solve_count_pinned(table1_specs, counted_solves):
     assert len(counted_solves) == 71
 
 
-@pytest.mark.parametrize("sale_prices, cold_solves", [((5.0, 5.0), 3), ((5.0, 6.0), 1)])
-def test_tied_optimum_is_not_certified(sale_prices, cold_solves, counted_solves):
+@pytest.mark.parametrize(
+    "sale_prices, cold_solves, tableau", [((5.0, 5.0), 3, 3), ((5.0, 6.0), 1, 0)]
+)
+def test_tied_optimum_is_not_certified(
+    sale_prices, cold_solves, tableau, counted_solves, tableau_solves
+):
     # equal lane profits: every point between (8, 2) and (2, 8) is
-    # optimal and both vertices are nondegenerate; no cached basis may
-    # answer, so every step is today's cold solve
+    # optimal and both vertices are nondegenerate; no cached or proposed
+    # basis may answer, so every step is today's tableau solve
     def fixed(*values):
         return tuple(GaussianSpec(v, 0.0) for v in values)
 
@@ -321,6 +325,7 @@ def test_tied_optimum_is_not_certified(sale_prices, cold_solves, counted_solves)
     )
     part = run_range(specs, 0, 3, 0)
     assert len(counted_solves) == cold_solves
+    assert len(tableau_solves) == tableau
     if cold_solves == 3:
         sol = solve(to_lp(sample_instance(specs, 0, 0)))
         assert part.benefits == (sol.objective_value,) * 3

@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import fuzzyplan.transport as transport
+from fuzzyplan.basis import _BasisCache
 from fuzzyplan.transport import (
     TransportInstance,
     TransportPlan,
@@ -13,7 +15,13 @@ from fuzzyplan.transport import (
     vogel_approximation,
 )
 
-from oracles import GeneralLP, check_transport_optimal, is_spanning_tree, solve_general
+from oracles import (
+    GeneralLP,
+    check_transport_optimal,
+    is_spanning_tree,
+    solve_general,
+    walk_tree,
+)
 
 PROFITS = ((300.0, 480.0, 490.0), (400.0, 584.0, 295.0), (300.0, 382.0, 599.0))
 SUPPLIES = (460.0, 460.0, 610.0)
@@ -286,3 +294,37 @@ def test_modi_tie_breaks_pinned():
             runs.append((plan.shipments, sorted(plan.basis)))
     digest = hashlib.sha256(repr(runs).encode()).hexdigest()
     assert digest == "8ecfe4d756c0092b38d4cbfc864cc378f1bac4832d76270f0d5b99702fa78d26"
+
+
+def test_each_pivot_keeps_the_tree_a_full_walk_gives(monkeypatch):
+    # after every pivot, MODI re-walks only the part of the tree that the
+    # leaving cell cut off; every potential, parent and depth must still
+    # be, bit for bit, what a full walk of the new tree from row 0 gives
+    exchange = transport._Tree.exchange
+    pivots = []
+
+    def checked(tree, entering, leaving):
+        exchange(tree, entering, leaving)
+        m, n = tree.m, len(tree.adj) - tree.m
+        cells = [(i, b - m) for i in range(m) for b in tree.adj[i]]
+        assert is_spanning_tree(cells, m, n)
+        potential, up, depth = walk_tree(tree.costs, cells, m, n)
+        assert np.array(tree.potential).tobytes() == np.array(potential).tobytes()
+        assert (tree.up, tree.depth) == (up, depth)
+        pivots.append(entering)
+
+    monkeypatch.setattr(transport._Tree, "exchange", checked)
+    rng = np.random.default_rng(77)
+    for _ in range(30):
+        t = _degenerate_instance(rng)
+        for sense in ("min", "max"):
+            modi_optimize(t, north_west_corner(t), sense)
+    for _ in range(10):  # generic floats, and the split-node problems of the distributor LP
+        t = _random_instance(rng, max_dim=12)
+        costs = np.array(t.costs) * rng.uniform(0.5, 1.5, t.shape)
+        t = inst(t.supplies, t.demands, costs)
+        modi_optimize(t, vogel_approximation(t), "min")
+        m, n = t.shape
+        b = np.concatenate([rng.uniform(300.0, 700.0, m + n), rng.uniform(-100.0, 250.0, m + n)])
+        _BasisCache((m, n)).propose(rng.normal(50.0, 100.0, m * n), b)
+    assert len(pivots) > 100
