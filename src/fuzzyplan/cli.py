@@ -368,8 +368,7 @@ def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
     for level in fz.levels:
         row = [_fmt(level.alpha)]
         if level.feasible:
-            for cut in (level.benefit, *level.shipments):
-                row.extend([_fmt(cut.lo), _fmt(cut.hi)])
+            row.extend(map(_fmt, level.cuts.ravel().tolist()))
         else:
             row.extend([""] * (2 + 2 * len(names)))
         row.extend([str(level.feasible).lower(), str(level.repaired).lower()])

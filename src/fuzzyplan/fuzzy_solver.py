@@ -18,9 +18,9 @@ batch: a corner that another corner's optimal basis certifies needs no
 simplex run, one that none certifies is solved from its own row, and no
 answer depends on the order of the batch.
 
-Per-lane results are flat tuples in lane order: row by row, the order
-of the LP's x and of the names model.lanes returns. A level's
-shipments[k] is lane k's cut, and fit_trapezoid(sol, k) its trapezoid.
+A feasible level's cuts are one (1 + MN, 2) array of [lo, hi] rows: the
+benefit, then lane k in row 1 + k, in lane order (the order of the LP's
+x and of model.lanes); fit_trapezoid(sol, k) is lane k's trapezoid.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import numpy as np
 
 from .basis import _BasisCache
 from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber, cut_ends
-from .intervals import Interval
-from .model import CrispInstance, DistributionProblem, ParameterTable, lp_rows
+from .model import FIELDS, CrispInstance, DistributionProblem, lp_rows
 
 __all__ = [
     "AlphaLevelResult",
@@ -46,13 +45,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaLevelResult:
     alpha: float
     feasible: bool
     repaired: bool
-    benefit: Interval | None
-    shipments: tuple | None  # Interval per lane in lane order, None when infeasible
+    cuts: np.ndarray | None  # (1 + MN, 2): benefit, then each lane; None when infeasible
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,9 @@ def corner_rows(p: DistributionProblem, alphas) -> np.ndarray:
     with np.errstate(over="ignore"):
         mid = 0.5 * (lo + hi)
     mid = np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
-    direction = np.array(list(p.map(ParameterTable, lambda f, index, t: f.direction).values()))
+    size = {"rows": p.shape[0], "cols": p.shape[1], "lanes": p.shape[0] * p.shape[1]}
+    present = (f for f in FIELDS if getattr(p, f.name) is not None)
+    direction = np.array([d for f in present for d in [f.direction] * size[f.axis]])
     ends = (lo, mid, hi)
     corners = np.choose(1 + direction, ends), np.choose(1 - direction, ends)
     return np.stack(corners, axis=1).reshape(-1, len(direction))
@@ -129,23 +129,21 @@ def _corner_levels(p: DistributionProblem, grid: AlphaGrid) -> tuple:
     """AlphaLevelResult per level, from its two repaired corners.
 
     The corners of every level are answered as one batch, in
-    corner_rows' order. The batch's arrays are freed before the nesting
-    pass.
+    corner_rows' order. A cut is (min(pes, opt), max(pes, opt)), except
+    that the benefit's upper end is opt on a tie (it tells -0.0 from 0.0).
     """
     rows = corner_rows(p, grid.levels)
     repaired = _repair(p.shape, rows).reshape(-1, 2).any(axis=1).tolist()
     feasible, benefit, x = _BasisCache(p.shape).answer(*lp_rows(p.shape, rows))
-    benefit, x = benefit.tolist(), x.tolist()
-    levels = []
-    for k, alpha in enumerate(grid):
-        opt, pes = 2 * k, 2 * k + 1
-        if not (feasible[opt] and feasible[pes]):
-            levels.append(AlphaLevelResult(alpha, False, repaired[k], None, None))
-            continue
-        cut = Interval(*sorted((benefit[pes], benefit[opt])))
-        shipments = tuple(Interval(min(u, v), max(u, v)) for u, v in zip(x[pes], x[opt]))
-        levels.append(AlphaLevelResult(alpha, True, repaired[k], cut, shipments))
-    return tuple(levels)
+    ends = np.concatenate([benefit[:, None], x], axis=1).reshape(len(grid), 2, -1)
+    opt, pes = ends[:, 0], ends[:, 1]
+    cuts = np.stack([np.where(opt < pes, opt, pes), np.where(opt > pes, opt, pes)], axis=-1)
+    cuts[:, 0, 1] = np.where(opt[:, 0] < pes[:, 0], pes[:, 0], opt[:, 0])
+    feasible = feasible.reshape(-1, 2).all(axis=1).tolist()
+    return tuple(
+        AlphaLevelResult(alpha, ok, rep, cut if ok else None)
+        for alpha, ok, rep, cut in zip(grid, feasible, repaired, cuts)
+    )
 
 
 def enforce_nesting(sol: FuzzySolution) -> FuzzySolution:
@@ -153,21 +151,22 @@ def enforce_nesting(sol: FuzzySolution) -> FuzzySolution:
 
     Bound repair and LP tie-breaking can leave small inversions in the
     raw staircase; fuzzy-number semantics require cuts to nest, so each
-    level's cuts (benefit, then every lane) absorb the hull of the level
-    above. nesting_adjusted records whether anything actually moved.
+    feasible level's cuts absorb the hull of the feasible levels above
+    it; on a tie an end takes the hull's float, as min and max do.
+    nesting_adjusted records whether anything actually moved.
     """
-    adjusted = sol.nesting_adjusted
-    hull = None
-    widened = {}
-    for lv in sorted(sol.levels, key=lambda lv: -lv.alpha):
-        if not lv.feasible:
-            continue
-        cuts = (lv.benefit, *lv.shipments)
-        hull = cuts if hull is None else tuple(map(Interval.hull, hull, cuts))
-        adjusted = adjusted or hull != cuts
-        widened[lv.alpha] = replace(lv, benefit=hull[0], shipments=hull[1:])
-    levels = tuple(widened.get(lv.alpha, lv) for lv in sol.levels)
-    return replace(sol, levels=levels, nesting_adjusted=adjusted)
+    order = [k for k in reversed(range(len(sol.levels))) if sol.levels[k].feasible]
+    raw = np.array([sol.levels[k].cuts for k in order], dtype=float)
+    hull = raw.copy()
+    for above, cut in zip(hull, hull[1:]):
+        lo, hi = cut.T
+        lo[...] = np.where(lo < above[:, 0], lo, above[:, 0])
+        hi[...] = np.where(hi > above[:, 1], hi, above[:, 1])
+    levels = list(sol.levels)
+    for k, cut in zip(order, hull):
+        levels[k] = replace(levels[k], cuts=cut)
+    adjusted = sol.nesting_adjusted or bool((hull != raw).any())
+    return replace(sol, levels=tuple(levels), nesting_adjusted=adjusted)
 
 
 def fit_trapezoid(sol: FuzzySolution, quantity="benefit") -> TrapezoidalFuzzyNumber:
@@ -184,8 +183,6 @@ def fit_trapezoid(sol: FuzzySolution, quantity="benefit") -> TrapezoidalFuzzyNum
         raise ValueError("grid must include levels 0 and 1 to fit a trapezoid") from None
     if not (lo_level.feasible and hi_level.feasible):
         raise ValueError("levels 0 and 1 must both be feasible to fit a trapezoid")
-    if quantity == "benefit":
-        support, core = lo_level.benefit, hi_level.benefit
-    else:
-        support, core = lo_level.shipments[quantity], hi_level.shipments[quantity]
-    return TrapezoidalFuzzyNumber(support.lo, core.lo, core.hi, support.hi)
+    row = 0 if quantity == "benefit" else range(1, len(lo_level.cuts))[quantity]
+    (a, d), (b, c) = lo_level.cuts[row].tolist(), hi_level.cuts[row].tolist()
+    return TrapezoidalFuzzyNumber(a, b, c, d)

@@ -30,8 +30,9 @@ chunked or split and whichever bases are cached.
 
 Per-lane results are flat, in lane order (the order of the LP's x):
 each PartialRun shipment row and McResult's shipment histograms, means
-and standard deviations. compare pairs entry k with fit_trapezoid(fz, k)
-under the k-th name of model.lanes.
+and standard deviations. compare pairs entry k with fit_trapezoid(fz, k),
+the trapezoid of row 1 + k of the fuzzy levels' cuts, under the k-th
+name of model.lanes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -266,15 +268,13 @@ def merge_partials(parts) -> PartialRun:
     for a, b in zip(parts, parts[1:]):
         if a.stop != b.start or a.seed != b.seed or a.shape != b.shape:
             raise ValueError("partial runs must be contiguous, same-seed, same-shape")
-    benefits = sum((p.benefits for p in parts), ())
-    shipments = sum((p.shipments for p in parts), ())
     return PartialRun(
         parts[0].start,
         parts[-1].stop,
         parts[0].seed,
         parts[0].shape,
-        benefits,
-        shipments,
+        tuple(chain.from_iterable(p.benefits for p in parts)),
+        tuple(chain.from_iterable(p.shipments for p in parts)),
         sum(p.infeasible_count for p in parts),
     )
 

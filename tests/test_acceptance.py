@@ -71,19 +71,17 @@ def test_criterion_2_fuzzy_demo(capsys, demo_problem):
     core = fz.level_at(1.0)
     if not core.feasible:
         problems.append("alpha=1 infeasible")
-    elif not core.benefit.lo - 1e-9 <= DEMO_OPTIMUM <= core.benefit.hi + 1e-9:
-        problems.append(f"core {core.benefit} misses {DEMO_OPTIMUM}")
+    elif not core.cuts[0, 0] - 1e-9 <= DEMO_OPTIMUM <= core.cuts[0, 1] + 1e-9:
+        problems.append(f"core {core.cuts[0].tolist()} misses {DEMO_OPTIMUM}")
     for lower, higher in zip(fz.levels, fz.levels[1:]):
         if not (lower.feasible and higher.feasible):
             problems.append(f"infeasible level at alpha={lower.alpha}")
             break
-        if (
-            higher.benefit.lo < lower.benefit.lo - 1e-9
-            or higher.benefit.hi > lower.benefit.hi + 1e-9
-        ):
+        (lower_lo, lower_hi), (higher_lo, higher_hi) = lower.cuts[0], higher.cuts[0]
+        if higher_lo < lower_lo - 1e-9 or higher_hi > lower_hi + 1e-9:
             problems.append(f"nesting broken at alpha={higher.alpha}")
     for level in fz.levels:
-        if level.feasible and level.benefit.lo > level.benefit.hi:
+        if level.feasible and level.cuts[0, 0] > level.cuts[0, 1]:
             problems.append(f"pessimistic > optimistic at alpha={level.alpha}")
     if not fz.levels[0].repaired:
         problems.append("no repair flag at alpha=0")
@@ -99,11 +97,11 @@ def test_criterion_3_monte_carlo_scale(capsys, demo_problem):
     fz = solve_fuzzy(demo_problem)
     specs = ParameterSpecs.from_problem(demo_problem)
     mc = run(specs, 10_000, seed=42)
-    core = fz.level_at(1.0).benefit
+    core_lo, core_hi = fz.level_at(1.0).cuts[0].tolist()
     if mc.benefit_mean is None:
         problems.append("no feasible scenarios")
-    elif not core.lo <= mc.benefit_mean <= core.hi:
-        problems.append(f"mean {mc.benefit_mean} outside core {core}")
+    elif not core_lo <= mc.benefit_mean <= core_hi:
+        problems.append(f"mean {mc.benefit_mean} outside core [{core_lo}, {core_hi}]")
     entry = compare(fz, mc).entry("D")
     if entry.fuzzy_support_width + 1e-9 < entry.mc_support_width:
         problems.append(
@@ -294,11 +292,12 @@ def test_criterion_8_degenerate_collapse(capsys, demo_crisp_problem):
         if not level.feasible:
             problems.append(f"crisp level alpha={level.alpha} infeasible")
             break
-        if level.benefit.width > 1e-9:
+        lo, hi = level.cuts[0].tolist()
+        if hi - lo > 1e-9:
             problems.append(f"nonzero width at alpha={level.alpha}")
             break
-        if abs(level.benefit.lo - DEMO_OPTIMUM) > 1e-6:
-            problems.append(f"level value {level.benefit.lo} vs {DEMO_OPTIMUM}")
+        if abs(lo - DEMO_OPTIMUM) > 1e-6:
+            problems.append(f"level value {lo} vs {DEMO_OPTIMUM}")
             break
     trap = fit_trapezoid(fz)
     if abs(trap.a - DEMO_OPTIMUM) > 1e-6 or abs(trap.d - DEMO_OPTIMUM) > 1e-6:

@@ -1,12 +1,13 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from fuzzyplan import cli
 from fuzzyplan.basis import _BasisCache
 from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from fuzzyplan.ingest import gaussian_to_trapezoid
-from fuzzyplan.intervals import Interval
 from fuzzyplan.model import (
     CrispInstance,
     DistributionProblem,
@@ -113,22 +114,17 @@ def test_solve_fuzzy_crisp_collapses(demo_crisp_problem):
     for lv in sol.levels:
         assert lv.feasible
         assert not lv.repaired
-        assert lv.benefit.width <= 1e-6
-        assert lv.benefit.lo == pytest.approx(DEMO_OPTIMUM, abs=1e-6)
-        for iv in lv.shipments:
-            assert iv.width <= 1e-6
+        assert lv.cuts.shape == (10, 2)
+        assert np.all(lv.cuts[:, 1] - lv.cuts[:, 0] <= 1e-6)  # benefit and every lane
+        assert lv.cuts[0, 0] == pytest.approx(DEMO_OPTIMUM, abs=1e-6)
 
 
 def test_solve_fuzzy_single_lane_closed_form():
     sol = solve_fuzzy(single_lane_problem())
     at0 = sol.level_at(0.0)
     at1 = sol.level_at(1.0)
-    assert at0.benefit.lo == pytest.approx(10.0)
-    assert at0.benefit.hi == pytest.approx(40.0)
-    assert at1.benefit.lo == pytest.approx(20.0)
-    assert at1.benefit.hi == pytest.approx(30.0)
-    assert at0.shipments[0].lo == pytest.approx(10.0)
-    assert at0.shipments[0].hi == pytest.approx(10.0)
+    assert at0.cuts == pytest.approx(np.array([[10.0, 40.0], [10.0, 10.0]]))
+    assert at1.cuts[0] == pytest.approx([20.0, 30.0])
     assert fit_trapezoid(sol, "benefit") == T(10.0, 20.0, 30.0, 40.0)
     assert fit_trapezoid(sol, 0) == T(10.0, 10.0, 10.0, 10.0)
 
@@ -139,12 +135,12 @@ def test_solve_fuzzy_demo(demo_problem):
     # clipping kicks in once contract minimums cross capacities, which
     # for these spreads happens on the wide half of the grid
     assert [lv.repaired for lv in sol.levels] == [True] * 6 + [False] * 5
-    core = sol.level_at(1.0).benefit
-    assert core.lo <= DEMO_OPTIMUM <= core.hi
+    core_lo, core_hi = sol.level_at(1.0).cuts[0]
+    assert core_lo <= DEMO_OPTIMUM <= core_hi
     for lo_lv, hi_lv in zip(sol.levels, sol.levels[1:]):
-        assert lo_lv.benefit.contains(hi_lv.benefit)
-        for k in range(9):
-            assert lo_lv.shipments[k].contains(hi_lv.shipments[k])
+        assert lo_lv.cuts.shape == hi_lv.cuts.shape == (10, 2)  # benefit and 9 lanes
+        assert np.all(lo_lv.cuts[:, 0] <= hi_lv.cuts[:, 0] + 1e-9)
+        assert np.all(hi_lv.cuts[:, 1] <= lo_lv.cuts[:, 1] + 1e-9)
 
 
 def test_solve_fuzzy_corner_dominance(demo_problem):
@@ -170,52 +166,84 @@ def test_solve_fuzzy_all_infeasible_reported():
     )
     sol = solve_fuzzy(p)
     assert all(not lv.feasible for lv in sol.levels)
-    assert all(lv.benefit is None and lv.shipments is None for lv in sol.levels)
+    assert all(lv.cuts is None for lv in sol.levels)
     with pytest.raises(ValueError, match="feasible"):
         fit_trapezoid(sol, "benefit")
+
+
+def level(alpha, *cuts):
+    """A level as the solver reports it: feasible with [lo, hi] rows, or infeasible."""
+    if not cuts:
+        return AlphaLevelResult(alpha, False, False, None)
+    return AlphaLevelResult(alpha, True, False, np.array(cuts, dtype=float))
 
 
 def test_enforce_nesting_widens():
     grid = AlphaGrid((0.0, 1.0))
     raw = FuzzySolution(
-        grid,
-        (1, 1),
-        (
-            AlphaLevelResult(0.0, True, False, Interval(5.5, 5.8), (Interval(1.0, 2.0),)),
-            AlphaLevelResult(1.0, True, False, Interval(5.0, 6.0), (Interval(1.2, 1.8),)),
-        ),
+        grid, (1, 1), (level(0.0, (5.5, 5.8), (1.0, 2.0)), level(1.0, (5.0, 6.0), (1.2, 1.8)))
     )
     fixed = enforce_nesting(raw)
     assert fixed.nesting_adjusted
-    assert fixed.level_at(0.0).benefit == Interval(5.0, 6.0)
-    assert fixed.level_at(1.0).benefit == Interval(5.0, 6.0)
-    assert fixed.level_at(0.0).shipments[0] == Interval(1.0, 2.0)
+    assert np.array_equal(fixed.level_at(0.0).cuts, [[5.0, 6.0], [1.0, 2.0]])
+    assert np.array_equal(fixed.level_at(1.0).cuts, [[5.0, 6.0], [1.2, 1.8]])
+    assert np.array_equal(raw.level_at(0.0).cuts, [[5.5, 5.8], [1.0, 2.0]])  # input untouched
 
 
 def test_enforce_nesting_identity():
     grid = AlphaGrid((0.0, 1.0))
     raw = FuzzySolution(
-        grid,
-        (1, 1),
-        (
-            AlphaLevelResult(0.0, True, False, Interval(0.0, 10.0), (Interval(0.0, 5.0),)),
-            AlphaLevelResult(1.0, True, False, Interval(2.0, 8.0), (Interval(1.0, 4.0),)),
-        ),
+        grid, (1, 1), (level(0.0, (0.0, 10.0), (0.0, 5.0)), level(1.0, (2.0, 8.0), (1.0, 4.0)))
     )
     fixed = enforce_nesting(raw)
     assert not fixed.nesting_adjusted
-    assert fixed.levels == raw.levels
+    assert_same_levels(fixed.levels, raw.levels)
+
+
+def test_enforce_nesting_keeps_tied_floats():
+    # a hull end moves only where the lower level lies strictly outside:
+    # on a tie the float of the level above stays, signed zero included
+    below, above = level(0.0, (0.0, 1.0), (0.0, -0.0)), level(1.0, (-0.0, 1.0), (-0.0, 0.0))
+    raw = FuzzySolution(AlphaGrid((0.0, 1.0)), (1, 1), (below, above))
+    fixed = enforce_nesting(raw)
+    assert not fixed.nesting_adjusted
+    assert np.signbit(fixed.level_at(0.0).cuts).tolist() == [[True, False], [True, False]]
+
+
+def test_enforce_nesting_carries_hull_across_infeasible_level(tmp_path, monkeypatch):
+    raw = FuzzySolution(
+        AlphaGrid((0.0, 0.5, 1.0)),
+        (1, 1),
+        (level(0.0, (5.5, 5.8), (1.0, 2.0)), level(0.5), level(1.0, (5.0, 6.0), (1.2, 1.8))),
+    )
+    fixed = enforce_nesting(raw)
+    assert fixed.nesting_adjusted
+    assert np.array_equal(fixed.level_at(0.0).cuts, [[5.0, 6.0], [1.0, 2.0]])
+    assert fixed.level_at(0.5).cuts is None and not fixed.level_at(0.5).feasible
+
+    doc = {"schema_version": 1, "kind": "distribution", "supply_max": [9], "demand_max": [9]}
+    doc.update(purchase_min=[0], sale_min=[0], purchase_price=[1], sale_price=[2])
+    doc.update(transport_cost=[[0]])
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "solve_fuzzy", lambda p, grid: fixed)
+    out = tmp_path / "out"
+    argv = [str(problem), "--mode", "fuzzy", "--alpha-levels", "3", "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    assert (out / "fuzzy_levels.csv").read_text().splitlines() == [
+        "alpha,D_lo,D_hi,x_11_lo,x_11_hi,feasible,repaired",
+        "0,5,6,1,2,true,false",
+        "0.5,,,,,false,false",
+        "1,5,6,1.2,1.8,true,false",
+    ]
+    quads = json.loads((out / "fuzzy_quadruples.json").read_text())
+    assert quads == {"D": [5, 5, 6, 6], "x_11": [1, 1.2, 1.8, 2]}
 
 
 def test_fit_trapezoid_requires_end_levels():
     grid = AlphaGrid((0.2, 0.8))
     sol = FuzzySolution(
-        grid,
-        (1, 1),
-        (
-            AlphaLevelResult(0.2, True, False, Interval(0.0, 1.0), (Interval(0.0, 1.0),)),
-            AlphaLevelResult(0.8, True, False, Interval(0.2, 0.8), (Interval(0.2, 0.8),)),
-        ),
+        grid, (1, 1), (level(0.2, (0.0, 1.0), (0.0, 1.0)), level(0.8, (0.2, 0.8), (0.2, 0.8)))
     )
     with pytest.raises(ValueError, match="levels 0 and 1"):
         fit_trapezoid(sol, "benefit")
@@ -225,10 +253,9 @@ def test_grid_refinement_keeps_end_levels(demo_problem):
     coarse = solve_fuzzy(demo_problem, AlphaGrid.uniform(11))
     fine = solve_fuzzy(demo_problem, AlphaGrid.uniform(21))
     for pick in (0.0, 1.0):
-        a = coarse.level_at(pick).benefit
-        b = fine.level_at(pick).benefit
-        assert a.lo == pytest.approx(b.lo, abs=1e-9)
-        assert a.hi == pytest.approx(b.hi, abs=1e-9)
+        a = coarse.level_at(pick).cuts[0]
+        b = fine.level_at(pick).cuts[0]
+        assert a == pytest.approx(b, abs=1e-9)
 
 
 def _random_problem(rng):
@@ -264,9 +291,10 @@ def test_random_problems_nest_and_dominate():
         if len(feasible) == len(sol.levels):
             solved += 1
         for lo_lv, hi_lv in zip(feasible, feasible[1:]):
-            assert lo_lv.benefit.contains(hi_lv.benefit)
+            (lo_lo, lo_hi), (hi_lo, hi_hi) = lo_lv.cuts[0], hi_lv.cuts[0]
+            assert lo_lo - 1e-9 <= hi_lo and hi_hi <= lo_hi + 1e-9
         for lv in feasible:
-            assert lv.benefit.lo <= lv.benefit.hi
+            assert np.all(lv.cuts[:, 0] <= lv.cuts[:, 1])
     assert solved >= 5  # generator must produce mostly solvable problems
 
 
@@ -285,12 +313,20 @@ def cold_levels(p, grid):
         repaired = any(rep for _, rep in corners)
         opt, pes = (solve(to_lp(inst)) for inst, _ in corners)
         if opt.status != "optimal" or pes.status != "optimal":
-            levels.append(AlphaLevelResult(alpha, False, repaired, None, None))
+            levels.append(AlphaLevelResult(alpha, False, repaired, None))
             continue
-        benefit = Interval(*sorted((pes.objective_value, opt.objective_value)))
-        shipments = tuple(Interval(min(a, b), max(a, b)) for a, b in zip(pes.x, opt.x))
-        levels.append(AlphaLevelResult(alpha, True, repaired, benefit, shipments))
+        ends = zip((pes.objective_value, *pes.x), (opt.objective_value, *opt.x))
+        cuts = np.array([(min(a, b), max(a, b)) for a, b in ends])
+        levels.append(AlphaLevelResult(alpha, True, repaired, cuts))
     return tuple(levels)
+
+
+def assert_same_levels(got, want):
+    assert [(lv.alpha, lv.feasible, lv.repaired) for lv in got] == [
+        (lv.alpha, lv.feasible, lv.repaired) for lv in want
+    ]
+    for g, w in zip(got, want):
+        assert (g.cuts is None and w.cuts is None) or np.array_equal(g.cuts, w.cuts)
 
 
 def nondegenerate_problem(k=6, seed=0):
@@ -351,10 +387,10 @@ def test_warm_results_equal_cold_solves(name, levels, expected_cold, demo_proble
     for g, w in zip(got, want):
         if not w.feasible:
             continue
-        for g_cut, w_cut in zip((g.benefit, *g.shipments), (w.benefit, *w.shipments)):
-            for value, cold in ((g_cut.lo, w_cut.lo), (g_cut.hi, w_cut.hi)):
-                assert (value == 0.0) == (cold == 0.0)  # same support
-                assert abs(value - cold) <= 1e-9 * max(1.0, abs(cold))
+        assert g.cuts.shape == w.cuts.shape
+        for value, cold in zip(g.cuts.ravel().tolist(), w.cuts.ravel().tolist()):
+            assert (value == 0.0) == (cold == 0.0)  # same support
+            assert abs(value - cold) <= 1e-9 * max(1.0, abs(cold))
     if expected_cold is None:
         assert len(raw_cold_solves) < levels  # most corners certified by the level below
     else:
@@ -381,7 +417,7 @@ def test_tied_optimum_is_never_certified(sale_prices, tied, raw_cold_solves, tab
     got = solve_fuzzy(p, grid).levels
     if tied:
         assert len(raw_cold_solves) == len(tableau_solves) == 2 * len(grid)
-        assert got == cold_levels(p, grid)
+        assert_same_levels(got, cold_levels(p, grid))
     else:
         assert len(raw_cold_solves) < 2 * len(grid)
 
@@ -418,7 +454,7 @@ def test_screened_corners_skip_the_cold_solve(raw_cold_solves):
     grid = AlphaGrid.uniform(11)
     got = solve_fuzzy(p, grid).levels
     assert len(raw_cold_solves) == 2
-    assert got == cold_levels(p, grid)
+    assert_same_levels(got, cold_levels(p, grid))
 
 
 @pytest.mark.parametrize(

@@ -449,8 +449,8 @@ def test_compare_demo(demo_problem, demo_specs):
     assert d.width_ratio > 1.0
     assert d.mc_inside_fuzzy
     assert mc.benefit_mean is not None
-    core = fz.level_at(1.0).benefit
-    assert core.lo <= mc.benefit_mean <= core.hi
+    core_lo, core_hi = fz.level_at(1.0).cuts[0]
+    assert core_lo <= mc.benefit_mean <= core_hi
 
 
 def test_compare_shape_mismatch(demo_problem, demo_specs):

@@ -1,5 +1,6 @@
 """Property tests over random fuzzy problems, 1x1 to 3x3, non-square included."""
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -104,13 +105,13 @@ def test_alpha_cuts_bracket_crisp_optima_and_nest(p, data):
             assert crisp.status == "optimal"
             value = crisp.objective_value
             tol = 1e-7 * max(1.0, abs(value))
-            assert level.benefit.lo - tol <= value <= level.benefit.hi + tol
+            assert level.cuts[0, 0] - tol <= value <= level.cuts[0, 1] + tol
 
     # cuts nest: benefit and every lane, each feasible level inside the one below
-    cuts = [(lv.benefit, *lv.shipments) for lv in sol.levels if lv.feasible]
+    cuts = [lv.cuts for lv in sol.levels if lv.feasible]
     for lower, upper in zip(cuts, cuts[1:]):
-        for outer, inner in zip(lower, upper):
-            assert outer.lo <= inner.lo and inner.hi <= outer.hi
+        assert lower.shape == upper.shape == (1 + p.shape[0] * p.shape[1], 2)
+        assert np.all(lower[:, 0] <= upper[:, 0]) and np.all(upper[:, 1] <= lower[:, 1])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
