@@ -11,6 +11,16 @@ answer a given (c, b), and the certifier sums in a fixed order, so a
 certified answer does not depend on which bases were tried, or in what
 order.
 
+One degeneracy is forced and harmless: a folded pair, a capacity row and
+its contract row with the same right-hand side (as repair leaves an
+alpha-cut corner whose minimum crossed its capacity). Its two slacks sum
+to cap - min = 0, so both are 0 at every feasible point. The basis of
+such a vertex takes the contract slack as basic at 0, and certify lets
+it sit there (and no lower), and skips the reduced cost of the capacity
+slack, which nothing feasible can raise. Every other test stays strict,
+so the certified x is still the unique optimum and its basis the only
+one that certifies it (Bertsimas & Tsitsiklis ch. 3).
+
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
 scenarios and the fuzzy solver's alpha-cut corners alike: screen,
@@ -73,7 +83,9 @@ def _floor(b: np.ndarray) -> np.ndarray:
     """The least value of a basic variable, per right-hand side (rows of b).
 
     A vertex with a value at or below it counts as degenerate: learn
-    leaves its basis out and certify refuses it, so the two agree.
+    leaves its basis out and certify refuses it, so the two agree. The
+    one exception is the contract slack of a folded pair, which is basic
+    at 0 and within the floor of it.
     """
     return PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=-1))
 
@@ -107,15 +119,18 @@ class _BasisCache:
         return basis
 
     def _basis_at(self, x: np.ndarray, b: np.ndarray):
-        """The basis at vertex x, when it is new: the support of [x, slacks].
+        """The basis at vertex x, when it is new: the support of [x, slacks],
+        plus the contract slack of each folded pair of b.
 
         None when that basis is cached already, or when the vertex is
-        degenerate: then it has fewer nonzeros than there are rows, and
-        it could not be certified anyway.
+        degenerate beyond its folded pairs: then it has fewer nonzeros
+        than there are rows, and it could not be certified anyway.
         """
         a = self.matrix
+        pairs = len(b) // 2
         slacks = (b - a[:, : self.lanes] @ x) * self.signs
         chosen = np.concatenate([x, slacks]) > _floor(b)
+        chosen[self.lanes + pairs :] |= b[:pairs] == b[pairs:]
         basic = np.flatnonzero(chosen)
         if len(basic) != a.shape[0] or basic.tobytes() in self.bases:
             return None
@@ -139,10 +154,10 @@ class _BasisCache:
         certificate decides.
 
         Returns None, and leaves the LP to the tableau, where a capacity
-        is at or below its minimum or 0 (the row is infeasible, or its
-        two constraints hold a slack at 0 and no basis can certify it,
-        as on every repaired corner), where a total or M passes the
-        float maximum, or where MODI runs out of pivots.
+        is below its minimum or 0 (the row is infeasible), where a total
+        or M passes the float maximum, or where MODI runs out of pivots.
+        A capacity equal to its minimum, as on a repaired corner, leaves
+        an optional node with nothing to supply; certify still decides.
         """
         m, n = self.shape
         least = np.maximum(b[m + n :], 0.0)
@@ -152,7 +167,7 @@ class _BasisCache:
         supply = np.concatenate([least[:m], spare[:m], [least[m:].sum() + spare[m:].sum()]])
         demand = np.concatenate([least[m:], spare[m:], [least[:m].sum() + spare[:m].sum()]])
         limits = ((2 * nodes + 1) * big, supply[-1], demand[-1])
-        if (spare <= 0).any() or not np.isfinite(limits).all():
+        if (spare < 0).any() or not np.isfinite(limits).all():
             return None
         costs = np.zeros((2 * m + 1, 2 * n + 1))
         costs[: 2 * m, : 2 * n] = np.tile(-c.reshape(m, n), (2, 2))
@@ -163,7 +178,7 @@ class _BasisCache:
         f = np.array(plan[0])
         return (f[:m, :n] + f[m:-1, :n] + f[:m, n:-1] + f[m:-1, n:-1]).ravel()
 
-    def fresh(self, c: np.ndarray, b: np.ndarray):
+    def fresh(self, c: np.ndarray, b: np.ndarray, folded):
         """Answer LP 0 of the pending LPs (rows of c and b): none certifies it.
 
         Returns (basis, certified, cold solution): the basis learned for
@@ -173,20 +188,20 @@ class _BasisCache:
         certifies LP 0, that basis is learned and there is no cold
         solution: the tableau would end on the same unique optimum.
         Otherwise the proposal is dropped unlearned, and simplex.solve
-        answers LP 0 cold.
+        answers LP 0 cold. folded is passed on to certify.
         """
         x = self.propose(c[0], b[0])
         basis = None if x is None else self._basis_at(x, b[0])
         if basis is not None:
-            certified = self.certify(basis, c, b)
+            certified = self.certify(basis, c, b, folded)
             if certified[0][0]:
                 self.bases[basis.basic.tobytes()] = basis
                 return basis, certified, None
         sol = solve(LinearProgram(*self.skeleton, b[0], c[0]))
         basis = self.learn(np.array(sol.x), b[0]) if sol.status == "optimal" else None
-        return basis, (None if basis is None else self.certify(basis, c, b)), sol
+        return basis, (None if basis is None else self.certify(basis, c, b, folded)), sol
 
-    def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
+    def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray, folded):
         """Which scenarios (rows of c and b) have basis as their unique optimum.
 
         Returns the mask, and the optimal shipments (one row each) and
@@ -194,23 +209,44 @@ class _BasisCache:
         basic variable above _floor(b), every nonbasic reduced cost below
         the margin. Ties and degenerate vertices go to the cold solve, so
         an answer never depends on which bases were found before it.
+        folded, None or a (K, M+N) mask of the rows' folded pairs, makes
+        the two exceptions of a folded pair: its basic contract slack
+        passes within the floor of 0, and the reduced cost of its
+        nonbasic capacity slack is not tested.
         A basis from another scenario mostly fails on x_B, so x_B is
         computed for the first FIRST_BASICS basic variables, then in full
         where those pass, and reduced costs only where all of x_B does.
         """
-        floor = _floor(b)
+        floor = _floor(b)[:, None]
+        at_zero = free = None
+        if folded is not None:  # each row's folded slacks, by standard-form column
+            lanes, unfolded = np.zeros((len(b), self.lanes), dtype=bool), np.zeros_like(folded)
+            at_zero = np.hstack([lanes, unfolded, folded])[:, basis.basic]
+            free = np.hstack([lanes, folded, unfolded])[:, basis.nonbasic]
+
+        def primal(x_basic, rows):
+            """Which of rows pass on x_basic, their leading basic values."""
+            above = x_basic > floor[rows]
+            if at_zero is not None:
+                zero = at_zero[rows, : x_basic.shape[1]]
+                above = np.where(zero, np.abs(x_basic) <= floor[rows], above)
+            return above.all(axis=1)
+
         head = _accumulate(b, basis.inverse[:FIRST_BASICS].T)
-        rows = np.flatnonzero((head > floor[:, None]).all(axis=1))
+        rows = np.flatnonzero(primal(head, slice(None)))
         x_basic = _accumulate(b[rows], basis.inverse.T)
-        primal = (x_basic > floor[rows, None]).all(axis=1)
-        rows, x_basic = rows[primal], x_basic[primal]
+        passed = primal(x_basic, rows)
+        rows, x_basic = rows[passed], x_basic[passed]
         costs = np.zeros((len(rows), self.matrix.shape[1]))
         costs[:, : self.lanes] = c[rows]
         c_basic = costs[:, basis.basic]
         duals = _accumulate(c_basic, basis.inverse)
         reduced = costs[:, basis.nonbasic] - _accumulate(duals, self.matrix[:, basis.nonbasic])
         margin = CERTIFY_MARGIN * np.maximum(1.0, np.abs(c[rows]).max(axis=1))
-        optimal = (reduced < -margin[:, None]).all(axis=1)
+        optimal = reduced < -margin[:, None]
+        if free is not None:
+            optimal |= free[rows]
+        optimal = optimal.all(axis=1)
         rows, x_basic, c_basic = rows[optimal], x_basic[optimal], c_basic[optimal]
         ok = np.zeros(len(b), dtype=bool)
         ok[rows] = True
@@ -236,7 +272,8 @@ class _BasisCache:
         learned here, is tested on every row still waiting for an
         answer; the first row none certifies goes to fresh, which
         proposes a basis or solves the row cold, and tests the basis it
-        learns on the rows still pending.
+        learns on the rows still pending. The batch's folded pairs are
+        found once, and certify sees them only where some row has one.
         Afterwards the cache holds only the bases that answered a row
         other than the one they were learned from: where optimal
         supports do not repeat, no basis is retested on the next batch.
@@ -252,6 +289,12 @@ class _BasisCache:
             feasible &= ~mask.reshape(len(b), -1).any(axis=1)
         benefit, x = np.zeros(len(b)), np.zeros((len(b), self.lanes))
         pending = np.flatnonzero(feasible)
+        folded = b[:, : m + n] == b[:, m + n :]
+        folded = folded if folded.any() else None
+
+        def waiting():
+            """c, b and folded of the pending rows."""
+            return c[pending], b[pending], None if folded is None else folded[pending]
 
         def settle(ok, x_ok, benefit_ok) -> int:
             """Answer the pending rows a basis certifies (ok); return how many."""
@@ -263,11 +306,11 @@ class _BasisCache:
         useful = [
             basis
             for basis in self.bases.values()
-            if settle(*self.certify(basis, c[pending], b[pending]))
+            if settle(*self.certify(basis, *waiting()))
         ]
         while pending.size:
             row = int(pending[0])
-            basis, certified, sol = self.fresh(c[pending], b[pending])
+            basis, certified, sol = self.fresh(*waiting())
             others = settle(*certified) if basis is not None else 0
             if pending.size and pending[0] == row:  # not certified: the cold answer stands
                 feasible[row] = sol.status == "optimal"

@@ -234,11 +234,17 @@ def modi_arrays(costs: np.ndarray, x: list, cells):
 
     x holds the start's shipments as M row lists and is updated in
     place; cells is its spanning tree. Returns the optimal x and its
-    basis cells, or None after 10,000 pivots. Costs large enough to
-    overflow the potentials raise no numpy warning; the caller checks
-    what it needs of the plan (the CLI, that its total cost is finite).
+    basis cells, or None after 10,000 pivots. A potential sums at most
+    M+N costs, so where that could pass the float maximum the costs are
+    first divided by a power of two (exact in binary); other costs pivot
+    unscaled. Overflow elsewhere raises no numpy warning; the caller
+    checks what it needs of the plan (the CLI, that its total cost is
+    finite).
     """
     m, n = costs.shape
+    e = math.frexp(float(np.abs(costs).max()))[1] + (2 * (m + n)).bit_length() - 1023
+    if e > 0:
+        costs = np.ldexp(costs, -e)
     tree = _Tree(costs.tolist(), cells, m, n)
     basic = np.zeros((m, n), dtype=bool)
     basic[tuple(zip(*cells))] = True

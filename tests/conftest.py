@@ -63,9 +63,9 @@ def counted_solves(monkeypatch):
     calls = []
     fresh = basis._BasisCache.fresh
 
-    def counted(self, c, b):
+    def counted(self, c, b, folded):
         calls.append((c, b))
-        return fresh(self, c, b)
+        return fresh(self, c, b, folded)
 
     monkeypatch.setattr(basis._BasisCache, "fresh", counted)
     return calls

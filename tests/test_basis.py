@@ -53,8 +53,9 @@ def proposal_batches(rng, m, n):
 
     On top of random_batch's negative minimums and infeasible rows that
     pass the screen, some rows get lane profits drawn from three values
-    (ties), some a minimum set to its capacity (a repaired corner), and
-    the last batch profits near the float maximum.
+    (ties), some a minimum set to its capacity (a repaired corner), some
+    a capacity below 0, which propose refuses, and the last batch
+    profits near the float maximum.
     """
     for k in range(3):
         c, b = random_batch(rng, m, n, 24)
@@ -63,6 +64,9 @@ def proposal_batches(rng, m, n):
         for row in np.flatnonzero(rng.random(len(b)) < 0.2):
             cap = int(rng.integers(m + n))
             b[row, m + n + cap] = b[row, cap]
+        for row in np.flatnonzero(rng.random(len(b)) < 0.1):
+            cap = int(rng.integers(m + n))
+            b[row, [cap, m + n + cap]] = -1.0, -2.0
         if k == 2:
             c *= rng.choice([1e200, 1e306, 1e308]) / np.abs(c).max()
         yield c, b
@@ -76,16 +80,19 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
     # which the proposer proposes nothing
     rng = np.random.default_rng(100 + seed)
     outcomes = {"proposal certified": 0, "proposal refused": 0, "skipped": 0}
+    outcomes["repaired row, proposal certified"] = 0
     plain = []  # caches whose proposer proposes nothing
     fresh = _BasisCache.fresh
 
-    def observed(cache, c, b):
-        basis, certified, sol = fresh(cache, c, b)
+    def observed(cache, c, b, folded):
+        basis, certified, sol = fresh(cache, c, b, folded)
         m, n = cache.shape
-        if (b[0, : m + n] <= np.maximum(b[0, m + n :], 0.0)).any():
+        if (b[0, : m + n] < np.maximum(b[0, m + n :], 0.0)).any():
             outcomes["skipped"] += 1
         elif cache not in plain:
             outcomes["proposal certified" if sol is None else "proposal refused"] += 1
+            folded_row = (b[0, : m + n] == b[0, m + n :]).any()
+            outcomes["repaired row, proposal certified"] += bool(folded_row and sol is None)
         return basis, certified, sol
 
     monkeypatch.setattr(_BasisCache, "fresh", observed)
@@ -105,3 +112,72 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
         for c, b in proposal_batches(rng, m, n):
             assert outcome(cache, c, b) == outcome(plain[-1], c, b)
     assert all(outcomes.values()), outcomes
+
+
+def folded_batch(rng, m, n, k):
+    """random_batch with some pairs folded: a minimum set to its capacity,
+    as repair leaves a corner, and some of those pairs at 0 on both sides."""
+    c, b = random_batch(rng, m, n, k)
+    pairs = rng.random((k, m + n)) < 0.3
+    b[:, : m + n][pairs & (rng.random((k, m + n)) < 0.15)] = 0.0
+    b[:, m + n :][pairs] = b[:, : m + n][pairs]
+    return c, b
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_folded_pairs_match_highs(seed, tableau_solves):
+    # on a folded pair both slacks are 0 at every feasible point; certify
+    # answers such rows anyway, and every answer is HiGHS's optimum at a
+    # point that meets every constraint
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(200 + seed)
+    kinds = {"folded": 0, "folded at 0": 0}
+    by_tableau = 0  # folded rows
+    for m, n in ((1, 1), (1, 3), (2, 2), (3, 2), (4, 5)):
+        cache = _BasisCache((m, n))
+        sums = cache.matrix[: m + n, : m * n]
+        a_ub = np.vstack([sums, -sums])
+        for _ in range(2):
+            c, b = folded_batch(rng, m, n, 30)
+            before = len(tableau_solves)
+            feasible, benefit, x = cache.answer(c, b)
+            for lp in tableau_solves[before:]:
+                by_tableau += bool((lp.b[: m + n] == lp.b[m + n :]).any())
+            for row in range(len(b)):
+                b_ub = np.concatenate([b[row, : m + n], -b[row, m + n :]])
+                ref = linprog(-c[row], A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+                assert ref.status in (0, 2), ref.message
+                assert feasible[row] == (ref.status == 0)
+                if not feasible[row]:
+                    continue
+                scale = max(1.0, np.abs(c[row]).max() * np.abs(b[row]).max())
+                assert abs(benefit[row] + ref.fun) <= 1e-7 * scale
+                tol = 1e-9 * max(1.0, np.abs(b[row]).max())
+                assert (x[row] >= 0.0).all() and (a_ub @ x[row] <= b_ub + tol).all()
+                folded = b[row, : m + n] == b[row, m + n :]
+                kinds["folded"] += int(folded.any())
+                kinds["folded at 0"] += int((folded & (b[row, : m + n] == 0.0)).any())
+    assert all(kinds.values()), kinds
+    assert by_tableau < kinds["folded"] / 2  # certify answered most folded rows
+
+
+def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
+    # one supplier, two customers; customer 1 loses money, so it gets its
+    # minimum of 1 and customer 0 its capacity of 8. Unfolded, supplier
+    # 0 ships 9 between its minimum 2 and capacity 10: both slacks of the
+    # pair are basic. Folded at 9.5, that basis puts the capacity slack
+    # at 0.5 and the contract slack at -0.5, a point that breaks the
+    # minimum; certify must refuse it, and the optimum ships 1.5 to
+    # customer 1
+    cache = _BasisCache((1, 2))
+    c = np.array([5.0, -1.0])
+    unfolded = np.array([10.0, 8.0, 8.0, 2.0, 0.0, 1.0])
+    basis = cache.learn(np.array([8.0, 1.0]), unfolded)
+    lanes, pairs = 2, 3
+    assert {lanes, lanes + pairs} <= set(basis.basic.tolist())  # s_cap and s_min of supplier 0
+    folded = unfolded.copy()
+    folded[[0, 3]] = 9.5
+    mask = (folded[:3] == folded[3:])[None]
+    assert not cache.certify(basis, c[None], folded[None], mask)[0][0]
+    feasible, benefit, x = cache.answer(c[None], folded[None])
+    assert feasible[0] and x[0].tolist() == [8.0, 1.5] and benefit[0] == 38.5

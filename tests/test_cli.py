@@ -235,6 +235,8 @@ def test_overflowing_benefit_exits_2(tmp_path, mode, warnings):
         ([1e308, 1e308], [1e308, 1e308], [[1e-10, 2e-10], [3e-10, 4e-10]], 5e298),
         ([1, 2], [3], [[1e308], [1e308]], None),  # the optimal cost overflows
         ([1, 2], [3], [[1e308], [-1e308]], None),  # and so do the potentials
+        # potentials past the float maximum used to make MODI cycle (exit 4)
+        ([1, 2], [1, 1, 1], [[1e308, 1e308, -1e308], [-1e308, -1e308, 5e307]], None),
     ],
 )
 def test_transport_near_the_float_maximum(tmp_path, supplies, demands, costs, total):

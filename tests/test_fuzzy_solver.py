@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,8 +100,6 @@ def test_repair_identity(demo_means):
 
 
 def test_repair_allows_equality(demo_means):
-    from dataclasses import replace
-
     boundary = replace(demo_means, sale_min=demo_means.demand_max)
     fixed, repaired = repair_bounds(boundary)
     assert not repaired
@@ -422,13 +421,18 @@ def test_tied_optimum_is_never_certified(sale_prices, tied, raw_cold_solves, tab
         assert len(raw_cold_solves) < 2 * len(grid)
 
 
-def test_repaired_corner_goes_straight_to_the_tableau(
-    demo_problem, counted_solves, tableau_solves, monkeypatch
-):
-    # repair sets a clipped minimum to its capacity. The two constraint
-    # rows then hold one of their slacks at 0, so no basis can certify
-    # the corner, and the transport solver proposes nothing
-    _, pes = corner_instances(demo_problem, 0.0)
+def repaired_problem():
+    # nondegenerate_problem at 3x3 with supplier 0's purchase minimum on
+    # its capacity: every pessimistic corner is repaired, no optimistic one
+    p = nondegenerate_problem(k=3)
+    return replace(p, purchase_min=(p.supply_max[0], *p.purchase_min[1:]))
+
+
+def test_repaired_corner_is_certified(counted_solves, tableau_solves, monkeypatch):
+    # repair sets a clipped minimum to its capacity, so both slacks of that
+    # pair are 0 at every feasible point. The proposal's basis holds the
+    # contract slack basic at 0, certifies the corner, and no tableau runs
+    _, pes = corner_instances(repaired_problem(), 0.0)
     fixed, repaired = repair_bounds(pes)
     assert repaired
     proposals = []
@@ -441,10 +445,14 @@ def test_repaired_corner_goes_straight_to_the_tableau(
     monkeypatch.setattr(_BasisCache, "propose", recorded)
     lp = to_lp(fixed)
     feasible, benefit, x = _BasisCache(fixed.shape).answer(lp.c[None], lp.b[None])
-    assert proposals == [None]
-    assert len(counted_solves) == len(tableau_solves) == 1
+    assert len(proposals) == 1 and proposals[0] is not None
+    assert len(counted_solves) == 1 and not tableau_solves
     sol = solve(lp)
-    assert (feasible[0], benefit[0], tuple(x[0])) == (True, sol.objective_value, sol.x)
+    assert feasible[0] and sol.status == "optimal"
+    for value, cold in zip([benefit[0], *x[0]], [sol.objective_value, *sol.x]):
+        assert (value == 0.0) == (cold == 0.0)  # same support
+        assert abs(value - cold) <= 1e-9 * max(1.0, abs(cold))
+        assert cli._fmt(value) == cli._fmt(cold)
 
 
 def test_screened_corners_skip_the_cold_solve(raw_cold_solves):
@@ -458,18 +466,27 @@ def test_screened_corners_skip_the_cold_solve(raw_cold_solves):
 
 
 @pytest.mark.parametrize(
-    "problem", [*(nondegenerate_problem(seed=seed) for seed in range(4)), infeasible_low_problem()]
+    "problem",
+    [
+        *(nondegenerate_problem(seed=seed) for seed in range(4)),
+        infeasible_low_problem(),
+        repaired_problem(),
+    ],
 )
-def test_batch_answers_do_not_depend_on_row_order(problem, raw_cold_solves):
+def test_batch_answers_do_not_depend_on_row_order(problem, raw_cold_solves, tableau_solves):
     # solve_fuzzy's outputs rest on this: each row of a batch gets the
-    # same bytes wherever it sits in the batch, on a fresh cache
+    # same bytes wherever it sits in the batch, on a fresh cache, also
+    # where repaired (folded) and unrepaired corners mix
     grid = AlphaGrid.uniform(21)
     corners = [
-        repair_bounds(corner)[0] for alpha in grid for corner in corner_instances(problem, alpha)
+        repair_bounds(corner) for alpha in grid for corner in corner_instances(problem, alpha)
     ]
-    lps = [to_lp(corner) for corner in corners]
+    lps = [to_lp(corner) for corner, _ in corners]
     c, b = np.array([lp.c for lp in lps]), np.array([lp.b for lp in lps])
     want = _BasisCache(problem.shape).answer(c, b)
+    repaired = sum(rep for _, rep in corners)
+    if repaired:
+        assert repaired < len(corners) and not tableau_solves
     assert len(raw_cold_solves) < want[0].sum()  # bases answered corners besides their own
     rng = np.random.default_rng(0)
     for _ in range(5):

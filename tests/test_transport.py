@@ -234,6 +234,20 @@ def test_modi_max_matches_simplex():
         assert plan_cost(t, plan) == pytest.approx(sol.objective_value, abs=1e-6)
 
 
+def test_modi_near_the_float_maximum_pivots_as_at_unit_scale():
+    # costs of both signs times 2^1019: a potential sums up to M+N of
+    # them and would pass the float maximum, so MODI first divides the
+    # costs by a power of two, and then makes the unit-scale pivots
+    rng = np.random.default_rng(1009)
+    for _ in range(40):
+        t = _random_instance(rng)
+        costs = np.array(t.costs) * rng.choice([-1.0, 1.0], (len(t.supplies), len(t.demands)))
+        small = inst(t.supplies, t.demands, costs.tolist())
+        huge = inst(t.supplies, t.demands, np.ldexp(costs, 1019).tolist())
+        want = modi_optimize(small, vogel_approximation(small))
+        assert modi_optimize(huge, vogel_approximation(huge)) == want
+
+
 def test_plans_deterministic():
     rng = np.random.default_rng(31415)
     t = _random_instance(rng)
