@@ -19,13 +19,14 @@ such a vertex takes the contract slack as basic at 0, and certify lets
 it sit there (and no lower), and skips the reduced cost of the capacity
 slack, which nothing feasible can raise. Every other test stays strict,
 so the certified x is still the unique optimum and its basis the only
-one that certifies it (Bertsimas & Tsitsiklis ch. 3).
+one that certifies it (Bertsimas & Tsitsiklis ch. 3). A pair is folded
+in the row of b at hand, so _basis_at and certify read it from there.
 
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
 scenarios and the fuzzy solver's alpha-cut corners alike: screen,
 certify the cached bases, and answer what is left from the row's own
-(c, b), learning its basis (_BasisCache.fresh). There the transport
+(c, b), finding its basis (_BasisCache.fresh). There the transport
 solver proposes a basis first: the distributor LP is a transportation
 problem once each node splits in two (_BasisCache.propose). A proposal
 stands only where it certifies its own row, as the unique optimum the
@@ -82,8 +83,8 @@ class _Basis(NamedTuple):
 def _floor(b: np.ndarray) -> np.ndarray:
     """The least value of a basic variable, per right-hand side (rows of b).
 
-    A vertex with a value at or below it counts as degenerate: learn
-    leaves its basis out and certify refuses it, so the two agree. The
+    A vertex with a value at or below it counts as degenerate: _basis_at
+    gives no basis for it and certify refuses it, so the two agree. The
     one exception is the contract slack of a folded pair, which is basic
     at 0 and within the floor of it.
     """
@@ -105,26 +106,15 @@ class _BasisCache:
         self.signs = np.array([1.0 if rel == "<=" else -1.0 for rel in relations])
         self.lanes = shape[0] * shape[1]
         self.matrix = np.hstack([a, np.diag(self.signs)])
-        self.bases = {}  # basic columns as bytes -> _Basis
-
-    def learn(self, x: np.ndarray, b: np.ndarray):
-        """Add the basis at a cold optimum x to the cache and return it.
-
-        Returns None when that basis is cached already, or when the
-        vertex is degenerate (see _basis_at).
-        """
-        basis = self._basis_at(x, b)
-        if basis is not None:
-            self.bases[basis.basic.tobytes()] = basis
-        return basis
+        self.bases = []  # _Basis, kept by answer
 
     def _basis_at(self, x: np.ndarray, b: np.ndarray):
-        """The basis at vertex x, when it is new: the support of [x, slacks],
-        plus the contract slack of each folded pair of b.
+        """The basis at vertex x: the support of [x, slacks], plus the
+        contract slack of each folded pair of b.
 
-        None when that basis is cached already, or when the vertex is
-        degenerate beyond its folded pairs: then it has fewer nonzeros
-        than there are rows, and it could not be certified anyway.
+        None when the vertex is degenerate beyond its folded pairs: then
+        it has fewer nonzeros than there are rows, and it could not be
+        certified anyway.
         """
         a = self.matrix
         pairs = len(b) // 2
@@ -132,7 +122,7 @@ class _BasisCache:
         chosen = np.concatenate([x, slacks]) > _floor(b)
         chosen[self.lanes + pairs :] |= b[:pairs] == b[pairs:]
         basic = np.flatnonzero(chosen)
-        if len(basic) != a.shape[0] or basic.tobytes() in self.bases:
+        if len(basic) != a.shape[0]:
             return None
         try:
             inverse = np.linalg.inv(a[:, basic])
@@ -154,7 +144,8 @@ class _BasisCache:
         certificate decides.
 
         Returns None, and leaves the LP to the tableau, where a capacity
-        is below its minimum or 0 (the row is infeasible), where a total
+        is below its minimum or 0 (by at most FEAS_TOL, or the screen
+        would have answered the row), where a total
         or M passes the float maximum, or where MODI runs out of pivots.
         A capacity equal to its minimum, as on a repaired corner, leaves
         an optional node with nothing to supply; certify still decides.
@@ -178,30 +169,28 @@ class _BasisCache:
         f = np.array(plan[0])
         return (f[:m, :n] + f[m:-1, :n] + f[:m, n:-1] + f[m:-1, n:-1]).ravel()
 
-    def fresh(self, c: np.ndarray, b: np.ndarray, folded):
+    def fresh(self, c: np.ndarray, b: np.ndarray):
         """Answer LP 0 of the pending LPs (rows of c and b): none certifies it.
 
-        Returns (basis, certified, cold solution): the basis learned for
-        LP 0 (None when degenerate or cached already), what certify
-        gives for it on every row, and the tableau's solution of LP 0.
-        The transport solver proposes first. When the basis of its plan
-        certifies LP 0, that basis is learned and there is no cold
-        solution: the tableau would end on the same unique optimum.
-        Otherwise the proposal is dropped unlearned, and simplex.solve
-        answers LP 0 cold. folded is passed on to certify.
+        Returns (basis, certified, cold solution): the basis found for
+        LP 0 (None when degenerate), what certify gives for it on every
+        row, and the tableau's solution of LP 0. The transport solver
+        proposes first. When the basis of its plan certifies LP 0, there
+        is no cold solution: the tableau would end on the same unique
+        optimum. Otherwise the proposal is dropped, and simplex.solve
+        answers LP 0 cold.
         """
         x = self.propose(c[0], b[0])
         basis = None if x is None else self._basis_at(x, b[0])
         if basis is not None:
-            certified = self.certify(basis, c, b, folded)
+            certified = self.certify(basis, c, b)
             if certified[0][0]:
-                self.bases[basis.basic.tobytes()] = basis
                 return basis, certified, None
         sol = solve(LinearProgram(*self.skeleton, b[0], c[0]))
-        basis = self.learn(np.array(sol.x), b[0]) if sol.status == "optimal" else None
-        return basis, (None if basis is None else self.certify(basis, c, b, folded)), sol
+        basis = self._basis_at(np.array(sol.x), b[0]) if sol.status == "optimal" else None
+        return basis, (None if basis is None else self.certify(basis, c, b)), sol
 
-    def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray, folded):
+    def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
         """Which scenarios (rows of c and b) have basis as their unique optimum.
 
         Returns the mask, and the optimal shipments (one row each) and
@@ -209,17 +198,18 @@ class _BasisCache:
         basic variable above _floor(b), every nonbasic reduced cost below
         the margin. Ties and degenerate vertices go to the cold solve, so
         an answer never depends on which bases were found before it.
-        folded, None or a (K, M+N) mask of the rows' folded pairs, makes
-        the two exceptions of a folded pair: its basic contract slack
-        passes within the floor of 0, and the reduced cost of its
-        nonbasic capacity slack is not tested.
+        A row's folded pairs make two exceptions: the basic contract
+        slack of such a pair passes within the floor of 0, and the
+        reduced cost of its nonbasic capacity slack is not tested.
         A basis from another scenario mostly fails on x_B, so x_B is
         computed for the first FIRST_BASICS basic variables, then in full
         where those pass, and reduced costs only where all of x_B does.
         """
         floor = _floor(b)[:, None]
+        pairs = b.shape[1] // 2
+        folded = b[:, :pairs] == b[:, pairs:]
         at_zero = free = None
-        if folded is not None:  # each row's folded slacks, by standard-form column
+        if folded.any():  # each row's folded slacks, by standard-form column
             lanes, unfolded = np.zeros((len(b), self.lanes), dtype=bool), np.zeros_like(folded)
             at_zero = np.hstack([lanes, unfolded, folded])[:, basis.basic]
             free = np.hstack([lanes, folded, unfolded])[:, basis.nonbasic]
@@ -267,16 +257,16 @@ class _BasisCache:
         are (K,) bool, (K,) and (K, MN); an infeasible row has benefit 0
         and x all zeros.
 
-        A row that breaks a necessary feasibility condition is
-        infeasible without a solve. Every cached basis, and every basis
-        learned here, is tested on every row still waiting for an
-        answer; the first row none certifies goes to fresh, which
+        A row that fails the feasibility screen is infeasible without a
+        solve. Every cached basis is tested on every row still waiting
+        for an answer; the first row none certifies goes to fresh, which
         proposes a basis or solves the row cold, and tests the basis it
-        learns on the rows still pending. The batch's folded pairs are
-        found once, and certify sees them only where some row has one.
+        finds on the rows still pending. A basis found again after such
+        a test answers nothing new: certify is a function of (basis,
+        row), and every row still pending was tested on it.
         Afterwards the cache holds only the bases that answered a row
-        other than the one they were learned from: where optimal
-        supports do not repeat, no basis is retested on the next batch.
+        other than the one they were found at: where optimal supports do
+        not repeat, no basis is retested on the next batch.
 
         Finite data can still overflow on the way, in the simplex's
         pricing or in a benefit past the float maximum: numpy stays
@@ -289,12 +279,6 @@ class _BasisCache:
             feasible &= ~mask.reshape(len(b), -1).any(axis=1)
         benefit, x = np.zeros(len(b)), np.zeros((len(b), self.lanes))
         pending = np.flatnonzero(feasible)
-        folded = b[:, : m + n] == b[:, m + n :]
-        folded = folded if folded.any() else None
-
-        def waiting():
-            """c, b and folded of the pending rows."""
-            return c[pending], b[pending], None if folded is None else folded[pending]
 
         def settle(ok, x_ok, benefit_ok) -> int:
             """Answer the pending rows a basis certifies (ok); return how many."""
@@ -304,13 +288,11 @@ class _BasisCache:
             return len(x_ok)
 
         useful = [
-            basis
-            for basis in self.bases.values()
-            if settle(*self.certify(basis, *waiting()))
+            basis for basis in self.bases if settle(*self.certify(basis, c[pending], b[pending]))
         ]
         while pending.size:
             row = int(pending[0])
-            basis, certified, sol = self.fresh(*waiting())
+            basis, certified, sol = self.fresh(c[pending], b[pending])
             others = settle(*certified) if basis is not None else 0
             if pending.size and pending[0] == row:  # not certified: the cold answer stands
                 feasible[row] = sol.status == "optimal"
@@ -321,7 +303,7 @@ class _BasisCache:
                 others -= 1  # its own row
             if others:
                 useful.append(basis)
-        self.bases = {basis.basic.tobytes(): basis for basis in useful}
+        self.bases = useful
         if not (np.isfinite(benefit[feasible]).all() and np.isfinite(x[feasible]).all()):
             raise ValueError("optimal benefit must be finite")
         return feasible, benefit, x

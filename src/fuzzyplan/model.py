@@ -241,24 +241,29 @@ class FeasibilityReport:
 
 
 def necessary_violations(supply_max, demand_max, purchase_min, sale_min):
-    """Which necessary feasibility conditions fail, for a batch of scenarios.
+    """Which feasibility conditions fail, for a batch of scenarios.
 
     Arguments are (K, M) or (K, N) arrays, one row per scenario, in
     FIELDS order. Returns boolean masks: (K, M) for a supplier whose
-    purchase minimum exceeds its capacity, (K, N) for a customer whose
-    sale minimum exceeds its demand, and (K,) for total sale minimums
-    over total supply and for total purchase minimums over total demand.
-    Each flags a violation by more than FEAS_TOL; the phase-1 sum of
-    artificials is at least the violation, so the simplex reports every
-    flagged scenario infeasible.
+    capacity is below max(purchase minimum, 0), (K, N) for a customer
+    whose demand is below max(sale minimum, 0), and (K,) for the total
+    of positive sale minimums over total supply and for the total of
+    positive purchase minimums over total demand. The lanes are uncapped
+    and join every supplier to every customer, so a scenario is feasible
+    exactly when no condition fails (Gale's supply-demand theorem,
+    Pacific J. Math. 7, 1957). Each flags a violation by more than
+    FEAS_TOL; the phase-1 sum of artificials is at least the violation,
+    so the simplex reports every flagged scenario infeasible, and a
+    scenario the screen passes is infeasible by at most FEAS_TOL.
     """
     # Totals near the float limit may overflow, and the screen still
     # flags only infeasible LPs. An infinite capacity total is never
-    # exceeded. A minimum total reaches +inf only when its positive
-    # minimums sum past the float maximum, more than a finite capacity
-    # total can carry. A capacity total reaches -inf only when some
-    # capacity is negative, which no x >= 0 meets.
-    with np.errstate(over="ignore"):
+    # exceeded. A minimum total sums values >= 0, so it reaches +inf
+    # only past the float maximum, more than a finite capacity total
+    # can carry. A capacity total is -inf or NaN only when some capacity
+    # is negative, and the node test flags that scenario.
+    purchase_min, sale_min = np.maximum(purchase_min, 0.0), np.maximum(sale_min, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
         sale_total, purchase_total = sale_min.sum(axis=1), purchase_min.sum(axis=1)
         supply_total, demand_total = supply_max.sum(axis=1), demand_max.sum(axis=1)
     return (
@@ -270,34 +275,37 @@ def necessary_violations(supply_max, demand_max, purchase_min, sale_min):
 
 
 def feasibility_precheck(inst: CrispInstance) -> FeasibilityReport:
-    """Necessary-condition screen; passing does not guarantee feasibility.
+    """The feasibility screen of one scenario, with each failed condition named.
 
-    The full check is the phase-1 LP, which the solver runs anyway; this
-    exists to give named diagnostics before any solve.
+    The screen is exact (see necessary_violations), so a report that is
+    not ok means phase 1 would find no feasible point; this names why
+    before any solve.
     """
     batch = (np.array([getattr(inst, f.name)]) for f in FIELDS[:4])
     rows, cols, sale_total, purchase_total = necessary_violations(*batch)
     violations = []
-    for i in np.flatnonzero(rows[0]):
-        violations.append(
-            f"purchase_min[{i}]={inst.purchase_min[i]:g} exceeds "
-            f"supply_max[{i}]={inst.supply_max[i]:g}"
-        )
-    for j in np.flatnonzero(cols[0]):
-        violations.append(
-            f"sale_min[{j}]={inst.sale_min[j]:g} exceeds "
-            f"demand_max[{j}]={inst.demand_max[j]:g}"
-        )
-    if sale_total[0]:
-        violations.append(
-            f"total sale_min {sum(inst.sale_min):g} exceeds "
-            f"total supply_max {sum(inst.supply_max):g}"
-        )
-    if purchase_total[0]:
-        violations.append(
-            f"total purchase_min {sum(inst.purchase_min):g} exceeds "
-            f"total demand_max {sum(inst.demand_max):g}"
-        )
+    sides = (
+        (rows[0], "purchase_min", "supply_max"),
+        (cols[0], "sale_min", "demand_max"),
+    )
+    for flagged, least, most in sides:
+        for i in np.flatnonzero(flagged):
+            low, cap = getattr(inst, least)[i], getattr(inst, most)[i]
+            if low > 0:
+                violations.append(f"{least}[{i}]={low:g} exceeds {most}[{i}]={cap:g}")
+            else:
+                violations.append(f"{most}[{i}]={cap:g} is below 0")
+    totals = (
+        (sale_total[0], "sale_min", "supply_max"),
+        (purchase_total[0], "purchase_min", "demand_max"),
+    )
+    for flagged, least, most in totals:
+        if flagged:
+            positive = sum(max(v, 0.0) for v in getattr(inst, least))
+            violations.append(
+                f"total {least} {positive:g} (positive minimums only) exceeds "
+                f"total {most} {sum(getattr(inst, most)):g}"
+            )
     return FeasibilityReport(not violations, tuple(violations))
 
 

@@ -17,14 +17,15 @@ and tests/test_monte_carlo.py checks them against it.
 Most scenarios need no simplex solve. run_range draws a chunk into one
 array, one scenario row per step, turns it into every scenario's (c, b)
 with model.lp_rows, and answers the chunk with basis._BasisCache.answer,
-on one cache for the whole range: a scenario that breaks a necessary
-feasibility condition counts as infeasible, one that an optimal basis
+on one cache for the whole range: a scenario that fails the
+feasibility screen counts as infeasible, one that an optimal basis
 found earlier in the run certifies as its unique, nondegenerate
 optimum is answered from that basis, and anything else is solved cold
 from its own row of (c, b), with no CrispInstance built, and its basis
-joins the cache. A basis leaves the cache after a chunk in which it
-answered no step but the one it came from, so where optimal supports
-seldom repeat, each cold solve costs about one extra test. Every
+is tested on the rest of the chunk. After a chunk the cache holds the
+bases that answered a step other than the one they came from, so where
+optimal supports seldom repeat, each cold solve costs about one extra
+test. Every
 result stays a pure function of (seed, index), however the run is
 chunked or split and whichever bases are cached.
 

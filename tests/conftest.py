@@ -63,9 +63,9 @@ def counted_solves(monkeypatch):
     calls = []
     fresh = basis._BasisCache.fresh
 
-    def counted(self, c, b, folded):
+    def counted(self, c, b):
         calls.append((c, b))
-        return fresh(self, c, b, folded)
+        return fresh(self, c, b)
 
     monkeypatch.setattr(basis._BasisCache, "fresh", counted)
     return calls

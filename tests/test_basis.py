@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzyplan.basis import _BasisCache
+from fuzzyplan.simplex import LinearProgram, solve
 
 
 def random_batch(rng, m, n, k):
@@ -12,9 +13,7 @@ def random_batch(rng, m, n, k):
     Each row moves by none, a little or a lot, so some rows share an
     optimal basis and others do not. Contract minimums reach below zero
     (the simplex flips those rows), and the larger moves make some rows
-    infeasible. Some of those pass the screen, since a negative minimum
-    lowers a screened total but not what the other rows must carry;
-    phase 1 decides them.
+    infeasible, which the screen answers.
     """
     lo = np.repeat([300.0, -100.0], m + n)
     hi = np.repeat([700.0, 300.0], m + n)
@@ -51,11 +50,11 @@ def test_batch_answers_match_highs(seed, counted_solves):
 def proposal_batches(rng, m, n):
     """Three batches of one shape that probe the transport proposal.
 
-    On top of random_batch's negative minimums and infeasible rows that
-    pass the screen, some rows get lane profits drawn from three values
-    (ties), some a minimum set to its capacity (a repaired corner), some
-    a capacity below 0, which propose refuses, and the last batch
-    profits near the float maximum.
+    On top of random_batch's negative minimums and infeasible rows,
+    some rows get lane profits drawn from three values (ties), some a
+    minimum set to its capacity (a repaired corner), some a minimum
+    5e-8 above its capacity, under FEAS_TOL, which the screen passes and
+    propose refuses, and the last batch profits near the float maximum.
     """
     for k in range(3):
         c, b = random_batch(rng, m, n, 24)
@@ -66,7 +65,7 @@ def proposal_batches(rng, m, n):
             b[row, m + n + cap] = b[row, cap]
         for row in np.flatnonzero(rng.random(len(b)) < 0.1):
             cap = int(rng.integers(m + n))
-            b[row, [cap, m + n + cap]] = -1.0, -2.0
+            b[row, m + n + cap] = b[row, cap] + 5e-8
         if k == 2:
             c *= rng.choice([1e200, 1e306, 1e308]) / np.abs(c).max()
         yield c, b
@@ -84,8 +83,8 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
     plain = []  # caches whose proposer proposes nothing
     fresh = _BasisCache.fresh
 
-    def observed(cache, c, b, folded):
-        basis, certified, sol = fresh(cache, c, b, folded)
+    def observed(cache, c, b):
+        basis, certified, sol = fresh(cache, c, b)
         m, n = cache.shape
         if (b[0, : m + n] < np.maximum(b[0, m + n :], 0.0)).any():
             outcomes["skipped"] += 1
@@ -102,7 +101,7 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
             result = [a.tobytes() for a in cache.answer(c, b)]
         except ValueError as exc:  # a benefit past the float maximum
             result = str(exc)
-        return result, list(cache.bases)
+        return result, [basis.basic.tobytes() for basis in cache.bases]
 
     for _ in range(4):
         m, n = (int(v) for v in rng.integers(1, 9, 2))
@@ -161,6 +160,30 @@ def test_folded_pairs_match_highs(seed, tableau_solves):
     assert by_tableau < kinds["folded"] / 2  # certify answered most folded rows
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_certify_reads_each_row_alone(seed):
+    # a row's folded pairs are read from its own b, so a basis certifies
+    # a row, and writes its x and benefit, the same bytes in a batch as
+    # alone
+    rng = np.random.default_rng(300 + seed)
+    folded_certified = 0
+    for m, n in ((1, 3), (2, 2), (3, 2), (4, 5)):
+        cache = _BasisCache((m, n))
+        c, b = folded_batch(rng, m, n, 30)
+        for row in range(len(b)):
+            sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
+            basis = cache._basis_at(np.array(sol.x), b[row]) if sol.status == "optimal" else None
+            if basis is None:
+                continue
+            batch = cache.certify(basis, c, b)
+            alone = [cache.certify(basis, c[k : k + 1], b[k : k + 1]) for k in range(len(b))]
+            for part, parts in zip(batch, zip(*alone)):
+                assert part.tobytes() == np.concatenate(parts).tobytes()
+            folds = (b[:, : m + n] == b[:, m + n :]).any(axis=1)
+            folded_certified += int((batch[0] & folds).sum())
+    assert folded_certified
+
+
 def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
     # one supplier, two customers; customer 1 loses money, so it gets its
     # minimum of 1 and customer 0 its capacity of 8. Unfolded, supplier
@@ -172,12 +195,11 @@ def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
     cache = _BasisCache((1, 2))
     c = np.array([5.0, -1.0])
     unfolded = np.array([10.0, 8.0, 8.0, 2.0, 0.0, 1.0])
-    basis = cache.learn(np.array([8.0, 1.0]), unfolded)
+    basis = cache._basis_at(np.array([8.0, 1.0]), unfolded)
     lanes, pairs = 2, 3
     assert {lanes, lanes + pairs} <= set(basis.basic.tolist())  # s_cap and s_min of supplier 0
     folded = unfolded.copy()
     folded[[0, 3]] = 9.5
-    mask = (folded[:3] == folded[3:])[None]
-    assert not cache.certify(basis, c[None], folded[None], mask)[0][0]
+    assert not cache.certify(basis, c[None], folded[None])[0][0]
     feasible, benefit, x = cache.answer(c[None], folded[None])
     assert feasible[0] and x[0].tolist() == [8.0, 1.5] and benefit[0] == 38.5

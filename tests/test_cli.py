@@ -490,6 +490,14 @@ def test_compare_mode_deterministic(tmp_path):
     assert d["mc_inside_fuzzy"] is True
 
 
+def test_capacity_below_zero_is_named(tmp_path, capsys):
+    # a minimum of -5 asks for nothing; the capacity of -3 is what no
+    # shipment x >= 0 meets
+    problem = write_problem(tmp_path / "neg.json", supply_max=[-3], purchase_min=[-5])
+    assert main([str(problem), "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 3
+    assert "supply_max[0]=-3 is below 0" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main([str(tmp_path / "nope.json"), "--mode", "crisp"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from fuzzyplan.model import (
     lp_rows,
     lp_skeleton,
     midpoint_instance,
+    necessary_violations,
     to_lp,
 )
 from fuzzyplan.monte_carlo import ParameterSpecs
@@ -184,6 +185,41 @@ def test_precheck_totals():
 
 def test_precheck_trivial_pass():
     assert feasibility_precheck(one_by_one(1.0, 2.0, p=0.0, q=0.0)).ok
+
+
+def test_precheck_names_a_capacity_below_zero():
+    # a minimum at or below 0 asks for nothing, so what breaks is the
+    # capacity itself, which no shipment x >= 0 meets; the total counts
+    # only positive minimums
+    report = feasibility_precheck(one_by_one(1.0, 2.0, a=-3.0, p=-5.0, q=-1.0))
+    assert report.violations == (
+        "supply_max[0]=-3 is below 0",
+        "total sale_min 0 (positive minimums only) exceeds total supply_max -3",
+    )
+
+
+def test_screen_flags_exactly_the_infeasible_rows():
+    # the lanes are uncapped on a complete bipartite graph, so the LP is
+    # feasible exactly when each capacity meets its positive minimum and
+    # each side's positive minimums fit the other side's total capacity
+    # (Gale). Integer data keeps every violation far above FEAS_TOL.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(7)
+    flagged = []
+    for _ in range(600):
+        m, n = (int(v) for v in rng.integers(1, 5, 2))
+        b = np.concatenate([rng.integers(-1, 15, m + n), rng.integers(-6, 6, m + n)])
+        b = b.astype(float)[None]
+        masks = necessary_violations(*np.split(b, [m, m + n, 2 * m + n], axis=1))
+        flagged.append(any(mask.any() for mask in masks))
+        sums = lp_skeleton((m, n))[0][: m + n].astype(float)
+        b_ub = np.concatenate([b[0, : m + n], -b[0, m + n :]])
+        ref = linprog(
+            np.zeros(m * n), A_ub=np.vstack([sums, -sums]), b_ub=b_ub, bounds=(0, None)
+        )
+        assert ref.status in (0, 2), ref.message
+        assert flagged[-1] == (ref.status == 2), b
+    assert 0.3 < np.mean(flagged) < 0.7  # both outcomes are common
 
 
 def test_midpoint_instance(demo_problem, demo_means):

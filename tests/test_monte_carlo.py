@@ -353,18 +353,18 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
     here, mirrored = specs((5.0, 6.0)), specs((6.0, 5.0))
     cache = _BasisCache(here.shape)
     other = solve(to_lp(sample_instance(mirrored, 0, 0)))
-    stale = cache.learn(np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]))
-    assert stale is not None
+    stale = cache._basis_at(np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]))
+    cache.bases.append(stale)
     _, _, x = cache.answer(*lp_rows(here.shape, monte_carlo._draws(here, 0, 0, 5)))
     assert [tuple(ship) for ship in x.tolist()] == [(2.0, 8.0)] * 5
     # the stale basis (supply and customer 1 tight: slacks 2 and 3 out)
     # answered nothing; the new one (slacks 2 and 4 out) answered steps 1 to 4
     assert stale.basic.tolist() == [0, 1, 4, 5, 6, 7]
-    assert [basis.basic.tolist() for basis in cache.bases.values()] == [[0, 1, 3, 5, 6, 7]]
+    assert [basis.basic.tolist() for basis in cache.bases] == [[0, 1, 3, 5, 6, 7]]
     # a basis that answers only the step it was learned from is dropped
     cache = _BasisCache(here.shape)
     cache.answer(*lp_rows(here.shape, monte_carlo._draws(here, 0, 0, 1)))
-    assert cache.bases == {}
+    assert cache.bases == []
 
 
 @pytest.mark.parametrize("excess, feasible", [(5e-8, True), (5e-7, False)])
