@@ -3,24 +3,14 @@
 The LP of one shape always has the same constraint matrix; only the
 profits c and the right-hand side b change. So an optimal basis found
 by one cold solve can be tested on another (c, b) without a simplex
-run: basis B is the unique optimum of (c, b) when x_B = B^-1 b is
-strictly positive and every nonbasic reduced cost is strictly negative
-(the sensitivity-analysis test of Bertsimas & Tsitsiklis, Introduction
-to Linear Optimization, ch. 5). Strictness means at most one basis can
-answer a given (c, b), and the certifier sums in a fixed order, so a
-certified answer does not depend on which bases were tried, or in what
-order.
-
-One degeneracy is forced and harmless: a folded pair, a capacity row and
-its contract row with the same right-hand side (as repair leaves an
-alpha-cut corner whose minimum crossed its capacity). Its two slacks sum
-to cap - min = 0, so both are 0 at every feasible point. The basis of
-such a vertex takes the contract slack as basic at 0, and certify lets
-it sit there (and no lower), and skips the reduced cost of the capacity
-slack, which nothing feasible can raise. Every other test stays strict,
-so the certified x is still the unique optimum and its basis the only
-one that certifies it (Bertsimas & Tsitsiklis ch. 3). A pair is folded
-in the row of b at hand, so _basis_at and certify read it from there.
+run. Basis B certifies (c, b) when every nonbasic reduced cost is
+strictly negative and every basic variable is strictly positive, or 0
+with its row of B^-1 diag(±1) lexicographically positive (Dantzig, Orden
+& Wolfe, Pacific J. Math. 5, 1955; Bertsimas & Tsitsiklis, Introduction
+to Linear Optimization, §3.4). B is then the one optimal basis of (c, b)
+with every bound loosened by (ε, ε², …), a nondegenerate LP, so at most
+one basis answers a given (c, b), and its x is the unique optimum. The
+certifier sums in a fixed order.
 
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
@@ -33,8 +23,10 @@ stands only where it certifies its own row, as the unique optimum the
 tableau would end on too; every other row is solved by the tableau
 from the shape's lp_skeleton, as before. So every answer is a function
 of its own row's (c, b), whatever the other rows of the batch are and
-in whatever order they come. This is the only module that calls
-simplex.solve.
+in whatever order they come, except at a degenerate vertex that
+_basis_at cannot complete: a basis from another row may certify it
+there, where alone the tableau answers, equal to rounding. This is the
+only module that calls simplex.solve.
 """
 
 from __future__ import annotations
@@ -78,16 +70,12 @@ class _Basis(NamedTuple):
     basic: np.ndarray  # standard-form columns, ascending
     nonbasic: np.ndarray
     inverse: np.ndarray  # of the basis matrix; row r gives basic variable r
+    lead: np.ndarray  # row r of inverse @ diag(signs) is lexicographically positive
 
 
 def _floor(b: np.ndarray) -> np.ndarray:
-    """The least value of a basic variable, per right-hand side (rows of b).
-
-    A vertex with a value at or below it counts as degenerate: _basis_at
-    gives no basis for it and certify refuses it, so the two agree. The
-    one exception is the contract slack of a folded pair, which is basic
-    at 0 and within the floor of it.
-    """
+    """How far from 0 a value counts as 0, per right-hand side (rows of b):
+    certify accepts such a basic variable only where its lead is positive."""
     return PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=-1))
 
 
@@ -108,27 +96,51 @@ class _BasisCache:
         self.matrix = np.hstack([a, np.diag(self.signs)])
         self.bases = []  # _Basis, kept by answer
 
-    def _basis_at(self, x: np.ndarray, b: np.ndarray):
-        """The basis at vertex x: the support of [x, slacks], plus the
-        contract slack of each folded pair of b.
-
-        None when the vertex is degenerate beyond its folded pairs: then
-        it has fewer nonzeros than there are rows, and it could not be
-        certified anyway.
-        """
-        a = self.matrix
-        pairs = len(b) // 2
-        slacks = (b - a[:, : self.lanes] @ x) * self.signs
-        chosen = np.concatenate([x, slacks]) > _floor(b)
-        chosen[self.lanes + pairs :] |= b[:pairs] == b[pairs:]
+    def _basis(self, chosen: np.ndarray):
+        """The basis of the columns in mask chosen, or None where they are
+        not one. [A | diag(±1)] is totally unimodular, so B^-1 has entries
+        0 and ±1, and a row's lead is its first entry past 0.5."""
         basic = np.flatnonzero(chosen)
-        if len(basic) != a.shape[0]:
+        if len(basic) != self.matrix.shape[0]:
             return None
         try:
-            inverse = np.linalg.inv(a[:, basic])
+            inverse = np.linalg.inv(self.matrix[:, basic])
         except np.linalg.LinAlgError:
             return None
-        return _Basis(basic, np.flatnonzero(~chosen), inverse)
+        signed = inverse * self.signs
+        lead = signed[np.arange(len(basic)), np.argmax(np.abs(signed) > 0.5, axis=1)] > 0
+        return _Basis(basic, np.flatnonzero(~chosen), inverse, lead)
+
+    def _basis_at(self, x: np.ndarray, b: np.ndarray, c: np.ndarray):
+        """The basis certify accepts at vertex x of LP (c, b), or None.
+
+        The support of [x, slacks], and for each folded pair of b (a
+        capacity equal to its minimum) its contract slack, or both its
+        slacks where the node ships on no lane (a pair folded at 0). Then
+        the swaps the loosened LP asks for, made together, as each moves
+        only the dual of its own capacity row: the capacity slack in for
+        the contract slack where it prices above 0, and the node's best
+        lane in for the capacity slack of a pair folded at 0 where that
+        lane pays. It only proposes; certify decides.
+        """
+        pairs = len(b) // 2
+        shipping = self.matrix[:, : self.lanes]
+        slacks = (b - shipping @ x) * self.signs
+        chosen = np.concatenate([x, slacks]) > _floor(b)
+        folded = b[:pairs] == b[pairs:]
+        idle = folded & (shipping[:pairs] @ chosen[: self.lanes] == 0)
+        chosen[self.lanes :] |= np.concatenate([idle, folded])
+        basis = self._basis(chosen)
+        if basis is None:
+            return None
+        costs = np.concatenate([c, np.zeros(len(b))])
+        reduced = costs - costs[basis.basic] @ basis.inverse @ self.matrix
+        best = np.where(shipping[:pairs] > 0, reduced[: self.lanes], -np.inf).argmax(axis=1)
+        swap = folded & ~idle & (reduced[self.lanes : self.lanes + pairs] > 0)
+        pays = idle & (reduced[best] > 0)
+        chosen[self.lanes :] ^= np.concatenate([swap | pays, swap])
+        chosen[best[pays]] = True
+        return self._basis(chosen) if (swap | pays).any() else basis
 
     def propose(self, c: np.ndarray, b: np.ndarray):
         """Lane shipments of an optimum of one LP, by the transport solver.
@@ -181,13 +193,13 @@ class _BasisCache:
         answers LP 0 cold.
         """
         x = self.propose(c[0], b[0])
-        basis = None if x is None else self._basis_at(x, b[0])
+        basis = None if x is None else self._basis_at(x, b[0], c[0])
         if basis is not None:
             certified = self.certify(basis, c, b)
             if certified[0][0]:
                 return basis, certified, None
         sol = solve(LinearProgram(*self.skeleton, b[0], c[0]))
-        basis = self._basis_at(np.array(sol.x), b[0]) if sol.status == "optimal" else None
+        basis = self._basis_at(np.array(sol.x), b[0], c[0]) if sol.status == "optimal" else None
         return basis, (None if basis is None else self.certify(basis, c, b)), sol
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
@@ -195,48 +207,35 @@ class _BasisCache:
 
         Returns the mask, and the optimal shipments (one row each) and
         benefits of the certified rows. Certified means strictly: every
-        basic variable above _floor(b), every nonbasic reduced cost below
-        the margin. Ties and degenerate vertices go to the cold solve, so
-        an answer never depends on which bases were found before it.
-        A row's folded pairs make two exceptions: the basic contract
-        slack of such a pair passes within the floor of 0, and the
-        reduced cost of its nonbasic capacity slack is not tested.
+        nonbasic reduced cost below the margin, and every basic variable
+        above _floor(b), or within it of 0 with a positive lead (the
+        lexicographic rule of the module docstring), which is then
+        written as 0. Ties go to the cold solve; at most one basis
+        certifies a row.
         A basis from another scenario mostly fails on x_B, so x_B is
         computed for the first FIRST_BASICS basic variables, then in full
         where those pass, and reduced costs only where all of x_B does.
         """
         floor = _floor(b)[:, None]
-        pairs = b.shape[1] // 2
-        folded = b[:, :pairs] == b[:, pairs:]
-        at_zero = free = None
-        if folded.any():  # each row's folded slacks, by standard-form column
-            lanes, unfolded = np.zeros((len(b), self.lanes), dtype=bool), np.zeros_like(folded)
-            at_zero = np.hstack([lanes, unfolded, folded])[:, basis.basic]
-            free = np.hstack([lanes, folded, unfolded])[:, basis.nonbasic]
 
         def primal(x_basic, rows):
             """Which of rows pass on x_basic, their leading basic values."""
-            above = x_basic > floor[rows]
-            if at_zero is not None:
-                zero = at_zero[rows, : x_basic.shape[1]]
-                above = np.where(zero, np.abs(x_basic) <= floor[rows], above)
-            return above.all(axis=1)
+            zero = basis.lead[: x_basic.shape[1]] & (np.abs(x_basic) <= floor[rows])
+            return ((x_basic > floor[rows]) | zero).all(axis=1)
 
         head = _accumulate(b, basis.inverse[:FIRST_BASICS].T)
         rows = np.flatnonzero(primal(head, slice(None)))
         x_basic = _accumulate(b[rows], basis.inverse.T)
         passed = primal(x_basic, rows)
         rows, x_basic = rows[passed], x_basic[passed]
+        x_basic[np.abs(x_basic) <= floor[rows]] = 0.0
         costs = np.zeros((len(rows), self.matrix.shape[1]))
         costs[:, : self.lanes] = c[rows]
         c_basic = costs[:, basis.basic]
         duals = _accumulate(c_basic, basis.inverse)
         reduced = costs[:, basis.nonbasic] - _accumulate(duals, self.matrix[:, basis.nonbasic])
         margin = CERTIFY_MARGIN * np.maximum(1.0, np.abs(c[rows]).max(axis=1))
-        optimal = reduced < -margin[:, None]
-        if free is not None:
-            optimal |= free[rows]
-        optimal = optimal.all(axis=1)
+        optimal = (reduced < -margin[:, None]).all(axis=1)
         rows, x_basic, c_basic = rows[optimal], x_basic[optimal], c_basic[optimal]
         ok = np.zeros(len(b), dtype=bool)
         ok[rows] = True

@@ -1,9 +1,11 @@
 """basis._BasisCache.answer against scipy's HiGHS on random small batches."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from fuzzyplan.basis import _BasisCache
+from fuzzyplan.basis import _BasisCache, _floor
 from fuzzyplan.simplex import LinearProgram, solve
 
 
@@ -131,7 +133,7 @@ def test_folded_pairs_match_highs(seed, tableau_solves):
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(200 + seed)
     kinds = {"folded": 0, "folded at 0": 0}
-    by_tableau = 0  # folded rows
+    by_tableau = dict.fromkeys(kinds, 0)
     for m, n in ((1, 1), (1, 3), (2, 2), (3, 2), (4, 5)):
         cache = _BasisCache((m, n))
         sums = cache.matrix[: m + n, : m * n]
@@ -141,7 +143,9 @@ def test_folded_pairs_match_highs(seed, tableau_solves):
             before = len(tableau_solves)
             feasible, benefit, x = cache.answer(c, b)
             for lp in tableau_solves[before:]:
-                by_tableau += bool((lp.b[: m + n] == lp.b[m + n :]).any())
+                folds = lp.b[: m + n] == lp.b[m + n :]
+                by_tableau["folded"] += bool(folds.any())
+                by_tableau["folded at 0"] += bool((folds & (lp.b[: m + n] == 0.0)).any())
             for row in range(len(b)):
                 b_ub = np.concatenate([b[row, : m + n], -b[row, m + n :]])
                 ref = linprog(-c[row], A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
@@ -157,14 +161,15 @@ def test_folded_pairs_match_highs(seed, tableau_solves):
                 kinds["folded"] += int(folded.any())
                 kinds["folded at 0"] += int((folded & (b[row, : m + n] == 0.0)).any())
     assert all(kinds.values()), kinds
-    assert by_tableau < kinds["folded"] / 2  # certify answered most folded rows
+    assert by_tableau["folded"] < kinds["folded"] / 2  # certify answered most folded rows
+    assert by_tableau["folded at 0"] < kinds["folded at 0"]  # and some folded at 0
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_certify_reads_each_row_alone(seed):
-    # a row's folded pairs are read from its own b, so a basis certifies
-    # a row, and writes its x and benefit, the same bytes in a batch as
-    # alone
+    # certify reads nothing but the basis and the row, so a basis
+    # certifies a row, folded or not, and writes its x and benefit, the
+    # same bytes in a batch as alone
     rng = np.random.default_rng(300 + seed)
     folded_certified = 0
     for m, n in ((1, 3), (2, 2), (3, 2), (4, 5)):
@@ -172,7 +177,8 @@ def test_certify_reads_each_row_alone(seed):
         c, b = folded_batch(rng, m, n, 30)
         for row in range(len(b)):
             sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
-            basis = cache._basis_at(np.array(sol.x), b[row]) if sol.status == "optimal" else None
+            optimal = sol.status == "optimal"
+            basis = cache._basis_at(np.array(sol.x), b[row], c[row]) if optimal else None
             if basis is None:
                 continue
             batch = cache.certify(basis, c, b)
@@ -195,7 +201,7 @@ def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
     cache = _BasisCache((1, 2))
     c = np.array([5.0, -1.0])
     unfolded = np.array([10.0, 8.0, 8.0, 2.0, 0.0, 1.0])
-    basis = cache._basis_at(np.array([8.0, 1.0]), unfolded)
+    basis = cache._basis_at(np.array([8.0, 1.0]), unfolded, c)
     lanes, pairs = 2, 3
     assert {lanes, lanes + pairs} <= set(basis.basic.tolist())  # s_cap and s_min of supplier 0
     folded = unfolded.copy()
@@ -203,3 +209,66 @@ def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
     assert not cache.certify(basis, c[None], folded[None])[0][0]
     feasible, benefit, x = cache.answer(c[None], folded[None])
     assert feasible[0] and x[0].tolist() == [8.0, 1.5] and benefit[0] == 38.5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exactly_one_basis_certifies_each_optimal_vertex(seed):
+    # the lexicographic rule: of the bases that complete the support of a
+    # row's optimum, exactly one certifies the row, degenerate or not
+    rng = np.random.default_rng(400 + seed)
+    degenerate = 0
+    for m, n in ((1, 3), (2, 2), (3, 2), (4, 5)):
+        cache = _BasisCache((m, n))
+        c, b = folded_batch(rng, m, n, 30)
+        for row in range(len(b)):
+            sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
+            if sol.status != "optimal":
+                continue
+            x = np.array(sol.x)
+            slacks = (b[row] - cache.matrix[:, : cache.lanes] @ x) * cache.signs
+            support = np.concatenate([x, slacks]) > _floor(b[row])
+            missing = len(b[row]) - int(support.sum())
+            if missing > 3:
+                continue
+            degenerate += missing > 0
+            certifying = 0
+            for extra in itertools.combinations(np.flatnonzero(~support), missing):
+                chosen = support.copy()
+                chosen[list(extra)] = True
+                basis = cache._basis(chosen)
+                if basis is not None:
+                    ok, _, _ = cache.certify(basis, c[row : row + 1], b[row : row + 1])
+                    certifying += int(ok[0])
+            assert certifying == 1, (m, n, row)
+    assert degenerate
+
+
+@pytest.mark.parametrize(
+    "c, at_zero", [([5.0, 4.0, -1.0, -2.0], [5, 9]), ([5.0, 4.0, 3.0, -2.0], [2, 9])]
+)
+def test_pair_folded_at_0_is_certified(c, at_zero, tableau_solves):
+    # supplier 1 has capacity and minimum 0, so it ships nothing. Its
+    # basis holds both of its slacks (columns 5 and 9) at 0 or, where one
+    # of its lanes would pay, as lane (1, 0) in the second case, that
+    # lane (column 2) in place of the capacity slack
+    b = np.array([10.0, 0.0, 8.0, 8.0, 1.0, 0.0, 1.0, 1.0])
+    cache = _BasisCache((2, 2))
+    basis = cache._basis_at(np.array([8.0, 2.0, 0.0, 0.0]), b, np.array(c))
+    assert set(at_zero) <= set(basis.basic.tolist())
+    feasible, benefit, x = cache.answer(np.array([c]), b[None])
+    assert tableau_solves == []
+    assert feasible[0] and benefit[0] == 48.0 and x[0].tolist() == [8.0, 2.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_folded_rows_answer_alone_as_in_a_batch(seed):
+    # a basis from another row certifies a folded row only where
+    # _basis_at builds that basis from the row's own optimum too, so each
+    # row's answer is the same bytes alone as in its batch
+    rng = np.random.default_rng(500 + seed)
+    for m, n in ((2, 2), (3, 3), (4, 5)):
+        c, b = folded_batch(rng, m, n, 40)
+        batch = _BasisCache((m, n)).answer(c, b)
+        for row in range(len(b)):
+            alone = _BasisCache((m, n)).answer(c[row : row + 1], b[row : row + 1])
+            assert [a[row].tobytes() for a in batch] == [a[0].tobytes() for a in alone]

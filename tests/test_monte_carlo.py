@@ -353,7 +353,9 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
     here, mirrored = specs((5.0, 6.0)), specs((6.0, 5.0))
     cache = _BasisCache(here.shape)
     other = solve(to_lp(sample_instance(mirrored, 0, 0)))
-    stale = cache._basis_at(np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]))
+    stale = cache._basis_at(
+        np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]), np.array([5.0, 4.0])
+    )
     cache.bases.append(stale)
     _, _, x = cache.answer(*lp_rows(here.shape, monte_carlo._draws(here, 0, 0, 5)))
     assert [tuple(ship) for ship in x.tolist()] == [(2.0, 8.0)] * 5
