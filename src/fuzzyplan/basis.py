@@ -21,12 +21,12 @@ solver proposes a basis first: the distributor LP is a transportation
 problem once each node splits in two (_BasisCache.propose). A proposal
 stands only where it certifies its own row, as the unique optimum the
 tableau would end on too; every other row is solved by the tableau
-from the shape's lp_skeleton, as before. So every answer is a function
-of its own row's (c, b), whatever the other rows of the batch are and
-in whatever order they come, except at a degenerate vertex that
-_basis_at cannot complete: a basis from another row may certify it
-there, where alone the tableau answers, equal to rounding. This is the
-only module that calls simplex.solve.
+from the shape's lp_skeleton, as before. At a degenerate vertex a basis
+answers a row only where the row's own optimum leads _basis_at to that
+basis too (_BasisCache._answers). So every answer is a function of its
+own row's (c, b), whatever the other rows of the batch are and in
+whatever order they come. This is the only module that calls
+simplex.solve.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class _Basis(NamedTuple):
     basic: np.ndarray  # standard-form columns, ascending
     nonbasic: np.ndarray
     inverse: np.ndarray  # of the basis matrix; row r gives basic variable r
-    lead: np.ndarray  # row r of inverse @ diag(signs) is lexicographically positive
+    lead: np.ndarray  # sign of the first nonzero of row r of inverse @ diag(signs)
 
 
 def _floor(b: np.ndarray) -> np.ndarray:
@@ -99,7 +99,7 @@ class _BasisCache:
     def _basis(self, chosen: np.ndarray):
         """The basis of the columns in mask chosen, or None where they are
         not one. [A | diag(±1)] is totally unimodular, so B^-1 has entries
-        0 and ±1, and a row's lead is its first entry past 0.5."""
+        0 and ±1, and a row's lead is the sign of its first entry past 0.5."""
         basic = np.flatnonzero(chosen)
         if len(basic) != self.matrix.shape[0]:
             return None
@@ -108,7 +108,7 @@ class _BasisCache:
         except np.linalg.LinAlgError:
             return None
         signed = inverse * self.signs
-        lead = signed[np.arange(len(basic)), np.argmax(np.abs(signed) > 0.5, axis=1)] > 0
+        lead = np.sign(signed[np.arange(len(basic)), np.argmax(np.abs(signed) > 0.5, axis=1)])
         return _Basis(basic, np.flatnonzero(~chosen), inverse, lead)
 
     def _basis_at(self, x: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -117,16 +117,16 @@ class _BasisCache:
         The support of [x, slacks], and for each folded pair of b (a
         capacity equal to its minimum) its contract slack, or both its
         slacks where the node ships on no lane (a pair folded at 0). Then
-        the swaps the loosened LP asks for, made together, as each moves
-        only the dual of its own capacity row: the capacity slack in for
-        the contract slack where it prices above 0, and the node's best
-        lane in for the capacity slack of a pair folded at 0 where that
-        lane pays. It only proposes; certify decides.
+        the capacity slack goes in for the contract slack wherever the
+        duals price it above 0; a swap moves only its own pair's duals,
+        so the swaps are made together. Any other degenerate support
+        gives None: this fold completion stands in until the general
+        lexicographic completion of ROADMAP item 4 replaces it. It only
+        proposes; certify decides.
         """
         pairs = len(b) // 2
         shipping = self.matrix[:, : self.lanes]
-        slacks = (b - shipping @ x) * self.signs
-        chosen = np.concatenate([x, slacks]) > _floor(b)
+        chosen = np.concatenate([x, (b - shipping @ x) * self.signs]) > _floor(b)
         folded = b[:pairs] == b[pairs:]
         idle = folded & (shipping[:pairs] @ chosen[: self.lanes] == 0)
         chosen[self.lanes :] |= np.concatenate([idle, folded])
@@ -135,12 +135,9 @@ class _BasisCache:
             return None
         costs = np.concatenate([c, np.zeros(len(b))])
         reduced = costs - costs[basis.basic] @ basis.inverse @ self.matrix
-        best = np.where(shipping[:pairs] > 0, reduced[: self.lanes], -np.inf).argmax(axis=1)
         swap = folded & ~idle & (reduced[self.lanes : self.lanes + pairs] > 0)
-        pays = idle & (reduced[best] > 0)
-        chosen[self.lanes :] ^= np.concatenate([swap | pays, swap])
-        chosen[best[pays]] = True
-        return self._basis(chosen) if (swap | pays).any() else basis
+        chosen[self.lanes :] ^= np.concatenate([swap, swap])
+        return self._basis(chosen) if swap.any() else basis
 
     def propose(self, c: np.ndarray, b: np.ndarray):
         """Lane shipments of an optimum of one LP, by the transport solver.
@@ -157,8 +154,8 @@ class _BasisCache:
 
         Returns None, and leaves the LP to the tableau, where a capacity
         is below its minimum or 0 (by at most FEAS_TOL, or the screen
-        would have answered the row), where a total
-        or M passes the float maximum, or where MODI runs out of pivots.
+        would have answered the row), where a total or M passes the float
+        maximum, or where MODI runs out of pivots.
         A capacity equal to its minimum, as on a repaired corner, leaves
         an optional node with nothing to supply; certify still decides.
         """
@@ -185,7 +182,7 @@ class _BasisCache:
         """Answer LP 0 of the pending LPs (rows of c and b): none certifies it.
 
         Returns (basis, certified, cold solution): the basis found for
-        LP 0 (None when degenerate), what certify gives for it on every
+        LP 0 (None when degenerate), what _answers gives for it on every
         row, and the tableau's solution of LP 0. The transport solver
         proposes first. When the basis of its plan certifies LP 0, there
         is no cold solution: the tableau would end on the same unique
@@ -195,23 +192,23 @@ class _BasisCache:
         x = self.propose(c[0], b[0])
         basis = None if x is None else self._basis_at(x, b[0], c[0])
         if basis is not None:
-            certified = self.certify(basis, c, b)
+            certified = self._answers(basis, c, b)
             if certified[0][0]:
                 return basis, certified, None
         sol = solve(LinearProgram(*self.skeleton, b[0], c[0]))
         basis = self._basis_at(np.array(sol.x), b[0], c[0]) if sol.status == "optimal" else None
-        return basis, (None if basis is None else self.certify(basis, c, b)), sol
+        return basis, (None if basis is None else self._answers(basis, c, b)), sol
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
         """Which scenarios (rows of c and b) have basis as their unique optimum.
 
-        Returns the mask, and the optimal shipments (one row each) and
-        benefits of the certified rows. Certified means strictly: every
+        Returns the mask, and the optimal shipments (one row each),
+        benefits and degeneracy (a basic variable within the floor of 0)
+        of the certified rows. Certified means strictly: every
         nonbasic reduced cost below the margin, and every basic variable
         above _floor(b), or within it of 0 with a positive lead (the
-        lexicographic rule of the module docstring), which is then
-        written as 0. Ties go to the cold solve; at most one basis
-        certifies a row.
+        lexicographic rule of the module docstring). Ties go to the cold
+        solve; at most one basis certifies a row.
         A basis from another scenario mostly fails on x_B, so x_B is
         computed for the first FIRST_BASICS basic variables, then in full
         where those pass, and reduced costs only where all of x_B does.
@@ -219,16 +216,15 @@ class _BasisCache:
         floor = _floor(b)[:, None]
 
         def primal(x_basic, rows):
-            """Which of rows pass on x_basic, their leading basic values."""
-            zero = basis.lead[: x_basic.shape[1]] & (np.abs(x_basic) <= floor[rows])
-            return ((x_basic > floor[rows]) | zero).all(axis=1)
+            """Which of rows pass on x_basic, their leading basic values:
+            above the floor, or above minus the floor where the lead is +1."""
+            return (x_basic > -basis.lead[: x_basic.shape[1]] * floor[rows]).all(axis=1)
 
         head = _accumulate(b, basis.inverse[:FIRST_BASICS].T)
         rows = np.flatnonzero(primal(head, slice(None)))
         x_basic = _accumulate(b[rows], basis.inverse.T)
         passed = primal(x_basic, rows)
         rows, x_basic = rows[passed], x_basic[passed]
-        x_basic[np.abs(x_basic) <= floor[rows]] = 0.0
         costs = np.zeros((len(rows), self.matrix.shape[1]))
         costs[:, : self.lanes] = c[rows]
         c_basic = costs[:, basis.basic]
@@ -245,7 +241,21 @@ class _BasisCache:
         benefit = np.zeros(len(x))
         for r in shipped:
             benefit += c_basic[:, r] * x_basic[:, r]
-        return ok, x, benefit
+        return ok, x, benefit, (x_basic <= floor[rows]).any(axis=1)
+
+    def _answers(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
+        """certify, less the rows at a degenerate vertex whose own optimum
+        does not lead _basis_at to basis: _basis_at completes only folded
+        pairs, and alone such a row would take the tableau. So an answer
+        is a function of its own row of c and b, not of the batch."""
+        ok, x, benefit, degenerate = self.certify(basis, c, b)
+        if not degenerate.any():
+            return ok, x, benefit
+        rows = np.flatnonzero(ok)
+        for k in np.flatnonzero(degenerate):
+            own = self._basis_at(x[k], b[rows[k]], c[rows[k]])
+            ok[rows[k]] = own is not None and np.array_equal(own.basic, basis.basic)
+        return ok, x[ok[rows]], benefit[ok[rows]]
 
     @np.errstate(over="ignore", invalid="ignore")
     def answer(self, c: np.ndarray, b: np.ndarray):
@@ -261,7 +271,7 @@ class _BasisCache:
         for an answer; the first row none certifies goes to fresh, which
         proposes a basis or solves the row cold, and tests the basis it
         finds on the rows still pending. A basis found again after such
-        a test answers nothing new: certify is a function of (basis,
+        a test answers nothing new: _answers is a function of (basis,
         row), and every row still pending was tested on it.
         Afterwards the cache holds only the bases that answered a row
         other than the one they were found at: where optimal supports do
@@ -287,7 +297,7 @@ class _BasisCache:
             return len(x_ok)
 
         useful = [
-            basis for basis in self.bases if settle(*self.certify(basis, c[pending], b[pending]))
+            basis for basis in self.bases if settle(*self._answers(basis, c[pending], b[pending]))
         ]
         while pending.size:
             row = int(pending[0])

@@ -237,37 +237,48 @@ def test_exactly_one_basis_certifies_each_optimal_vertex(seed):
                 chosen[list(extra)] = True
                 basis = cache._basis(chosen)
                 if basis is not None:
-                    ok, _, _ = cache.certify(basis, c[row : row + 1], b[row : row + 1])
+                    ok = cache.certify(basis, c[row : row + 1], b[row : row + 1])[0]
                     certifying += int(ok[0])
             assert certifying == 1, (m, n, row)
     assert degenerate
 
 
-@pytest.mark.parametrize(
-    "c, at_zero", [([5.0, 4.0, -1.0, -2.0], [5, 9]), ([5.0, 4.0, 3.0, -2.0], [2, 9])]
-)
-def test_pair_folded_at_0_is_certified(c, at_zero, tableau_solves):
-    # supplier 1 has capacity and minimum 0, so it ships nothing. Its
-    # basis holds both of its slacks (columns 5 and 9) at 0 or, where one
-    # of its lanes would pay, as lane (1, 0) in the second case, that
-    # lane (column 2) in place of the capacity slack
+@pytest.mark.parametrize("c, solves", [([5.0, 4.0, -1.0, -2.0], 0), ([5.0, 4.0, 3.0, -2.0], 1)])
+def test_pair_folded_at_0_is_certified(c, solves, tableau_solves):
+    # supplier 1 has capacity and minimum 0, so it ships nothing, and its
+    # basis holds both of its slacks (columns 5 and 9) at 0. In the
+    # second case its lane (1, 0) would pay: that basis prices it above
+    # 0, and the row takes the tableau, to the same answer
     b = np.array([10.0, 0.0, 8.0, 8.0, 1.0, 0.0, 1.0, 1.0])
     cache = _BasisCache((2, 2))
     basis = cache._basis_at(np.array([8.0, 2.0, 0.0, 0.0]), b, np.array(c))
-    assert set(at_zero) <= set(basis.basic.tolist())
+    assert {5, 9} <= set(basis.basic.tolist())
     feasible, benefit, x = cache.answer(np.array([c]), b[None])
-    assert tableau_solves == []
+    assert len(tableau_solves) == solves
     assert feasible[0] and benefit[0] == 48.0 and x[0].tolist() == [8.0, 2.0, 0.0, 0.0]
 
 
+def balanced_batch(rng, m, n, k):
+    """folded_batch rows, then random_batch rows, every third one with
+    its customers' capacities scaled to total its suppliers': where every
+    node ships at capacity, such a vertex is degenerate without a fold."""
+    halves = folded_batch(rng, m, n, k // 2), random_batch(rng, m, n, k - k // 2)
+    c, b = (np.vstack(a) for a in zip(*halves))
+    supplied, demanded = b[::3, :m].sum(axis=1), b[::3, m : m + n].sum(axis=1)
+    scale = np.where((supplied > 0) & (demanded > 0), supplied / demanded, 1.0)
+    b[::3, m : m + n] *= scale[:, None]
+    return c, b
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_folded_rows_answer_alone_as_in_a_batch(seed):
-    # a basis from another row certifies a folded row only where
-    # _basis_at builds that basis from the row's own optimum too, so each
-    # row's answer is the same bytes alone as in its batch
+def test_rows_answer_alone_as_in_a_batch(seed):
+    # a basis from another row answers a row at a degenerate vertex only
+    # where _basis_at builds that basis from the row's own optimum, so
+    # each row's answer is the same bytes alone as in its batch, with
+    # capacity totals balanced or not
     rng = np.random.default_rng(500 + seed)
     for m, n in ((2, 2), (3, 3), (4, 5)):
-        c, b = folded_batch(rng, m, n, 40)
+        c, b = balanced_batch(rng, m, n, 60)
         batch = _BasisCache((m, n)).answer(c, b)
         for row in range(len(b)):
             alone = _BasisCache((m, n)).answer(c[row : row + 1], b[row : row + 1])

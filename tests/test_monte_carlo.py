@@ -272,6 +272,21 @@ def test_any_shard_cuts_merge_to_one_run(cuts):
     assert merge_partials(parts) == whole
 
 
+
+def test_balanced_capacities_merge_exactly(table1_specs):
+    # table1's capacities total 1,530 on both sides: at sigma 0 every
+    # scenario stays balanced, and where every node ships at capacity
+    # its optimum is degenerate without a folded pair. The cuts cross a
+    # chunk boundary; each shard starts with an empty basis cache
+    fixed = {
+        field: tuple(GaussianSpec(spec.mean, 0.0) for spec in getattr(table1_specs, field))
+        for field in ("supply_max", "demand_max")
+    }
+    specs = dataclasses.replace(table1_specs, **fixed)
+    cuts = [0, 300, CHUNK + 7, CHUNK + 40]
+    parts = [run_range(specs, a, b, 11) for a, b in zip(cuts, cuts[1:])]
+    assert merge_partials(parts) == run_range(specs, 0, cuts[-1], 11)
+
 def _support(x):
     return tuple(k for k, v in enumerate(x) if v != 0.0)
 
