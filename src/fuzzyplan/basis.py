@@ -10,7 +10,10 @@ with its row of B^-1 diag(±1) lexicographically positive (Dantzig, Orden
 to Linear Optimization, §3.4). B is then the one optimal basis of (c, b)
 with every bound loosened by (ε, ε², …), a nondegenerate LP, so at most
 one basis answers a given (c, b), and its x is the unique optimum. The
-certifier sums in a fixed order.
+certifier decides with BLAS products and a guard band: a row whose
+value is too near its threshold for the product's rounding bound is
+decided by the fixed-order sum (_accumulate), which also gives every
+value it writes.
 
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
@@ -39,17 +42,12 @@ from .model import lp_skeleton, necessary_violations
 from .simplex import PIVOT_TOL, LinearProgram, solve
 from .transport import modi_arrays, vogel_arrays
 
-__all__ = ["CERTIFY_MARGIN", "FIRST_BASICS"]
+__all__ = ["CERTIFY_MARGIN"]
 
 # A cached basis answers a scenario only when every nonbasic reduced
 # cost is below -CERTIFY_MARGIN * max(1, max |c|): then it is the unique
 # optimum, and the cold solve would end on it as well.
 CERTIFY_MARGIN = 1e-7
-
-# How many basic variables certify tests before it computes the rest of
-# x_B. Results do not depend on it; it only saves work on the scenarios
-# a basis does not fit.
-FIRST_BASICS = 8
 
 
 def _accumulate(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -64,6 +62,34 @@ def _accumulate(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     for r in np.flatnonzero(matrix.any(axis=1)):
         out += vectors[:, r : r + 1] * matrix[r]
     return out
+
+
+def _guard(scale: np.ndarray, n: int) -> np.ndarray:
+    """4nu scale, u = 2^-53: twice γ_n scale, which absorbs the rounding
+    of scale itself. It overflows to inf before a sum of n products whose
+    absolute values total scale can."""
+    return scale * (4 * n) * 2.0**-53
+
+
+def _clears(value, threshold, bound, exact) -> np.ndarray:
+    """(exact(rows) > threshold[rows]).all(axis=1) for every row, read
+    from value wherever that decides it.
+
+    value is the BLAS form of the fixed-order exact, and bound (one per
+    row) a bound on their difference. A row passes where its least
+    value - threshold exceeds bound, and fails where that is below
+    -bound; rounding the gap cannot carry it across ±bound. exact
+    decides the other rows: those within bound of a threshold, and those
+    whose value or bound is not finite, since NaN compares false and
+    _guard's bound overflows to inf, which clears nothing, before a
+    value can.
+    """
+    least = (value - threshold).min(axis=1)
+    passed = least > bound
+    unsure = np.flatnonzero(~(np.abs(least) > bound))
+    if unsure.size:
+        passed[unsure] = (exact(unsure) > threshold[unsure]).all(axis=1)
+    return passed
 
 
 class _Basis(NamedTuple):
@@ -94,6 +120,7 @@ class _BasisCache:
         self.signs = np.array([1.0 if rel == "<=" else -1.0 for rel in relations])
         self.lanes = shape[0] * shape[1]
         self.matrix = np.hstack([a, np.diag(self.signs)])
+        self.column_weight = np.abs(self.matrix).sum(axis=0).max()  # for certify's bound
         self.bases = []  # _Basis, kept by answer
 
     def _basis(self, chosen: np.ndarray):
@@ -209,30 +236,59 @@ class _BasisCache:
         above _floor(b), or within it of 0 with a positive lead (the
         lexicographic rule of the module docstring). Ties go to the cold
         solve; at most one basis certifies a row.
-        A basis from another scenario mostly fails on x_B, so x_B is
-        computed for the first FIRST_BASICS basic variables, then in full
-        where those pass, and reduced costs only where all of x_B does.
+
+        A row's tests, on x_B = b B^-T and on the reduced costs
+        c_N - (c_B B^-1) M_N, M_N the nonbasic columns of the standard
+        form, are read off BLAS products where the value
+        clears its threshold by more than a bound on its distance from
+        the _accumulate sum, and are decided by _accumulate on the other
+        rows (_clears). A sum of n products errs by at most γ_n Σ|v||m|,
+        γ_n = nu/(1 - nu) with u = 2^-53, in any order (Higham, Accuracy
+        and Stability of Numerical Algorithms, §3.1), so two orders differ
+        by at most 2γ_n Σ|v||m|. Let w be the largest |B^-1| entry, n the
+        rows of B, k the largest column sum of |[A | diag(±1)]|
+        (column_weight), which bounds those of |M_N|, and s = n w max|c|.
+        - x_B: Σ|v||m| is at most n w max|b|, so the bound is
+          _guard(n w max(1, max|b|), n).
+        - Reduced costs: Σ|c_B| is at most n max|c|, so the duals differ
+          by at most 2γ_n s and are at most (1 + γ_n) s in size. The
+          products with M_N then differ by at most 4γ_n s k to first
+          order, and the subtraction from c_N adds a rounding of each
+          side, 2u (max|c| + s k): the bound is _guard(max|c| (n w k + 1),
+          2n + 2).
+        The thresholds are at least PIVOT_TOL in size, so underflow, which
+        the bound leaves out, moves no decision. So every decision is
+        that of the fixed-order sums, and the written x_B and benefits
+        are those sums: no bit depends on the batch or on BLAS.
         """
         floor = _floor(b)[:, None]
-
-        def primal(x_basic, rows):
-            """Which of rows pass on x_basic, their leading basic values:
-            above the floor, or above minus the floor where the lead is +1."""
-            return (x_basic > -basis.lead[: x_basic.shape[1]] * floor[rows]).all(axis=1)
-
-        head = _accumulate(b, basis.inverse[:FIRST_BASICS].T)
-        rows = np.flatnonzero(primal(head, slice(None)))
-        x_basic = _accumulate(b[rows], basis.inverse.T)
-        passed = primal(x_basic, rows)
-        rows, x_basic = rows[passed], x_basic[passed]
+        n, width = len(basis.basic), np.abs(basis.inverse).max()
+        passed = _clears(
+            b @ basis.inverse.T,
+            -basis.lead * floor,
+            _guard(floor[:, 0] * (n * width / PIVOT_TOL), n),  # floor / PIVOT_TOL = max(1, max|b|)
+            lambda rows: _accumulate(b[rows], basis.inverse.T),
+        )
+        rows = np.flatnonzero(passed)
         costs = np.zeros((len(rows), self.matrix.shape[1]))
         costs[:, : self.lanes] = c[rows]
-        c_basic = costs[:, basis.basic]
-        duals = _accumulate(c_basic, basis.inverse)
-        reduced = costs[:, basis.nonbasic] - _accumulate(duals, self.matrix[:, basis.nonbasic])
-        margin = CERTIFY_MARGIN * np.maximum(1.0, np.abs(c[rows]).max(axis=1))
-        optimal = (reduced < -margin[:, None]).all(axis=1)
-        rows, x_basic, c_basic = rows[optimal], x_basic[optimal], c_basic[optimal]
+        c_basic, c_nonbasic = costs[:, basis.basic], costs[:, basis.nonbasic]
+        nonbasic = self.matrix[:, basis.nonbasic]
+        largest = np.abs(c[rows]).max(axis=1)
+        spread = n * width * self.column_weight
+
+        def priced(k, product):
+            """Minus the reduced costs of rows k, from product."""
+            return product(product(c_basic[k], basis.inverse), nonbasic) - c_nonbasic[k]
+
+        optimal = _clears(
+            priced(slice(None), np.matmul),
+            CERTIFY_MARGIN * np.maximum(1.0, largest)[:, None],
+            _guard(largest * (spread + 1.0), 2 * n + 2),
+            lambda k: priced(k, _accumulate),
+        )
+        rows, c_basic = rows[optimal], c_basic[optimal]
+        x_basic = _accumulate(b[rows], basis.inverse.T)
         ok = np.zeros(len(b), dtype=bool)
         ok[rows] = True
         shipped = np.flatnonzero(basis.basic < self.lanes)

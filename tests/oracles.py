@@ -6,7 +6,9 @@ certificate only *checks* optimality conditions instead of searching, and
 the spanning-tree check relabels components instead of walking a tree.
 The one exception is GeneralLP, which only translates a general LP
 (either sense, any relations, rows as tuples) into the arrays that
-simplex.solve takes.
+simplex.solve takes. fixed_order_certify is basis certification with
+every test decided on fixed-order sums, the reference that the banded
+certify must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fuzzyplan.simplex import LinearProgram, SimplexSolution, solve
+from fuzzyplan.basis import CERTIFY_MARGIN
+from fuzzyplan.simplex import PIVOT_TOL, LinearProgram, SimplexSolution, solve
 
 
 class GeneralLP(NamedTuple):
@@ -53,6 +56,48 @@ def residuals(lp: LinearProgram, x) -> float:
         [relations == "<=", relations == ">="], [lhs - lp.b, lp.b - lhs], np.abs(lhs - lp.b)
     )
     return float(max(0.0, -x.min(initial=0.0), gaps.max(initial=0.0)))
+
+
+def fixed_order_sum(vectors, matrix):
+    """vectors @ matrix, each entry summed left to right over the rows of
+    matrix that are not all zeros, from +0: the same bits whatever the
+    number of vectors."""
+    out = np.zeros((len(vectors), matrix.shape[1]))
+    for r in np.flatnonzero(matrix.any(axis=1)):
+        out += vectors[:, r : r + 1] * matrix[r]
+    return out
+
+
+def fixed_order_certify(cache, basis, c, b):
+    """(mask, x, benefit, degenerate) of _BasisCache.certify, with every
+    x_B, dual and reduced cost a fixed_order_sum over the whole batch.
+
+    A row passes where each basic variable is above minus its lead times
+    the floor PIVOT_TOL * max(1, max |b|), and each nonbasic reduced cost
+    below -CERTIFY_MARGIN * max(1, max |c|); x, benefit and degenerate
+    (a basic variable at or below the floor) cover the passing rows.
+    """
+    floor = PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=1))[:, None]
+    x_basic = fixed_order_sum(b, basis.inverse.T)
+    rows = np.flatnonzero((x_basic > -basis.lead * floor).all(axis=1))
+    costs = np.zeros((len(rows), cache.matrix.shape[1]))
+    costs[:, : cache.lanes] = c[rows]
+    c_basic = costs[:, basis.basic]
+    duals = fixed_order_sum(c_basic, basis.inverse)
+    reduced = costs[:, basis.nonbasic] - fixed_order_sum(duals, cache.matrix[:, basis.nonbasic])
+    margin = CERTIFY_MARGIN * np.maximum(1.0, np.abs(c[rows]).max(axis=1))
+    optimal = (reduced < -margin[:, None]).all(axis=1)
+    rows, c_basic = rows[optimal], c_basic[optimal]
+    x_basic = x_basic[rows]
+    ok = np.zeros(len(b), dtype=bool)
+    ok[rows] = True
+    shipped = np.flatnonzero(basis.basic < cache.lanes)
+    x = np.zeros((len(rows), cache.lanes))
+    x[:, basis.basic[shipped]] = x_basic[:, shipped]
+    benefit = np.zeros(len(rows))
+    for r in shipped:
+        benefit += c_basic[:, r] * x_basic[:, r]
+    return ok, x, benefit, (x_basic <= floor[rows]).any(axis=1)
 
 
 def mc_prob_geq(a_lo, a_hi, b_lo, b_hi, n=1_000_000, seed=0):

@@ -4,8 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import fixed_order_certify, fixed_order_sum
 
-from fuzzyplan.basis import _BasisCache, _floor
+import fuzzyplan.basis as basis_module
+from fuzzyplan.basis import CERTIFY_MARGIN, _BasisCache, _floor
 from fuzzyplan.simplex import LinearProgram, solve
 
 
@@ -165,29 +169,157 @@ def test_folded_pairs_match_highs(seed, tableau_solves):
     assert by_tableau["folded at 0"] < kinds["folded at 0"]  # and some folded at 0
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_certify_reads_each_row_alone(seed):
+@pytest.mark.parametrize("seed, size", [(0, 30), (1, 30), (2, 1), (3, 64), (4, 1024), (5, 5000)])
+def test_certify_reads_each_row_alone(seed, size):
     # certify reads nothing but the basis and the row, so a basis
     # certifies a row, folded or not, and writes its x and benefit, the
-    # same bytes in a batch as alone
+    # same bytes in a batch as alone. Folded batches of 30 rows, and
+    # random_batch batches of 1 to 5000 rows, past the sizes at which
+    # BLAS changes kernels and threads; those take the bases of their
+    # first rows
     rng = np.random.default_rng(300 + seed)
-    folded_certified = 0
+    certified = folded_certified = 0
     for m, n in ((1, 3), (2, 2), (3, 2), (4, 5)):
         cache = _BasisCache((m, n))
-        c, b = folded_batch(rng, m, n, 30)
+        c, b = folded_batch(rng, m, n, size) if size == 30 else random_batch(rng, m, n, size)
+        bases = {}
+        for row in range(len(b)):
+            if len(bases) == (30 if size <= 64 else 2):
+                break
+            sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
+            optimal = sol.status == "optimal"
+            basis = cache._basis_at(np.array(sol.x), b[row], c[row]) if optimal else None
+            if basis is not None:
+                bases.setdefault(basis.basic.tobytes(), basis)
+        for basis in bases.values():
+            batch = cache.certify(basis, c, b)
+            alone = [cache.certify(basis, c[k : k + 1], b[k : k + 1]) for k in range(len(b))]
+            for part, parts in zip(batch, zip(*alone)):
+                assert part.tobytes() == np.concatenate(parts).tobytes()
+            folds = (b[:, : m + n] == b[:, m + n :]).any(axis=1)
+            certified += int(batch[0].sum())
+            folded_certified += int((batch[0] & folds).sum())
+    assert certified
+    assert folded_certified or size != 30
+
+
+@pytest.fixture
+def fixed_order_calls(monkeypatch):
+    """The batch sizes of the fixed-order sums basis runs: certify runs
+    one for the x_B it writes, and more where BLAS leaves a row unsure."""
+    calls = []
+    accumulate = basis_module._accumulate
+
+    def counted(vectors, matrix):
+        calls.append(len(vectors))
+        return accumulate(vectors, matrix)
+
+    monkeypatch.setattr(basis_module, "_accumulate", counted)
+    return calls
+
+
+def assert_certify_matches_fixed_order(cache, basis, c, b):
+    """Banded certify equals fixed_order_certify bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = cache.certify(basis, c, b)
+        want = fixed_order_certify(cache, basis, c, b)
+    for part, ref in zip(got, want):
+        assert part.dtype == ref.dtype and part.tobytes() == ref.tobytes()
+
+
+def placed_rows(cache, basis, c, b, pick):
+    """(c, b) rows of one LP at the edges of the certificate: basic
+    variable pick % n moved to its floor, then a nonbasic lane's reduced
+    cost moved to minus the margin, each from 3 ulps below to 3 above."""
+    steps = np.arange(-3, 4)
+    c_rows, b_rows = np.tile(c, (14, 1)), np.tile(b, (14, 1))
+    j = pick % len(basis.basic)
+    column = cache.matrix[:, basis.basic[j]]
+    at_floor = b.copy()
+    for _ in range(3):  # the floor moves with max |b|
+        x_j = fixed_order_sum(at_floor[None], basis.inverse.T)[0, j]
+        at_floor += (-basis.lead[j] * _floor(at_floor) - x_j) * column
+    r = np.flatnonzero(column)[0]
+    b_rows[:7] = at_floor
+    b_rows[:7, r] += steps * np.spacing(at_floor[r])
+    lanes = basis.nonbasic[basis.nonbasic < cache.lanes]
+    if not lanes.size:
+        return c_rows[:7], b_rows[:7]
+    lane = lanes[pick % len(lanes)]
+    costs = np.concatenate([c, np.zeros(len(b))])
+    duals = fixed_order_sum(costs[None, basis.basic], basis.inverse)
+    price = fixed_order_sum(duals, cache.matrix[:, [lane]])[0, 0]
+    at_margin = c.copy()
+    for _ in range(3):  # the margin moves with max |c|
+        at_margin[lane] = price - CERTIFY_MARGIN * max(1.0, np.abs(at_margin).max())
+    c_rows[7:] = at_margin
+    c_rows[7:, lane] += steps * np.spacing(at_margin[lane])
+    return c_rows, b_rows
+
+
+def test_banded_certify_equals_fixed_order(fixed_order_calls):
+    # certify decides on BLAS products only where the value clears its
+    # threshold by more than the rounding bound, and on fixed-order sums
+    # elsewhere, so it equals the fixed-order certify bit for bit; rows
+    # at the floor and at the margin, and ulps either side, fall inside
+    # the band and take the fixed-order sums
+    unsure = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 2), (4, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+        pick=st.integers(0, 10**6),
+    )
+    def check(shape, seed, pick):
+        cache = _BasisCache(shape)
+        c, b = random_batch(np.random.default_rng(seed), *shape, 8)
+        sol = solve(LinearProgram(*cache.skeleton, b[0], c[0]))
+        if sol.status != "optimal":
+            return
+        basis = cache._basis_at(np.array(sol.x), b[0], c[0])
+        if basis is None:
+            return
+        placed_c, placed_b = placed_rows(cache, basis, c[0], b[0], pick)
+        c, b = np.vstack([c, placed_c]), np.vstack([b, placed_b])
+        before = len(fixed_order_calls)
+        assert_certify_matches_fixed_order(cache, basis, c, b)
+        unsure.append(len(fixed_order_calls) - before > 1)
+
+    check()
+    assert unsure and all(unsure)
+
+
+def test_rows_near_the_float_maximum_match_fixed_order(fixed_order_calls):
+    # rows scaled toward the float maximum overflow the BLAS products
+    # and their bounds to inf, and prices of both signs meet in a reduced
+    # cost as inf - inf = NaN; such rows are decided by the fixed-order
+    # sums, and a NaN never passes
+    rng = np.random.default_rng(600)
+    tops = np.array([1e300, 1e306, 1e307, 1.7e308])[:, None]
+    nan_rows = 0
+    for m, n in ((1, 3), (2, 2), (3, 2), (4, 5)):
+        cache = _BasisCache((m, n))
+        c, b = random_batch(rng, m, n, 6)
         for row in range(len(b)):
             sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
             optimal = sol.status == "optimal"
             basis = cache._basis_at(np.array(sol.x), b[row], c[row]) if optimal else None
             if basis is None:
                 continue
-            batch = cache.certify(basis, c, b)
-            alone = [cache.certify(basis, c[k : k + 1], b[k : k + 1]) for k in range(len(b))]
-            for part, parts in zip(batch, zip(*alone)):
-                assert part.tobytes() == np.concatenate(parts).tobytes()
-            folds = (b[:, : m + n] == b[:, m + n :]).any(axis=1)
-            folded_certified += int((batch[0] & folds).sum())
-    assert folded_certified
+            near_max_c = c[row] / np.abs(c[row]).max() * tops
+            near_max_b = b[row] / np.abs(b[row]).max() * tops
+            big_c = np.vstack([c, near_max_c, np.tile(c[row], (len(tops), 1))])
+            big_b = np.vstack([b, np.tile(b[row], (len(tops), 1)), near_max_b])
+            before = len(fixed_order_calls)
+            assert_certify_matches_fixed_order(cache, basis, big_c, big_b)
+            assert len(fixed_order_calls) - before > 1
+            costs = np.hstack([big_c, np.zeros_like(big_b)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                duals = fixed_order_sum(costs[:, basis.basic], basis.inverse)
+                priced = fixed_order_sum(duals, cache.matrix[:, basis.nonbasic])
+            nan_rows += int(np.isnan(priced).any(axis=1).sum())
+    assert nan_rows
 
 
 def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
