@@ -24,12 +24,11 @@ solver proposes a basis first: the distributor LP is a transportation
 problem once each node splits in two (_BasisCache.propose). A proposal
 stands only where it certifies its own row, as the unique optimum the
 tableau would end on too; every other row is solved by the tableau
-from the shape's lp_skeleton, as before. At a degenerate vertex a basis
-answers a row only where the row's own optimum leads _basis_at to that
-basis too (_BasisCache._answers). So every answer is a function of its
-own row's (c, b), whatever the other rows of the batch are and in
-whatever order they come. This is the only module that calls
-simplex.solve.
+from the shape's lp_skeleton. At a degenerate vertex a basis answers a
+row only where the row's own optimum leads _basis_at to that basis too
+(_BasisCache._answers). So every answer is a function of its own row's
+(c, b), whatever the other rows of the batch are and in whatever order
+they come. This is the only module that calls simplex.solve.
 """
 
 from __future__ import annotations

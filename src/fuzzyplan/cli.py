@@ -23,6 +23,7 @@ from .fuzzy_solver import fit_trapezoid, solve_fuzzy
 from .ingest import (
     DEFAULT_GAMMA_CORE,
     DEFAULT_GAMMA_SUPPORT,
+    _check_levels,
     ecdf_from_histogram,
     ecdf_from_samples,
     gaussian_to_trapezoid,
@@ -76,11 +77,7 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.gamma_core < self.gamma_support < 1.0:
-            raise ValueError(
-                "need 0 < gamma_core < gamma_support < 1, got "
-                f"({self.gamma_core}, {self.gamma_support})"
-            )
+        _check_levels(self.gamma_core, self.gamma_support)
         if self.alpha_levels < 2:
             raise ValueError(f"need at least 2 alpha levels, got {self.alpha_levels}")
         if self.mc_steps < 1:

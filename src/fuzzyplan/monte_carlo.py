@@ -6,28 +6,26 @@ of the feasible scenarios are accumulated into histograms. Sampling is
 counter-based: step i draws from default_rng((seed, i)), so a run can
 be split across workers and merged without changing a single draw.
 sample_instance is that definition, one generator per step. run_range
-draws a chunk of steps without building their generators: it runs
-numpy's SeedSequence hash over every step's (seed, i) entropy at once
-in uint32 arrays, turns each step's hashed words into PCG64's state
-with srandom's 128-bit arithmetic, and draws each step's standard
-normals through one reused generator set to that state. The floats
-equal default_rng((seed, i)).normal(means, sigmas) by construction,
-and tests/test_monte_carlo.py checks them against it.
+runs numpy's SeedSequence hash over a whole chunk's (seed, i) entropy
+at once in uint32 arrays, and np.random.PCG64 seeds each step's
+generator from its four hashed words, so the floats equal
+default_rng((seed, i)).normal(means, sigmas); tests/test_monte_carlo.py
+checks them against it.
 
 Most scenarios need no simplex solve. run_range draws a chunk into one
 array, one scenario row per step, turns it into every scenario's (c, b)
 with model.lp_rows, and answers the chunk with basis._BasisCache.answer,
 on one cache for the whole range: a scenario that fails the
 feasibility screen counts as infeasible, one that an optimal basis
-found earlier in the run certifies as its unique, nondegenerate
-optimum is answered from that basis, and anything else is solved cold
-from its own row of (c, b), with no CrispInstance built, and its basis
-is tested on the rest of the chunk. After a chunk the cache holds the
-bases that answered a step other than the one they came from, so where
-optimal supports seldom repeat, each cold solve costs about one extra
-test. Every
-result stays a pure function of (seed, index), however the run is
-chunked or split and whichever bases are cached.
+found earlier in the run certifies is answered from that basis (the
+row's unique optimum, or a degenerate vertex where each basic variable
+at 0 has a row of B^-1 diag(±1) that leads positive: basis.certify),
+and anything else is solved cold from its own row of (c, b), with no
+CrispInstance built, and its basis is tested on the rest of the chunk.
+After a chunk the cache holds the bases that answered a step other than
+the one they came from, so where optimal supports seldom repeat, each
+cold solve costs about one extra test. Every result stays a pure
+function of (seed, index), however chunked, split or cached.
 
 Per-lane results are flat, in lane order (the order of the LP's x):
 each PartialRun shipment row and McResult's shipment histograms, means
@@ -144,13 +142,12 @@ class PartialRun:
 CHUNK = 1024
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe) and PCG64's multiplier
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe)
 POOL_WORDS = 4
 INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
+MASK32 = (1 << 32) - 1
 
 
 def _words(n: int) -> int:
@@ -197,23 +194,36 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return np.array([state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)])
 
 
+class _HashedWords:
+    """One step's four hashed words, as the ISeedSequence that PCG64 seeds from.
+
+    Any other request, another bit generator's, raises. _draws registers
+    the class, as subclassing would load numpy.random at every CLI start.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != POOL_WORDS or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seeds PCG64 only, not {n_words} words of {np.dtype(dtype)}")
+        return self.words
+
+
 def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarray:
     """One row per step in [start, stop): the floats sample_instance draws.
 
-    Step i's stream is default_rng((seed, i))'s, bit for bit, derived
-    without building a generator per step. SeedSequence hashes the
-    entropy words of seed then i (_seed_states, the whole range at once,
-    grouped by how many words i takes); PCG64 seeds itself from the four
-    hashed words by srandom's 128-bit steps, here in Python ints; one
-    reused generator, set to each step's state, fills that step's row
-    of standard normals. Scaling by sigma and adding the mean is then
-    one array operation, the same product and sum normal() makes per
-    float. tests/test_monte_carlo.py checks the equality at chunk edges,
-    where i gains a word, and with entropy longer than the pool.
+    _seed_states hashes the entropy words of seed then i for the whole
+    range at once, grouped by how many words i takes; PCG64 seeds step
+    i's generator from its four hashed words, as default_rng((seed, i))
+    does. Scaling by sigma and adding the mean is the product and sum
+    normal() makes per float. tests/test_monte_carlo.py checks the floats
+    at chunk edges, where i gains a word, and with entropy longer than
+    the pool.
     """
+    np.random.bit_generator.ISeedSequence.register(_HashedWords)
     means, sigmas = specs.moments
     z = np.empty((stop - start, means.size))
-    generator = np.random.Generator(np.random.PCG64())
     prefix = seed.to_bytes(4 * _words(seed), "little")
     lo = start
     while lo < stop:
@@ -221,16 +231,9 @@ def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarra
         hi = min(stop, 1 << 32 * width)
         raw = b"".join(prefix + i.to_bytes(4 * width, "little") for i in range(lo, hi))
         entropy = np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(hi - lo, -1).T
-        for row, (s0, s1, q0, q1) in enumerate(_seed_states(entropy).T.tolist(), lo - start):
-            inc = ((q0 << 64 | q1) << 1 | 1) & MASK128
-            state = ((inc + (s0 << 64 | s1)) * PCG_MULT + inc) & MASK128
-            generator.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            generator.standard_normal(out=z[row])
+        # PCG64 reads the words' memory, so each step's row must be contiguous
+        for row, words in enumerate(_seed_states(entropy).T.copy(), lo - start):
+            np.random.Generator(np.random.PCG64(_HashedWords(words))).standard_normal(out=z[row])
         lo = hi
     with np.errstate(over="ignore"):
         draws = means + sigmas * z

@@ -30,14 +30,31 @@ from fuzzyplan.transport import TransportInstance
 TABLE1 = str(files("fuzzyplan").joinpath("data/table1.json"))
 EXPECTED = json.loads(files("fuzzyplan").joinpath("data/table1_expected.json").read_text())
 
-def fresh_cli(argv, warnings=None):
-    """The console entry point in a fresh interpreter, as a user runs it."""
-    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
+def fresh_python(script, argv=(), warnings=None):
+    """script in a fresh interpreter that imports this checkout's fuzzyplan."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     if warnings is not None:
         env["PYTHONWARNINGS"] = warnings
     command = [sys.executable, "-c", script, *map(str, argv)]
     return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+
+def fresh_cli(argv, warnings=None):
+    """The console entry point in a fresh interpreter, as a user runs it."""
+    script = "import sys; from fuzzyplan.cli import main; sys.exit(main(sys.argv[1:]))"
+    return fresh_python(script, argv, warnings)
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random would lengthen every CLI start; Monte Carlo loads it at its first draw
+    def loads_random(module):
+        proc = fresh_python(f"import sys, {module}; print('numpy.random' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip() == "True"
+
+    if loads_random("numpy"):
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert not loads_random("fuzzyplan.cli")
 
 
 FUZZY_HEADER = (

@@ -180,6 +180,17 @@ def test_batch_draws_equal_default_rng(specs_name, seed, start, stop, rows, tabl
         assert np.array_equal(draws[row], want), (seed, start + row)
 
 
+@pytest.mark.parametrize("other", [np.random.SFC64, np.random.Philox])
+def test_hashed_words_seed_only_pcg64(other, table1_specs):
+    monte_carlo._draws(table1_specs, 0, 0, 1)  # registers _HashedWords as an ISeedSequence
+    words = np.random.SeedSequence((5, 7)).generate_state(4, np.uint64)
+    pcg64 = np.random.PCG64(monte_carlo._HashedWords(words))
+    assert pcg64.state == np.random.PCG64((5, 7)).state
+    # SFC64 asks for 3 uint64 words and Philox for 2: each would take the wrong ones
+    with pytest.raises(ValueError, match="PCG64 only"):
+        other(monte_carlo._HashedWords(words))
+
+
 def test_run_range_rejects_negative_seed(demo_specs):
     with pytest.raises(ValueError, match="seed >= 0"):
         run_range(demo_specs, 0, 5, -1)
