@@ -17,16 +17,17 @@ value it writes.
 
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
-scenarios and the fuzzy solver's alpha-cut corners alike: screen,
-certify the cached bases, and answer what is left from the row's own
-(c, b), finding its basis (_BasisCache.fresh). There the transport
-solver proposes a basis first: the distributor LP is a transportation
-problem once each node splits in two (_BasisCache.propose). A proposal
-stands only where it certifies its own row, as the unique optimum the
-tableau would end on too; every other row is solved by the tableau
-from the shape's lp_skeleton. At a degenerate vertex a basis answers a
-row only where the row's own optimum leads _basis_at to that basis too
-(_BasisCache._answers). So every answer is a function of its own row's
+scenarios and the fuzzy solver's alpha-cut corners alike: screen, scale
+each row's b by a power of two, certify the cached bases, and answer
+what is left from the row's own (c, b), finding its basis
+(_BasisCache.fresh). There the transport solver proposes a basis first:
+the distributor LP is a transportation problem once each node splits in
+two (_BasisCache.propose). A proposal stands only where it certifies
+its own row, as the unique optimum the tableau would end on too; every
+other row is solved by the tableau from the shape's lp_skeleton. The
+tableau's ratio test is the same lexicographic rule, so it ends on the
+one basis certify can accept, degenerate or not, and certify tests that
+basis as it stands. So every answer is a function of its own row's
 (c, b), whatever the other rows of the batch are and in whatever order
 they come. This is the only module that calls simplex.solve.
 """
@@ -146,9 +147,9 @@ class _BasisCache:
         the capacity slack goes in for the contract slack wherever the
         duals price it above 0; a swap moves only its own pair's duals,
         so the swaps are made together. Any other degenerate support
-        gives None: this fold completion stands in until the general
-        lexicographic completion of ROADMAP item 4 replaces it. It only
-        proposes; certify decides.
+        gives None. Only proposals come here: the fold completion lets
+        a proposal at a repaired corner certify without the tableau,
+        which ends on its own basis. It only proposes; certify decides.
         """
         pairs = len(b) // 2
         shipping = self.matrix[:, : self.lanes]
@@ -208,33 +209,39 @@ class _BasisCache:
         """Answer LP 0 of the pending LPs (rows of c and b): none certifies it.
 
         Returns (basis, certified, cold solution): the basis found for
-        LP 0 (None when degenerate), what _answers gives for it on every
-        row, and the tableau's solution of LP 0. The transport solver
-        proposes first. When the basis of its plan certifies LP 0, there
-        is no cold solution: the tableau would end on the same unique
-        optimum. Otherwise the proposal is dropped, and simplex.solve
-        answers LP 0 cold.
+        LP 0 (None where it has no optimum), what certify gives for it
+        on every row, and the tableau's solution of LP 0. The transport
+        solver proposes first. When the basis of its plan certifies
+        LP 0, there is no cold solution: the tableau would end on the
+        same unique optimum. Otherwise the proposal is dropped, and
+        simplex.solve answers LP 0 cold. Its lexicographic rule ends on
+        the one basis certify can accept, so that basis is certified as
+        it stands; where it fails the test (a reduced cost within the
+        margin, a tie in c), the tableau's answer stands.
         """
         x = self.propose(c[0], b[0])
         basis = None if x is None else self._basis_at(x, b[0], c[0])
         if basis is not None:
-            certified = self._answers(basis, c, b)
+            certified = self.certify(basis, c, b)
             if certified[0][0]:
                 return basis, certified, None
         sol = solve(LinearProgram(*self.skeleton, b[0], c[0]))
-        basis = self._basis_at(np.array(sol.x), b[0], c[0]) if sol.status == "optimal" else None
-        return basis, (None if basis is None else self._answers(basis, c, b)), sol
+        if sol.status != "optimal":
+            return None, None, sol
+        basis = self._basis(np.isin(np.arange(self.matrix.shape[1]), sol.basis))
+        return basis, (None if basis is None else self.certify(basis, c, b)), sol
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
         """Which scenarios (rows of c and b) have basis as their unique optimum.
 
-        Returns the mask, and the optimal shipments (one row each),
-        benefits and degeneracy (a basic variable within the floor of 0)
-        of the certified rows. Certified means strictly: every
+        Returns the mask, and the optimal shipments (one row each) and
+        benefits of the certified rows. Certified means strictly: every
         nonbasic reduced cost below the margin, and every basic variable
         above _floor(b), or within it of 0 with a positive lead (the
         lexicographic rule of the module docstring). Ties go to the cold
-        solve; at most one basis certifies a row.
+        solve; at most one basis certifies a row. The tableau's final
+        basis passes the primal test where max |b| is below 1, as
+        answer scales it: there _floor(b) is the tableau's PIVOT_TOL.
 
         A row's tests, on x_B = b B^-T and on the reduced costs
         c_N - (c_B B^-1) M_N, M_N the nonbasic columns of the standard
@@ -296,21 +303,7 @@ class _BasisCache:
         benefit = np.zeros(len(x))
         for r in shipped:
             benefit += c_basic[:, r] * x_basic[:, r]
-        return ok, x, benefit, (x_basic <= floor[rows]).any(axis=1)
-
-    def _answers(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
-        """certify, less the rows at a degenerate vertex whose own optimum
-        does not lead _basis_at to basis: _basis_at completes only folded
-        pairs, and alone such a row would take the tableau. So an answer
-        is a function of its own row of c and b, not of the batch."""
-        ok, x, benefit, degenerate = self.certify(basis, c, b)
-        if not degenerate.any():
-            return ok, x, benefit
-        rows = np.flatnonzero(ok)
-        for k in np.flatnonzero(degenerate):
-            own = self._basis_at(x[k], b[rows[k]], c[rows[k]])
-            ok[rows[k]] = own is not None and np.array_equal(own.basic, basis.basic)
-        return ok, x[ok[rows]], benefit[ok[rows]]
+        return ok, x, benefit
 
     @np.errstate(over="ignore", invalid="ignore")
     def answer(self, c: np.ndarray, b: np.ndarray):
@@ -322,12 +315,17 @@ class _BasisCache:
         and x all zeros.
 
         A row that fails the feasibility screen is infeasible without a
-        solve. Every cached basis is tested on every row still waiting
-        for an answer; the first row none certifies goes to fresh, which
-        proposes a basis or solves the row cold, and tests the basis it
-        finds on the rows still pending. A basis found again after such
-        a test answers nothing new: _answers is a function of (basis,
-        row), and every row still pending was tested on it.
+        solve. The rest are scaled: each row's b is divided by 2^k, k the
+        frexp exponent of its max |b|, and its x and benefit multiplied
+        back. That is exact in binary, it leaves the screen's absolute
+        FEAS_TOL on the unscaled row, and it puts every row's _floor at
+        PIVOT_TOL, the tableau's tolerance. Every cached basis is tested
+        on every row still waiting for an answer; the first row none
+        certifies goes to fresh, which proposes a basis or solves the
+        row cold, and tests the basis it finds on the rows still
+        pending. A basis found again after such a test answers nothing
+        new: certify is a function of (basis, row), and every row still
+        pending was tested on it.
         Afterwards the cache holds only the bases that answered a row
         other than the one they were found at: where optimal supports do
         not repeat, no basis is retested on the next batch.
@@ -341,6 +339,8 @@ class _BasisCache:
         feasible = np.ones(len(b), dtype=bool)
         for mask in necessary_violations(*np.split(b, [m, m + n, 2 * m + n], axis=1)):
             feasible &= ~mask.reshape(len(b), -1).any(axis=1)
+        k = np.frexp(np.abs(b).max(axis=1))[1]
+        b = np.ldexp(b, -k[:, None])
         benefit, x = np.zeros(len(b)), np.zeros((len(b), self.lanes))
         pending = np.flatnonzero(feasible)
 
@@ -352,7 +352,7 @@ class _BasisCache:
             return len(x_ok)
 
         useful = [
-            basis for basis in self.bases if settle(*self._answers(basis, c[pending], b[pending]))
+            basis for basis in self.bases if settle(*self.certify(basis, c[pending], b[pending]))
         ]
         while pending.size:
             row = int(pending[0])
@@ -368,6 +368,7 @@ class _BasisCache:
             if others:
                 useful.append(basis)
         self.bases = useful
+        benefit, x = np.ldexp(benefit, k), np.ldexp(x, k[:, None])
         if not (np.isfinite(benefit[feasible]).all() and np.isfinite(x[feasible]).all()):
             raise ValueError("optimal benefit must be finite")
         return feasible, benefit, x

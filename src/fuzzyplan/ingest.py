@@ -169,6 +169,11 @@ def _check_levels(gamma_core: float, gamma_support: float):
         )
 
 
+def _check_gaussian(mean: float, sigma: float):
+    if sigma < 0 or not math.isfinite(sigma) or not math.isfinite(mean):
+        raise ValueError(f"need finite mean and sigma >= 0, got ({mean}, {sigma})")
+
+
 def to_trapezoid(
     f: EmpiricalCDF,
     gamma_core: float = DEFAULT_GAMMA_CORE,
@@ -188,8 +193,7 @@ def gaussian_to_trapezoid(
     gamma_support: float = DEFAULT_GAMMA_SUPPORT,
 ) -> TrapezoidalFuzzyNumber:
     """Analytic trapezoid for a Gaussian: intervals m +/- z((1+gamma)/2) sigma."""
-    if sigma < 0 or not math.isfinite(sigma) or not math.isfinite(mean):
-        raise ValueError(f"need finite mean and sigma >= 0, got ({mean}, {sigma})")
+    _check_gaussian(mean, sigma)
     _check_levels(gamma_core, gamma_support)
     z_core = NormalDist().inv_cdf((1.0 + gamma_core) / 2.0)
     z_support = NormalDist().inv_cdf((1.0 + gamma_support) / 2.0)

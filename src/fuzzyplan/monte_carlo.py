@@ -48,6 +48,7 @@ from .ingest import (
     DEFAULT_GAMMA_CORE,
     DEFAULT_GAMMA_SUPPORT,
     BinnedHistogram,
+    _check_gaussian,
     ecdf_from_histogram,
     to_trapezoid,
 )
@@ -78,8 +79,7 @@ class GaussianSpec:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.sigma)) or self.sigma < 0:
-            raise ValueError(f"need finite mean and sigma >= 0, got {self}")
+        _check_gaussian(self.mean, self.sigma)
 
 
 class ParameterSpecs(ParameterTable):

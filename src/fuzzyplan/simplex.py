@@ -1,16 +1,19 @@
-"""Two-phase primal simplex on a dense tableau.
+"""Two-phase primal simplex on a dense tableau, with the lexicographic rule.
 
-Dantzig pricing runs by default; Bland's rule takes over permanently
-once the objective stalls long enough to suggest degenerate cycling.
-Each step is a numpy operation over the tableau: pricing is one argmin
-(or, under Bland, one search for the first eligible column) over the
-allowed columns, the ratio test visits only the rows with a positive
-pivot-column entry, and a pivot updates only the rows whose pivot-column
-entry is nonzero. Only the scan for the leaving row stays sequential,
-since its tolerance tie-break depends on the order of the rows. The
-pivots, and every float they produce, are those of the element-by-element
-loop this replaced (Bertsimas & Tsitsiklis, Introduction to Linear
-Optimization, ch. 3).
+Dantzig pricing picks the entering column. The ratio test takes the
+least ratio, and breaks ties within PIVOT_TOL by the lexicographically
+least row of key / pivot entry, where key holds each constraint row's
+slack column, or its artificial on an "=" row: mat[:m, key] is
+B^-1 diag(±1). Every row of [b | key] starts lexicographically positive
+(rows are normalized to b >= 0, and a ">=" row with b == 0 to a +1
+slack), and the rule keeps it so, which is the simplex on the LP with
+every bound loosened by (ε, ε², …): it cannot cycle, and it ends on the
+basis that fuzzyplan.basis certifies (Dantzig, Orden & Wolfe, Pacific J.
+Math. 5, 1955; Bertsimas & Tsitsiklis, Introduction to Linear
+Optimization, §3.4). Each step is a numpy operation over the tableau:
+pricing is one argmin over the allowed columns, the ratio test visits
+only the rows with a positive pivot-column entry, and a pivot updates
+only the rows whose pivot-column entry is nonzero.
 
 An LP is a LinearProgram of arrays, as the distributor path holds it:
 the shape's constraint matrix, its row relations, and one scenario's b
@@ -20,7 +23,6 @@ the caller's job.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,17 +49,23 @@ class SimplexSolution:
     x: tuple | None
     objective_value: float | None
     iterations: int
+    # optimal: each row's basic column of [a | slacks], a slack per row
+    # that has one (not "="), in row order
+    basis: tuple | None = None
 
 
 class _Tableau:
-    """Mutable simplex tableau: constraint rows plus one objective row."""
+    """Mutable simplex tableau: constraint rows plus one objective row.
 
-    def __init__(self, mat: np.ndarray, basis: list):
+    key is the column of each constraint row's slack, or of its
+    artificial on an "=" row, in row order.
+    """
+
+    def __init__(self, mat: np.ndarray, basis: list, key: list):
         self.mat = mat
         self.basis = basis
+        self.key = key
         self.iterations = 0
-        self.use_bland = False
-        self._stall = 0
 
     def pivot(self, row: int, col: int):
         mat = self.mat
@@ -70,51 +78,30 @@ class _Tableau:
         self.basis[row] = col
         self.iterations += 1
 
-    def run(self, allowed_cols: np.ndarray, stall_limit: int) -> str:
+    def run(self, allowed_cols: np.ndarray) -> str:
         """Maximize until optimal ("optimal") or an unbounded ray ("unbounded").
 
         allowed_cols is an ascending index array of the columns that may
-        enter the basis.
+        enter the basis. The rows of key are those of a nonsingular
+        matrix, so in exact arithmetic the lexicographic test leaves one.
         """
         mat = self.mat
-        m = mat.shape[0] - 1
         while True:
+            # Dantzig: the first column at the strict minimum
             reduced = mat[-1, allowed_cols]
-            if self.use_bland:
-                # the first allowed column with a negative reduced cost
-                hits = (reduced < -PIVOT_TOL).nonzero()[0]
-                k = hits[0] if hits.size else -1
-            else:
-                # Dantzig: the first column at the strict minimum
-                k = int(reduced.argmin())
-                if not reduced[k] < -PIVOT_TOL:
-                    k = -1
-            if k < 0:
+            k = int(reduced.argmin())
+            if not reduced[k] < -PIVOT_TOL:
                 return "optimal"
             col = int(allowed_cols[k])
-            # ratio test over rows with positive pivot entries, in row order
-            rows = (mat[:m, col] > PIVOT_TOL).nonzero()[0]
-            ratios = mat[rows, -1] / mat[rows, col]
-            row = -1
-            best_ratio = math.inf
-            for r, ratio in zip(rows.tolist(), ratios.tolist()):
-                if ratio < best_ratio - PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= PIVOT_TOL
-                    and row >= 0
-                    and self.basis[r] < self.basis[row]
-                ):
-                    best_ratio = ratio
-                    row = r
-            if row < 0:
+            rows = (mat[:-1, col] > PIVOT_TOL).nonzero()[0]
+            if not rows.size:
                 return "unbounded"
-            before = mat[-1, -1]
-            self.pivot(row, col)
-            if mat[-1, -1] - before <= PIVOT_TOL:
-                self._stall += 1
-                if self._stall >= stall_limit:
-                    self.use_bland = True
-            else:
-                self._stall = 0
+            for j in [-1, *self.key]:  # b, then the key columns
+                ratios = mat[rows, j] / mat[rows, col]
+                rows = rows[ratios <= ratios.min() + PIVOT_TOL]
+                if rows.size == 1:
+                    break
+            self.pivot(int(rows[0]), col)
             if self.iterations > 50_000:
                 raise RuntimeError("simplex failed to terminate")
 
@@ -124,7 +111,9 @@ def solve(lp: LinearProgram) -> SimplexSolution:
     a, relations, b, c = lp
     m, n = a.shape
     relations = np.asarray(relations, dtype=str)
-    flip = b < 0  # rows are normalized to b >= 0
+    # rows are normalized to b >= 0, and a ">=" row with b == 0 to a +1
+    # slack, so that every row of [b | key] starts lexicographically positive
+    flip = (b < 0) | ((relations == ">=") & (b == 0))
     # each normalized row's slack coefficient: +1 on <=, -1 on >=, 0 on =;
     # a row without a +1 slack starts from an artificial
     slack = np.select([relations == "<=", relations == ">="], [1.0, -1.0])
@@ -139,18 +128,18 @@ def solve(lp: LinearProgram) -> SimplexSolution:
     rows = mat[:m]
     rows[:, :n] = a
     rows[flip, :n] *= -1.0  # only the flipped rows: negating all of a would copy it
-    rows[:, -1] = np.where(flip, -b, b)
+    rows[:, -1] = np.abs(b)
     rows[has_slack, slack_at[has_slack]] = slack[has_slack]
     rows[art, art_at[art]] = 1.0
-    tab = _Tableau(mat, np.where(art, art_at, slack_at).tolist())
-    stall_limit = 2 * (n + m)
+    key = np.where(has_slack, slack_at, art_at).tolist()
+    tab = _Tableau(mat, np.where(art, art_at, slack_at).tolist(), key)
 
     if total > n_real:
         # phase 1: maximize -(sum of artificials), priced out over the basis
         mat[-1, n_real:total] = 1.0
         for i in np.flatnonzero(art):
             mat[-1] -= mat[i]
-        tab.run(np.arange(total), stall_limit)
+        tab.run(np.arange(total))
         if mat[-1, -1] < -FEAS_TOL:
             return SimplexSolution("infeasible", None, None, tab.iterations)
         _evict_artificials(tab, n_real)
@@ -162,7 +151,7 @@ def solve(lp: LinearProgram) -> SimplexSolution:
         if mat[-1, col] != 0.0:
             mat[-1] -= mat[-1, col] * mat[i]
     # the artificials, the last columns, never re-enter
-    status = tab.run(np.arange(n_real), stall_limit)
+    status = tab.run(np.arange(n_real))
     if status == "unbounded":
         return SimplexSolution("unbounded", None, None, tab.iterations)
 
@@ -172,7 +161,8 @@ def solve(lp: LinearProgram) -> SimplexSolution:
             x[col] = mat[i, -1]
     x[np.abs(x) < PIVOT_TOL] = 0.0
     value = float(c @ x)
-    return SimplexSolution("optimal", tuple(map(float, x)), value, tab.iterations)
+    x = tuple(map(float, x))
+    return SimplexSolution("optimal", x, value, tab.iterations, tuple(tab.basis))
 
 
 def _evict_artificials(tab: _Tableau, n_real: int):

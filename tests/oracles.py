@@ -69,13 +69,13 @@ def fixed_order_sum(vectors, matrix):
 
 
 def fixed_order_certify(cache, basis, c, b):
-    """(mask, x, benefit, degenerate) of _BasisCache.certify, with every
+    """(mask, x, benefit) of _BasisCache.certify, with every
     x_B, dual and reduced cost a fixed_order_sum over the whole batch.
 
     A row passes where each basic variable is above minus its lead times
     the floor PIVOT_TOL * max(1, max |b|), and each nonbasic reduced cost
-    below -CERTIFY_MARGIN * max(1, max |c|); x, benefit and degenerate
-    (a basic variable at or below the floor) cover the passing rows.
+    below -CERTIFY_MARGIN * max(1, max |c|); x and benefit cover the
+    passing rows.
     """
     floor = PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=1))[:, None]
     x_basic = fixed_order_sum(b, basis.inverse.T)
@@ -97,7 +97,7 @@ def fixed_order_certify(cache, basis, c, b):
     benefit = np.zeros(len(rows))
     for r in shipped:
         benefit += c_basic[:, r] * x_basic[:, r]
-    return ok, x, benefit, (x_basic <= floor[rows]).any(axis=1)
+    return ok, x, benefit
 
 
 def mc_prob_geq(a_lo, a_hi, b_lo, b_hi, n=1_000_000, seed=0):

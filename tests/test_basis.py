@@ -223,6 +223,7 @@ def assert_certify_matches_fixed_order(cache, basis, c, b):
     with np.errstate(over="ignore", invalid="ignore"):
         got = cache.certify(basis, c, b)
         want = fixed_order_certify(cache, basis, c, b)
+    assert len(got) == len(want)
     for part, ref in zip(got, want):
         assert part.dtype == ref.dtype and part.tobytes() == ref.tobytes()
 
@@ -397,21 +398,99 @@ def balanced_batch(rng, m, n, k):
     halves = folded_batch(rng, m, n, k // 2), random_batch(rng, m, n, k - k // 2)
     c, b = (np.vstack(a) for a in zip(*halves))
     supplied, demanded = b[::3, :m].sum(axis=1), b[::3, m : m + n].sum(axis=1)
-    scale = np.where((supplied > 0) & (demanded > 0), supplied / demanded, 1.0)
+    both = (supplied > 0) & (demanded > 0)
+    scale = np.divide(supplied, demanded, out=np.ones_like(supplied), where=both)
     b[::3, m : m + n] *= scale[:, None]
     return c, b
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4, 1e7])
 @pytest.mark.parametrize("seed", range(3))
-def test_rows_answer_alone_as_in_a_batch(seed):
-    # a basis from another row answers a row at a degenerate vertex only
-    # where _basis_at builds that basis from the row's own optimum, so
-    # each row's answer is the same bytes alone as in its batch, with
-    # capacity totals balanced or not
+def test_rows_answer_alone_as_in_a_batch(seed, scale):
+    # the tableau ends on the one basis certify can accept, at every
+    # scale of b, so each row's answer is the same bytes alone as in its
+    # batch and in the reversed batch, with capacity totals balanced or
+    # not
     rng = np.random.default_rng(500 + seed)
     for m, n in ((2, 2), (3, 3), (4, 5)):
         c, b = balanced_batch(rng, m, n, 60)
+        b *= scale
         batch = _BasisCache((m, n)).answer(c, b)
+        reverse = _BasisCache((m, n)).answer(c[::-1], b[::-1])
         for row in range(len(b)):
             alone = _BasisCache((m, n)).answer(c[row : row + 1], b[row : row + 1])
-            assert [a[row].tobytes() for a in batch] == [a[0].tobytes() for a in alone]
+            want = [a[0].tobytes() for a in alone]
+            assert [a[row].tobytes() for a in batch] == want
+            assert [a[-1 - row].tobytes() for a in reverse] == want
+
+
+def scaled_as_answer_does(b):
+    """Each row of b over 2^k, k the frexp exponent of its max |b|."""
+    return np.ldexp(b, -np.frexp(np.abs(b).max(axis=1))[1][:, None])
+
+
+def test_the_tableau_ends_on_the_basis_certify_accepts():
+    # the lexicographic ratio test keeps every row of [x_B | B^-1 diag(±1)]
+    # lexicographically positive, which is certify's primal test; so
+    # where every nonbasic reduced cost is below the margin, certify
+    # accepts the tableau's final basis, degenerate or not. Profits drawn
+    # from three values tie, and leave reduced costs within the margin
+    seen = {"degenerate": 0, "certified": 0, "within the margin": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (4, 5)]),
+        kind=st.sampled_from([random_batch, folded_batch, balanced_batch]),
+        seed=st.integers(0, 2**32 - 1),
+        tied=st.booleans(),
+    )
+    def check(shape, kind, seed, tied):
+        cache = _BasisCache(shape)
+        rng = np.random.default_rng(seed)
+        c, b = kind(rng, *shape, 6)
+        if tied:
+            c = rng.choice([40.0, 60.0, 90.0], size=c.shape)
+        b = scaled_as_answer_does(b)
+        for row in range(len(b)):
+            sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
+            if sol.status != "optimal":
+                continue
+            basis = cache._basis(np.isin(np.arange(cache.matrix.shape[1]), sol.basis))
+            x_basic = fixed_order_sum(b[row : row + 1], basis.inverse.T)[0]
+            floor = _floor(b[row])
+            assert (x_basic > -basis.lead * floor).all()
+            seen["degenerate"] += bool((x_basic <= floor).any())
+            costs = np.concatenate([c[row], np.zeros(len(b[row]))])
+            duals = fixed_order_sum(costs[None, basis.basic], basis.inverse)
+            priced = fixed_order_sum(duals, cache.matrix[:, basis.nonbasic])[0]
+            reduced = costs[basis.nonbasic] - priced
+            certified = cache.certify(basis, c[row : row + 1], b[row : row + 1])[0][0]
+            if (reduced < -CERTIFY_MARGIN * max(1.0, np.abs(c[row]).max())).all():
+                assert certified
+                seen["certified"] += 1
+            else:
+                assert not certified
+                seen["within the margin"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_answers_scale_exactly_with_b():
+    # answer scales each row of b by a power of two before the tableau
+    # and certify, so b * 2^k keeps each row's feasibility and gives
+    # exactly 2^k times its x and benefit
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (2, 2), (3, 2), (4, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-40, 40),
+    )
+    def check(shape, seed, k):
+        c, b = balanced_batch(np.random.default_rng(seed), *shape, 12)
+        feasible, benefit, x = _BasisCache(shape).answer(c, b)
+        got = _BasisCache(shape).answer(c, np.ldexp(b, k))
+        want = feasible, np.ldexp(benefit, k), np.ldexp(x, k)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    check()

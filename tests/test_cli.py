@@ -394,6 +394,23 @@ def test_crisp_mode_matches_expected_fixture(tmp_path):
     assert total == pytest.approx(1530.0, abs=1e-6)
 
 
+def test_crisp_mode_at_tiny_capacities(tmp_path):
+    # table1 with its capacities and minimums times 1e-12: the LP is
+    # homogeneous in b, so the optimum is 1e-12 times table1's, with the
+    # 4.4e-10 minimums met, though each is below an absolute tolerance
+    doc = json.loads(Path(TABLE1).read_text())
+    for name in ("supply_max", "demand_max", "purchase_min", "sale_min"):
+        doc[name] = [{"mean": v["mean"] * 1e-12, "sigma": v["sigma"] * 1e-12} for v in doc[name]]
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(doc))
+    assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 0
+    payload = json.loads((tmp_path / "run" / "crisp_solution.json").read_text())
+    assert payload["benefit"] == 7.8103e-07
+    bought = [sum(row) for row in payload["shipments"]]
+    minimums = [v["mean"] for v in doc["purchase_min"]]
+    assert all(got >= least * (1 - 1e-9) for got, least in zip(bought, minimums))
+
+
 def test_export_problem_flag(tmp_path):
     out = tmp_path / "run"
     exported = tmp_path / "copy.json"

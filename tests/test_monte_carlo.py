@@ -64,10 +64,13 @@ def demo_crisp_specs(demo_crisp_problem):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        GaussianSpec(0.0, -1.0)
-    with pytest.raises(ValueError):
-        GaussianSpec(float("nan"), 1.0)
+    # a spec and a Gaussian trapezoid refuse the same pairs with one message
+    for mean, sigma in [(0.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))]:
+        message = f"need finite mean and sigma >= 0, got ({mean}, {sigma})"
+        for make in (GaussianSpec, gaussian_to_trapezoid):
+            with pytest.raises(ValueError) as exc:
+                make(mean, sigma)
+            assert str(exc.value) == message
 
 
 def test_from_problem_inverts_gaussian_construction(demo_problem):
