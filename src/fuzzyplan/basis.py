@@ -18,18 +18,24 @@ value it writes.
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
 scenarios and the fuzzy solver's alpha-cut corners alike: screen, scale
-each row's b by a power of two, certify the cached bases, and answer
-what is left from the row's own (c, b), finding its basis
-(_BasisCache.fresh). There the transport solver proposes a basis first:
-the distributor LP is a transportation problem once each node splits in
-two (_BasisCache.propose). A proposal stands only where it certifies
-its own row, as the unique optimum the tableau would end on too; every
-other row is solved by the tableau from the shape's lp_skeleton. The
-tableau's ratio test is the same lexicographic rule, so it ends on the
-one basis certify can accept, degenerate or not, and certify tests that
-basis as it stands. So every answer is a function of its own row's
-(c, b), whatever the other rows of the batch are and in whatever order
-they come. This is the only module that calls simplex.solve.
+each row's b and c by powers of two, certify the cached bases, and
+answer what is left from the row's own (c, b), finding its basis
+(_BasisCache.fresh). The engines there come in this order:
+- warm: phase 2 of the tableau (simplex.reoptimize) from the newest
+  pooled basis that is primal feasible for the row. The pool holds the
+  last POOL bases that certified their own rows, whichever engine found
+  them, with int8 inverses: 0.8 MB when full at 40x40.
+- propose: the transport solver, since the distributor LP is a
+  transportation problem once each node splits in two.
+- the tableau from the slack basis of the shape's lp_skeleton.
+The first two only propose a basis. It stands only where it certifies
+its own row, as the unique optimum the tableau would end on too;
+otherwise the next engine runs. The tableau's ratio test is the same
+lexicographic rule, so it ends on the one basis certify can accept,
+degenerate or not, and certify tests that basis as it stands. So every
+answer is a function of its own row's (c, b), whatever the other rows
+of the batch are, in whatever order they come and whatever the pool
+holds. This is the only module that calls the simplex.
 """
 
 from __future__ import annotations
@@ -39,15 +45,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import lp_skeleton, necessary_violations
-from .simplex import PIVOT_TOL, LinearProgram, solve
+from .simplex import PIVOT_TOL, LinearProgram, reoptimize, solve
 from .transport import modi_arrays, vogel_arrays
 
 __all__ = ["CERTIFY_MARGIN"]
 
 # A cached basis answers a scenario only when every nonbasic reduced
-# cost is below -CERTIFY_MARGIN * max(1, max |c|): then it is the unique
+# cost is below -CERTIFY_MARGIN * max |c|: then it is the unique
 # optimum, and the cold solve would end on it as well.
 CERTIFY_MARGIN = 1e-7
+
+# The pool of warm starts keeps the POOL bases that certified their own
+# rows last, each inverse as int8. At 40x40 an inverse is 160x160, 25 KB,
+# so a full pool holds 0.8 MB.
+POOL = 32
 
 
 def _accumulate(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -122,6 +133,7 @@ class _BasisCache:
         self.matrix = np.hstack([a, np.diag(self.signs)])
         self.column_weight = np.abs(self.matrix).sum(axis=0).max()  # for certify's bound
         self.bases = []  # _Basis, kept by answer
+        self.pool = {}  # basic.tobytes() -> _Basis, oldest first, for warm
 
     def _basis(self, chosen: np.ndarray):
         """The basis of the columns in mask chosen, or None where they are
@@ -205,31 +217,74 @@ class _BasisCache:
         f = np.array(plan[0])
         return (f[:m, :n] + f[m:-1, :n] + f[:m, n:-1] + f[m:-1, n:-1]).ravel()
 
+    def warm(self, c: np.ndarray, b: np.ndarray):
+        """The basis phase 2 ends on from the newest pooled basis that passes
+        certify's primal test on b, or None where no pooled basis does.
+
+        Such a start has every row of [x_B | B^-1 diag(±1)]
+        lexicographically positive, so simplex.reoptimize keeps them so
+        and ends on the one basis certify can accept where c has one.
+        """
+        floor = _floor(b)
+        for start in reversed(self.pool.values()):
+            if (start.inverse @ b > -start.lead * floor).all():
+                lp = LinearProgram(*self.skeleton, b, c)
+                return self._solved(reoptimize(lp, start.basic, start.inverse))
+        return None
+
+    def _proposed(self, c: np.ndarray, b: np.ndarray):
+        """The basis of propose's plan, or None."""
+        x = self.propose(c, b)
+        return None if x is None else self._basis_at(x, b, c)
+
+    def _solved(self, sol):
+        """The _Basis a simplex solution ends on, or None where it has no optimum."""
+        if sol.status != "optimal":
+            return None
+        return self._basis(np.isin(np.arange(self.matrix.shape[1]), sol.basis))
+
+    def _keep(self, basis: _Basis):
+        """Pool basis, which certified its own row, as the newest start. Its
+        inverse has entries 0 and ±1 (_basis), so int8 holds it."""
+        key = basis.basic.tobytes()
+        self.pool.pop(key, None)
+        self.pool[key] = basis._replace(inverse=np.rint(basis.inverse).astype(np.int8))
+        if len(self.pool) > POOL:
+            del self.pool[next(iter(self.pool))]
+
     def fresh(self, c: np.ndarray, b: np.ndarray):
         """Answer LP 0 of the pending LPs (rows of c and b): none certifies it.
 
         Returns (basis, certified, cold solution): the basis found for
         LP 0 (None where it has no optimum), what certify gives for it
-        on every row, and the tableau's solution of LP 0. The transport
-        solver proposes first. When the basis of its plan certifies
-        LP 0, there is no cold solution: the tableau would end on the
-        same unique optimum. Otherwise the proposal is dropped, and
-        simplex.solve answers LP 0 cold. Its lexicographic rule ends on
-        the one basis certify can accept, so that basis is certified as
-        it stands; where it fails the test (a reduced cost within the
-        margin, a tie in c), the tableau's answer stands.
+        on every row, and the tableau's solution of LP 0. The cached
+        bases have been tried; the engines then come in this order:
+        warm (phase 2 from the pool), _proposed (the transport solver),
+        and simplex.solve. The first two only propose. Where the basis
+        they give certifies LP 0 there is no cold solution, since the
+        tableau would end on the same unique optimum; otherwise the next
+        engine runs. The tableau's lexicographic rule ends on the one
+        basis certify can accept, so that basis is certified as it
+        stands; where it fails the test (a reduced cost within the
+        margin, a tie in c), the tableau's answer stands. A basis that
+        certifies LP 0 joins the pool (at most POOL bases, 0.8 MB at
+        40x40), whichever engine found it.
         """
-        x = self.propose(c[0], b[0])
-        basis = None if x is None else self._basis_at(x, b[0], c[0])
-        if basis is not None:
-            certified = self.certify(basis, c, b)
-            if certified[0][0]:
-                return basis, certified, None
+        for find in (self.warm, self._proposed):
+            basis = find(c[0], b[0])
+            if basis is not None:
+                certified = self.certify(basis, c, b)
+                if certified[0][0]:
+                    self._keep(basis)
+                    return basis, certified, None
         sol = solve(LinearProgram(*self.skeleton, b[0], c[0]))
-        if sol.status != "optimal":
+        basis = self._solved(sol)
+        if basis is None:
             return None, None, sol
-        basis = self._basis(np.isin(np.arange(self.matrix.shape[1]), sol.basis))
-        return basis, (None if basis is None else self.certify(basis, c, b)), sol
+        certified = self.certify(basis, c, b)
+        if certified[0][0]:
+            self._keep(basis)
+        return basis, certified, sol
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
         """Which scenarios (rows of c and b) have basis as their unique optimum.
@@ -289,7 +344,7 @@ class _BasisCache:
 
         optimal = _clears(
             priced(slice(None), np.matmul),
-            CERTIFY_MARGIN * np.maximum(1.0, largest)[:, None],
+            CERTIFY_MARGIN * largest[:, None],
             _guard(largest * (spread + 1.0), 2 * n + 2),
             lambda k: priced(k, _accumulate),
         )
@@ -315,17 +370,19 @@ class _BasisCache:
         and x all zeros.
 
         A row that fails the feasibility screen is infeasible without a
-        solve. The rest are scaled: each row's b is divided by 2^k, k the
-        frexp exponent of its max |b|, and its x and benefit multiplied
-        back. That is exact in binary, it leaves the screen's absolute
-        FEAS_TOL on the unscaled row, and it puts every row's _floor at
-        PIVOT_TOL, the tableau's tolerance. Every cached basis is tested
-        on every row still waiting for an answer; the first row none
-        certifies goes to fresh, which proposes a basis or solves the
-        row cold, and tests the basis it finds on the rows still
-        pending. A basis found again after such a test answers nothing
-        new: certify is a function of (basis, row), and every row still
-        pending was tested on it.
+        solve. The rest are scaled: each row's b is divided by 2^k and
+        its c by 2^j, k and j the frexp exponents of its max |b| and max
+        |c|; its x is multiplied back by 2^k and its benefit by 2^(k+j).
+        That is exact in binary, it leaves the screen's absolute FEAS_TOL
+        on the unscaled row, it puts every row's _floor at PIVOT_TOL, the
+        tableau's tolerance, and it makes the tableau's pricing tolerance
+        relative to max |c|, as certify's margin is. Every cached basis is
+        tested on every row still waiting for an answer; the first row
+        none certifies goes to fresh, which starts warm from the pool,
+        proposes a basis or solves the row cold, and tests the basis it
+        finds on the rows still pending. A basis found again after such
+        a test answers nothing new: certify is a function of (basis,
+        row), and every row still pending was tested on it.
         Afterwards the cache holds only the bases that answered a row
         other than the one they were found at: where optimal supports do
         not repeat, no basis is retested on the next batch.
@@ -340,7 +397,8 @@ class _BasisCache:
         for mask in necessary_violations(*np.split(b, [m, m + n, 2 * m + n], axis=1)):
             feasible &= ~mask.reshape(len(b), -1).any(axis=1)
         k = np.frexp(np.abs(b).max(axis=1))[1]
-        b = np.ldexp(b, -k[:, None])
+        j = np.frexp(np.abs(c).max(axis=1))[1]
+        b, c = np.ldexp(b, -k[:, None]), np.ldexp(c, -j[:, None])
         benefit, x = np.zeros(len(b)), np.zeros((len(b), self.lanes))
         pending = np.flatnonzero(feasible)
 
@@ -368,7 +426,7 @@ class _BasisCache:
             if others:
                 useful.append(basis)
         self.bases = useful
-        benefit, x = np.ldexp(benefit, k), np.ldexp(x, k[:, None])
+        benefit, x = np.ldexp(benefit, k + j), np.ldexp(x, k[:, None])
         if not (np.isfinite(benefit[feasible]).all() and np.isfinite(x[feasible]).all()):
             raise ValueError("optimal benefit must be finite")
         return feasible, benefit, x

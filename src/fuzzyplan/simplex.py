@@ -15,6 +15,11 @@ pricing is one argmin over the allowed columns, the ratio test visits
 only the rows with a positive pivot-column entry, and a pivot updates
 only the rows whose pivot-column entry is nonzero.
 
+solve runs both phases from the slack basis. reoptimize runs phase 2
+alone from a basis the caller knows, such as the optimum of a nearby LP
+of the same constraint matrix. It builds the tableau at that basis and
+runs the same _Tableau.run, so the pivot rule is the same.
+
 An LP is a LinearProgram of arrays, as the distributor path holds it:
 the shape's constraint matrix, its row relations, and one scenario's b
 and c. Its sense is always max; checking that the arrays are finite is
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["LinearProgram", "SimplexSolution", "solve", "PIVOT_TOL", "FEAS_TOL"]
+__all__ = ["LinearProgram", "SimplexSolution", "solve", "reoptimize", "PIVOT_TOL", "FEAS_TOL"]
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -151,14 +156,45 @@ def solve(lp: LinearProgram) -> SimplexSolution:
         if mat[-1, col] != 0.0:
             mat[-1] -= mat[-1, col] * mat[i]
     # the artificials, the last columns, never re-enter
-    status = tab.run(np.arange(n_real))
-    if status == "unbounded":
-        return SimplexSolution("unbounded", None, None, tab.iterations)
+    return _phase2(tab, c, n_real)
 
-    x = np.zeros(n)
+
+def reoptimize(lp: LinearProgram, basic, inverse: np.ndarray) -> SimplexSolution:
+    """Phase 2 of lp from a known basis: the primal simplex restarted
+    where an earlier solve ended (Bertsimas & Tsitsiklis §3.4 and §5.1).
+
+    Every row of lp has a slack (no "=" row), so its columns are a and
+    one slack per row, +1 on "<=" and -1 on ">=", as in solve's basis.
+    basic names m of them and inverse is the inverse of their matrix,
+    row r for basic[r]. The tableau is inverse @ [a | diag(±1) | b], the
+    key columns are the slacks, and the objective row is priced out by
+    c_B inverse. Every row of [x_B | key] must start lexicographically
+    positive, as solve's do: run keeps them so, and ends on an optimum of
+    the same loosened LP as solve.
+    """
+    a, relations, b, c = lp
+    m, n = a.shape
+    inverse = np.asarray(inverse, dtype=float)  # an integer one would skip BLAS in the products
+    signs = np.where(np.asarray(relations, dtype=str) == "<=", 1.0, -1.0)
+    mat = np.empty((m + 1, n + m + 1))
+    mat[:m, :n] = inverse @ a
+    mat[:m, n:-1] = inverse * signs
+    mat[:m, -1] = inverse @ b
+    mat[:m, basic] = np.eye(m)
+    costs = np.concatenate([c, np.zeros(m + 1)])
+    mat[-1] = costs[basic] @ mat[:m] - costs
+    mat[-1, basic] = 0.0
+    return _phase2(_Tableau(mat, list(basic), list(range(n, n + m))), c, n + m)
+
+
+def _phase2(tab: _Tableau, c: np.ndarray, n_real: int) -> SimplexSolution:
+    """Run tab, whose objective row prices c, over its first n_real columns."""
+    if tab.run(np.arange(n_real)) == "unbounded":
+        return SimplexSolution("unbounded", None, None, tab.iterations)
+    x = np.zeros(len(c))
     for i, col in enumerate(tab.basis):
-        if col < n:
-            x[col] = mat[i, -1]
+        if col < len(c):
+            x[col] = tab.mat[i, -1]
     x[np.abs(x) < PIVOT_TOL] = 0.0
     value = float(c @ x)
     x = tuple(map(float, x))

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 import fuzzyplan.basis as basis
@@ -84,3 +86,35 @@ def tableau_solves(monkeypatch):
 
     monkeypatch.setattr(basis, "solve", counted)
     return calls
+
+
+@pytest.fixture
+def engine_counts(monkeypatch):
+    """A function that reads what the engines of basis._BasisCache.answer
+    have done so far: "cold" rows (fresh calls), "warm" rows (certified
+    by phase 2 from a pooled basis), "phase 2" runs, "proposed" rows,
+    "tableau" solves and "certify" calls. fresh proposes only where the
+    warm start did not certify the row, so warm is cold minus proposed."""
+    counts = collections.Counter()
+
+    def count(owner, name, key):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(basis._BasisCache, "fresh", "cold")
+    count(basis._BasisCache, "propose", "proposed")
+    count(basis._BasisCache, "certify", "certify")
+    count(basis, "solve", "tableau")
+    count(basis, "reoptimize", "phase 2")
+
+    def read():
+        warm = counts["cold"] - counts["proposed"]
+        keys = ("cold", "warm", "phase 2", "proposed", "tableau", "certify")
+        return {key: warm if key == "warm" else counts[key] for key in keys}
+
+    return read

@@ -74,7 +74,7 @@ def fixed_order_certify(cache, basis, c, b):
 
     A row passes where each basic variable is above minus its lead times
     the floor PIVOT_TOL * max(1, max |b|), and each nonbasic reduced cost
-    below -CERTIFY_MARGIN * max(1, max |c|); x and benefit cover the
+    below -CERTIFY_MARGIN * max |c|; x and benefit cover the
     passing rows.
     """
     floor = PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=1))[:, None]
@@ -85,7 +85,7 @@ def fixed_order_certify(cache, basis, c, b):
     c_basic = costs[:, basis.basic]
     duals = fixed_order_sum(c_basic, basis.inverse)
     reduced = costs[:, basis.nonbasic] - fixed_order_sum(duals, cache.matrix[:, basis.nonbasic])
-    margin = CERTIFY_MARGIN * np.maximum(1.0, np.abs(c[rows]).max(axis=1))
+    margin = CERTIFY_MARGIN * np.abs(c[rows]).max(axis=1)
     optimal = (reduced < -margin[:, None]).all(axis=1)
     rows, c_basic = rows[optimal], c_basic[optimal]
     x_basic = x_basic[rows]

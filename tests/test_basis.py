@@ -90,6 +90,7 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
     fresh = _BasisCache.fresh
 
     def observed(cache, c, b):
+        cache.pool.clear()  # proposals are under test here, not warm starts
         basis, certified, sol = fresh(cache, c, b)
         m, n = cache.shape
         if (b[0, : m + n] < np.maximum(b[0, m + n :], 0.0)).any():
@@ -252,7 +253,7 @@ def placed_rows(cache, basis, c, b, pick):
     price = fixed_order_sum(duals, cache.matrix[:, [lane]])[0, 0]
     at_margin = c.copy()
     for _ in range(3):  # the margin moves with max |c|
-        at_margin[lane] = price - CERTIFY_MARGIN * max(1.0, np.abs(at_margin).max())
+        at_margin[lane] = price - CERTIFY_MARGIN * np.abs(at_margin).max()
     c_rows[7:] = at_margin
     c_rows[7:, lane] += steps * np.spacing(at_margin[lane])
     return c_rows, b_rows
@@ -424,9 +425,10 @@ def test_rows_answer_alone_as_in_a_batch(seed, scale):
             assert [a[-1 - row].tobytes() for a in reverse] == want
 
 
-def scaled_as_answer_does(b):
-    """Each row of b over 2^k, k the frexp exponent of its max |b|."""
-    return np.ldexp(b, -np.frexp(np.abs(b).max(axis=1))[1][:, None])
+def scaled_as_answer_does(rows):
+    """Each row over 2^k, k the frexp exponent of its max |value|, as
+    answer scales the rows of b and of c."""
+    return np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
 
 
 def test_the_tableau_ends_on_the_basis_certify_accepts():
@@ -450,7 +452,7 @@ def test_the_tableau_ends_on_the_basis_certify_accepts():
         c, b = kind(rng, *shape, 6)
         if tied:
             c = rng.choice([40.0, 60.0, 90.0], size=c.shape)
-        b = scaled_as_answer_does(b)
+        c, b = scaled_as_answer_does(c), scaled_as_answer_does(b)
         for row in range(len(b)):
             sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
             if sol.status != "optimal":
@@ -465,7 +467,7 @@ def test_the_tableau_ends_on_the_basis_certify_accepts():
             priced = fixed_order_sum(duals, cache.matrix[:, basis.nonbasic])[0]
             reduced = costs[basis.nonbasic] - priced
             certified = cache.certify(basis, c[row : row + 1], b[row : row + 1])[0][0]
-            if (reduced < -CERTIFY_MARGIN * max(1.0, np.abs(c[row]).max())).all():
+            if (reduced < -CERTIFY_MARGIN * np.abs(c[row]).max()).all():
                 assert certified
                 seen["certified"] += 1
             else:
@@ -494,3 +496,63 @@ def test_answers_scale_exactly_with_b():
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     check()
+
+
+def test_answers_scale_exactly_with_c():
+    # answer scales each row of c by a power of two, as it does b, before
+    # the tableau and certify, so c * 2^j keeps each row's feasibility
+    # and x, and gives exactly 2^j times its benefit
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (2, 2), (3, 2), (4, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(-40, 40),
+    )
+    def check(shape, seed, j):
+        c, b = balanced_batch(np.random.default_rng(seed), *shape, 12)
+        feasible, benefit, x = _BasisCache(shape).answer(c, b)
+        got = _BasisCache(shape).answer(np.ldexp(c, j), b)
+        want = feasible, np.ldexp(benefit, j), x
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    check()
+
+
+def test_warm_starts_leave_every_answer_as_it_is(monkeypatch, engine_counts):
+    # a warm start only proposes a basis, and at most one basis certifies
+    # a row, so a cache whose pool is emptied before every cold row gives
+    # the same bytes and keeps the same bases, whatever the pool holds.
+    # Two batches a cache, so the pool also carries over from one batch
+    # to the next; tied profits leave rows that no basis certifies
+    fresh = _BasisCache.fresh
+
+    def without_pool(cache, c, b):
+        cache.pool.clear()
+        return fresh(cache, c, b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(1, 3), (2, 2), (3, 2), (3, 3), (4, 5)]),
+        kind=st.sampled_from([random_batch, folded_batch, balanced_batch]),
+        seed=st.integers(0, 2**32 - 1),
+        tied=st.booleans(),
+    )
+    def check(shape, kind, seed, tied):
+        rng = np.random.default_rng(seed)
+        batches = [kind(rng, *shape, 20) for _ in range(2)]
+        if tied:
+            batches = [(rng.choice([40.0, 60.0, 90.0], size=c.shape), b) for c, b in batches]
+
+        def outcome(cache):
+            answers = [[a.tobytes() for a in cache.answer(c, b)] for c, b in batches]
+            return answers, [basis.basic.tobytes() for basis in cache.bases]
+
+        want = outcome(_BasisCache(shape))
+        with monkeypatch.context() as patch:
+            patch.setattr(_BasisCache, "fresh", without_pool)
+            assert outcome(_BasisCache(shape)) == want
+
+    check()
+    counts = engine_counts()
+    assert counts["warm"] > 100  # rows a warm start certified, in the runs with a pool
+    assert counts["phase 2"] > counts["warm"]  # and rows that went on to the proposal

@@ -284,7 +284,7 @@ def test_triangle_whose_cut_rounds_past_its_peak_runs(tmp_path):
         assert main(argv) == 0
 
 
-def test_crisp_mode_makes_one_cold_solve(tmp_path, counted_solves, tableau_solves):
+def test_crisp_mode_makes_one_cold_solve(tmp_path, counted_solves, tableau_solves, engine_counts):
     assert main([TABLE1, "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 0
     # table1's midpoint optimum is degenerate: both capacity totals are
     # 1530 and every capacity binds. No basis certifies it, so the tableau
@@ -308,6 +308,8 @@ def test_crisp_mode_makes_one_cold_solve(tmp_path, counted_solves, tableau_solve
     )
     assert main([str(infeasible), "--mode", "crisp", "--out-dir", str(tmp_path / "inf")]) == 3
     assert len(counted_solves) == 2  # the precheck answered without a solve
+    # each run answers a batch of one on a new cache, whose pool is empty
+    assert engine_counts()["phase 2"] == 0
 
 
 def test_parse_rejects_non_finite_number(tmp_path):
@@ -409,6 +411,25 @@ def test_crisp_mode_at_tiny_capacities(tmp_path):
     bought = [sum(row) for row in payload["shipments"]]
     minimums = [v["mean"] for v in doc["purchase_min"]]
     assert all(got >= least * (1 - 1e-9) for got, least in zip(bought, minimums))
+
+
+def test_crisp_mode_at_tiny_prices(tmp_path):
+    # table1 with every price and transport cost times 1e-12: the LP is
+    # homogeneous in c, so the optimum is 1e-12 times table1's, though
+    # each reduced cost is below an absolute tolerance
+    doc = json.loads(Path(TABLE1).read_text())
+
+    def tiny(v):
+        return {"mean": v["mean"] * 1e-12, "sigma": v["sigma"] * 1e-12}
+
+    for name in ("purchase_price", "sale_price", "contract_purchase_price", "contract_sale_price"):
+        doc[name] = [tiny(v) for v in doc[name]]
+    doc["transport_cost"] = [[tiny(v) for v in row] for row in doc["transport_cost"]]
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(doc))
+    assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / "run")]) == 0
+    payload = json.loads((tmp_path / "run" / "crisp_solution.json").read_text())
+    assert payload["benefit"] == 7.8103e-07
 
 
 def test_export_problem_flag(tmp_path):

@@ -287,11 +287,13 @@ def test_any_shard_cuts_merge_to_one_run(cuts):
 
 
 
-def test_balanced_capacities_merge_exactly(table1_specs):
+def test_balanced_capacities_merge_exactly(table1_specs, tableau_solves):
     # table1's capacities total 1,530 on both sides: at sigma 0 every
     # scenario stays balanced, and where every node ships at capacity
     # its optimum is degenerate without a folded pair. The cuts cross a
-    # chunk boundary; each shard starts with an empty basis cache
+    # chunk boundary; each shard starts with an empty basis cache. Of
+    # the 16 cold rows, 4 take the tableau; a warm start from a pooled
+    # basis certifies the other 12, and no proposal does
     fixed = {
         field: tuple(GaussianSpec(spec.mean, 0.0) for spec in getattr(table1_specs, field))
         for field in ("supply_max", "demand_max")
@@ -300,6 +302,7 @@ def test_balanced_capacities_merge_exactly(table1_specs):
     cuts = [0, 300, CHUNK + 7, CHUNK + 40]
     parts = [run_range(specs, a, b, 11) for a, b in zip(cuts, cuts[1:])]
     assert merge_partials(parts) == run_range(specs, 0, cuts[-1], 11)
+    assert len(tableau_solves) == 4
 
 def _support(x):
     return tuple(k for k, v in enumerate(x) if v != 0.0)
@@ -323,12 +326,16 @@ def test_certified_results_agree_with_cold_solves(
         assert abs(benefit - sol.objective_value) <= 1e-9 * abs(sol.objective_value)
 
 
-def test_table1_cold_solve_count_pinned(table1_specs, counted_solves):
+def test_table1_cold_solve_count_pinned(table1_specs, counted_solves, engine_counts):
     # the Monte Carlo run of the mc-table1 benchmark workload at seed 1.
     # Any change to the screen, the certificate or which bases the cache
-    # keeps moves this count; the benchmark's tracer does not see it
+    # keeps moves the cold count; the engines only change who answers a
+    # cold row. The benchmark's tracer sees none of these counts
     run_range(table1_specs, 0, 10_000, 1)
     assert len(counted_solves) == 71
+    assert engine_counts() == {
+        "cold": 71, "warm": 59, "phase 2": 59, "proposed": 12, "tableau": 0, "certify": 393
+    }
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,15 @@ The bundled 3x3 table1 and a 2x3 problem whose six lanes all have
 different costs and different optimal shipments: a writer that mixes up
 rows and columns changes the 2x3 bytes even where a square problem's
 shape would still look right. A 1x1 fuzzy run pins levels that are
-infeasible and repaired.
+infeasible and repaired, and an 8x8 one corners that start warm from
+the bases of earlier corners.
 """
 
 import hashlib
 import json
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from fuzzyplan.cli import main
@@ -44,6 +46,33 @@ LOW_LEVELS = {
     "transport_cost": [[0]],
 }
 
+
+def eight_by_eight():
+    """An 8x8 problem whose lane profits sit near 0 with wide spreads,
+    so the optimal basis moves from level to level and alpha-cut corners
+    no cached basis answers start warm from the bases of earlier ones."""
+    rng = np.random.default_rng(8)
+
+    def quadruples(lo, hi, spread):
+        mids = rng.uniform(lo, hi, 8).round(1).tolist()
+        return [[m - 2 * spread, m - spread, m + spread, m + 2 * spread] for m in mids]
+
+    def gaussians(lo, hi, sigma):
+        return [{"mean": m, "sigma": sigma} for m in rng.uniform(lo, hi, 8).round(1).tolist()]
+
+    return {
+        "schema_version": 1,
+        "kind": "distribution",
+        "supply_max": quadruples(450.0, 550.0, 40.0),
+        "demand_max": gaussians(450.0, 550.0, 10.0),
+        "purchase_min": quadruples(100.0, 200.0, 5.0),
+        "sale_min": gaussians(100.0, 200.0, 5.0),
+        "purchase_price": gaussians(500.0, 600.0, 40.0),
+        "sale_price": quadruples(650.0, 750.0, 30.0),
+        "transport_cost": [quadruples(30.0, 200.0, 10.0) for _ in range(8)],
+    }
+
+
 MODES = {
     "crisp": ["--mode", "crisp"],
     "fuzzy": ["--mode", "fuzzy"],
@@ -63,6 +92,8 @@ DIGESTS = {
     ("2x3", "compare"): "991d7f6341247a373242fd4689849cd3bbc49f0bd83e1faf1ebb02e367d32a87",
 }
 LOW_LEVELS_FUZZY = "982516c3ffa9a6185aeb7172c0645bc2e00c8c12e605b837293f68ce13645518"
+# the bytes of a run that proposes every cold corner, with no warm start
+EIGHT_BY_EIGHT_FUZZY = "7de547029e1eb49b18c2ec6fc1d0b7226afd57d2188c4b7ee6a4aad84f5d40b7"
 
 
 def _digest(out_dir) -> str:
@@ -97,3 +128,15 @@ def test_fuzzy_outputs_pinned_through_the_screen(tmp_path):
     assert main([str(source), "--mode", "fuzzy", "--seed", "42", "--out-dir", str(out)]) == 3
     assert [path.name for path in out.iterdir()] == ["fuzzy_levels.csv"]
     assert _digest(out) == LOW_LEVELS_FUZZY
+
+
+def test_fuzzy_outputs_pinned_through_warm_starts(tmp_path, engine_counts):
+    # 10 of the 22 corners are cold; phase 2 from a pooled basis certifies
+    # 6 of them, and the bytes are those of a run that proposed all 10
+    source = tmp_path / "eight_by_eight.json"
+    source.write_text(json.dumps(eight_by_eight()))
+    out = tmp_path / "out"
+    assert main([str(source), "--mode", "fuzzy", "--seed", "42", "--out-dir", str(out)]) == 0
+    assert _digest(out) == EIGHT_BY_EIGHT_FUZZY
+    counts = engine_counts()
+    assert (counts["cold"], counts["warm"], counts["proposed"]) == (10, 6, 4)
