@@ -82,26 +82,6 @@ class TrapezoidalFuzzyNumber:
         lo, hi = cut_ends(self.a, self.b, self.c, self.d, alpha)
         return Interval(float(lo), float(hi))
 
-    def __add__(self, other: "TrapezoidalFuzzyNumber") -> "TrapezoidalFuzzyNumber":
-        return TrapezoidalFuzzyNumber(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
-
-    def __sub__(self, other: "TrapezoidalFuzzyNumber") -> "TrapezoidalFuzzyNumber":
-        return TrapezoidalFuzzyNumber(
-            self.a - other.d, self.b - other.c, self.c - other.b, self.d - other.a
-        )
-
-    def scale(self, k: float) -> "TrapezoidalFuzzyNumber":
-        if not math.isfinite(k):
-            raise ValueError(f"scale factor must be finite, got {k}")
-        if k >= 0:
-            return TrapezoidalFuzzyNumber(k * self.a, k * self.b, k * self.c, k * self.d)
-        return TrapezoidalFuzzyNumber(k * self.d, k * self.c, k * self.b, k * self.a)
-
-    def is_crisp(self, tol: float = 0.0) -> bool:
-        return self.d - self.a <= tol
-
 
 @dataclass(frozen=True)
 class AlphaGrid:

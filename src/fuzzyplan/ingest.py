@@ -96,14 +96,6 @@ class EmpiricalCDF:
         if abs(self.ps[-1] - 1.0) > 1e-9:
             raise ValueError("CDF must reach 1 at its last knot")
 
-    @property
-    def support_min(self) -> float:
-        return self.xs[0]
-
-    @property
-    def support_max(self) -> float:
-        return self.xs[-1]
-
     def cdf(self, t: float) -> float:
         return float(np.interp(t, self.xs, self.ps, left=0.0, right=1.0))
 
@@ -206,9 +198,9 @@ def gaussian_to_trapezoid(
 
 
 def read_samples(path) -> SampleSet:
-    """One real per line; blank lines are skipped."""
+    """One real per line; blank lines and a UTF-8 byte-order mark are skipped."""
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -223,24 +215,25 @@ def read_samples(path) -> SampleSet:
 
 
 def read_histogram_csv(path) -> BinnedHistogram:
-    """Rows of bin_lo,bin_hi,count; a header row is allowed.
+    """Rows of bin_lo,bin_hi,count; the first non-blank row may be a header.
 
-    Bins must be ascending and non-overlapping; gaps between bins are
-    filled with zero-count bins so the edges stay contiguous.
+    Blank rows and a UTF-8 byte-order mark are skipped. Bins must be
+    ascending and non-overlapping; gaps between bins are filled with
+    zero-count bins so the edges stay contiguous.
     """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        numbered = enumerate(csv.reader(fh), start=1)
+        lines = [(lineno, row) for lineno, row in numbered if any(map(str.strip, row))]
+    if lines and not _is_number(lines[0][1][0]):
+        lines = lines[1:]  # header
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if lineno == 1 and not _is_number(row[0]):
-                continue  # header
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad numeric row: {row!r}") from None
+    for lineno, row in lines:
+        if len(row) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            rows.append((float(row[0]), float(row[1]), float(row[2])))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad numeric row: {row!r}") from None
     if not rows:
         raise ValueError(f"{path}: no histogram rows found")
     edges = [rows[0][0]]

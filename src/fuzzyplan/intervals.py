@@ -1,4 +1,4 @@
-"""Closed real intervals with arithmetic and probabilistic ordering.
+"""Closed real intervals and their probabilistic ordering.
 
 Intervals are the crisp values produced by cutting fuzzy numbers at a
 membership level; ``prob_geq`` ranks two of them as the probability that
@@ -41,40 +41,8 @@ class Interval:
         mid = 0.5 * (self.lo + self.hi)
         return mid if math.isfinite(mid) else 0.5 * self.lo + 0.5 * self.hi
 
-    def is_degenerate(self, tol: float = 0.0) -> bool:
-        return self.width <= tol
-
     def contains(self, other: "Interval", tol: float = ENDPOINT_TOL) -> bool:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    def scale(self, k: float) -> "Interval":
-        """Multiply by a real scalar; endpoints swap for negative k."""
-        if not math.isfinite(k):
-            raise ValueError(f"scale factor must be finite, got {k}")
-        if k >= 0:
-            return Interval(k * self.lo, k * self.hi)
-        return Interval(k * self.hi, k * self.lo)
-
-    def shift(self, t: float) -> "Interval":
-        return Interval(self.lo + t, self.hi + t)
 
 
 def prob_geq(a: Interval, b: Interval) -> float:

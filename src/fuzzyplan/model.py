@@ -161,9 +161,6 @@ class DistributionProblem(ParameterTable):
     only so problem files round-trip losslessly.
     """
 
-    def is_crisp(self, tol: float = 0.0) -> bool:
-        return all(t.is_crisp(tol) for t in self.values())
-
 
 class CrispInstance(ParameterTable):
     """Real-valued snapshot of the model parameters."""

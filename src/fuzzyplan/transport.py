@@ -1,13 +1,12 @@
 """Classical balanced transportation problem.
 
-Provides the balance test, two initial-plan heuristics (north-west
-corner and Vogel's approximation) and the potentials (MODI) optimizer.
-All plans carry an explicit basis so degeneracy is visible instead of
-implicit.
+Provides the balance test, Vogel's approximation for an initial plan
+and the potentials (MODI) optimizer, which minimizes. All plans carry
+an explicit basis so degeneracy is visible instead of implicit.
 
 A basis is a spanning tree of the bipartite graph whose nodes are the M
 rows and N columns and whose edges are the basis cells: M+N-1 cells, no
-loop. Both starts are such trees by construction. MODI keeps the tree,
+loop. Vogel's start is such a tree by construction. MODI keeps the tree,
 rooted at row 0, across its pivots: each node's neighbours, parent,
 depth and potential. A pivot cuts the tree at the leaving cell and hangs
 the cut-off part back on by the entering cell, and only that part is
@@ -31,7 +30,6 @@ __all__ = [
     "TransportInstance",
     "TransportPlan",
     "check_balance",
-    "north_west_corner",
     "vogel_approximation",
     "vogel_arrays",
     "modi_optimize",
@@ -95,36 +93,6 @@ def _require_balanced(t: TransportInstance):
         raise ValueError(
             f"unbalanced instance: total supply {sum(t.supplies)} != total demand {sum(t.demands)}"
         )
-
-
-def north_west_corner(t: TransportInstance) -> TransportPlan:
-    """Greedy top-left allocation walking a staircase path.
-
-    Each step exhausts a column (move right) or a row (move down); a tie
-    exhausts the column first, leaving a zero-shipment basic cell on the
-    path. The last row always moves right, since balance holds only to a
-    tolerance. The path visits exactly M+N-1 cells.
-    """
-    _require_balanced(t)
-    m, n = t.shape
-    supply = list(t.supplies)
-    demand = list(t.demands)
-    x = [[0.0] * n for _ in range(m)]
-    basis = []
-    i = j = 0
-    while True:
-        q = min(supply[i], demand[j])
-        x[i][j] = q
-        basis.append((i, j))
-        supply[i] -= q
-        demand[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        if j < n - 1 and (demand[j] <= 0 or i == m - 1):
-            j += 1
-        else:
-            i += 1
-    return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
 
 
 def vogel_approximation(t: TransportInstance) -> TransportPlan:
@@ -203,20 +171,16 @@ def vogel_arrays(costs: np.ndarray, supply: list, demand: list):
     return x, cells
 
 
-def modi_optimize(t: TransportInstance, start: TransportPlan, sense: str = "min") -> TransportPlan:
-    """Potentials-method optimization from a basic feasible start.
+def modi_optimize(t: TransportInstance, start: TransportPlan) -> TransportPlan:
+    """Potentials-method minimization of cost from a basic feasible start.
 
-    Maximization negates the costs internally. Degenerate bases are
+    To maximize, pass the negated costs. Degenerate bases are
     completed with zero-shipment cells, lexicographically smallest
     loop-free cell first. Raises ValueError when the start basis carries
     a loop or misses a positive shipment.
     """
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     m, n = t.shape
     costs = np.array(t.costs, dtype=float)
-    if sense == "max":
-        costs = -costs
     x = [list(row) for row in start.shipments]
     for i, j in np.argwhere(np.array(x) > 0).tolist():  # row-major
         if (i, j) not in start.basis:

@@ -8,7 +8,9 @@ The one exception is GeneralLP, which only translates a general LP
 (either sense, any relations, rows as tuples) into the arrays that
 simplex.solve takes. fixed_order_certify is basis certification with
 every test decided on fixed-order sums, the reference that the banded
-certify must equal bit for bit.
+certify must equal bit for bit. north_west_corner is a poor transport
+start that gives MODI many pivots to make; negated turns a maximization
+into the minimization that MODI solves.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from fuzzyplan.basis import CERTIFY_MARGIN
 from fuzzyplan.simplex import PIVOT_TOL, LinearProgram, SimplexSolution, solve
+from fuzzyplan.transport import TransportInstance, TransportPlan, _require_balanced
 
 
 class GeneralLP(NamedTuple):
@@ -222,6 +225,42 @@ def check_transport_optimal(costs, supply, demand, flows, basis, sense="min", to
             if sense == "max" and reduced > tol:
                 errs.append(f"cell ({i},{j}) reduced cost {reduced:.3g} > 0")
     return errs
+
+
+def north_west_corner(t: TransportInstance) -> TransportPlan:
+    """Greedy top-left allocation walking a staircase path.
+
+    Each step exhausts a column (move right) or a row (move down); a tie
+    exhausts the column first, leaving a zero-shipment basic cell on the
+    path. The last row always moves right, since balance holds only to a
+    tolerance. The path visits exactly M+N-1 cells.
+    """
+    _require_balanced(t)
+    m, n = t.shape
+    supply = list(t.supplies)
+    demand = list(t.demands)
+    x = [[0.0] * n for _ in range(m)]
+    basis = []
+    i = j = 0
+    while True:
+        q = min(supply[i], demand[j])
+        x[i][j] = q
+        basis.append((i, j))
+        supply[i] -= q
+        demand[j] -= q
+        if i == m - 1 and j == n - 1:
+            break
+        if j < n - 1 and (demand[j] <= 0 or i == m - 1):
+            j += 1
+        else:
+            i += 1
+    return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
+
+
+def negated(t: TransportInstance) -> TransportInstance:
+    """The instance with every cost negated: minimizing it maximizes t."""
+    costs = tuple(tuple(-c for c in row) for row in t.costs)
+    return TransportInstance(t.supplies, t.demands, costs)
 
 
 def is_spanning_tree(cells, m, n):

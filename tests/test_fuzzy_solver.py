@@ -551,8 +551,8 @@ def test_corner_rows_give_the_lps_of_the_corner_instances():
         screened = np.zeros(len(b), dtype=bool)
         for mask in necessary_violations(*np.split(b, [m, m + n, 2 * m + n], axis=1)):
             screened |= mask.reshape(len(b), -1).any(axis=1)
-        kinds["crisp"] += sum(t.is_crisp() for t in p.values())
-        kinds["triangular"] += sum(t.b == t.c and not t.is_crisp() for t in p.values())
+        kinds["crisp"] += sum(t.a == t.d for t in p.values())
+        kinds["triangular"] += sum(t.b == t.c and t.a < t.d for t in p.values())
         kinds["repaired"] += int(repaired.sum())
         kinds["screened"] += int(screened.sum())
     assert all(kinds.values()), kinds

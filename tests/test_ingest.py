@@ -53,8 +53,8 @@ def test_ecdf_from_samples_median():
     assert f.cdf(4.0) == 1.0
     assert f.cdf(0.5) == 0.0
     assert f.cdf(9.0) == 1.0
-    assert f.support_min == 1.0
-    assert f.support_max == 4.0
+    assert f.xs[0] == 1.0
+    assert f.xs[-1] == 4.0
 
 
 def test_ecdf_constant_sample_steps():
@@ -162,8 +162,8 @@ def test_trapezoid_inside_cdf_support():
         f = ecdf_from_samples(SampleSet(tuple(rng.normal(0, 5, 200))))
         t = to_trapezoid(f, 0.30, 0.90)
         assert t.a <= t.b <= t.c <= t.d
-        assert f.support_min <= t.a
-        assert t.d <= f.support_max
+        assert f.xs[0] <= t.a
+        assert t.d <= f.xs[-1]
 
 
 def test_gaussian_to_trapezoid_frozen():
@@ -210,14 +210,18 @@ def test_read_samples(tmp_path):
     empty.write_text("\n\n")
     with pytest.raises(ValueError):
         read_samples(empty)
+    marked = tmp_path / "marked.txt"
+    marked.write_text("1.5\n2.5\n", encoding="utf-8-sig")
+    assert read_samples(marked).values == (1.5, 2.5)
 
 
 def test_read_histogram_csv(tmp_path):
     p = tmp_path / "hist.csv"
-    p.write_text("bin_lo,bin_hi,count\n0,1,3\n1,2,1\n")
-    h = read_histogram_csv(p)
-    assert h.bin_edges == (0.0, 1.0, 2.0)
-    assert h.counts == (3.0, 1.0)
+    for text in ("bin_lo,bin_hi,count\n", "\n ,\nbin_lo,bin_hi,count\n"):  # header after blank rows
+        p.write_text(text + "0,1,3\n1,2,1\n")
+        h = read_histogram_csv(p)
+        assert h.bin_edges == (0.0, 1.0, 2.0)
+        assert h.counts == (3.0, 1.0)
 
 
 def test_read_histogram_csv_gap_and_no_header(tmp_path):
@@ -237,7 +241,25 @@ def test_read_histogram_csv_errors(tmp_path):
     q.write_text("bin_lo,bin_hi,count\n0,1,x\n")
     with pytest.raises(ValueError, match="junk.csv:2"):
         read_histogram_csv(q)
+    twice = tmp_path / "twice.csv"  # only the first non-blank row may be a header
+    twice.write_text("\nbin_lo,bin_hi,count\nbin_lo,bin_hi,count\n0,1,3\n")
+    with pytest.raises(ValueError, match="twice.csv:3: bad numeric row"):
+        read_histogram_csv(twice)
     r = tmp_path / "short.csv"
     r.write_text("bin_lo,bin_hi,count\n0,1\n")
     with pytest.raises(ValueError, match="3 columns"):
         read_histogram_csv(r)
+
+
+@pytest.mark.parametrize("header", ["", "bin_lo,bin_hi,count\n"])
+def test_read_histogram_csv_skips_byte_order_mark(tmp_path, header):
+    # a byte-order mark before a numeric first row must not turn that row
+    # into a header and drop its bin
+    text = header + "0,1,3\n1,2,5\n2,3,2\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    h = read_histogram_csv(marked)
+    assert h == read_histogram_csv(plain)
+    assert h.bin_edges == (0.0, 1.0, 2.0, 3.0)
+    assert h.counts == (3.0, 5.0, 2.0)

@@ -14,8 +14,6 @@ def test_construction_and_props():
     assert iv.hi == 3.0
     assert iv.width == 2.0
     assert iv.midpoint == 2.0
-    assert not iv.is_degenerate()
-    assert Interval(5.0, 5.0).is_degenerate()
 
 
 def test_invalid_construction():
@@ -27,25 +25,11 @@ def test_invalid_construction():
         Interval(math.nan, 1.0)
 
 
-def test_arithmetic():
-    a = Interval(1.0, 2.0)
-    b = Interval(3.0, 5.0)
-    assert a + b == Interval(4.0, 7.0)
-    assert a - b == Interval(-4.0, -1.0)
-    assert a * b == Interval(3.0, 10.0)
-    # multiplication spanning zero picks the extreme products
-    assert Interval(-1.0, 2.0) * Interval(-3.0, 4.0) == Interval(-6.0, 8.0)
-    assert a.scale(2.0) == Interval(2.0, 4.0)
-    assert a.scale(-1.0) == Interval(-2.0, -1.0)
-    assert a.shift(10.0) == Interval(11.0, 12.0)
-
-
-def test_hull_and_contains():
+def test_contains():
     a = Interval(0.0, 2.0)
     b = Interval(1.0, 3.0)
-    assert a.hull(b) == Interval(0.0, 3.0)
-    assert a.hull(b).contains(a)
-    assert a.hull(b).contains(b)
+    assert Interval(0.0, 3.0).contains(a)
+    assert Interval(0.0, 3.0).contains(b)
     assert not a.contains(b)
     assert Interval(0.0, 4.0).contains(Interval(1.0, 2.0))
 
@@ -114,20 +98,6 @@ def test_prob_geq_matches_monte_carlo():
         exact = prob_geq(Interval(lo1, hi1), Interval(lo2, hi2))
         est = mc_prob_geq(lo1, hi1, lo2, hi2, n=400_000, seed=100 + k)
         assert est == pytest.approx(exact, abs=0.005)
-
-
-def test_add_monotone_in_inclusion():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        lo, hi = np.sort(rng.uniform(-5, 5, 2))
-        pad = rng.uniform(0, 2, 2)
-        inner = Interval(lo, hi)
-        outer = Interval(lo - pad[0], hi + pad[1])
-        lo2, hi2 = np.sort(rng.uniform(-5, 5, 2))
-        other = Interval(lo2, hi2)
-        assert (outer + other).contains(inner + other)
-        assert (outer - other).contains(inner - other)
-        assert (outer * other).contains(inner * other)
 
 
 def test_midpoint_of_huge_and_subnormal_endpoints():

@@ -16,9 +16,10 @@ from fuzzyplan.model import (
 )
 from fuzzyplan.monte_carlo import ParameterSpecs
 from fuzzyplan.simplex import solve
-from fuzzyplan.transport import TransportInstance, modi_optimize, north_west_corner, plan_cost
+from fuzzyplan.transport import TransportInstance, modi_optimize, plan_cost
 
 from conftest import DEMO, DEMO_OPTIMUM
+from oracles import negated, north_west_corner
 
 
 def one_by_one(purchase_price, sale_price, a=10.0, b=10.0, p=5.0, q=5.0):
@@ -288,5 +289,5 @@ def test_lp_matches_transport_on_saturated_instances():
         sol = solve(to_lp(inst))
         assert sol.status == "optimal"
         t = TransportInstance(tuple(supply), tuple(demand), tuple(map(tuple, profits)))
-        plan = modi_optimize(t, north_west_corner(t), "max")
+        plan = modi_optimize(negated(t), north_west_corner(t))
         assert sol.objective_value == pytest.approx(plan_cost(t, plan), abs=1e-6)
