@@ -5,7 +5,8 @@ different costs and different optimal shipments: a writer that mixes up
 rows and columns changes the 2x3 bytes even where a square problem's
 shape would still look right. A 1x1 fuzzy run pins levels that are
 infeasible and repaired, and an 8x8 one corners that start warm from
-the bases of earlier corners.
+the bases of earlier corners. A transport run ships fractions, and the
+ingest mode reads a samples file and a histogram file.
 """
 
 import hashlib
@@ -95,6 +96,18 @@ LOW_LEVELS_FUZZY = "982516c3ffa9a6185aeb7172c0645bc2e00c8c12e605b837293f68ce1364
 # the bytes of a run that proposes every cold corner, with no warm start
 EIGHT_BY_EIGHT_FUZZY = "7de547029e1eb49b18c2ec6fc1d0b7226afd57d2188c4b7ee6a4aad84f5d40b7"
 
+# fractional supplies and costs: shipments and total cost that 9 digits round
+FRACTIONAL_TRANSPORT = {
+    "schema_version": 1,
+    "kind": "transport",
+    "supplies": [10.1, 20.2, 5.05],
+    "demands": [12.3, 13.05, 10.0],
+    "costs": [[4.5, 6.25, 1.0 / 3.0], [5.125, 3.3, 7.7], [2.2, 9.9, 0.1]],
+}
+FRACTIONAL_TRANSPORT_CRISP = "2598e593d8871796930e7b798ec3b6aa587d42b1a7ee3e5a0c1d59854a48d9ee"
+INGEST_SAMPLES = "be9b9a906c2394c64933c6dc8be75746c0b05ba4502b61c0b03f9315283db941"
+INGEST_HISTOGRAM = "0bae641fd9ba3b7dcb9072b3b27de1fd7e23fae95a6af2db6df536e9db98947e"
+
 
 def _digest(out_dir) -> str:
     """SHA-256 over every file in out_dir: name, NUL, bytes, in name order."""
@@ -140,3 +153,28 @@ def test_fuzzy_outputs_pinned_through_warm_starts(tmp_path, engine_counts):
     assert _digest(out) == EIGHT_BY_EIGHT_FUZZY
     counts = engine_counts()
     assert (counts["cold"], counts["warm"], counts["proposed"]) == (10, 6, 4)
+
+
+def test_transport_outputs_pinned(tmp_path):
+    source = tmp_path / "fractional.json"
+    source.write_text(json.dumps(FRACTIONAL_TRANSPORT))
+    out = tmp_path / "out"
+    argv = [str(source), "--mode", "crisp", "--out-dir", str(out)]
+    assert main([*argv, "--export-problem", str(out / "exported.json")]) == 0
+    shipments = json.loads((out / "crisp_solution.json").read_text())["shipments"]
+    assert any(v != int(v) for row in shipments for v in row)
+    assert _digest(out) == FRACTIONAL_TRANSPORT_CRISP
+
+
+def test_ingest_outputs_pinned(tmp_path):
+    rng = np.random.default_rng(23)
+    samples = tmp_path / "samples.txt"
+    samples.write_text("".join(f"{v!r}\n" for v in rng.normal(100.0, 7.0, 300).tolist()))
+    counts, edges = np.histogram(rng.normal(40.0, 3.0, 500), bins=12)
+    rows = [f"{lo!r},{hi!r},{c}" for lo, hi, c in zip(edges.tolist(), edges[1:].tolist(), counts)]
+    histogram = tmp_path / "histogram.csv"
+    histogram.write_text("bin_lo,bin_hi,count\n" + "\n".join(rows) + "\n")
+    for source, digest in ((samples, INGEST_SAMPLES), (histogram, INGEST_HISTOGRAM)):
+        out = tmp_path / source.stem
+        assert main([str(source), "--mode", "ingest", "--out-dir", str(out)]) == 0
+        assert _digest(out) == digest
