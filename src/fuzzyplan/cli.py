@@ -103,14 +103,53 @@ def _jsonable(obj):
     return obj
 
 
+def _fmt_row(values) -> str:
+    """",".join(map(_fmt, values)) in one % call: "%.9g" % v equals f"{v:.9g}"."""
+    return ",".join(["%.9g"] * len(values)) % tuple(values)
+
+
+def _float_texts(values):
+    """JSON texts of _jsonable(values) if every value is a finite float, else None.
+
+    The whole list is rounded in one % call; "n" appears in that text
+    only where a value was inf or nan.
+    """
+    if set(map(type, values)) != {float}:
+        return None
+    text = _fmt_row(values)
+    if "n" in text:
+        return None
+    return list(map(repr, map(float, text.split(","))))
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(_jsonable(obj), indent=2), each line after the first indented by indent.
+
+    json.dumps with an indent runs the pure-Python encoder, which calls
+    Python code twice per float; here a list of finite floats takes one
+    pass through _float_texts and every other value _jsonable's rule.
+    """
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        items = _float_texts(obj) or [_json_text(v, inner) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (dict, list, tuple)):  # empty, or keys json.dumps converts
+        return json.dumps(_jsonable(obj), indent=2).replace("\n", "\n" + indent)
+    else:
+        return json.dumps(_jsonable(obj))
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
+    path.write_text(_json_text(payload) + "\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header, lines) -> None:
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _quad(t: TrapezoidalFuzzyNumber):
@@ -127,6 +166,11 @@ def _rows(per_lane, shape):
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _all_numbers(values) -> bool:
+    """_is_number over a list of JSON values, in one pass: JSON gives exact types."""
+    return set(map(type, values)) <= {int, float}
 
 
 def _float(value, where) -> float:
@@ -160,11 +204,23 @@ def _floats(values, where) -> tuple:
     return tuple(_float(v, f"{where}[{k}]") for k, v in enumerate(values))
 
 
+class _Where:
+    """An entry's location, field[i][j], spelled out only when a message needs it."""
+
+    __slots__ = ("name", "index")
+
+    def __init__(self, name, index):
+        self.name, self.index = name, index
+
+    def __str__(self):
+        return self.name + "".join(f"[{k}]" for k in self.index)
+
+
 def _as_trapezoid(value, where, base_dir, gamma_core, gamma_support):
     if _is_number(value):
         return TrapezoidalFuzzyNumber.crisp(_float(value, where))
     if isinstance(value, list):
-        if len(value) != 4 or not all(_is_number(v) for v in value):
+        if len(value) != 4 or not _all_numbers(value):
             raise ProblemFormatError(f"{where}: quadruple must be four numbers")
         corners = _floats(value, where)
         try:
@@ -227,7 +283,9 @@ def _parse_distribution(raw, path, gamma_core, gamma_support) -> DistributionPro
         raise ProblemFormatError(str(exc)) from None
 
     def convert(field, index, value):
-        where = field.name + "".join(f"[{k}]" for k in index)
+        if type(value) is float and -math.inf < value < math.inf:
+            return TrapezoidalFuzzyNumber.crisp(value)
+        where = _Where(field.name, index)
         return _as_trapezoid(value, where, path.parent, gamma_core, gamma_support)
 
     return table.map(DistributionProblem, convert)
@@ -243,7 +301,7 @@ def _parse_transport(raw, path) -> TransportInstance:
 
     def crisp_vector(field):
         value = raw[field]
-        if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        if not isinstance(value, list) or not _all_numbers(value):
             raise ProblemFormatError(f"{field}: must be a list of numbers")
         return _floats(value, field)
 
@@ -254,7 +312,7 @@ def _parse_transport(raw, path) -> TransportInstance:
         raise ProblemFormatError(f"costs: must be a list of {len(supplies)} rows")
     matrix = []
     for i, row in enumerate(costs):
-        if not isinstance(row, list) or not all(_is_number(v) for v in row):
+        if not isinstance(row, list) or not _all_numbers(row):
             raise ProblemFormatError(f"costs[{i}]: must be a list of numbers")
         matrix.append(_floats(row, f"costs[{i}]"))
     try:
@@ -361,16 +419,14 @@ def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
     for name in ("D", *names):
         header.extend([f"{name}_lo", f"{name}_hi"])
     header.extend(["feasible", "repaired"])
-    rows = []
+    lines = []
     for level in fz.levels:
-        row = [_fmt(level.alpha)]
         if level.feasible:
-            row.extend(map(_fmt, level.cuts.ravel().tolist()))
+            line = _fmt_row([level.alpha, *level.cuts.ravel().tolist()])
         else:
-            row.extend([""] * (2 + 2 * len(names)))
-        row.extend([str(level.feasible).lower(), str(level.repaired).lower()])
-        rows.append(row)
-    _write_csv(config.out_dir / "fuzzy_levels.csv", header, rows)
+            line = _fmt(level.alpha) + "," * (2 + 2 * len(names))
+        lines.append(f"{line},{str(level.feasible).lower()},{str(level.repaired).lower()}")
+    _write_csv(config.out_dir / "fuzzy_levels.csv", header, lines)
     try:
         quads = {"D": _quad(fit_trapezoid(fz, "benefit"))}
         for k, name in enumerate(names):
@@ -383,10 +439,7 @@ def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
 
 
 def _hist_rows(hist):
-    return [
-        [_fmt(lo), _fmt(hi), _fmt(count)]
-        for lo, hi, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
-    ]
+    return list(map(_fmt_row, zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)))
 
 
 def _run_montecarlo(config: RunConfig, problem: DistributionProblem):

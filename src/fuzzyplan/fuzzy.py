@@ -42,11 +42,12 @@ class TrapezoidalFuzzyNumber:
     d: float
 
     def __post_init__(self):
+        if -math.inf < self.a <= self.b <= self.c <= self.d < math.inf:
+            return  # nan fails every comparison, so this is the whole check
         vals = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"trapezoid parameters must be finite, got {vals}")
-        if not (self.a <= self.b <= self.c <= self.d):
-            raise ValueError(f"trapezoid parameters must be ordered a <= b <= c <= d, got {vals}")
+        raise ValueError(f"trapezoid parameters must be ordered a <= b <= c <= d, got {vals}")
 
     @classmethod
     def crisp(cls, v: float) -> "TrapezoidalFuzzyNumber":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -45,9 +46,9 @@ class SampleSet:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("sample set must be nonempty")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"sample values must be finite, got {v}")
+        if not all(map(math.isfinite, self.values)):
+            bad = next(v for v in self.values if not math.isfinite(v))
+            raise ValueError(f"sample values must be finite, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def ecdf_from_samples(s: SampleSet) -> EmpiricalCDF:
     keep = np.empty(n, dtype=bool)
     keep[-1] = True
     keep[:-1] = vals[1:] != vals[:-1]
-    return EmpiricalCDF(xs=tuple(map(float, vals[keep])), ps=tuple(map(float, pos[keep])))
+    return EmpiricalCDF(xs=tuple(vals[keep].tolist()), ps=tuple(pos[keep].tolist()))
 
 
 def ecdf_from_histogram(h: BinnedHistogram) -> EmpiricalCDF:
@@ -187,8 +188,7 @@ def gaussian_to_trapezoid(
     """Analytic trapezoid for a Gaussian: intervals m +/- z((1+gamma)/2) sigma."""
     _check_gaussian(mean, sigma)
     _check_levels(gamma_core, gamma_support)
-    z_core = NormalDist().inv_cdf((1.0 + gamma_core) / 2.0)
-    z_support = NormalDist().inv_cdf((1.0 + gamma_support) / 2.0)
+    z_core, z_support = _z_values(gamma_core, gamma_support)
     return TrapezoidalFuzzyNumber(
         mean - z_support * sigma,
         mean - z_core * sigma,
@@ -197,21 +197,31 @@ def gaussian_to_trapezoid(
     )
 
 
+@lru_cache(maxsize=8)
+def _z_values(gamma_core: float, gamma_support: float) -> tuple:
+    """Standard normal quantiles z((1+gamma)/2) of the core and support levels."""
+    normal = NormalDist()
+    return normal.inv_cdf((1.0 + gamma_core) / 2.0), normal.inv_cdf((1.0 + gamma_support) / 2.0)
+
+
 def read_samples(path) -> SampleSet:
-    """One real per line; blank lines and a UTF-8 byte-order mark are skipped."""
-    values = []
+    """One real per line; blank lines and a UTF-8 byte-order mark are skipped.
+
+    The file converts in one pass; only when that fails are its lines
+    scanned again, to name the first bad one.
+    """
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+        lines = fh.read().split("\n")  # text mode has turned \r\n and \r into \n
+    texts = list(filter(None, map(str.strip, lines)))
+    try:
+        values = tuple(map(float, texts))
+    except ValueError:
+        numbered = enumerate(map(str.strip, lines), start=1)
+        lineno, text = next((k, t) for k, t in numbered if t and not _is_number(t))
+        raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
     if not values:
         raise ValueError(f"{path}: no samples found")
-    return SampleSet(tuple(values))
+    return SampleSet(values)
 
 
 def read_histogram_csv(path) -> BinnedHistogram:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,13 +49,13 @@ class TransportInstance:
         m, n = len(self.supplies), len(self.demands)
         if m < 1 or n < 1:
             raise ValueError("need at least one supply and one demand")
-        if any(not math.isfinite(v) or v < 0 for v in self.supplies + self.demands):
+        amounts = self.supplies + self.demands
+        if not all(map(math.isfinite, amounts)) or min(amounts) < 0:
             raise ValueError("supplies and demands must be finite and nonnegative")
         if len(self.costs) != m or any(len(row) != n for row in self.costs):
             raise ValueError(f"cost matrix must be {m}x{n}")
-        for row in self.costs:
-            if any(not math.isfinite(c) for c in row):
-                raise ValueError("costs must be finite")
+        if not all(map(math.isfinite, chain.from_iterable(self.costs))):
+            raise ValueError("costs must be finite")
 
     @property
     def shape(self) -> tuple:

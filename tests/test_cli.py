@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +171,31 @@ def test_parse_rejects_integer_beyond_float(tmp_path, capsys, overrides, path):
 
 
 @pytest.mark.parametrize(
+    "entry, path, message",
+    [
+        ("NaN", r"transport_cost\[1\]\[0\]", "must be finite, got nan"),
+        ("1e400", r"transport_cost\[1\]\[0\]", "must be finite, got inf"),
+        (str(HUGE), r"transport_cost\[1\]\[0\]", "integer too large for a float"),
+        ("[1, 2, 3, NaN]", r"transport_cost\[1\]\[0\]\[3\]", "must be finite, got nan"),
+        ("[1, 2, 1e400, 1e400]", r"transport_cost\[1\]\[0\]\[2\]", "must be finite, got inf"),
+    ],
+    ids=["nan", "overflowing-float", "overflowing-integer", "nan-corner", "inf-corner"],
+)
+def test_parse_names_the_bad_lane(tmp_path, entry, path, message):
+    # the lane's float fast path must leave every other entry's message as it was
+    p = write_problem(
+        tmp_path / "p.json",
+        supply_max=[460.5, 300.25],
+        purchase_min=[0.5, 0.5],
+        purchase_price=[480.5, 470.5],
+        transport_cost=[[30.5], ["ENTRY"]],
+    )
+    p.write_text(p.read_text().replace('"ENTRY"', entry))
+    with pytest.raises(ProblemFormatError, match="^" + path + ": " + message + "$"):
+        parse_problem(p)
+
+
+@pytest.mark.parametrize(
     "field, value, path",
     [
         ("supplies", [HUGE, 5], r"supplies\[0\]"),
@@ -322,6 +348,41 @@ def test_parse_rejects_non_finite_number(tmp_path):
     t.write_text(json.dumps(doc)[:-1] + ', "costs": [[NaN]]}')
     with pytest.raises(ProblemFormatError, match=r"^costs\[0\]\[0\]: must be finite"):
         parse_problem(t)
+
+
+@pytest.mark.parametrize(
+    "costs, message",
+    [
+        ("[[1, NaN], 7]", r"costs\[0\]\[1\]: must be finite, got nan"),  # rows in file order
+        ("[[1, 2], [2, true]]", r"costs\[1\]: must be a list of numbers"),
+        ('[[1, 2], [2, "3"]]', r"costs\[1\]: must be a list of numbers"),
+        ("[[1, 2], [1e400, 1]]", r"costs\[1\]\[0\]: must be finite, got inf"),
+        ("[[1, 2], [2]]", r"cost matrix must be 2x2"),
+    ],
+    ids=["nan-before-bad-row", "bool", "string", "overflowing-float", "short-row"],
+)
+def test_parse_transport_rows_in_order(tmp_path, costs, message):
+    t = tmp_path / "t.json"
+    t.write_text(
+        '{"schema_version": 1, "kind": "transport", "supplies": [5, 5], "demands": [5, 5], '
+        f'"costs": {costs}}}'
+    )
+    with pytest.raises(ProblemFormatError, match="^" + message + "$"):
+        parse_problem(t)
+
+
+@pytest.mark.parametrize(
+    "supplies, costs, message",
+    [
+        ((5.0, -1.0), ((1.0, 2.0), (2.0, 1.0)), "supplies and demands must be finite"),
+        ((5.0, math.nan), ((1.0, 2.0), (2.0, 1.0)), "supplies and demands must be finite"),
+        ((5.0, 5.0), ((1.0, 2.0), (math.inf, 1.0)), "costs must be finite"),
+        ((5.0, 5.0), ((1.0, 2.0), (2.0, math.nan)), "costs must be finite"),
+    ],
+)
+def test_transport_instance_checks_its_own_values(supplies, costs, message):
+    with pytest.raises(ValueError, match="^" + message):
+        TransportInstance(supplies, (5.0, 5.0), costs)
 
 
 def test_parse_rejects_integer_beyond_digit_limit(tmp_path):

@@ -14,6 +14,23 @@ def test_ordering_validation():
         TrapezoidalFuzzyNumber(0.0, float("nan"), 1.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "corners, message",
+    [
+        ((0.0, float("nan"), 1.0, 2.0), "must be finite"),
+        ((0.0, 1.0, 2.0, float("inf")), "must be finite"),
+        ((-float("inf"), 1.0, 2.0, 3.0), "must be finite"),
+        ((3.0, 2.0, float("nan"), 1.0), "must be finite"),  # finiteness is reported first
+        ((0.0, 1.0, 3.0, 2.0), "must be ordered a <= b <= c <= d"),
+        ((1.0, 0.5, 2.0, 3.0), "must be ordered a <= b <= c <= d"),
+    ],
+    ids=["nan", "inf", "minus-inf", "nan-and-unordered", "c-above-d", "a-above-b"],
+)
+def test_invalid_trapezoid_messages(corners, message):
+    with pytest.raises(ValueError, match=f"^trapezoid parameters {message}, got "):
+        TrapezoidalFuzzyNumber(*corners)
+
+
 def test_membership_shape():
     t = TrapezoidalFuzzyNumber(0.0, 1.0, 2.0, 4.0)
     assert t.membership(-1.0) == 0.0

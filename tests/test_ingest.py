@@ -1,3 +1,6 @@
+import re
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from fuzzyplan.ingest import (
     read_samples,
     to_trapezoid,
 )
+from fuzzyplan.ingest import _z_values
 
 # inverse normal CDF at 0.65 and 0.95, frozen from statistics.NormalDist
 Z_CORE_30 = 0.38532046640756773
@@ -213,6 +217,48 @@ def test_read_samples(tmp_path):
     marked = tmp_path / "marked.txt"
     marked.write_text("1.5\n2.5\n", encoding="utf-8-sig")
     assert read_samples(marked).values == (1.5, 2.5)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("\n\n1.0\n\n  \noops\n2.0\nbad\n", ":6: not a number: 'oops'"),
+        ("\ufeff1.0\n2.0\nx1\n", ":3: not a number: 'x1'"),
+        ("\ufeffoops\n1.0\n", ":1: not a number: 'oops'"),
+        ("1.0\r\n\r\n1 2\r\n", ":3: not a number: '1 2'"),
+        ("1.0\r2.0\r3,0\r", ":3: not a number: '3,0'"),
+    ],
+    ids=["blank-lines", "byte-order-mark", "marked-first-line", "two-on-a-line", "cr-endings"],
+)
+def test_read_samples_names_first_bad_line(tmp_path, text, where):
+    p = tmp_path / "vals.txt"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}{where}") + "$"):
+        read_samples(p)
+
+
+def test_read_samples_rejects_non_finite(tmp_path):
+    p = tmp_path / "vals.txt"
+    p.write_text("1.0\n-inf\nnan\n")
+    with pytest.raises(ValueError, match="^sample values must be finite, got -inf$"):
+        read_samples(p)
+
+
+def test_gaussian_z_values_are_computed_once_per_level_pair():
+    _z_values.cache_clear()
+    for mean in (1.0, 2.0, 3.0):
+        gaussian_to_trapezoid(mean, 1.0, 0.4, 0.8)
+    assert _z_values.cache_info().misses == 1
+    normal = NormalDist()
+    want = (normal.inv_cdf(0.7), normal.inv_cdf(0.9))
+    assert _z_values(0.4, 0.8) == want  # the same floats as computing them afresh
+    t = gaussian_to_trapezoid(10.0, 2.0, 0.4, 0.8)
+    assert (t.a, t.b, t.c, t.d) == (
+        10.0 - want[1] * 2.0,
+        10.0 - want[0] * 2.0,
+        10.0 + want[0] * 2.0,
+        10.0 + want[1] * 2.0,
+    )
 
 
 def test_read_histogram_csv(tmp_path):
