@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -104,15 +105,14 @@ class EmpiricalCDF:
         """Infimum quantile: least x with cdf(x) >= g, for g in [0, 1]."""
         if not 0.0 <= g <= 1.0:
             raise ValueError(f"quantile level must lie in [0, 1], got {g}")
-        ps = np.asarray(self.ps)
-        j = int(np.searchsorted(ps, g, side="left"))
+        j = bisect_left(self.ps, g)
         if j <= 0:
             return self.xs[0]
         if j >= len(self.ps):
             return self.xs[-1]
         p0, p1 = self.ps[j - 1], self.ps[j]
         x0, x1 = self.xs[j - 1], self.xs[j]
-        # side="left" guarantees p0 < g <= p1, so the segment has slope
+        # bisect_left guarantees p0 < g <= p1, so the segment has slope
         return x0 + (g - p0) / (p1 - p0) * (x1 - x0)
 
 

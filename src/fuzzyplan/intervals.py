@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Interval", "prob_geq"]
+__all__ = ["Interval", "midpoint", "prob_geq"]
 
 # Absolute tolerance used for endpoint comparisons throughout the package.
 ENDPOINT_TOL = 1e-9
@@ -36,13 +36,18 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        # halve before adding only where the sum overflows: halving a
-        # subnormal endpoint first would drop its last bit
-        mid = 0.5 * (self.lo + self.hi)
-        return mid if math.isfinite(mid) else 0.5 * self.lo + 0.5 * self.hi
+        return midpoint(self.lo, self.hi)
 
     def contains(self, other: "Interval", tol: float = ENDPOINT_TOL) -> bool:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
+
+
+def midpoint(lo: float, hi: float) -> float:
+    """The one midpoint formula, for an interval [lo, hi] of finite floats."""
+    # halve before adding only where the sum overflows: halving a
+    # subnormal endpoint first would drop its last bit
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
 def prob_geq(a: Interval, b: Interval) -> float:

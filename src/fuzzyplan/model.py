@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .intervals import midpoint
 from .simplex import FEAS_TOL, LinearProgram
 
 __all__ = [
@@ -308,4 +309,4 @@ def feasibility_precheck(inst: CrispInstance) -> FeasibilityReport:
 
 def midpoint_instance(p: DistributionProblem) -> CrispInstance:
     """Crisp snapshot at the core midpoints (the means, for symmetric input)."""
-    return p.map(CrispInstance, lambda field, index, t: t.core.midpoint)
+    return p.map(CrispInstance, lambda field, index, t: midpoint(t.b, t.c))

@@ -27,9 +27,15 @@ the one they came from, so where optimal supports seldom repeat, each
 cold solve costs about one extra test. Every result stays a pure
 function of (seed, index), however chunked, split or cached.
 
-Per-lane results are flat, in lane order (the order of the LP's x):
-each PartialRun shipment row and McResult's shipment histograms, means
-and standard deviations. compare pairs entry k with fit_trapezoid(fz, k),
+A chunk is sized by the values it draws, not by its steps:
+max(1, CHUNK_VALUES // P) steps, P the parameters of one step, so its
+memory is the same at any shape (CHUNK_VALUES says why).
+
+A PartialRun holds its results as read-only float arrays, which
+merge_partials concatenates and finalize reads as they are. Per-lane
+results are flat, in lane order (the order of the LP's x): each
+PartialRun shipment row and McResult's shipment histograms, means and
+standard deviations. compare pairs entry k with fit_trapezoid(fz, k),
 the trapezoid of row 1 + k of the fuzzy levels' cuts, under the k-th
 name of model.lanes.
 """
@@ -37,9 +43,8 @@ name of model.lanes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -54,6 +59,7 @@ from .ingest import (
 )
 from .fuzzy import TrapezoidalFuzzyNumber
 from .fuzzy_solver import FuzzySolution, fit_trapezoid
+from .intervals import midpoint
 from .model import CrispInstance, DistributionProblem, ParameterTable, lanes, lp_rows
 from statistics import NormalDist
 
@@ -99,7 +105,7 @@ class ParameterSpecs(ParameterTable):
         z = NormalDist().inv_cdf((1.0 + gamma_support) / 2.0)
 
         def spec(field, index, t: TrapezoidalFuzzyNumber) -> GaussianSpec:
-            return GaussianSpec(t.core.midpoint, (t.d - t.a) / (2.0 * z))
+            return GaussianSpec(midpoint(t.b, t.c), (t.d - t.a) / (2.0 * z))
 
         return p.map(cls, spec)
 
@@ -123,23 +129,54 @@ def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstan
     return specs.with_values(CrispInstance, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialRun:
-    """Raw feasible-scenario results for a contiguous index range."""
+    """Raw feasible-scenario results for a contiguous index range.
+
+    benefits is a (F,) float array and shipments an (F, MN) one, one
+    flat x-vector per feasible scenario; both are read-only. Two runs
+    are equal where every field is, the arrays bit for bit: dtype,
+    shape and bytes.
+    """
 
     start: int
     stop: int
     seed: int
     shape: tuple
-    benefits: tuple
-    shipments: tuple  # one flat x-vector per feasible scenario
+    benefits: np.ndarray
+    shipments: np.ndarray
     infeasible_count: int
 
+    def __post_init__(self):
+        self.benefits.flags.writeable = False
+        self.shipments.flags.writeable = False
 
-# Steps drawn, screened and certified together. Results do not depend on
-# it: larger chunks spread numpy's per-call overhead, smaller ones hold
-# less memory.
-CHUNK = 1024
+    def __eq__(self, other):
+        if not isinstance(other, PartialRun):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+# Values drawn, screened and certified together: a chunk is
+# max(1, CHUNK_VALUES // parameters per step) steps. Results do not depend
+# on it. Each chunk retests every cached basis, and its end drops the
+# bases that answered no other row, so longer chunks test and relearn
+# less; but a chunk's draws, LP rows and pending rows grow with the
+# parameters per step. So a small problem, where bases repeat, gets long
+# chunks, and a large one, where they seldom do, gets short ones: 3,030
+# steps at 3x3 (33 parameters), 317 at 15x15 (315), 52 at 40x40 (1,920).
+CHUNK_VALUES = 100_000
+
+
+def _chunk_steps(specs: ParameterSpecs) -> int:
+    """Steps per chunk of run_range for specs."""
+    return max(1, CHUNK_VALUES // specs.moments[0].size)
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe)
@@ -245,23 +282,27 @@ def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarra
 def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> PartialRun:
     """Solve every step in [start, stop).
 
-    Steps go in chunks of CHUNK: draw, then answer the chunk's LPs with
-    basis._BasisCache.answer, on one cache for the whole range.
+    Steps go in chunks of _chunk_steps(specs): draw, then answer the
+    chunk's LPs with basis._BasisCache.answer, on one cache for the
+    whole range.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"bad step range [{start}, {stop})")
     if seed < 0:
         raise ValueError(f"need a seed >= 0, got {seed}")
     cache = _BasisCache(specs.shape)
-    benefits, shipments, infeasible = [], [], 0
-    for lo in range(start, stop, CHUNK):
-        draws = _draws(specs, seed, lo, min(lo + CHUNK, stop))
-        feasible, benefit, x = cache.answer(*lp_rows(specs.shape, draws))
-        benefits += benefit[feasible].tolist()
-        shipments += map(tuple, x[feasible].tolist())
-        infeasible += len(draws) - int(feasible.sum())
+    benefits, shipments, infeasible = [np.empty(0)], [np.empty((0, math.prod(specs.shape)))], 0
+    chunk = _chunk_steps(specs)
+    for lo in range(start, stop, chunk):
+        c, b = lp_rows(specs.shape, _draws(specs, seed, lo, min(lo + chunk, stop)))
+        b = b.copy()  # b is a view of the draws: this frees them
+        feasible, benefit, x = cache.answer(c, b)
+        benefits.append(benefit[feasible])
+        shipments.append(x[feasible])
+        infeasible += len(b) - int(feasible.sum())
     return PartialRun(
-        start, stop, seed, specs.shape, tuple(benefits), tuple(shipments), infeasible
+        start, stop, seed, specs.shape, np.concatenate(benefits), np.concatenate(shipments),
+        infeasible,
     )
 
 
@@ -277,8 +318,8 @@ def merge_partials(parts) -> PartialRun:
         parts[-1].stop,
         parts[0].seed,
         parts[0].shape,
-        tuple(chain.from_iterable(p.benefits for p in parts)),
-        tuple(chain.from_iterable(p.shipments for p in parts)),
+        np.concatenate([p.benefits for p in parts]),
+        np.concatenate([p.shipments for p in parts]),
         sum(p.infeasible_count for p in parts),
     )
 
@@ -320,14 +361,13 @@ def _mean_std(values: np.ndarray):
 
 def finalize(part: PartialRun) -> McResult:
     steps = part.stop - part.start
-    if not part.benefits:
+    if not len(part.benefits):
         return McResult(
             steps, part.seed, part.shape, 0, part.infeasible_count,
             None, None, None, None, None, None,
         )
-    benefits = np.asarray(part.benefits)
-    per_lane = np.asarray(part.shipments).T  # one row per lane, in lane order
-    benefit_mean, benefit_std = _mean_std(benefits)
+    per_lane = part.shipments.T  # one row per lane, in lane order
+    benefit_mean, benefit_std = _mean_std(part.benefits)
     ship_means, ship_stds = zip(*map(_mean_std, per_lane))
     return McResult(
         steps=steps,
@@ -335,7 +375,7 @@ def finalize(part: PartialRun) -> McResult:
         shape=part.shape,
         feasible_count=len(part.benefits),
         infeasible_count=part.infeasible_count,
-        benefit_histogram=_histogram(benefits),
+        benefit_histogram=_histogram(part.benefits),
         benefit_mean=benefit_mean,
         benefit_std=benefit_std,
         shipment_histograms=tuple(map(_histogram, per_lane)),

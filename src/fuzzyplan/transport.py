@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -69,11 +70,7 @@ class TransportPlan:
 
 
 def plan_cost(t: TransportInstance, plan: TransportPlan) -> float:
-    return sum(
-        t.costs[i][j] * plan.shipments[i][j]
-        for i in range(len(t.supplies))
-        for j in range(len(t.demands))
-    )
+    return sum(map(mul, chain.from_iterable(t.costs), chain.from_iterable(plan.shipments)))
 
 
 def check_balance(t: TransportInstance) -> bool:

@@ -3,6 +3,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyplan.fuzzy import TrapezoidalFuzzyNumber
 from fuzzyplan.ingest import (
@@ -105,6 +107,50 @@ def test_quantile_cdf_roundtrip():
     f = ecdf_from_samples(SampleSet(tuple(rng.normal(0, 1, 500))))
     for g in (0.05, 0.2, 0.5, 0.8, 0.95):
         assert f.cdf(f.quantile(g)) == pytest.approx(g, abs=1e-9)
+
+
+def _searchsorted_quantile(f: EmpiricalCDF, g: float) -> float:
+    """EmpiricalCDF.quantile with numpy's binary search: the reference."""
+    j = int(np.searchsorted(np.asarray(f.ps), g, side="left"))
+    if j <= 0:
+        return f.xs[0]
+    if j >= len(f.ps):
+        return f.xs[-1]
+    p0, p1 = f.ps[j - 1], f.ps[j]
+    x0, x1 = f.xs[j - 1], f.xs[j]
+    return x0 + (g - p0) / (p1 - p0) * (x1 - x0)
+
+
+# few distinct values, so samples repeat and histogram bins are empty
+# (equal CDF heights at neighbouring knots)
+few_values = st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0, 7.25])
+
+
+@st.composite
+def ecdfs(draw):
+    if draw(st.booleans()):
+        return ecdf_from_samples(SampleSet(tuple(draw(st.lists(few_values, min_size=1)))))
+    counts = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5, 7.0]), min_size=1, max_size=12))
+    counts[draw(st.integers(0, len(counts) - 1))] = 1.0  # some mass
+    widths = st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=len(counts), max_size=len(counts))
+    edges = np.cumsum([0.0] + draw(widths))
+    return ecdf_from_histogram(BinnedHistogram(tuple(edges.tolist()), tuple(counts)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(f=ecdfs(), data=st.data())
+def test_quantile_matches_searchsorted(f, data):
+    # levels on the knots' own heights hit the ties, where side "left" matters
+    g = data.draw(st.floats(0.0, 1.0) | st.sampled_from((0.0, 1.0) + f.ps), label="g")
+    got, want = f.quantile(g), _searchsorted_quantile(f, g)
+    assert got == want and type(got) is type(want)
+
+
+def test_quantile_matches_searchsorted_on_repeated_heights():
+    f = ecdf_from_histogram(BinnedHistogram((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 0.0, 1.0)))
+    assert len(set(f.ps)) < len(f.ps)
+    for g in (0.0, 0.25, 0.5, 0.75, 1.0) + f.ps:
+        assert f.quantile(g) == _searchsorted_quantile(f, g)
 
 
 def test_confidence_interval_uniform():

@@ -227,6 +227,22 @@ def test_midpoint_instance(demo_problem, demo_means):
     assert midpoint_instance(demo_problem) == demo_means
 
 
+def test_midpoint_instance_takes_each_core_midpoint(demo_crisp_problem):
+    # the core sums of the first two overflow; halving first would drop
+    # the last bit of the subnormal one
+    T = type(demo_crisp_problem.sale_price[0])
+    sale = (
+        T(1e308, 1e308, 1.7e308, 1.7e308),
+        T(-1e308, -1e308, 1e308, 1e308),
+        T(0.0, 5e-324, 5e-324, 1e-323),
+    )
+    problem = dataclasses.replace(demo_crisp_problem, sale_price=sale)
+    inst = midpoint_instance(problem)
+    assert inst.sale_price == tuple(t.core.midpoint for t in sale)
+    assert inst.sale_price[1:] == (0.0, 5e-324)
+    assert 1e308 < inst.sale_price[0] < 1.7e308
+
+
 def test_huge_crisp_prices_keep_finite_midpoints(demo_crisp_problem):
     # each price's core sums to +-2e308; its midpoint is the price itself,
     # and only the lane profit between the two overflows

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 from importlib.resources import files
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from fuzzyplan.ingest import gaussian_to_trapezoid
 from fuzzyplan.model import CrispInstance, DistributionProblem, lp_rows, to_lp
 import fuzzyplan.monte_carlo as monte_carlo
 from fuzzyplan.monte_carlo import (
-    CHUNK,
     GaussianSpec,
+    McResult,
     ParameterSpecs,
     compare,
     finalize,
@@ -47,10 +48,19 @@ def single_lane_specs(sigma=10.0):
     )
 
 
-@pytest.fixture
-def table1_specs():
+@functools.cache
+def _table1_specs():
     table1 = files("fuzzyplan").joinpath("data/table1.json")
     return ParameterSpecs.from_problem(parse_problem(str(table1)))
+
+
+# the steps per chunk of a run on table1's specs
+TABLE1_CHUNK = monte_carlo._chunk_steps(_table1_specs())
+
+
+@pytest.fixture
+def table1_specs():
+    return _table1_specs()
 
 
 @pytest.fixture
@@ -148,14 +158,15 @@ def test_sample_instance_table1_draws_pinned(index):
 
 
 def test_batch_draws_match_sample_instance(table1_specs):
-    # a run of `stop` steps draws two chunks: [0, CHUNK) and [CHUNK, stop)
-    stop = CHUNK + 300
-    first = monte_carlo._draws(table1_specs, 42, 0, CHUNK)
-    second = monte_carlo._draws(table1_specs, 42, CHUNK, stop)
+    # a run of `stop` steps draws two chunks: [0, chunk) and [chunk, stop)
+    chunk = TABLE1_CHUNK
+    stop = chunk + 300
+    first = monte_carlo._draws(table1_specs, 42, 0, chunk)
+    second = monte_carlo._draws(table1_specs, 42, chunk, stop)
     for draws, row, index in [
         (first, 0, 0),
-        (first, -1, CHUNK - 1),
-        (second, 0, CHUNK),
+        (first, -1, chunk - 1),
+        (second, 0, chunk),
         (second, -1, stop - 1),
     ]:
         want = np.array(list(sample_instance(table1_specs, 42, index).values()))
@@ -166,7 +177,7 @@ def test_batch_draws_match_sample_instance(table1_specs):
 @pytest.mark.parametrize(
     "start, stop, rows",
     [
-        (0, CHUNK + 2, [0, CHUNK - 1, CHUNK, CHUNK + 1]),
+        (0, TABLE1_CHUNK + 2, [0, TABLE1_CHUNK - 1, TABLE1_CHUNK, TABLE1_CHUNK + 1]),
         (2**32 - 3, 2**32 + 3, range(6)),  # the index gains a 32-bit word
         (2**64 - 2, 2**64 + 2, range(4)),
     ],
@@ -256,23 +267,24 @@ def test_partial_runs_merge(demo_specs):
 
 def test_split_runs_merge_exactly(table1_specs):
     # the cuts cross a chunk boundary; each part has its own basis cache
-    whole = run_range(table1_specs, 0, 3000, 7)
-    cuts = [0, 1000, 1777, 3000]
+    chunk = TABLE1_CHUNK
+    whole = run_range(table1_specs, 0, 3 * chunk - 72, 7)
+    cuts = [0, chunk - 24, chunk + 753, 3 * chunk - 72]
     parts = [run_range(table1_specs, a, b, 7) for a, b in zip(cuts, cuts[1:])]
     assert merge_partials(parts) == whole
 
 
-SHARD_STEPS = 2600  # three chunks, the last one partial
+SHARD_STEPS = 2 * TABLE1_CHUNK + 552  # three chunks, the last one partial
 
 
 @functools.cache
 def _table1_whole_run():
-    table1 = files("fuzzyplan").joinpath("data/table1.json")
-    specs = ParameterSpecs.from_problem(parse_problem(str(table1)))
+    specs = _table1_specs()
     return specs, run_range(specs, 0, SHARD_STEPS, 3)
 
 
-cut = st.integers(0, SHARD_STEPS) | st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+chunk_edges = [TABLE1_CHUNK - 1, TABLE1_CHUNK, TABLE1_CHUNK + 1, 2 * TABLE1_CHUNK]
+cut = st.integers(0, SHARD_STEPS) | st.sampled_from(chunk_edges)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -299,10 +311,89 @@ def test_balanced_capacities_merge_exactly(table1_specs, tableau_solves):
         for field in ("supply_max", "demand_max")
     }
     specs = dataclasses.replace(table1_specs, **fixed)
-    cuts = [0, 300, CHUNK + 7, CHUNK + 40]
+    cuts = [0, 300, TABLE1_CHUNK + 7, TABLE1_CHUNK + 40]
     parts = [run_range(specs, a, b, 11) for a, b in zip(cuts, cuts[1:])]
     assert merge_partials(parts) == run_range(specs, 0, cuts[-1], 11)
     assert len(tableau_solves) == 4
+
+
+def random_specs(rng, m, n) -> ParameterSpecs:
+    """Gaussian specs of an m x n problem. A purchase minimum may exceed
+    its supplier's capacity, so some specs give infeasible scenarios."""
+
+    def specs(lo, hi, size):
+        means = rng.uniform(lo, hi, size)
+        return tuple(GaussianSpec(mean, sigma) for mean, sigma in zip(means, 0.1 * means))
+
+    return ParameterSpecs(
+        supply_max=specs(200.0, 400.0, m),
+        demand_max=specs(150.0, 300.0, n),
+        purchase_min=specs(0.0, 250.0, m),
+        sale_min=specs(0.0, 80.0, n),
+        purchase_price=specs(400.0, 600.0, m),
+        sale_price=specs(800.0, 1200.0, n),
+        transport_cost=tuple(specs(10.0, 400.0, n) for _ in range(m)),
+    )
+
+
+@pytest.mark.parametrize("problem", ["table1", "random 4x5"])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    spec_seed=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 10**6),
+    steps=st.integers(0, 40),
+    seed=st.integers(0, 2**64),
+)
+def test_results_do_not_depend_on_the_chunk_budget(problem, spec_seed, start, steps, seed):
+    # a chunk of 1 step, one of 7 steps and the default (one chunk here)
+    # give the same bytes: every answer is a function of (seed, index)
+    if problem == "table1":
+        specs = _table1_specs()
+    else:
+        specs = random_specs(np.random.default_rng(spec_seed), 4, 5)
+    parameters = specs.moments[0].size
+    whole = run_range(specs, start, start + steps, seed)
+    assert monte_carlo._chunk_steps(specs) > steps
+    for budget, chunk in [(parameters, 1), (7 * parameters + 6, 7)]:
+        with mock.patch.object(monte_carlo, "CHUNK_VALUES", budget):
+            assert monte_carlo._chunk_steps(specs) == chunk
+            assert run_range(specs, start, start + steps, seed) == whole
+
+
+def test_chunk_budget_counts_drawn_values(table1_specs):
+    # 33 parameters a step at 3x3, 315 at 15x15; never less than one step
+    assert table1_specs.moments[0].size == 33
+    assert monte_carlo._chunk_steps(table1_specs) == monte_carlo.CHUNK_VALUES // 33
+    wide = random_specs(np.random.default_rng(0), 15, 15)
+    assert wide.moments[0].size == 315
+    assert monte_carlo._chunk_steps(wide) == monte_carlo.CHUNK_VALUES // 315
+    with mock.patch.object(monte_carlo, "CHUNK_VALUES", 314):
+        assert monte_carlo._chunk_steps(wide) == 1
+
+
+def test_partial_run_holds_read_only_arrays_equal_bit_for_bit(demo_specs):
+    part = run_range(demo_specs, 0, 40, 42)
+    feasible = 40 - part.infeasible_count
+    assert part.benefits.dtype == part.shipments.dtype == np.float64
+    assert part.benefits.shape == (feasible,)
+    assert part.shipments.shape == (feasible, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        part.benefits[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        part.shipments[0, 0] = 0.0
+    assert part == run_range(demo_specs, 0, 40, 42)
+    assert (part.shipments == 0.0).any()
+    for changed in [
+        dict(benefits=part.benefits.astype(np.float32).astype(np.float64)),  # other values
+        dict(benefits=part.benefits.astype(np.longdouble)),  # other dtype
+        dict(shipments=part.shipments.reshape(-1)),  # other shape, same bytes
+        dict(shipments=np.where(part.shipments == 0.0, -0.0, part.shipments)),  # equal values
+        dict(infeasible_count=part.infeasible_count + 1),
+    ]:
+        assert dataclasses.replace(part, **changed) != part
+    nan = dataclasses.replace(part, benefits=np.full(feasible, np.nan))
+    assert nan == dataclasses.replace(part, benefits=np.full(feasible, np.nan))
+
 
 def _support(x):
     return tuple(k for k, v in enumerate(x) if v != 0.0)
@@ -332,9 +423,9 @@ def test_table1_cold_solve_count_pinned(table1_specs, counted_solves, engine_cou
     # keeps moves the cold count; the engines only change who answers a
     # cold row. The benchmark's tracer sees none of these counts
     run_range(table1_specs, 0, 10_000, 1)
-    assert len(counted_solves) == 71
+    assert len(counted_solves) == 45
     assert engine_counts() == {
-        "cold": 71, "warm": 59, "phase 2": 59, "proposed": 12, "tableau": 0, "certify": 393
+        "cold": 45, "warm": 33, "phase 2": 33, "proposed": 12, "tableau": 0, "certify": 167
     }
 
 
@@ -364,8 +455,8 @@ def test_tied_optimum_is_not_certified(
     assert len(tableau_solves) == tableau
     if cold_solves == 3:
         sol = solve(to_lp(sample_instance(specs, 0, 0)))
-        assert part.benefits == (sol.objective_value,) * 3
-        assert part.shipments == (sol.x,) * 3
+        assert tuple(part.benefits) == (sol.objective_value,) * 3
+        assert tuple(map(tuple, part.shipments.tolist())) == (sol.x,) * 3
 
 
 def test_cache_keeps_only_bases_that_answer_other_steps():
@@ -459,6 +550,16 @@ def test_all_infeasible_run():
     assert res.feasible_count == 0
     assert res.infeasible_count == 10
     assert res.benefit_histogram is None
+    assert res == McResult(10, 0, (1, 2), 0, 10, None, None, None, None, None, None)
+    # empty result arrays keep their dtype and lane count, also across a merge
+    for part in (
+        run_range(specs, 0, 10, 0),
+        run_range(specs, 4, 4, 0),
+        merge_partials([run_range(specs, 0, 3, 0), run_range(specs, 3, 3, 0)]),
+    ):
+        assert part.benefits.shape == (0,) and part.shipments.shape == (0, 2)
+        assert part.benefits.dtype == part.shipments.dtype == np.float64
+    assert finalize(run_range(specs, 0, 10, 0)) == res
 
 
 def test_compare_degenerate_convention(demo_crisp_problem, demo_crisp_specs):

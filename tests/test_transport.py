@@ -107,6 +107,17 @@ def test_vam_diagonal():
     assert_feasible(t, plan)
 
 
+def test_plan_cost_sums_products_in_row_order():
+    # the same products, row by row, into the same sum: the same bits
+    rng = np.random.default_rng(4)
+    costs = rng.uniform(-50.0, 400.0, (7, 9)) * 10.0 ** rng.integers(-8, 8, (7, 9))
+    shipments = rng.uniform(0.0, 30.0, (7, 9)).tolist()
+    t = inst([1.0] * 7, [1.0] * 9, costs.tolist())
+    plan = TransportPlan(tuple(map(tuple, shipments)), frozenset())
+    want = sum(t.costs[i][j] * plan.shipments[i][j] for i in range(7) for j in range(9))
+    assert plan_cost(t, plan) == want
+
+
 def _random_instance(rng, max_dim=4):
     m = int(rng.integers(2, max_dim + 1))
     n = int(rng.integers(2, max_dim + 1))
