@@ -3,13 +3,19 @@
 The LP of one shape always has the same constraint matrix; only the
 profits c and the right-hand side b change. So an optimal basis found
 by one cold solve can be tested on another (c, b) without a simplex
-run. Basis B certifies (c, b) when every nonbasic reduced cost is
-strictly negative and every basic variable is strictly positive, or 0
-with its row of B^-1 diag(±1) lexicographically positive (Dantzig, Orden
-& Wolfe, Pacific J. Math. 5, 1955; Bertsimas & Tsitsiklis, Introduction
-to Linear Optimization, §3.4). B is then the one optimal basis of (c, b)
-with every bound loosened by (ε, ε², …), a nondegenerate LP, so at most
-one basis answers a given (c, b), and its x is the unique optimum. The
+run. Basis B certifies (c, b) when every basic variable is strictly
+positive, or 0 with its row of B^-1 diag(±1) lexicographically positive
+(Dantzig, Orden & Wolfe, Pacific J. Math. 5, 1955; Bertsimas &
+Tsitsiklis, Introduction to Linear Optimization, §3.4), and every
+nonbasic reduced cost is strictly negative, or 0 and negative once each
+profit c_k is raised by δ^(k+1) (simplex.tie_passes: the same rule on
+the dual). B is then the one optimal basis of (c, b) with every bound
+loosened by (ε, ε², …) and every profit raised by (δ, δ², …), an LP
+that is primal and dual nondegenerate. So exactly one basis answers a
+(c, b) that has an optimum, degenerate, tied in c or neither, and its x
+is an optimum of (c, b). In floats, strictly negative means below
+-CERTIFY_MARGIN max|c|, and 0 means within TIE_MARGIN max|c|; a reduced
+cost between the two, a near tie, is certified by no basis. The
 certifier decides with BLAS products and a guard band: a row whose
 value is too near its threshold for the product's rounding bound is
 decided by the fixed-order sum (_accumulate), which also gives every
@@ -29,13 +35,15 @@ answer what is left from the row's own (c, b), finding its basis
   transportation problem once each node splits in two.
 - the tableau from the slack basis of the shape's lp_skeleton.
 The first two only propose a basis. It stands only where it certifies
-its own row, as the unique optimum the tableau would end on too;
-otherwise the next engine runs. The tableau's ratio test is the same
-lexicographic rule, so it ends on the one basis certify can accept,
-degenerate or not, and certify tests that basis as it stands. So every
-answer is a function of its own row's (c, b), whatever the other rows
-of the batch are, in whatever order they come and whatever the pool
-holds. This is the only module that calls the simplex.
+its own row, as the one basis the tableau would end on too; otherwise
+the next engine runs. The tableau breaks ties by the same two rules, in
+b by its ratio test and in c by the columns it enters within its band,
+so it ends on the one basis certify can accept, degenerate or tied, and
+certify tests that basis as it stands; at a near tie, the tableau's
+answer stands. So every answer is a function of its own row's (c, b),
+whatever the other rows of the batch are, in whatever order they come
+and whatever the pool holds. This is the only module that calls the
+simplex.
 """
 
 from __future__ import annotations
@@ -45,15 +53,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import lp_skeleton, necessary_violations
-from .simplex import PIVOT_TOL, LinearProgram, reoptimize, solve
+from .simplex import PIVOT_TOL, LinearProgram, reoptimize, solve, tie_passes
 from .transport import modi_arrays, vogel_arrays
 
-__all__ = ["CERTIFY_MARGIN"]
+__all__ = ["CERTIFY_MARGIN", "TIE_MARGIN"]
 
-# A cached basis answers a scenario only when every nonbasic reduced
-# cost is below -CERTIFY_MARGIN * max |c|: then it is the unique
-# optimum, and the cold solve would end on it as well.
+# A basis answers a scenario only where every nonbasic reduced cost is
+# below -CERTIFY_MARGIN * max |c|, or a tie: within TIE_MARGIN * max |c|
+# of 0, and passed by simplex.tie_passes. The tableau's own tie band,
+# PIVOT_TOL * max |c|, lies a hundredfold inside the one and outside the
+# other, so the cold solve ends on such a basis as well, whatever the
+# last bits of its values.
 CERTIFY_MARGIN = 1e-7
+TIE_MARGIN = 1e-11
 
 # The pool of warm starts keeps the POOL bases that certified their own
 # rows last, each inverse as int8. At 40x40 an inverse is 160x160, 25 KB,
@@ -262,11 +274,12 @@ class _BasisCache:
         warm (phase 2 from the pool), _proposed (the transport solver),
         and simplex.solve. The first two only propose. Where the basis
         they give certifies LP 0 there is no cold solution, since the
-        tableau would end on the same unique optimum; otherwise the next
-        engine runs. The tableau's lexicographic rule ends on the one
-        basis certify can accept, so that basis is certified as it
-        stands; where it fails the test (a reduced cost within the
-        margin, a tie in c), the tableau's answer stands. A basis that
+        tableau would end on the same basis; otherwise the next engine
+        runs. The tableau breaks ties in b and in c by certify's rules,
+        so it ends on the one basis certify can accept, tied or not, and
+        that basis is certified as it stands; where it fails the test (a
+        near tie: a reduced cost between TIE_MARGIN and CERTIFY_MARGIN
+        times max |c|), the tableau's answer stands. A basis that
         certifies LP 0 joins the pool (at most POOL bases, 0.8 MB at
         40x40), whichever engine found it.
         """
@@ -287,16 +300,23 @@ class _BasisCache:
         return basis, certified, sol
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
-        """Which scenarios (rows of c and b) have basis as their unique optimum.
+        """Which scenarios (rows of c and b) basis answers, as their one certified basis.
 
         Returns the mask, and the optimal shipments (one row each) and
-        benefits of the certified rows. Certified means strictly: every
-        nonbasic reduced cost below the margin, and every basic variable
-        above _floor(b), or within it of 0 with a positive lead (the
-        lexicographic rule of the module docstring). Ties go to the cold
-        solve; at most one basis certifies a row. The tableau's final
-        basis passes the primal test where max |b| is below 1, as
-        answer scales it: there _floor(b) is the tableau's PIVOT_TOL.
+        benefits of the certified rows. Certified means: every basic
+        variable above _floor(b), or within it of 0 with a positive lead,
+        and every nonbasic reduced cost below -CERTIFY_MARGIN max|c|, or
+        within TIE_MARGIN max|c| of 0 where simplex.tie_passes passes its
+        column (the lexicographic rules of the module docstring). A tie's
+        test is one of the basis alone, made only for the columns within
+        the band on some row, from B^-1 M_j, whose entries are 0 and ±1;
+        only the rows that fail outright are then decided again, so a
+        batch with no tie does no more work. At most one basis certifies
+        a row. The tableau's final basis passes the primal test where
+        max |b| is below 1, as answer scales it: there _floor(b) is the
+        tableau's PIVOT_TOL. Outside near ties it passes the dual test at
+        any scale: its own tie band, PIVOT_TOL max|c|, lies a hundredfold
+        inside the margin and outside TIE_MARGIN.
 
         A row's tests, on x_B = b B^-T and on the reduced costs
         c_N - (c_B B^-1) M_N, M_N the nonbasic columns of the standard
@@ -316,7 +336,9 @@ class _BasisCache:
           products with M_N then differ by at most 4γ_n s k to first
           order, and the subtraction from c_N adds a rounding of each
           side, 2u (max|c| + s k): the bound is _guard(max|c| (n w k + 1),
-          2n + 2).
+          2n + 2). The outright test is decided so; a column out of the
+          tie band by more than the bound on every row is no tie, and the
+          rows a tie could pass are decided again on the fixed-order sums.
         The thresholds are at least PIVOT_TOL in size, so underflow, which
         the bound leaves out, moves no decision. So every decision is
         that of the fixed-order sums, and the written x_B and benefits
@@ -342,12 +364,19 @@ class _BasisCache:
             """Minus the reduced costs of rows k, from product."""
             return product(product(c_basic[k], basis.inverse), nonbasic) - c_nonbasic[k]
 
-        optimal = _clears(
-            priced(slice(None), np.matmul),
-            CERTIFY_MARGIN * largest[:, None],
-            _guard(largest * (spread + 1.0), 2 * n + 2),
-            lambda k: priced(k, _accumulate),
-        )
+        value, bound = priced(slice(None), np.matmul), _guard(largest * (spread + 1.0), 2 * n + 2)
+        margin, tie = CERTIFY_MARGIN * largest[:, None], TIE_MARGIN * largest[:, None]
+        optimal = _clears(value, margin, bound, lambda k: priced(k, _accumulate))
+        tied = ~(np.abs(value) > tie + bound[:, None]).all(axis=0)  # within the band somewhere
+        if tied.any() and not optimal.all():
+            cols = basis.nonbasic[tied]
+            passes = np.zeros(len(tied), dtype=bool)
+            passes[tied] = tie_passes(basis.inverse @ self.matrix[:, cols], basis.basic, cols)
+            if passes.any():  # the rows that fail outright, decided again by the sums
+                retry = np.flatnonzero(~optimal)
+                exact = priced(retry, _accumulate)
+                ties = passes & (np.abs(exact) <= tie[retry])
+                optimal[retry] = ((exact > margin[retry]) | ties).all(axis=1)
         rows, c_basic = rows[optimal], c_basic[optimal]
         x_basic = _accumulate(b[rows], basis.inverse.T)
         ok = np.zeros(len(b), dtype=bool)
@@ -374,15 +403,14 @@ class _BasisCache:
         its c by 2^j, k and j the frexp exponents of its max |b| and max
         |c|; its x is multiplied back by 2^k and its benefit by 2^(k+j).
         That is exact in binary, it leaves the screen's absolute FEAS_TOL
-        on the unscaled row, it puts every row's _floor at PIVOT_TOL, the
-        tableau's tolerance, and it makes the tableau's pricing tolerance
-        relative to max |c|, as certify's margin is. Every cached basis is
-        tested on every row still waiting for an answer; the first row
-        none certifies goes to fresh, which starts warm from the pool,
-        proposes a basis or solves the row cold, and tests the basis it
-        finds on the rows still pending. A basis found again after such
-        a test answers nothing new: certify is a function of (basis,
-        row), and every row still pending was tested on it.
+        on the unscaled row, and it puts every row's _floor at PIVOT_TOL,
+        the tableau's tolerance. Every cached basis is tested on every
+        row still waiting for an answer; the first row none certifies
+        goes to fresh, which starts warm from the pool, proposes a basis
+        or solves the row cold, and tests the basis it finds on the rows
+        still pending. A basis found again after such a test answers
+        nothing new: certify is a function of (basis, row), and every row
+        still pending was tested on it.
         Afterwards the cache holds only the bases that answered a row
         other than the one they were found at: where optimal supports do
         not repeat, no basis is retested on the next batch.

@@ -87,6 +87,8 @@ class EmpiricalCDF:
     def __post_init__(self):
         if len(self.xs) == 0 or len(self.xs) != len(self.ps):
             raise ValueError("need matching nonempty knot arrays")
+        if not all(map(math.isfinite, (*self.xs, *self.ps))):
+            raise ValueError("CDF knots must be finite")  # NaN passes every order test below
         for a, b in zip(self.xs, self.xs[1:]):
             if b <= a:
                 raise ValueError("CDF knots must be strictly increasing in x")

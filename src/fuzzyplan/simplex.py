@@ -5,12 +5,27 @@ least ratio, and breaks ties within PIVOT_TOL by the lexicographically
 least row of key / pivot entry, where key holds each constraint row's
 slack column, or its artificial on an "=" row: mat[:m, key] is
 B^-1 diag(±1). Every row of [b | key] starts lexicographically positive
-(rows are normalized to b >= 0, and a ">=" row with b == 0 to a +1
-slack), and the rule keeps it so, which is the simplex on the LP with
-every bound loosened by (ε, ε², …): it cannot cycle, and it ends on the
-basis that fuzzyplan.basis certifies (Dantzig, Orden & Wolfe, Pacific J.
-Math. 5, 1955; Bertsimas & Tsitsiklis, Introduction to Linear
-Optimization, §3.4). Each step is a numpy operation over the tableau:
+(rows are normalized to b >= 0, and a row with b within the zero floor
+of fuzzyplan.basis to a +1 slack), and the rule keeps it so, which is
+the simplex on the LP with every bound loosened by (ε, ε², …) (Dantzig,
+Orden & Wolfe, Pacific J. Math. 5, 1955; Bertsimas & Tsitsiklis,
+Introduction to Linear Optimization, §3.4).
+
+Phase 2 breaks ties in c by the same rule applied to the dual. Its
+pricing tolerance is PIVOT_TOL max |c|, and once no column is priced
+beyond it, the columns within it of 0 are the ties: their objective-row
+entries are set to 0, and the tableau enters each one whose reduced cost
+is not negative once every profit c_k is raised by δ^(k+1) (tie_passes),
+through the lexicographic ratio test, until every tie passes. That is
+the simplex on the optimal face with both perturbations, an LP that is
+primal and dual nondegenerate: it cannot cycle, and it ends on the one
+optimal basis that fuzzyplan.basis certifies, whether or not the
+optimum of c is unique. A tie pivot needs the lexicographic ratio test:
+at a degenerate vertex the least ratio can sit on a row whose 0 rounded
+to -6e-17, and leaving that row puts another row at 0 with a key that
+leads negative.
+
+Each step is a numpy operation over the tableau:
 pricing is one argmin over the allowed columns, the ratio test visits
 only the rows with a positive pivot-column entry, and a pivot updates
 only the rows whose pivot-column entry is nonzero.
@@ -33,7 +48,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["LinearProgram", "SimplexSolution", "solve", "reoptimize", "PIVOT_TOL", "FEAS_TOL"]
+__all__ = [
+    "LinearProgram",
+    "SimplexSolution",
+    "solve",
+    "reoptimize",
+    "tie_passes",
+    "PIVOT_TOL",
+    "FEAS_TOL",
+]
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -83,21 +106,35 @@ class _Tableau:
         self.basis[row] = col
         self.iterations += 1
 
-    def run(self, allowed_cols: np.ndarray) -> str:
+    def run(self, allowed_cols: np.ndarray, tie: float | None = None) -> str:
         """Maximize until optimal ("optimal") or an unbounded ray ("unbounded").
 
         allowed_cols is an ascending index array of the columns that may
         enter the basis. The rows of key are those of a nonsingular
         matrix, so in exact arithmetic the lexicographic test leaves one.
+        A column enters while one's objective-row entry is below -tie,
+        or -PIVOT_TOL without tie (phase 1). Then, with tie (phase 2),
+        the entries within tie of 0 are set to 0, which moves c by at
+        most tie on each such column, and the first column at 0 that
+        fails tie_passes enters (_tied_entering), until none does. Such a
+        pivot leaves the objective row as it is, so the columns at 0 stay
+        those of the optimal face, exactly, and it cannot cycle.
         """
         mat = self.mat
         while True:
             # Dantzig: the first column at the strict minimum
             reduced = mat[-1, allowed_cols]
             k = int(reduced.argmin())
-            if not reduced[k] < -PIVOT_TOL:
+            if reduced[k] < -(PIVOT_TOL if tie is None else tie):
+                col = int(allowed_cols[k])
+            elif tie is None:
                 return "optimal"
-            col = int(allowed_cols[k])
+            else:
+                tied = allowed_cols[reduced <= tie]
+                mat[-1, tied] = 0.0
+                col = self._tied_entering(tied)
+                if col < 0:
+                    return "optimal"
             rows = (mat[:-1, col] > PIVOT_TOL).nonzero()[0]
             if not rows.size:
                 return "unbounded"
@@ -110,15 +147,27 @@ class _Tableau:
             if self.iterations > 50_000:
                 raise RuntimeError("simplex failed to terminate")
 
+    def _tied_entering(self, tied: np.ndarray) -> int:
+        """The first of the tied columns that is nonbasic, fails tie_passes
+        and has a positive entry to pivot on, or -1 where none does."""
+        basic = np.array(self.basis)
+        tied = tied[~np.isin(tied, basic)]
+        entries = self.mat[:-1, tied]
+        fails = ~tie_passes(entries, basic, tied) & (entries > PIVOT_TOL).any(axis=0)
+        return int(tied[fails][0]) if fails.any() else -1
+
 
 def solve(lp: LinearProgram) -> SimplexSolution:
     """Two-phase solve of lp: an exact vertex or the infeasible/unbounded flag."""
     a, relations, b, c = lp
     m, n = a.shape
     relations = np.asarray(relations, dtype=str)
-    # rows are normalized to b >= 0, and a ">=" row with b == 0 to a +1
-    # slack, so that every row of [b | key] starts lexicographically positive
-    flip = (b < 0) | ((relations == ">=") & (b == 0))
+    # rows are normalized to b >= 0, and a row whose |b| is within
+    # PIVOT_TOL * max(1, max |b|) of 0 to a +1 slack, so that every row of
+    # [b | key] starts lexicographically positive with such a b counted as
+    # 0, as fuzzyplan.basis counts it
+    zero = np.abs(b) <= PIVOT_TOL * max(1.0, np.abs(b).max())
+    flip = np.where(zero, relations == ">=", b < 0)
     # each normalized row's slack coefficient: +1 on <=, -1 on >=, 0 on =;
     # a row without a +1 slack starts from an artificial
     slack = np.select([relations == "<=", relations == ">="], [1.0, -1.0])
@@ -133,7 +182,7 @@ def solve(lp: LinearProgram) -> SimplexSolution:
     rows = mat[:m]
     rows[:, :n] = a
     rows[flip, :n] *= -1.0  # only the flipped rows: negating all of a would copy it
-    rows[:, -1] = np.abs(b)
+    rows[:, -1] = np.where(flip, -b, b)
     rows[has_slack, slack_at[has_slack]] = slack[has_slack]
     rows[art, art_at[art]] = 1.0
     key = np.where(has_slack, slack_at, art_at).tolist()
@@ -169,8 +218,8 @@ def reoptimize(lp: LinearProgram, basic, inverse: np.ndarray) -> SimplexSolution
     row r for basic[r]. The tableau is inverse @ [a | diag(±1) | b], the
     key columns are the slacks, and the objective row is priced out by
     c_B inverse. Every row of [x_B | key] must start lexicographically
-    positive, as solve's do: run keeps them so, and ends on an optimum of
-    the same loosened LP as solve.
+    positive, as solve's do: run keeps them so, and ends on the one
+    optimal basis of the same perturbed LP as solve.
     """
     a, relations, b, c = lp
     m, n = a.shape
@@ -187,9 +236,26 @@ def reoptimize(lp: LinearProgram, basic, inverse: np.ndarray) -> SimplexSolution
     return _phase2(_Tableau(mat, list(basic), list(range(n, n + m))), c, n + m)
 
 
+def tie_passes(entries: np.ndarray, basic, cols: np.ndarray) -> np.ndarray:
+    """Whether each tied nonbasic column of cols prices below 0 once every
+    profit c_k is raised by δ^(k+1), δ > 0 infinitesimal.
+
+    entries holds B^-1 M_j for each j in cols, one column each, its rows
+    those of basic. The δ-terms of j's reduced cost are +1 at j itself
+    and -entries[i] at basic[i], so a tie passes where the first of them
+    that is nonzero, in column order, is negative: where some basic
+    column before j has a nonzero entry, and the first such entry is
+    positive. With these c the dual is nondegenerate as well.
+    """
+    basic = np.asarray(basic)
+    earlier = (np.abs(entries) > PIVOT_TOL) & (basic[:, None] < cols)
+    first = np.where(earlier, basic[:, None], np.inf).argmin(axis=0)
+    return earlier.any(axis=0) & (entries[first, np.arange(len(cols))] > 0)
+
+
 def _phase2(tab: _Tableau, c: np.ndarray, n_real: int) -> SimplexSolution:
     """Run tab, whose objective row prices c, over its first n_real columns."""
-    if tab.run(np.arange(n_real)) == "unbounded":
+    if tab.run(np.arange(n_real), PIVOT_TOL * np.abs(c).max()) == "unbounded":
         return SimplexSolution("unbounded", None, None, tab.iterations)
     x = np.zeros(len(c))
     for i, col in enumerate(tab.basis):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fuzzyplan.basis import CERTIFY_MARGIN
+from fuzzyplan.basis import CERTIFY_MARGIN, TIE_MARGIN
 from fuzzyplan.simplex import PIVOT_TOL, LinearProgram, SimplexSolution, solve
 from fuzzyplan.transport import TransportInstance, TransportPlan, _require_balanced
 
@@ -77,8 +77,9 @@ def fixed_order_certify(cache, basis, c, b):
 
     A row passes where each basic variable is above minus its lead times
     the floor PIVOT_TOL * max(1, max |b|), and each nonbasic reduced cost
-    below -CERTIFY_MARGIN * max |c|; x and benefit cover the
-    passing rows.
+    below -CERTIFY_MARGIN * max |c|, or at most TIE_MARGIN * max |c| from
+    0 where dual_lexicographic_negative holds for its column; x and
+    benefit cover the passing rows.
     """
     floor = PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=1))[:, None]
     x_basic = fixed_order_sum(b, basis.inverse.T)
@@ -88,8 +89,10 @@ def fixed_order_certify(cache, basis, c, b):
     c_basic = costs[:, basis.basic]
     duals = fixed_order_sum(c_basic, basis.inverse)
     reduced = costs[:, basis.nonbasic] - fixed_order_sum(duals, cache.matrix[:, basis.nonbasic])
-    margin = CERTIFY_MARGIN * np.abs(c[rows]).max(axis=1)
-    optimal = (reduced < -margin[:, None]).all(axis=1)
+    largest = np.abs(c[rows]).max(axis=1)[:, None]
+    negative = [dual_lexicographic_negative(cache, basis, j) for j in basis.nonbasic]
+    tied = (np.abs(reduced) <= TIE_MARGIN * largest) & negative
+    optimal = ((reduced < -CERTIFY_MARGIN * largest) | tied).all(axis=1)
     rows, c_basic = rows[optimal], c_basic[optimal]
     x_basic = x_basic[rows]
     ok = np.zeros(len(b), dtype=bool)
@@ -101,6 +104,16 @@ def fixed_order_certify(cache, basis, c, b):
     for r in shipped:
         benefit += c_basic[:, r] * x_basic[:, r]
     return ok, x, benefit
+
+
+def dual_lexicographic_negative(cache, basis, j) -> bool:
+    """Whether nonbasic column j's reduced cost is negative once each
+    profit c_k is raised by δ^(k+1): its δ-terms, written out over every
+    column, lead negative."""
+    terms = np.zeros(cache.matrix.shape[1])
+    terms[j] = 1.0
+    terms[basis.basic] = -np.rint(np.linalg.solve(cache.matrix[:, basis.basic], cache.matrix[:, j]))
+    return terms[np.flatnonzero(terms)[0]] < 0
 
 
 def mc_prob_geq(a_lo, a_hi, b_lo, b_hi, n=1_000_000, seed=0):

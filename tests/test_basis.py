@@ -1,16 +1,22 @@
 """basis._BasisCache.answer against scipy's HiGHS on random small batches."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fixed_order_certify, fixed_order_sum
+from oracles import dual_lexicographic_negative, fixed_order_certify, fixed_order_sum
 
 import fuzzyplan.basis as basis_module
-from fuzzyplan.basis import CERTIFY_MARGIN, _BasisCache, _floor
+from fuzzyplan.basis import CERTIFY_MARGIN, TIE_MARGIN, _BasisCache, _floor
 from fuzzyplan.simplex import LinearProgram, solve
+
+
+# test_exactly_one_basis_certifies_each_optimal_vertex enumerates a row
+# only where its optimal support has at most this many completions
+COMPLETIONS = 20_000
 
 
 def random_batch(rng, m, n, k):
@@ -232,9 +238,10 @@ def assert_certify_matches_fixed_order(cache, basis, c, b):
 def placed_rows(cache, basis, c, b, pick):
     """(c, b) rows of one LP at the edges of the certificate: basic
     variable pick % n moved to its floor, then a nonbasic lane's reduced
-    cost moved to minus the margin, each from 3 ulps below to 3 above."""
+    cost moved to minus the margin and to either edge of the tie band,
+    each from 3 ulps below to 3 above."""
     steps = np.arange(-3, 4)
-    c_rows, b_rows = np.tile(c, (14, 1)), np.tile(b, (14, 1))
+    c_rows, b_rows = np.tile(c, (28, 1)), np.tile(b, (28, 1))
     j = pick % len(basis.basic)
     column = cache.matrix[:, basis.basic[j]]
     at_floor = b.copy()
@@ -251,11 +258,12 @@ def placed_rows(cache, basis, c, b, pick):
     costs = np.concatenate([c, np.zeros(len(b))])
     duals = fixed_order_sum(costs[None, basis.basic], basis.inverse)
     price = fixed_order_sum(duals, cache.matrix[:, [lane]])[0, 0]
-    at_margin = c.copy()
-    for _ in range(3):  # the margin moves with max |c|
-        at_margin[lane] = price - CERTIFY_MARGIN * np.abs(at_margin).max()
-    c_rows[7:] = at_margin
-    c_rows[7:, lane] += steps * np.spacing(at_margin[lane])
+    for k, edge in enumerate([-CERTIFY_MARGIN, -TIE_MARGIN, TIE_MARGIN], start=1):
+        at_edge = c.copy()
+        for _ in range(3):  # the edge moves with max |c|
+            at_edge[lane] = price + edge * np.abs(at_edge).max()
+        c_rows[7 * k : 7 * k + 7] = at_edge
+        c_rows[7 * k : 7 * k + 7, lane] += steps * np.spacing(at_edge[lane])
     return c_rows, b_rows
 
 
@@ -263,8 +271,9 @@ def test_banded_certify_equals_fixed_order(fixed_order_calls):
     # certify decides on BLAS products only where the value clears its
     # threshold by more than the rounding bound, and on fixed-order sums
     # elsewhere, so it equals the fixed-order certify bit for bit; rows
-    # at the floor and at the margin, and ulps either side, fall inside
-    # the band and take the fixed-order sums
+    # at the floor, at the margin and at the edges of the tie band, and
+    # ulps either side, fall inside the guard band and take the
+    # fixed-order sums
     unsure = []
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -347,34 +356,68 @@ def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_exactly_one_basis_certifies_each_optimal_vertex(seed):
-    # the lexicographic rule: of the bases that complete the support of a
-    # row's optimum, exactly one certifies the row, degenerate or not
+    # the lexicographic rules: of the bases that complete the support of a
+    # row's optimum, exactly one certifies the row, degenerate, tied in c
+    # or neither, and it is the tableau's; of the bases so found in a
+    # batch, at most one certifies any of its rows. Half the rows draw
+    # their profits from three values, so that optimal faces are edges
+    # and more, and the balanced batches are degenerate without a fold. A
+    # row is enumerated where it has at most COMPLETIONS completions:
+    # every row of the smaller shapes, and the 4x5 rows up to 4 short
+    seen = {"degenerate": 0, "tied": 0}
     rng = np.random.default_rng(400 + seed)
-    degenerate = 0
     for m, n in ((1, 3), (2, 2), (3, 2), (4, 5)):
         cache = _BasisCache((m, n))
-        c, b = folded_batch(rng, m, n, 30)
-        for row in range(len(b)):
-            sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
-            if sol.status != "optimal":
-                continue
-            x = np.array(sol.x)
-            slacks = (b[row] - cache.matrix[:, : cache.lanes] @ x) * cache.signs
-            support = np.concatenate([x, slacks]) > _floor(b[row])
-            missing = len(b[row]) - int(support.sum())
-            if missing > 3:
-                continue
-            degenerate += missing > 0
-            certifying = 0
-            for extra in itertools.combinations(np.flatnonzero(~support), missing):
-                chosen = support.copy()
-                chosen[list(extra)] = True
-                basis = cache._basis(chosen)
-                if basis is not None:
-                    ok = cache.certify(basis, c[row : row + 1], b[row : row + 1])[0]
-                    certifying += int(ok[0])
-            assert certifying == 1, (m, n, row)
-    assert degenerate
+        for kind in (folded_batch, balanced_batch):
+            c, b = kind(rng, m, n, 30)
+            tied = rng.random(len(c)) < 0.5
+            c[tied] = rng.choice([40.0, 60.0, 90.0], size=(tied.sum(), c.shape[1]))
+            c, b = scaled_as_answer_does(c), scaled_as_answer_does(b)
+            found = {}
+            for row in range(len(b)):
+                one = c[row : row + 1], b[row : row + 1]
+                sol = solve(LinearProgram(*cache.skeleton, b[row], c[row]))
+                if sol.status != "optimal":
+                    continue
+                x = np.array(sol.x)
+                slacks = (b[row] - cache.matrix[:, : cache.lanes] @ x) * cache.signs
+                support = np.concatenate([x, slacks]) > _floor(b[row])
+                missing = len(b[row]) - int(support.sum())
+                if math.comb(int((~support).sum()), missing) > COMPLETIONS:
+                    continue
+                certifying = []
+                for extra in itertools.combinations(np.flatnonzero(~support), missing):
+                    chosen = support.copy()
+                    chosen[list(extra)] = True
+                    basis = cache._basis(chosen)
+                    if basis is not None and cache.certify(basis, *one)[0][0]:
+                        certifying.append(basis)
+                assert len(certifying) == 1, (m, n, row)
+                basis = certifying[0]
+                assert basis.basic.tolist() == sorted(sol.basis)  # the tableau's final basis
+                found[basis.basic.tobytes()] = basis
+                costs = np.concatenate([c[row], np.zeros(len(b[row]))])
+                duals = costs[basis.basic] @ basis.inverse
+                reduced = costs[basis.nonbasic] - duals @ cache.matrix[:, basis.nonbasic]
+                seen["degenerate"] += missing > 0
+                seen["tied"] += bool((np.abs(reduced) <= TIE_MARGIN * np.abs(c[row]).max()).any())
+            answered = sum(cache.certify(basis, c, b)[0].astype(int) for basis in found.values())
+            assert (answered <= 1).all()
+    assert all(seen.values()), seen
+
+
+def test_a_minimum_within_the_floor_counts_as_0_in_the_tableau():
+    # supplier 1's purchase minimum is 5e-67, within the zero floor of
+    # the primal test. The tableau gives that row a +1 slack as it does a
+    # minimum of 0, so its basis holds that slack basic at about 0 with
+    # a positive lead, and certify accepts it; with the row's -1 slack and
+    # an artificial, lane (1, 0) would be basic at 5e-67, leading negative
+    cache = _BasisCache((2, 1))
+    c = np.array([0.78125, 0.78125])
+    b = np.array([0.78125, 0.78125, 0.78125, 0.0, 4.86e-67, 0.0])
+    sol = solve(LinearProgram(*cache.skeleton, b, c))
+    assert sol.x == (0.78125, 0.0)
+    assert cache.certify(cache._solved(sol), c[None], b[None])[0][0]
 
 
 @pytest.mark.parametrize("c, solves", [([5.0, 4.0, -1.0, -2.0], 0), ([5.0, 4.0, 3.0, -2.0], 1)])
@@ -433,11 +476,12 @@ def scaled_as_answer_does(rows):
 
 def test_the_tableau_ends_on_the_basis_certify_accepts():
     # the lexicographic ratio test keeps every row of [x_B | B^-1 diag(±1)]
-    # lexicographically positive, which is certify's primal test; so
-    # where every nonbasic reduced cost is below the margin, certify
-    # accepts the tableau's final basis, degenerate or not. Profits drawn
-    # from three values tie, and leave reduced costs within the margin
-    seen = {"degenerate": 0, "certified": 0, "within the margin": 0}
+    # lexicographically positive, which is certify's primal test, and the
+    # tableau enters every tied column whose δ-perturbed reduced cost does
+    # not lead negative, which is certify's tie test; so certify accepts
+    # the tableau's final basis, degenerate or not, tied or not. Profits
+    # drawn from three values tie
+    seen = {"degenerate": 0, "strict": 0, "tied": 0}
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -466,13 +510,12 @@ def test_the_tableau_ends_on_the_basis_certify_accepts():
             duals = fixed_order_sum(costs[None, basis.basic], basis.inverse)
             priced = fixed_order_sum(duals, cache.matrix[:, basis.nonbasic])[0]
             reduced = costs[basis.nonbasic] - priced
-            certified = cache.certify(basis, c[row : row + 1], b[row : row + 1])[0][0]
-            if (reduced < -CERTIFY_MARGIN * np.abs(c[row]).max()).all():
-                assert certified
-                seen["certified"] += 1
-            else:
-                assert not certified
-                seen["within the margin"] += 1
+            largest = np.abs(c[row]).max()
+            tied = np.abs(reduced) <= TIE_MARGIN * largest
+            assert (reduced[~tied] < -CERTIFY_MARGIN * largest).all()
+            assert all(dual_lexicographic_negative(cache, basis, j) for j in basis.nonbasic[tied])
+            assert cache.certify(basis, c[row : row + 1], b[row : row + 1])[0][0]
+            seen["tied" if tied.any() else "strict"] += 1
 
     check()
     assert all(seen.values()), seen
@@ -523,7 +566,7 @@ def test_warm_starts_leave_every_answer_as_it_is(monkeypatch, engine_counts):
     # a row, so a cache whose pool is emptied before every cold row gives
     # the same bytes and keeps the same bases, whatever the pool holds.
     # Two batches a cache, so the pool also carries over from one batch
-    # to the next; tied profits leave rows that no basis certifies
+    # to the next; some batches draw tied profits
     fresh = _BasisCache.fresh
 
     def without_pool(cache, c, b):
@@ -555,4 +598,4 @@ def test_warm_starts_leave_every_answer_as_it_is(monkeypatch, engine_counts):
     check()
     counts = engine_counts()
     assert counts["warm"] > 100  # rows a warm start certified, in the runs with a pool
-    assert counts["phase 2"] > counts["warm"]  # and rows that went on to the proposal
+    assert counts["phase 2"] == counts["warm"]  # phase 2 ends on the basis certify accepts

@@ -1,3 +1,4 @@
+import math
 import re
 from statistics import NormalDist
 
@@ -50,6 +51,22 @@ def test_type_validation():
         EmpiricalCDF((0.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         EmpiricalCDF((0.0, 1.0), (0.8, 0.5))
+
+
+@pytest.mark.parametrize(
+    "xs, ps",
+    [
+        ((0.0, math.nan, 2.0), (0.0, 0.5, 1.0)),
+        ((0.0, 1.0, 2.0), (0.0, math.nan, 1.0)),
+        ((0.0, math.inf), (0.0, 1.0)),
+        ((-math.inf, 0.0), (0.0, 1.0)),
+        ((0.0, 1.0), (-math.inf, 1.0)),
+    ],
+)
+def test_ecdf_rejects_knots_that_are_not_finite(xs, ps):
+    # NaN compares false, so it passes every order test of the knots
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalCDF(xs, ps)
 
 
 def test_ecdf_from_samples_median():

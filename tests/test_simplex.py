@@ -196,7 +196,10 @@ BEALE = lp(
 
 def test_solutions_pinned():
     # every status, x, value and iteration count, bit for bit: any change
-    # in pricing, tie-breaking or pivot order changes the digest
+    # in pricing, tie-breaking or pivot order changes the digest. Ties in
+    # c are broken by the dual lexicographic rule: 91 of the 2,000 integer
+    # LPs end on another optimal basis than without it, 66 of them at
+    # another optimal x
     rng = np.random.default_rng(7)
     problems = [_integer_lp(rng) for _ in range(2000)]
     for k, count in ((3, 20), (8, 5), (15, 2)):
@@ -213,7 +216,7 @@ def test_solutions_pinned():
         "infeasible": 1000,
         "unbounded": 431,
     }
-    assert digest.hexdigest() == "0dfdc09c0e44ef180400d3573659eb1cf5b383392e40ae7e5ae8fb4bdb00355e"
+    assert digest.hexdigest() == "82400e0edccf51031a009e00757ee5899527a777db6a8f7aa8979d8fea704f0d"
 
 
 def test_crisp_mode_writes_the_tableau_optimum(tmp_path):
