@@ -131,16 +131,14 @@ def _floor(b: np.ndarray) -> np.ndarray:
 class _BasisCache:
     """Optimal bases found so far in a run, and the test that reuses them.
 
-    Columns index the standard form [A | diag(±1)] of the shape's LP
-    skeleton: MN shipments, then one slack per row, +1 on capacity rows
-    and -1 on contract rows.
+    Columns index the standard form [A | diag(signs)] of the shape's
+    lp_skeleton: MN shipments, then one slack per row.
     """
 
     def __init__(self, shape):
         self.skeleton = lp_skeleton(shape)
-        a, relations = self.skeleton
+        a, self.signs = self.skeleton
         self.shape = shape
-        self.signs = np.array([1.0 if rel == "<=" else -1.0 for rel in relations])
         self.lanes = shape[0] * shape[1]
         self.matrix = np.hstack([a, np.diag(self.signs)])
         self.column_weight = np.abs(self.matrix).sum(axis=0).max()  # for certify's bound

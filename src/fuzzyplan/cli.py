@@ -333,12 +333,15 @@ def parse_problem(
     a sidecar file ({"histogram": path} of bin CSV rows, {"samples":
     path} of one value per line, relative to the problem file). All
     forms are normalized to trapezoids at the given confidence levels.
+    The file is UTF-8, and a leading byte-order mark is skipped.
     """
     path = Path(file)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit

@@ -212,8 +212,11 @@ def read_samples(path) -> SampleSet:
     The file converts in one pass; only when that fails are its lines
     scanned again, to name the first bad one.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")  # text mode has turned \r\n and \r into \n
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")  # text mode has turned \r\n and \r into \n
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     texts = list(filter(None, map(str.strip, lines)))
     try:
         values = tuple(map(float, texts))
@@ -233,9 +236,12 @@ def read_histogram_csv(path) -> BinnedHistogram:
     ascending and non-overlapping; gaps between bins are filled with
     zero-count bins so the edges stay contiguous.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        numbered = enumerate(csv.reader(fh), start=1)
-        lines = [(lineno, row) for lineno, row in numbered if any(map(str.strip, row))]
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            numbered = enumerate(csv.reader(fh), start=1)
+            lines = [(lineno, row) for lineno, row in numbered if any(map(str.strip, row))]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if lines and not _is_number(lines[0][1][0]):
         lines = lines[1:]  # header
     rows = []

@@ -190,23 +190,26 @@ def lane_profits(purchase_price, sale_price, transport_cost) -> np.ndarray:
 
 @cache
 def lp_skeleton(shape) -> tuple:
-    """(a, relations): the constraint rows of the distributor LP of one shape.
+    """(a, signs): the constraint rows of the distributor LP of one shape,
+    a x + diag(signs) s = b with slacks s >= 0.
 
     Row sums are capped by supply and floored by the purchase contracts;
     column sums are capped by demand and floored by the sale contracts.
     a is the read-only (2(M+N), MN) 0/1 matrix of supplier row sums,
     customer column sums, then both again, held as bool: it stays cached
     for the run, and a float copy would take eight times the memory.
-    relations are "<=" on the first M+N rows (capacities) and ">=" on
-    the rest (contracts). Row k pairs with the k-th entry of b. Only c
-    and b vary between LPs of one shape.
+    signs is each row's read-only slack coefficient: +1 on the first
+    M+N rows (capacities, a x <= b) and -1 on the rest (contracts,
+    a x >= b). Row k pairs with the k-th entry of b. Only c and b vary
+    between LPs of one shape.
     """
     m, n = shape
     lane = np.arange(m * n)
     sums = np.vstack([lane // n == np.arange(m)[:, None], lane % n == np.arange(n)[:, None]])
     a = np.vstack([sums, sums])
-    a.flags.writeable = False
-    return a, ("<=",) * (m + n) + (">=",) * (m + n)
+    signs = np.repeat([1.0, -1.0], m + n)
+    a.flags.writeable = signs.flags.writeable = False
+    return a, signs
 
 
 def lp_rows(shape, rows: np.ndarray) -> tuple:

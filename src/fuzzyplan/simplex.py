@@ -3,13 +3,13 @@
 Dantzig pricing picks the entering column. The ratio test takes the
 least ratio, and breaks ties within PIVOT_TOL by the lexicographically
 least row of key / pivot entry, where key holds each constraint row's
-slack column, or its artificial on an "=" row: mat[:m, key] is
-B^-1 diag(±1). Every row of [b | key] starts lexicographically positive
-(rows are normalized to b >= 0, and a row with b within the zero floor
-of fuzzyplan.basis to a +1 slack), and the rule keeps it so, which is
-the simplex on the LP with every bound loosened by (ε, ε², …) (Dantzig,
-Orden & Wolfe, Pacific J. Math. 5, 1955; Bertsimas & Tsitsiklis,
-Introduction to Linear Optimization, §3.4).
+slack column: mat[:m, key] is B^-1 diag(±1). Every row of [b | key]
+starts lexicographically positive (rows are normalized to b >= 0, and a
+row with b within the zero floor of fuzzyplan.basis to a +1 slack), and
+the rule keeps it so, which is the simplex on the LP with every bound
+loosened by (ε, ε², …) (Dantzig, Orden & Wolfe, Pacific J. Math. 5,
+1955; Bertsimas & Tsitsiklis, Introduction to Linear Optimization,
+§3.4).
 
 Phase 2 breaks ties in c by the same rule applied to the dual. Its
 pricing tolerance is PIVOT_TOL max |c|, and once no column is priced
@@ -36,9 +36,11 @@ of the same constraint matrix. It builds the tableau at that basis and
 runs the same _Tableau.run, so the pivot rule is the same.
 
 An LP is a LinearProgram of arrays, as the distributor path holds it:
-the shape's constraint matrix, its row relations, and one scenario's b
-and c. Its sense is always max; checking that the arrays are finite is
-the caller's job.
+the shape's constraint matrix, its slack signs, and one scenario's b
+and c. Every row has a slack, so the standard form is
+a x + diag(signs) s = b with x, s >= 0 (Bertsimas & Tsitsiklis §1.1).
+Its sense is always max; checking that the arrays are finite is the
+caller's job.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ FEAS_TOL = 1e-7
 
 
 class LinearProgram(NamedTuple):
-    """max c.x subject to a x (relations) b and x >= 0."""
+    """max c.x subject to a x + diag(signs) s = b and x, s >= 0."""
 
     a: np.ndarray  # (m, n)
-    relations: tuple  # m of "<=", ">=" and "="
+    signs: np.ndarray  # (m,): +1 where a x <= b, -1 where a x >= b
     b: np.ndarray  # (m,)
     c: np.ndarray  # (n,)
 
@@ -77,16 +79,14 @@ class SimplexSolution:
     x: tuple | None
     objective_value: float | None
     iterations: int
-    # optimal: each row's basic column of [a | slacks], a slack per row
-    # that has one (not "="), in row order
+    # optimal: each row's basic column of [a | diag(signs)], in row order
     basis: tuple | None = None
 
 
 class _Tableau:
     """Mutable simplex tableau: constraint rows plus one objective row.
 
-    key is the column of each constraint row's slack, or of its
-    artificial on an "=" row, in row order.
+    key is the column of each constraint row's slack, in row order.
     """
 
     def __init__(self, mat: np.ndarray, basis: list, key: list):
@@ -159,34 +159,33 @@ class _Tableau:
 
 def solve(lp: LinearProgram) -> SimplexSolution:
     """Two-phase solve of lp: an exact vertex or the infeasible/unbounded flag."""
-    a, relations, b, c = lp
+    a, signs, b, c = lp
     m, n = a.shape
-    relations = np.asarray(relations, dtype=str)
+    if not np.isin(signs, (1.0, -1.0)).all():
+        raise ValueError("slack signs must be +1 or -1")
     # rows are normalized to b >= 0, and a row whose |b| is within
     # PIVOT_TOL * max(1, max |b|) of 0 to a +1 slack, so that every row of
     # [b | key] starts lexicographically positive with such a b counted as
     # 0, as fuzzyplan.basis counts it
     zero = np.abs(b) <= PIVOT_TOL * max(1.0, np.abs(b).max())
-    flip = np.where(zero, relations == ">=", b < 0)
-    # each normalized row's slack coefficient: +1 on <=, -1 on >=, 0 on =;
-    # a row without a +1 slack starts from an artificial
-    slack = np.select([relations == "<=", relations == ">="], [1.0, -1.0])
-    slack[flip] *= -1.0
-    has_slack, art = slack != 0.0, slack <= 0.0
+    flip = np.where(zero, signs < 0, b < 0)
+    # each normalized row's slack coefficient; a row without a +1 slack
+    # starts from an artificial
+    slack = np.where(flip, -signs, signs)
+    art = slack < 0
     # tableau columns: x, the slacks, the artificials (each in row order), b
-    n_real = n + int(has_slack.sum())
+    n_real = n + m
     total = n_real + int(art.sum())
-    slack_at = n - 1 + np.cumsum(has_slack)
     art_at = n_real - 1 + np.cumsum(art)
+    key = list(range(n, n_real))
     mat = np.zeros((m + 1, total + 1))
     rows = mat[:m]
     rows[:, :n] = a
     rows[flip, :n] *= -1.0  # only the flipped rows: negating all of a would copy it
     rows[:, -1] = np.where(flip, -b, b)
-    rows[has_slack, slack_at[has_slack]] = slack[has_slack]
+    rows[:, n:n_real] = np.diag(slack)
     rows[art, art_at[art]] = 1.0
-    key = np.where(has_slack, slack_at, art_at).tolist()
-    tab = _Tableau(mat, np.where(art, art_at, slack_at).tolist(), key)
+    tab = _Tableau(mat, np.where(art, art_at, key).tolist(), key)
 
     if total > n_real:
         # phase 1: maximize -(sum of artificials), priced out over the basis
@@ -212,19 +211,18 @@ def reoptimize(lp: LinearProgram, basic, inverse: np.ndarray) -> SimplexSolution
     """Phase 2 of lp from a known basis: the primal simplex restarted
     where an earlier solve ended (Bertsimas & Tsitsiklis §3.4 and §5.1).
 
-    Every row of lp has a slack (no "=" row), so its columns are a and
-    one slack per row, +1 on "<=" and -1 on ">=", as in solve's basis.
-    basic names m of them and inverse is the inverse of their matrix,
-    row r for basic[r]. The tableau is inverse @ [a | diag(±1) | b], the
-    key columns are the slacks, and the objective row is priced out by
-    c_B inverse. Every row of [x_B | key] must start lexicographically
-    positive, as solve's do: run keeps them so, and ends on the one
-    optimal basis of the same perturbed LP as solve.
+    The columns of lp are those of [a | diag(signs)], as in solve's
+    basis. basic names m of them and inverse is the inverse of their
+    matrix, row r for basic[r]. The tableau is
+    inverse @ [a | diag(signs) | b], the key columns are the slacks, as
+    in solve, and the objective row is priced out by c_B inverse. Every
+    row of [x_B | key] must start lexicographically positive, as solve's
+    do: run keeps them so, and ends on the one optimal basis of the same
+    perturbed LP as solve.
     """
-    a, relations, b, c = lp
+    a, signs, b, c = lp
     m, n = a.shape
     inverse = np.asarray(inverse, dtype=float)  # an integer one would skip BLAS in the products
-    signs = np.where(np.asarray(relations, dtype=str) == "<=", 1.0, -1.0)
     mat = np.empty((m + 1, n + m + 1))
     mat[:m, :n] = inverse @ a
     mat[:m, n:-1] = inverse * signs
@@ -270,15 +268,12 @@ def _phase2(tab: _Tableau, c: np.ndarray, n_real: int) -> SimplexSolution:
 def _evict_artificials(tab: _Tableau, n_real: int):
     """Pivot zero-level artificials (columns from n_real on) out of the basis.
 
-    Rows whose only nonzeros sit in artificial columns are redundant
-    constraints; zeroing them is equivalent to deleting the row.
+    An artificial's column is minus its row's slack column, bit for bit,
+    since pivots are row operations; so where the artificial is basic
+    the slack has -1, and there is always an entry to pivot on among the
+    first n_real columns.
     """
     for i in range(len(tab.basis)):
-        if tab.basis[i] < n_real:
-            continue
-        nonzero = np.flatnonzero(np.abs(tab.mat[i, :n_real]) > PIVOT_TOL)
-        if nonzero.size:
-            tab.pivot(i, int(nonzero[0]))
-        else:
-            tab.mat[i, :] = 0.0
+        if tab.basis[i] >= n_real:
+            tab.pivot(i, int(np.argmax(np.abs(tab.mat[i, :n_real]) > PIVOT_TOL)))
 

@@ -172,10 +172,10 @@ def vogel_arrays(costs: np.ndarray, supply: list, demand: list):
 def modi_optimize(t: TransportInstance, start: TransportPlan) -> TransportPlan:
     """Potentials-method minimization of cost from a basic feasible start.
 
-    To maximize, pass the negated costs. Degenerate bases are
-    completed with zero-shipment cells, lexicographically smallest
-    loop-free cell first. Raises ValueError when the start basis carries
-    a loop or misses a positive shipment.
+    To maximize, pass the negated costs. The start's basis must be a
+    spanning tree, M+N-1 cells with no loop, zero-shipment cells
+    included, that holds every positive shipment, as Vogel's start
+    does; any other start raises ValueError.
     """
     m, n = t.shape
     costs = np.array(t.costs, dtype=float)
@@ -183,7 +183,8 @@ def modi_optimize(t: TransportInstance, start: TransportPlan) -> TransportPlan:
     for i, j in np.argwhere(np.array(x) > 0).tolist():  # row-major
         if (i, j) not in start.basis:
             raise ValueError(f"positive shipment at ({i},{j}) missing from basis")
-    plan = modi_arrays(costs, x, _spanning_basis(start.basis, m, n))
+    _require_spanning_tree(start.basis, m, n)
+    plan = modi_arrays(costs, x, start.basis)
     if plan is None:
         raise RuntimeError("potentials method failed to terminate")
     x, cells = plan
@@ -243,11 +244,12 @@ def modi_arrays(costs: np.ndarray, x: list, cells):
     return None
 
 
-def _spanning_basis(cells, m: int, n: int) -> set:
-    """Start cells plus lex-smallest loop-free cells, up to a spanning tree.
+def _require_spanning_tree(cells, m: int, n: int):
+    """Raise ValueError unless cells span the M rows and N columns as a tree.
 
-    Union-find over row nodes 0..m-1 and column nodes m..m+n-1; a start
-    cell whose row and column are already joined closes a loop.
+    Union-find over row nodes 0..m-1 and column nodes m..m+n-1; a cell
+    whose row and column are already joined closes a loop, and M+N-1
+    cells without a loop are a spanning tree.
     """
     parent = list(range(m + n))
 
@@ -257,23 +259,13 @@ def _spanning_basis(cells, m: int, n: int) -> set:
             a = parent[a]
         return a
 
-    def union(i, j):
-        a, b = find(i), find(m + j)
-        parent[a] = b
-        return a != b
-
-    basis = set()
     for (i, j) in cells:
-        if not union(i, j):
+        a, b = find(i), find(m + j)
+        if a == b:
             raise ValueError("start basis contains a loop")
-        basis.add((i, j))
-    for i in range(m):
-        for j in range(n):
-            if len(basis) == m + n - 1:
-                return basis
-            if (i, j) not in basis and union(i, j):
-                basis.add((i, j))
-    return basis
+        parent[a] = b
+    if len(cells) != m + n - 1:
+        raise ValueError(f"start basis has {len(cells)} cells, a spanning tree has {m + n - 1}")
 
 
 class _Tree:

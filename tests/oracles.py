@@ -5,12 +5,13 @@ vertices, the ordering oracle is plain Monte Carlo, the transport
 certificate only *checks* optimality conditions instead of searching, and
 the spanning-tree check relabels components instead of walking a tree.
 The one exception is GeneralLP, which only translates a general LP
-(either sense, any relations, rows as tuples) into the arrays that
-simplex.solve takes. fixed_order_certify is basis certification with
-every test decided on fixed-order sums, the reference that the banded
-certify must equal bit for bit. north_west_corner is a poor transport
-start that gives MODI many pivots to make; negated turns a maximization
-into the minimization that MODI solves.
+(either sense, "<=", ">=" and "=" rows as tuples) into the arrays that
+simplex.solve takes, each "=" row as a "<=" and ">=" pair.
+fixed_order_certify is basis certification with every test decided on
+fixed-order sums, the reference that the banded certify must equal bit
+for bit. north_west_corner is a poor transport start that gives MODI
+many pivots to make; negated turns a maximization into the
+minimization that MODI solves.
 """
 
 from __future__ import annotations
@@ -34,12 +35,15 @@ class GeneralLP(NamedTuple):
     constraints: tuple  # of (coeffs tuple, "<=" | ">=" | "=", rhs)
 
     def as_max(self) -> LinearProgram:
-        """The rows as arrays; a "min" LP becomes the max of -objective.x."""
+        """The rows as arrays, an "=" row as a "<=" row and then a ">="
+        row; a "min" LP becomes the max of -objective.x."""
         c = np.array(self.objective, dtype=float)
-        a, relations, b = zip(*self.constraints) if self.constraints else ((), (), ())
+        sign = {"<=": (1.0,), ">=": (-1.0,), "=": (1.0, -1.0)}
+        rows = [(coeffs, s, rhs) for coeffs, rel, rhs in self.constraints for s in sign[rel]]
+        a, signs, b = zip(*rows) if rows else ((), (), ())
         a = np.array(a, dtype=float).reshape(len(b), len(c))
         b = np.array(b, dtype=float)
-        return LinearProgram(a, relations, b, c if self.sense == "max" else -c)
+        return LinearProgram(a, np.array(signs), b, c if self.sense == "max" else -c)
 
 
 def solve_general(problem: GeneralLP) -> SimplexSolution:
@@ -51,13 +55,10 @@ def solve_general(problem: GeneralLP) -> SimplexSolution:
 
 
 def residuals(lp: LinearProgram, x) -> float:
-    """Worst constraint violation of x in lp, sign-adjusted so 0 means feasible."""
+    """Worst constraint violation of x in lp, sign-adjusted so 0 means feasible:
+    a row's slack (b - a x) * sign below 0, or an x below 0."""
     x = np.asarray(x, dtype=float)
-    lhs = lp.a @ x
-    relations = np.asarray(lp.relations, dtype=str)
-    gaps = np.select(
-        [relations == "<=", relations == ">="], [lhs - lp.b, lp.b - lhs], np.abs(lhs - lp.b)
-    )
+    gaps = (lp.a @ x - lp.b) * lp.signs
     return float(max(0.0, -x.min(initial=0.0), gaps.max(initial=0.0)))
 
 

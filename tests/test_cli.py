@@ -392,6 +392,32 @@ def test_parse_rejects_integer_beyond_digit_limit(tmp_path):
         parse_problem(p)
 
 
+def test_problem_file_with_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    text = Path(TABLE1).read_text(encoding="utf-8")
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_problem(marked) == parse_problem(plain)
+    for p in (plain, marked):
+        assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / p.stem)]) == cli.EXIT_OK
+    solution = "crisp_solution.json"
+    assert (tmp_path / "marked" / solution).read_bytes() == (tmp_path / "plain" / solution).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("p.json", ["--mode", "crisp"]), ("s.txt", ["--mode", "ingest"]), ("h.csv", ["--mode", "ingest"])],
+)
+def test_undecodable_file_is_named(tmp_path, capsys, name, argv):
+    p = tmp_path / name
+    p.write_bytes(b"\xff\xfe1,2,3\n")
+    assert main([str(p), *argv, "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {p}: not UTF-8 text (" in err
+    assert "can't decode byte 0xff" in err
+
+
 def test_parse_transport_kind(tmp_path):
     p = tmp_path / "t.json"
     p.write_text(

@@ -104,19 +104,24 @@ def test_to_lp_rows_and_relations():
     )
     row = [(1.0, 1.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)]
     col = [tuple(1.0 if k % 3 == j else 0.0 for k in range(6)) for j in range(3)]
+    # capacities are a x <= b, a +1 slack; contracts a x >= b, a -1 slack
     want = (
-        [(row[i], "<=", inst.supply_max[i]) for i in range(2)]
-        + [(col[j], "<=", inst.demand_max[j]) for j in range(3)]
-        + [(row[i], ">=", inst.purchase_min[i]) for i in range(2)]
-        + [(col[j], ">=", inst.sale_min[j]) for j in range(3)]
+        [(row[i], 1.0, inst.supply_max[i]) for i in range(2)]
+        + [(col[j], 1.0, inst.demand_max[j]) for j in range(3)]
+        + [(row[i], -1.0, inst.purchase_min[i]) for i in range(2)]
+        + [(col[j], -1.0, inst.sale_min[j]) for j in range(3)]
     )
     lp = to_lp(inst)
-    assert tuple(zip(map(tuple, lp.a.tolist()), lp.relations, lp.b.tolist())) == tuple(want)
+    assert tuple(zip(map(tuple, lp.a.tolist()), lp.signs.tolist(), lp.b.tolist())) == tuple(want)
+    assert lp.signs.dtype == float
     assert tuple(lp.c.tolist()) == (3.5, 4.75, 5.0, 1.0, 4.0, 3.5)
     assert lp_skeleton((2, 3)) is lp_skeleton((2, 3))
     assert lp.a is lp_skeleton((2, 3))[0]
+    assert lp.signs is lp_skeleton((2, 3))[1]
     with pytest.raises(ValueError, match="read-only"):
         lp.a[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        lp.signs[0] = -1.0
 
 
 def test_scenario_row_layout():

@@ -175,6 +175,10 @@ def test_modi_rejects_bad_starts():
     missing = TransportPlan(((1.0, 0.0), (0.0, 1.0)), frozenset({(0, 0)}))
     with pytest.raises(ValueError, match="missing"):
         modi_optimize(t, missing)
+    # degenerate, and short of M+N-1 cells: a start must be a spanning tree
+    short = TransportPlan(((1.0, 0.0), (0.0, 1.0)), frozenset({(0, 0), (1, 1)}))
+    with pytest.raises(ValueError, match="2 cells, a spanning tree has 3"):
+        modi_optimize(t, short)
 
 
 def test_modi_degenerate_tie_instance():
