@@ -21,6 +21,22 @@ value is too near its threshold for the product's rounding bound is
 decided by the fixed-order sum (_accumulate), which also gives every
 value it writes.
 
+Batches are feature-major inside the engine: answer writes each batch's
+scaled b once as a (2(M+N), K) array and its c as (MN, K), one column
+per LP, and fresh, certify, _clears and _accumulate read that layout. So
+every per-LP test (a floor, a least gap) reduces along the long
+contiguous axis, and each step of a fixed-order sum adds whole
+contiguous rows. What depends only on the basis (the largest |B^-1|
+entry, and how many basic and nonbasic columns are lanes: the columns
+ascend, so lanes come first) is made with its _Basis in _basis, kept
+with it in the pool, and dropped with it. No bit depends on the layout:
+each product commutes, and each fixed-order sum adds the same terms in
+the same order, r ascending. certify's sums leave out only exact zeros:
+the duals sum over the basic lanes alone, since a slack's profit is 0,
+and x_B is summed for the basic lanes alone, the entries it writes. A
+left-out term would add ±0 to a sum that starts at +0, which moves no
+bit.
+
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
 scenarios and the fuzzy solver's alpha-cut corners alike: screen, scale
@@ -73,17 +89,27 @@ TIE_MARGIN = 1e-11
 POOL = 32
 
 
-def _accumulate(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """vectors @ matrix for (K, R) by (R, P), summed in a fixed order.
+def _accumulate(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix @ vectors for (P, R) by (R, K), summed in a fixed order.
 
-    Every entry is the same left-to-right sum whatever K is. A BLAS
-    product may block differently with the batch size and move the last
-    bits, and then results would depend on how a run is split. A row of
-    matrix that is all zeros would add exact zeros, so it is skipped.
+    The layout is feature-major, as answer writes its batches: column k
+    of vectors is one LP, and so is column k of the result. Entry (p, k)
+    is the sum over r ascending of matrix[p, r] vectors[r, k], from +0,
+    whatever K is; a BLAS product may block differently with the batch
+    size and move the last bits, and then results would depend on how a
+    run is split. A column of matrix that is all zeros would add exact
+    zeros, so it is skipped. Each step adds the contiguous row
+    vectors[r], times column r of matrix, to every row of the result.
+    These are the products, in the same order, of the row-major sum
+    vectors.T @ matrix.T, and a product commutes: every bit is the same
+    in either layout. certify passes views of its basis's arrays (B^-1,
+    its rows at the basic lanes transposed, and M_N transposed); where
+    the lanes end among the basic and nonbasic columns is made with the
+    basis, in _BasisCache._basis.
     """
-    out = np.zeros((vectors.shape[0], matrix.shape[1]))
-    for r in np.flatnonzero(matrix.any(axis=1)):
-        out += vectors[:, r : r + 1] * matrix[r]
+    out = np.zeros((matrix.shape[0], vectors.shape[1]))
+    for r in np.flatnonzero(matrix.any(axis=0)):
+        out += matrix[:, r : r + 1] * vectors[r]
     return out
 
 
@@ -95,37 +121,41 @@ def _guard(scale: np.ndarray, n: int) -> np.ndarray:
 
 
 def _clears(value, threshold, bound, exact) -> np.ndarray:
-    """(exact(rows) > threshold[rows]).all(axis=1) for every row, read
-    from value wherever that decides it.
+    """(exact(cols) > threshold[..., cols]).all(axis=0) for every column
+    (LP), read from value wherever that decides it.
 
     value is the BLAS form of the fixed-order exact, and bound (one per
-    row) a bound on their difference. A row passes where its least
+    column) a bound on their difference. A column passes where its least
     value - threshold exceeds bound, and fails where that is below
     -bound; rounding the gap cannot carry it across ±bound. exact
-    decides the other rows: those within bound of a threshold, and those
-    whose value or bound is not finite, since NaN compares false and
-    _guard's bound overflows to inf, which clears nothing, before a
+    decides the other columns: those within bound of a threshold, and
+    those whose value or bound is not finite, since NaN compares false
+    and _guard's bound overflows to inf, which clears nothing, before a
     value can.
     """
-    least = (value - threshold).min(axis=1)
+    least = (value - threshold).min(axis=0)
     passed = least > bound
     unsure = np.flatnonzero(~(np.abs(least) > bound))
     if unsure.size:
-        passed[unsure] = (exact(unsure) > threshold[unsure]).all(axis=1)
+        passed[unsure] = (exact(unsure) > threshold[..., unsure]).all(axis=0)
     return passed
 
 
 class _Basis(NamedTuple):
-    basic: np.ndarray  # standard-form columns, ascending
-    nonbasic: np.ndarray
+    basic: np.ndarray  # standard-form columns, ascending: lanes, then slacks
+    nonbasic: np.ndarray  # likewise
     inverse: np.ndarray  # of the basis matrix; row r gives basic variable r
     lead: np.ndarray  # sign of the first nonzero of row r of inverse @ diag(signs)
+    width: float  # the largest |inverse| entry, for certify's bounds
+    basic_lanes: int  # basic[:basic_lanes] are lanes
+    nonbasic_lanes: int  # nonbasic[:nonbasic_lanes] are lanes
 
 
 def _floor(b: np.ndarray) -> np.ndarray:
-    """How far from 0 a value counts as 0, per right-hand side (rows of b):
-    certify accepts such a basic variable only where its lead is positive."""
-    return PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=-1))
+    """How far from 0 a value counts as 0, per right-hand side (columns of
+    b, or b itself): certify accepts such a basic variable only where its
+    lead is positive."""
+    return PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=0))
 
 
 class _BasisCache:
@@ -148,7 +178,10 @@ class _BasisCache:
     def _basis(self, chosen: np.ndarray):
         """The basis of the columns in mask chosen, or None where they are
         not one. [A | diag(±1)] is totally unimodular, so B^-1 has entries
-        0 and ±1, and a row's lead is the sign of its first entry past 0.5."""
+        0 and ±1, and a row's lead is the sign of its first entry past 0.5.
+        The _Basis also holds what certify reads of the basis alone: the
+        largest |B^-1| entry, and where the lanes end among its basic and
+        nonbasic columns."""
         basic = np.flatnonzero(chosen)
         if len(basic) != self.matrix.shape[0]:
             return None
@@ -158,7 +191,9 @@ class _BasisCache:
             return None
         signed = inverse * self.signs
         lead = np.sign(signed[np.arange(len(basic)), np.argmax(np.abs(signed) > 0.5, axis=1)])
-        return _Basis(basic, np.flatnonzero(~chosen), inverse, lead)
+        nonbasic = np.flatnonzero(~chosen)
+        lanes = [int(np.searchsorted(columns, self.lanes)) for columns in (basic, nonbasic)]
+        return _Basis(basic, nonbasic, inverse, lead, np.abs(inverse).max(), *lanes)
 
     def _basis_at(self, x: np.ndarray, b: np.ndarray, c: np.ndarray):
         """The basis certify accepts at vertex x of LP (c, b), or None.
@@ -263,11 +298,11 @@ class _BasisCache:
             del self.pool[next(iter(self.pool))]
 
     def fresh(self, c: np.ndarray, b: np.ndarray):
-        """Answer LP 0 of the pending LPs (rows of c and b): none certifies it.
+        """Answer LP 0 of the pending LPs (columns of c and b): none certifies it.
 
         Returns (basis, certified, cold solution): the basis found for
         LP 0 (None where it has no optimum), what certify gives for it
-        on every row, and the tableau's solution of LP 0. The cached
+        on every column, and the tableau's solution of LP 0. The cached
         bases have been tried; the engines then come in this order:
         warm (phase 2 from the pool), _proposed (the transport solver),
         and simplex.solve. The first two only propose. Where the basis
@@ -281,14 +316,15 @@ class _BasisCache:
         certifies LP 0 joins the pool (at most POOL bases, 0.8 MB at
         40x40), whichever engine found it.
         """
+        c0, b0 = c[:, 0].copy(), b[:, 0].copy()
         for find in (self.warm, self._proposed):
-            basis = find(c[0], b[0])
+            basis = find(c0, b0)
             if basis is not None:
                 certified = self.certify(basis, c, b)
                 if certified[0][0]:
                     self._keep(basis)
                     return basis, certified, None
-        sol = solve(LinearProgram(*self.skeleton, b[0], c[0]))
+        sol = solve(LinearProgram(*self.skeleton, b0, c0))
         basis = self._solved(sol)
         if basis is None:
             return None, None, sol
@@ -298,30 +334,34 @@ class _BasisCache:
         return basis, certified, sol
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
-        """Which scenarios (rows of c and b) basis answers, as their one certified basis.
+        """Which scenarios (columns of c and b) basis answers, as their one certified basis.
 
-        Returns the mask, and the optimal shipments (one row each) and
-        benefits of the certified rows. Certified means: every basic
+        c is (MN, K) and b (2(M+N), K), one LP a column. Returns the
+        mask, the optimal shipments of the certified columns, (MN, r),
+        and their benefits. Certified means: every basic
         variable above _floor(b), or within it of 0 with a positive lead,
         and every nonbasic reduced cost below -CERTIFY_MARGIN max|c|, or
         within TIE_MARGIN max|c| of 0 where simplex.tie_passes passes its
         column (the lexicographic rules of the module docstring). A tie's
         test is one of the basis alone, made only for the columns within
-        the band on some row, from B^-1 M_j, whose entries are 0 and ±1;
-        only the rows that fail outright are then decided again, so a
+        the band on some LP, from B^-1 M_j, whose entries are 0 and ±1;
+        only the LPs that fail outright are then decided again, so a
         batch with no tie does no more work. At most one basis certifies
-        a row. The tableau's final basis passes the primal test where
+        an LP. The tableau's final basis passes the primal test where
         max |b| is below 1, as answer scales it: there _floor(b) is the
         tableau's PIVOT_TOL. Outside near ties it passes the dual test at
         any scale: its own tie band, PIVOT_TOL max|c|, lies a hundredfold
         inside the margin and outside TIE_MARGIN.
 
-        A row's tests, on x_B = b B^-T and on the reduced costs
-        c_N - (c_B B^-1) M_N, M_N the nonbasic columns of the standard
+        An LP's tests, on x_B = B^-1 b and on the reduced costs
+        c_N - M_N^T (B^-T c_B), M_N the nonbasic columns of the standard
         form, are read off BLAS products where the value
         clears its threshold by more than a bound on its distance from
         the _accumulate sum, and are decided by _accumulate on the other
-        rows (_clears). A sum of n products errs by at most γ_n Σ|v||m|,
+        LPs (_clears). c_B and c_N are read off c's lanes: a slack's
+        profit is 0, so the duals sum over the basic lanes alone, and a
+        nonbasic slack's reduced cost is its price. A sum of n products
+        errs by at most γ_n Σ|v||m|,
         γ_n = nu/(1 - nu) with u = 2^-53, in any order (Higham, Accuracy
         and Stability of Numerical Algorithms, §3.1), so two orders differ
         by at most 2γ_n Σ|v||m|. Let w be the largest |B^-1| entry, n the
@@ -335,56 +375,57 @@ class _BasisCache:
           order, and the subtraction from c_N adds a rounding of each
           side, 2u (max|c| + s k): the bound is _guard(max|c| (n w k + 1),
           2n + 2). The outright test is decided so; a column out of the
-          tie band by more than the bound on every row is no tie, and the
-          rows a tie could pass are decided again on the fixed-order sums.
+          tie band by more than the bound on every LP is no tie, and the
+          LPs a tie could pass are decided again on the fixed-order sums.
         The thresholds are at least PIVOT_TOL in size, so underflow, which
         the bound leaves out, moves no decision. So every decision is
         that of the fixed-order sums, and the written x_B and benefits
         are those sums: no bit depends on the batch or on BLAS.
         """
-        floor = _floor(b)[:, None]
-        n, width = len(basis.basic), np.abs(basis.inverse).max()
+        floor = _floor(b)
+        n, ships, prices = len(basis.basic), basis.basic_lanes, basis.nonbasic_lanes
         passed = _clears(
-            b @ basis.inverse.T,
-            -basis.lead * floor,
-            _guard(floor[:, 0] * (n * width / PIVOT_TOL), n),  # floor / PIVOT_TOL = max(1, max|b|)
-            lambda rows: _accumulate(b[rows], basis.inverse.T),
+            basis.inverse @ b,
+            -basis.lead[:, None] * floor,
+            _guard(floor * (n * basis.width / PIVOT_TOL), n),  # floor / PIVOT_TOL = max(1, max|b|)
+            lambda cols: _accumulate(basis.inverse, b[:, cols]),
         )
         rows = np.flatnonzero(passed)
-        costs = np.zeros((len(rows), self.matrix.shape[1]))
-        costs[:, : self.lanes] = c[rows]
-        c_basic, c_nonbasic = costs[:, basis.basic], costs[:, basis.nonbasic]
-        nonbasic = self.matrix[:, basis.nonbasic]
-        largest = np.abs(c[rows]).max(axis=1)
-        spread = n * width * self.column_weight
+        c = c[:, rows]
+        c_basic, c_nonbasic = c[basis.basic[:ships]], c[basis.nonbasic[:prices]]
+        by_lane = basis.inverse[:ships].T  # the duals are by_lane @ c_basic
+        nonbasic = self.matrix[:, basis.nonbasic].T
+        largest = np.abs(c).max(axis=0)
+        spread = n * basis.width * self.column_weight
 
         def priced(k, product):
-            """Minus the reduced costs of rows k, from product."""
-            return product(product(c_basic[k], basis.inverse), nonbasic) - c_nonbasic[k]
+            """Minus the reduced costs of columns k, from product."""
+            value = product(nonbasic, product(by_lane, c_basic[:, k]))
+            value[:prices] -= c_nonbasic[:, k]
+            return value
 
         value, bound = priced(slice(None), np.matmul), _guard(largest * (spread + 1.0), 2 * n + 2)
-        margin, tie = CERTIFY_MARGIN * largest[:, None], TIE_MARGIN * largest[:, None]
+        margin, tie = CERTIFY_MARGIN * largest, TIE_MARGIN * largest
         optimal = _clears(value, margin, bound, lambda k: priced(k, _accumulate))
-        tied = ~(np.abs(value) > tie + bound[:, None]).all(axis=0)  # within the band somewhere
+        tied = ~(np.abs(value) > tie + bound).all(axis=1)  # within the band somewhere
         if tied.any() and not optimal.all():
             cols = basis.nonbasic[tied]
             passes = np.zeros(len(tied), dtype=bool)
             passes[tied] = tie_passes(basis.inverse @ self.matrix[:, cols], basis.basic, cols)
-            if passes.any():  # the rows that fail outright, decided again by the sums
+            if passes.any():  # the LPs that fail outright, decided again by the sums
                 retry = np.flatnonzero(~optimal)
                 exact = priced(retry, _accumulate)
-                ties = passes & (np.abs(exact) <= tie[retry])
-                optimal[retry] = ((exact > margin[retry]) | ties).all(axis=1)
-        rows, c_basic = rows[optimal], c_basic[optimal]
-        x_basic = _accumulate(b[rows], basis.inverse.T)
-        ok = np.zeros(len(b), dtype=bool)
+                ties = passes[:, None] & (np.abs(exact) <= tie[retry])
+                optimal[retry] = ((exact > margin[retry]) | ties).all(axis=0)
+        rows, c_basic = rows[optimal], c_basic[:, optimal]
+        x_basic = _accumulate(basis.inverse[:ships], b[:, rows])  # the shipping lanes' x_B
+        ok = np.zeros(b.shape[1], dtype=bool)
         ok[rows] = True
-        shipped = np.flatnonzero(basis.basic < self.lanes)
-        x = np.zeros((len(x_basic), self.lanes))
-        x[:, basis.basic[shipped]] = x_basic[:, shipped]
-        benefit = np.zeros(len(x))
-        for r in shipped:
-            benefit += c_basic[:, r] * x_basic[:, r]
+        x = np.zeros((self.lanes, len(rows)))
+        x[basis.basic[:ships]] = x_basic
+        benefit = np.zeros(len(rows))
+        for r in range(ships):
+            benefit += c_basic[r] * x_basic[r]
         return ok, x, benefit
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -397,19 +438,22 @@ class _BasisCache:
         and x all zeros.
 
         A row that fails the feasibility screen is infeasible without a
-        solve. The rest are scaled: each row's b is divided by 2^k and
-        its c by 2^j, k and j the frexp exponents of its max |b| and max
-        |c|; its x is multiplied back by 2^k and its benefit by 2^(k+j).
-        That is exact in binary, it leaves the screen's absolute FEAS_TOL
-        on the unscaled row, and it puts every row's _floor at PIVOT_TOL,
-        the tableau's tolerance. Every cached basis is tested on every
-        row still waiting for an answer; the first row none certifies
-        goes to fresh, which starts warm from the pool, proposes a basis
-        or solves the row cold, and tests the basis it finds on the rows
-        still pending. A basis found again after such a test answers
-        nothing new: certify is a function of (basis, row), and every row
-        still pending was tested on it.
-        Afterwards the cache holds only the bases that answered a row
+        solve. The rest are written once, scaled, into feature-major
+        arrays: b as (2(M+N), P) and c as (MN, P), one column an LP. Each
+        LP's b is divided by 2^k and its c by 2^j, k and j the frexp
+        exponents of its max |b| and max |c|; its x is multiplied back by
+        2^k and its benefit by 2^(k+j). That is exact in binary, it leaves
+        the screen's absolute FEAS_TOL on the unscaled row, and it puts
+        every LP's _floor at PIVOT_TOL, the tableau's tolerance. Every
+        cached basis is tested on every LP still waiting for an answer;
+        the first LP none certifies goes to fresh, which starts warm from
+        the pool, proposes a basis or solves the LP cold, and tests the
+        basis it finds on the LPs still pending. The pending columns are
+        kept packed: answered columns are dropped as they settle. A basis
+        found again after such a test answers nothing new: certify is a
+        function of (basis, LP), and every LP still pending was tested
+        on it.
+        Afterwards the cache holds only the bases that answered an LP
         other than the one they were found at: where optimal supports do
         not repeat, no basis is retested on the next batch.
 
@@ -422,37 +466,42 @@ class _BasisCache:
         feasible = np.ones(len(b), dtype=bool)
         for mask in necessary_violations(*np.split(b, [m, m + n, 2 * m + n], axis=1)):
             feasible &= ~mask.reshape(len(b), -1).any(axis=1)
-        k = np.frexp(np.abs(b).max(axis=1))[1]
-        j = np.frexp(np.abs(c).max(axis=1))[1]
-        b, c = np.ldexp(b, -k[:, None]), np.ldexp(c, -j[:, None])
-        benefit, x = np.zeros(len(b)), np.zeros((len(b), self.lanes))
-        pending = np.flatnonzero(feasible)
+        screened = np.flatnonzero(feasible)
+        c, b = c.T.take(screened, axis=1), b.T.take(screened, axis=1)
+        k, j = (np.frexp(np.abs(values).max(axis=0))[1] for values in (b, c))
+        np.ldexp(b, -k, out=b)
+        np.ldexp(c, -j, out=c)
+        benefit, x = np.zeros(len(screened)), np.zeros((self.lanes, len(screened)))
+        pending = np.arange(len(screened))  # columns of x still to answer, and of c and b
 
         def settle(ok, x_ok, benefit_ok) -> int:
-            """Answer the pending rows a basis certifies (ok); return how many."""
-            nonlocal pending
-            x[pending[ok]], benefit[pending[ok]] = x_ok, benefit_ok
-            pending = pending[~ok]
-            return len(x_ok)
+            """Answer the pending LPs a basis certifies (ok); return how many."""
+            nonlocal pending, c, b
+            if len(benefit_ok):
+                cols, keep = pending[ok], ~ok
+                x[:, cols], benefit[cols] = x_ok, benefit_ok
+                pending, c, b = pending[keep], c.compress(keep, axis=1), b.compress(keep, axis=1)
+            return len(benefit_ok)
 
-        useful = [
-            basis for basis in self.bases if settle(*self.certify(basis, c[pending], b[pending]))
-        ]
+        useful = [basis for basis in self.bases if settle(*self.certify(basis, c, b))]
         while pending.size:
-            row = int(pending[0])
-            basis, certified, sol = self.fresh(c[pending], b[pending])
+            col = int(pending[0])
+            basis, certified, sol = self.fresh(c, b)
             others = settle(*certified) if basis is not None else 0
-            if pending.size and pending[0] == row:  # not certified: the cold answer stands
-                feasible[row] = sol.status == "optimal"
-                if feasible[row]:
-                    benefit[row], x[row] = sol.objective_value, sol.x
-                pending = pending[1:]
+            if pending.size and pending[0] == col:  # not certified: the cold answer stands
+                if sol.status == "optimal":
+                    benefit[col], x[:, col] = sol.objective_value, sol.x
+                else:
+                    feasible[screened[col]] = False
+                pending, c, b = pending[1:], c[:, 1:], b[:, 1:]
             else:
-                others -= 1  # its own row
+                others -= 1  # its own LP
             if others:
                 useful.append(basis)
         self.bases = useful
-        benefit, x = np.ldexp(benefit, k + j), np.ldexp(x, k[:, None])
-        if not (np.isfinite(benefit[feasible]).all() and np.isfinite(x[feasible]).all()):
+        benefit, x = np.ldexp(benefit, k + j), np.ldexp(x, k)
+        if not (np.isfinite(benefit).all() and np.isfinite(x).all()):
             raise ValueError("optimal benefit must be finite")
-        return feasible, benefit, x
+        benefits, shipments = np.zeros(len(feasible)), np.zeros((len(feasible), self.lanes))
+        benefits[screened], shipments[screened] = benefit, x.T
+        return feasible, benefits, shipments

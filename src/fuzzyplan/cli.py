@@ -243,16 +243,19 @@ def _as_trapezoid(value, where, base_dir, gamma_core, gamma_support):
             if not isinstance(ref, str):
                 raise ProblemFormatError(f"{where}: {form} reference must be a path string")
             path = base_dir / ref
+            histogram = form == "histogram"
             try:
-                if form == "histogram":
-                    ecdf = ecdf_from_histogram(read_histogram_csv(path))
-                else:
-                    ecdf = ecdf_from_samples(read_samples(path))
-            except OSError as exc:
-                raise ProblemFormatError(f"{where}: cannot read {path}: {exc}") from None
+                data = read_histogram_csv(path) if histogram else read_samples(path)
+            except OSError as exc:  # strerror: the message without the path again
+                reason = exc.strerror or exc
+                raise ProblemFormatError(f"{where}: cannot read {path}: {reason}") from None
+            except ValueError as exc:  # the reader's message names the file
+                raise ProblemFormatError(f"{where}: {exc}") from None
+            try:
+                ecdf = ecdf_from_histogram(data) if histogram else ecdf_from_samples(data)
+                return to_trapezoid(ecdf, gamma_core, gamma_support)
             except ValueError as exc:
                 raise ProblemFormatError(f"{where}: {path}: {exc}") from None
-            return to_trapezoid(ecdf, gamma_core, gamma_support)
     raise ProblemFormatError(
         f"{where}: expected a number, [a,b,c,d], {{mean,sigma}}, "
         "{histogram: path} or {samples: path}"
@@ -339,7 +342,7 @@ def parse_problem(
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise ProblemFormatError(f"cannot read {path}: {exc}") from None
+        raise ProblemFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ProblemFormatError(f"{path}: not UTF-8 text ({exc})") from None
     try:

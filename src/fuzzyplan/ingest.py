@@ -226,7 +226,7 @@ def read_samples(path) -> SampleSet:
         raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
     if not values:
         raise ValueError(f"{path}: no samples found")
-    return SampleSet(values)
+    return _named(path, SampleSet, values)
 
 
 def read_histogram_csv(path) -> BinnedHistogram:
@@ -264,7 +264,15 @@ def read_histogram_csv(path) -> BinnedHistogram:
             counts.append(0.0)
         edges.append(hi)
         counts.append(count)
-    return BinnedHistogram(tuple(edges), tuple(counts))
+    return _named(path, BinnedHistogram, tuple(edges), tuple(counts))
+
+
+def _named(path, kind, *fields):
+    """kind(*fields), with path named in the ValueError of a field check."""
+    try:
+        return kind(*fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _is_number(text: str) -> bool:

@@ -61,7 +61,7 @@ def counted_solves(monkeypatch):
     """Counts the cold rows of basis._BasisCache.answer: the LPs that no
     cached basis certifies, which every crisp, Monte Carlo and fuzzy run
     hands to _BasisCache.fresh (the transport proposal, then the simplex),
-    one call each, with the rows still pending."""
+    one call each, with the LPs still pending, one a column."""
     calls = []
     fresh = basis._BasisCache.fresh
 

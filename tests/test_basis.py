@@ -19,6 +19,13 @@ from fuzzyplan.simplex import LinearProgram, solve
 COMPLETIONS = 20_000
 
 
+def certify(cache, basis, c, b):
+    """cache.certify on c and b with one LP a row, as answer lays them out
+    (one LP a column), and x given back one LP a row."""
+    ok, x, benefit = cache.certify(basis, np.ascontiguousarray(c.T), np.ascontiguousarray(b.T))
+    return ok, np.ascontiguousarray(x.T), benefit
+
+
 def random_batch(rng, m, n, k):
     """k distributor LPs around one random scenario, as (c, b).
 
@@ -99,11 +106,11 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
         cache.pool.clear()  # proposals are under test here, not warm starts
         basis, certified, sol = fresh(cache, c, b)
         m, n = cache.shape
-        if (b[0, : m + n] < np.maximum(b[0, m + n :], 0.0)).any():
+        if (b[: m + n, 0] < np.maximum(b[m + n :, 0], 0.0)).any():
             outcomes["skipped"] += 1
         elif cache not in plain:
             outcomes["proposal certified" if sol is None else "proposal refused"] += 1
-            folded_row = (b[0, : m + n] == b[0, m + n :]).any()
+            folded_row = (b[: m + n, 0] == b[m + n :, 0]).any()
             outcomes["repaired row, proposal certified"] += bool(folded_row and sol is None)
         return basis, certified, sol
 
@@ -199,8 +206,8 @@ def test_certify_reads_each_row_alone(seed, size):
             if basis is not None:
                 bases.setdefault(basis.basic.tobytes(), basis)
         for basis in bases.values():
-            batch = cache.certify(basis, c, b)
-            alone = [cache.certify(basis, c[k : k + 1], b[k : k + 1]) for k in range(len(b))]
+            batch = certify(cache, basis, c, b)
+            alone = [certify(cache, basis, c[k : k + 1], b[k : k + 1]) for k in range(len(b))]
             for part, parts in zip(batch, zip(*alone)):
                 assert part.tobytes() == np.concatenate(parts).tobytes()
             folds = (b[:, : m + n] == b[:, m + n :]).any(axis=1)
@@ -217,9 +224,9 @@ def fixed_order_calls(monkeypatch):
     calls = []
     accumulate = basis_module._accumulate
 
-    def counted(vectors, matrix):
-        calls.append(len(vectors))
-        return accumulate(vectors, matrix)
+    def counted(matrix, vectors):
+        calls.append(vectors.shape[1])
+        return accumulate(matrix, vectors)
 
     monkeypatch.setattr(basis_module, "_accumulate", counted)
     return calls
@@ -228,7 +235,7 @@ def fixed_order_calls(monkeypatch):
 def assert_certify_matches_fixed_order(cache, basis, c, b):
     """Banded certify equals fixed_order_certify bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        got = cache.certify(basis, c, b)
+        got = certify(cache, basis, c, b)
         want = fixed_order_certify(cache, basis, c, b)
     assert len(got) == len(want)
     for part, ref in zip(got, want):
@@ -349,7 +356,7 @@ def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
     assert {lanes, lanes + pairs} <= set(basis.basic.tolist())  # s_cap and s_min of supplier 0
     folded = unfolded.copy()
     folded[[0, 3]] = 9.5
-    assert not cache.certify(basis, c[None], folded[None])[0][0]
+    assert not certify(cache, basis, c[None], folded[None])[0][0]
     feasible, benefit, x = cache.answer(c[None], folded[None])
     assert feasible[0] and x[0].tolist() == [8.0, 1.5] and benefit[0] == 38.5
 
@@ -390,7 +397,7 @@ def test_exactly_one_basis_certifies_each_optimal_vertex(seed):
                     chosen = support.copy()
                     chosen[list(extra)] = True
                     basis = cache._basis(chosen)
-                    if basis is not None and cache.certify(basis, *one)[0][0]:
+                    if basis is not None and certify(cache, basis, *one)[0][0]:
                         certifying.append(basis)
                 assert len(certifying) == 1, (m, n, row)
                 basis = certifying[0]
@@ -401,7 +408,7 @@ def test_exactly_one_basis_certifies_each_optimal_vertex(seed):
                 reduced = costs[basis.nonbasic] - duals @ cache.matrix[:, basis.nonbasic]
                 seen["degenerate"] += missing > 0
                 seen["tied"] += bool((np.abs(reduced) <= TIE_MARGIN * np.abs(c[row]).max()).any())
-            answered = sum(cache.certify(basis, c, b)[0].astype(int) for basis in found.values())
+            answered = sum(certify(cache, basis, c, b)[0].astype(int) for basis in found.values())
             assert (answered <= 1).all()
     assert all(seen.values()), seen
 
@@ -417,7 +424,7 @@ def test_a_minimum_within_the_floor_counts_as_0_in_the_tableau():
     b = np.array([0.78125, 0.78125, 0.78125, 0.0, 4.86e-67, 0.0])
     sol = solve(LinearProgram(*cache.skeleton, b, c))
     assert sol.x == (0.78125, 0.0)
-    assert cache.certify(cache._solved(sol), c[None], b[None])[0][0]
+    assert certify(cache, cache._solved(sol), c[None], b[None])[0][0]
 
 
 @pytest.mark.parametrize("c, solves", [([5.0, 4.0, -1.0, -2.0], 0), ([5.0, 4.0, 3.0, -2.0], 1)])
@@ -468,6 +475,41 @@ def test_rows_answer_alone_as_in_a_batch(seed, scale):
             assert [a[-1 - row].tobytes() for a in reverse] == want
 
 
+def test_answer_is_a_function_of_each_row():
+    # each answer is a function of its own row alone, which is what lets
+    # answer reorder its work (feature-major batches, pending columns
+    # packed as they settle): on a fresh cache, a permuted batch gets the
+    # permuted answers, bit for bit. Shapes up to 5x5, with infeasible
+    # rows, degenerate rows (folded and balanced) and tied rows mixed in
+    seen = {"infeasible": 0, "folded": 0, "tied": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        kind=st.sampled_from([random_batch, folded_batch, balanced_batch]),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 24),
+        data=st.data(),
+    )
+    def check(shape, kind, seed, size, data):
+        m, n = shape
+        rng = np.random.default_rng(seed)
+        c, b = kind(rng, m, n, size)
+        tied = rng.random(size) < 0.3
+        c[tied] = rng.choice([40.0, 60.0, 90.0], size=(tied.sum(), m * n))
+        perm = np.array(data.draw(st.permutations(range(size))))
+        want = _BasisCache(shape).answer(c, b)
+        got = _BasisCache(shape).answer(c[perm], b[perm])
+        assert [a.tobytes() for a in got] == [a[perm].tobytes() for a in want]
+        feasible = want[0]
+        seen["infeasible"] += int((~feasible).sum())
+        seen["folded"] += int((feasible & (b[:, : m + n] == b[:, m + n :]).any(axis=1)).sum())
+        seen["tied"] += int((feasible & tied).sum())
+
+    check()
+    assert all(seen.values()), seen
+
+
 def scaled_as_answer_does(rows):
     """Each row over 2^k, k the frexp exponent of its max |value|, as
     answer scales the rows of b and of c."""
@@ -514,7 +556,7 @@ def test_the_tableau_ends_on_the_basis_certify_accepts():
             tied = np.abs(reduced) <= TIE_MARGIN * largest
             assert (reduced[~tied] < -CERTIFY_MARGIN * largest).all()
             assert all(dual_lexicographic_negative(cache, basis, j) for j in basis.nonbasic[tied])
-            assert cache.certify(basis, c[row : row + 1], b[row : row + 1])[0][0]
+            assert certify(cache, basis, c[row : row + 1], b[row : row + 1])[0][0]
             seen["tied" if tied.any() else "strict"] += 1
 
     check()

@@ -418,6 +418,28 @@ def test_undecodable_file_is_named(tmp_path, capsys, name, argv):
     assert "can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize(
+    "form, name, content, reason",
+    [
+        ("samples", "s.txt", b"1\noops\n", "s.txt:2: not a number: 'oops'"),
+        ("samples", "s.txt", b"1\nnan\n", "s.txt: sample values must be finite, got nan"),
+        ("samples", "s.txt", b"\xff\xfe1\n", "s.txt: not UTF-8 text ("),
+        ("histogram", "h.csv", b"0,1,3\n1,2,oops\n", "h.csv:2: bad numeric row: "),
+        ("histogram", "h.csv", b"0,1,-3\n", "h.csv: bin counts must be finite and nonnegative"),
+        ("histogram", "h.csv", b"\xff\xfe0,1,3\n", "h.csv: not UTF-8 text ("),
+    ],
+)
+def test_sidecar_file_is_named_once(tmp_path, capsys, form, name, content, reason):
+    # the readers name the file in every message they raise, so the CLI
+    # adds only where the file is referenced
+    (tmp_path / name).write_bytes(content)
+    p = write_problem(tmp_path / "p.json", supply_max=[{form: name}])
+    assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: supply_max[0]: {tmp_path / reason}"), err
+    assert err.count(name) == 1, err
+
+
 def test_parse_transport_kind(tmp_path):
     p = tmp_path / "t.json"
     p.write_text(

@@ -303,7 +303,8 @@ def test_read_samples_names_first_bad_line(tmp_path, text, where):
 def test_read_samples_rejects_non_finite(tmp_path):
     p = tmp_path / "vals.txt"
     p.write_text("1.0\n-inf\nnan\n")
-    with pytest.raises(ValueError, match="^sample values must be finite, got -inf$"):
+    message = f"{p}: sample values must be finite, got -inf"  # the file is named
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         read_samples(p)
 
 

@@ -5,8 +5,9 @@ different costs and different optimal shipments: a writer that mixes up
 rows and columns changes the 2x3 bytes even where a square problem's
 shape would still look right. A 1x1 fuzzy run pins levels that are
 infeasible and repaired, and an 8x8 one corners that start warm from
-the bases of earlier corners. A transport run ships fractions, and the
-ingest mode reads a samples file and a histogram file.
+the bases of earlier corners; a Monte Carlo run of the 8x8 problem
+answers every step from its own basis. A transport run ships fractions,
+and the ingest mode reads a samples file and a histogram file.
 """
 
 import hashlib
@@ -95,6 +96,8 @@ DIGESTS = {
 LOW_LEVELS_FUZZY = "982516c3ffa9a6185aeb7172c0645bc2e00c8c12e605b837293f68ce13645518"
 # the bytes of a run that proposes every cold corner, with no warm start
 EIGHT_BY_EIGHT_FUZZY = "7de547029e1eb49b18c2ec6fc1d0b7226afd57d2188c4b7ee6a4aad84f5d40b7"
+# no optimal basis repeats in these 400 steps, so every step reaches fresh
+EIGHT_BY_EIGHT_MONTECARLO = "8dc5e6a0e92f799f099f35fac60e3b3c1b18a418ae70953f5b32829883b2c4ad"
 
 # fractional supplies and costs: shipments and total cost that 9 digits round
 FRACTIONAL_TRANSPORT = {
@@ -153,6 +156,21 @@ def test_fuzzy_outputs_pinned_through_warm_starts(tmp_path, engine_counts):
     assert _digest(out) == EIGHT_BY_EIGHT_FUZZY
     counts = engine_counts()
     assert (counts["cold"], counts["warm"], counts["proposed"]) == (10, 6, 4)
+
+
+def test_montecarlo_outputs_pinned_where_bases_seldom_repeat(tmp_path, engine_counts):
+    # one chunk of 400 scenarios: no cached basis answers a second row, so
+    # each row is warm-started or proposed, and certified; the bench's
+    # Monte Carlo workload is the other case, where bases repeat
+    source = tmp_path / "eight_by_eight.json"
+    source.write_text(json.dumps(eight_by_eight()))
+    out = tmp_path / "out"
+    argv = [str(source), "--mode", "montecarlo", "--mc-steps", "400", "--seed", "42"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    assert _digest(out) == EIGHT_BY_EIGHT_MONTECARLO
+    counts = engine_counts()
+    engines = ("cold", "warm", "proposed", "tableau")
+    assert [counts[key] for key in engines] == [400, 346, 54, 0]
 
 
 def test_transport_outputs_pinned(tmp_path):
