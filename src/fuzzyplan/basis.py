@@ -24,12 +24,12 @@ value it writes.
 Batches are feature-major inside the engine: answer writes each batch's
 scaled b once as a (2(M+N), K) array and its c as (MN, K), one column
 per LP, and fresh, certify, _clears and _accumulate read that layout. So
-every per-LP test (a floor, a least gap) reduces along the long
+every per-LP test (a largest |c|, a least gap) reduces along the long
 contiguous axis, and each step of a fixed-order sum adds whole
-contiguous rows. What depends only on the basis (the largest |B^-1|
-entry, and how many basic and nonbasic columns are lanes: the columns
-ascend, so lanes come first) is made with its _Basis in _basis, kept
-with it in the pool, and dropped with it. No bit depends on the layout:
+contiguous rows. What depends only on the basis (how many basic and
+nonbasic columns are lanes: the columns ascend, so lanes come first) is
+made with its _Basis in _basis, kept with it in the pool, and dropped
+with it. No bit depends on the layout:
 each product commutes, and each fixed-order sum adds the same terms in
 the same order, r ascending. certify's sums leave out only exact zeros:
 the duals sum over the basic lanes alone, since a slack's profit is 0,
@@ -113,26 +113,24 @@ def _accumulate(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guard(scale: np.ndarray, n: int) -> np.ndarray:
+def _guard(scale, n: int):
     """4nu scale, u = 2^-53: twice γ_n scale, which absorbs the rounding
-    of scale itself. It overflows to inf before a sum of n products whose
-    absolute values total scale can."""
+    of scale itself."""
     return scale * (4 * n) * 2.0**-53
 
 
 def _clears(value, threshold, bound, exact) -> np.ndarray:
     """(exact(cols) > threshold[..., cols]).all(axis=0) for every column
-    (LP), read from value wherever that decides it.
+    (LP), threshold broadcast to value's shape, read from value wherever
+    that decides it.
 
     value is the BLAS form of the fixed-order exact, and bound (one per
-    column) a bound on their difference. A column passes where its least
-    value - threshold exceeds bound, and fails where that is below
-    -bound; rounding the gap cannot carry it across ±bound. exact
-    decides the other columns: those within bound of a threshold, and
-    those whose value or bound is not finite, since NaN compares false
-    and _guard's bound overflows to inf, which clears nothing, before a
-    value can.
+    column, or one for all) a bound on their difference. A column passes
+    where its least value - threshold exceeds bound, and fails where that
+    is below -bound; rounding the gap cannot carry it across ±bound.
+    exact decides the other columns, those within bound of a threshold.
     """
+    threshold = np.broadcast_to(threshold, value.shape)
     least = (value - threshold).min(axis=0)
     passed = least > bound
     unsure = np.flatnonzero(~(np.abs(least) > bound))
@@ -146,16 +144,8 @@ class _Basis(NamedTuple):
     nonbasic: np.ndarray  # likewise
     inverse: np.ndarray  # of the basis matrix; row r gives basic variable r
     lead: np.ndarray  # sign of the first nonzero of row r of inverse @ diag(signs)
-    width: float  # the largest |inverse| entry, for certify's bounds
     basic_lanes: int  # basic[:basic_lanes] are lanes
     nonbasic_lanes: int  # nonbasic[:nonbasic_lanes] are lanes
-
-
-def _floor(b: np.ndarray) -> np.ndarray:
-    """How far from 0 a value counts as 0, per right-hand side (columns of
-    b, or b itself): certify accepts such a basic variable only where its
-    lead is positive."""
-    return PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=0))
 
 
 class _BasisCache:
@@ -163,6 +153,15 @@ class _BasisCache:
 
     Columns index the standard form [A | diag(signs)] of the shape's
     lp_skeleton: MN shipments, then one slack per row.
+
+    Every method below answer (fresh, warm, _proposed, propose,
+    _basis_at, certify) gets its LPs as answer scales them: each LP's
+    max|b| and max|c| is 0 or in [0.5, 1). So a value within PIVOT_TOL
+    of 0 counts as 0, which is also the zero floor of simplex.solve on
+    such an LP, and no total or product of b and c comes near the float
+    maximum. [A | diag(±1)] is totally unimodular (Hoffman & Kruskal,
+    1956; Schrijver, Theory of Linear and Integer Programming, ch. 19),
+    so every B^-1 has entries 0 and ±1; _basis rounds it to them.
     """
 
     def __init__(self, shape):
@@ -177,23 +176,22 @@ class _BasisCache:
 
     def _basis(self, chosen: np.ndarray):
         """The basis of the columns in mask chosen, or None where they are
-        not one. [A | diag(±1)] is totally unimodular, so B^-1 has entries
-        0 and ±1, and a row's lead is the sign of its first entry past 0.5.
-        The _Basis also holds what certify reads of the basis alone: the
-        largest |B^-1| entry, and where the lanes end among its basic and
-        nonbasic columns."""
+        not one. B^-1 is rounded to its exact entries 0 and ±1, and a row's
+        lead is the sign of its first nonzero entry. The _Basis also holds
+        what certify reads of the basis alone: where the lanes end among
+        its basic and nonbasic columns."""
         basic = np.flatnonzero(chosen)
         if len(basic) != self.matrix.shape[0]:
             return None
         try:
-            inverse = np.linalg.inv(self.matrix[:, basic])
+            inverse = np.rint(np.linalg.inv(self.matrix[:, basic]))
         except np.linalg.LinAlgError:
             return None
         signed = inverse * self.signs
-        lead = np.sign(signed[np.arange(len(basic)), np.argmax(np.abs(signed) > 0.5, axis=1)])
+        lead = np.sign(signed[np.arange(len(basic)), np.argmax(signed != 0, axis=1)])
         nonbasic = np.flatnonzero(~chosen)
         lanes = [int(np.searchsorted(columns, self.lanes)) for columns in (basic, nonbasic)]
-        return _Basis(basic, nonbasic, inverse, lead, np.abs(inverse).max(), *lanes)
+        return _Basis(basic, nonbasic, inverse, lead, *lanes)
 
     def _basis_at(self, x: np.ndarray, b: np.ndarray, c: np.ndarray):
         """The basis certify accepts at vertex x of LP (c, b), or None.
@@ -210,7 +208,7 @@ class _BasisCache:
         """
         pairs = len(b) // 2
         shipping = self.matrix[:, : self.lanes]
-        chosen = np.concatenate([x, (b - shipping @ x) * self.signs]) > _floor(b)
+        chosen = np.concatenate([x, (b - shipping @ x) * self.signs]) > PIVOT_TOL
         folded = b[:pairs] == b[pairs:]
         idle = folded & (shipping[:pairs] @ chosen[: self.lanes] == 0)
         chosen[self.lanes :] |= np.concatenate([idle, folded])
@@ -238,21 +236,18 @@ class _BasisCache:
 
         Returns None, and leaves the LP to the tableau, where a capacity
         is below its minimum or 0 (by at most FEAS_TOL, or the screen
-        would have answered the row), where a total or M passes the float
-        maximum, or where MODI runs out of pivots.
+        would have answered the row), or where MODI runs out of pivots.
         A capacity equal to its minimum, as on a repaired corner, leaves
         an optional node with nothing to supply; certify still decides.
         """
         m, n = self.shape
         least = np.maximum(b[m + n :], 0.0)
         spare = b[: m + n] - least
+        if (spare < 0).any():
+            return None
         big = 1.0 + 4 * (m + n) * np.abs(c).max()
-        nodes = 2 * (m + n + 1)  # a potential sums at most one cost per node
         supply = np.concatenate([least[:m], spare[:m], [least[m:].sum() + spare[m:].sum()]])
         demand = np.concatenate([least[m:], spare[m:], [least[:m].sum() + spare[:m].sum()]])
-        limits = ((2 * nodes + 1) * big, supply[-1], demand[-1])
-        if (spare < 0).any() or not np.isfinite(limits).all():
-            return None
         costs = np.zeros((2 * m + 1, 2 * n + 1))
         costs[: 2 * m, : 2 * n] = np.tile(-c.reshape(m, n), (2, 2))
         costs[:m, -1] = costs[-1, :n] = big
@@ -270,9 +265,8 @@ class _BasisCache:
         lexicographically positive, so simplex.reoptimize keeps them so
         and ends on the one basis certify can accept where c has one.
         """
-        floor = _floor(b)
         for start in reversed(self.pool.values()):
-            if (start.inverse @ b > -start.lead * floor).all():
+            if (start.inverse @ b > -start.lead * PIVOT_TOL).all():
                 lp = LinearProgram(*self.skeleton, b, c)
                 return self._solved(reoptimize(lp, start.basic, start.inverse))
         return None
@@ -293,7 +287,7 @@ class _BasisCache:
         inverse has entries 0 and ±1 (_basis), so int8 holds it."""
         key = basis.basic.tobytes()
         self.pool.pop(key, None)
-        self.pool[key] = basis._replace(inverse=np.rint(basis.inverse).astype(np.int8))
+        self.pool[key] = basis._replace(inverse=basis.inverse.astype(np.int8))
         if len(self.pool) > POOL:
             del self.pool[next(iter(self.pool))]
 
@@ -339,7 +333,7 @@ class _BasisCache:
         c is (MN, K) and b (2(M+N), K), one LP a column. Returns the
         mask, the optimal shipments of the certified columns, (MN, r),
         and their benefits. Certified means: every basic
-        variable above _floor(b), or within it of 0 with a positive lead,
+        variable above PIVOT_TOL, or within it of 0 with a positive lead,
         and every nonbasic reduced cost below -CERTIFY_MARGIN max|c|, or
         within TIE_MARGIN max|c| of 0 where simplex.tie_passes passes its
         column (the lexicographic rules of the module docstring). A tie's
@@ -347,11 +341,10 @@ class _BasisCache:
         the band on some LP, from B^-1 M_j, whose entries are 0 and ±1;
         only the LPs that fail outright are then decided again, so a
         batch with no tie does no more work. At most one basis certifies
-        an LP. The tableau's final basis passes the primal test where
-        max |b| is below 1, as answer scales it: there _floor(b) is the
-        tableau's PIVOT_TOL. Outside near ties it passes the dual test at
-        any scale: its own tie band, PIVOT_TOL max|c|, lies a hundredfold
-        inside the margin and outside TIE_MARGIN.
+        an LP. The tableau's final basis passes the primal test, since
+        its zero floor on these LPs is PIVOT_TOL too, and outside near
+        ties the dual test: its own tie band, PIVOT_TOL max|c|, lies a
+        hundredfold inside the margin and outside TIE_MARGIN.
 
         An LP's tests, on x_B = B^-1 b and on the reduced costs
         c_N - M_N^T (B^-T c_B), M_N the nonbasic columns of the standard
@@ -364,16 +357,16 @@ class _BasisCache:
         errs by at most γ_n Σ|v||m|,
         γ_n = nu/(1 - nu) with u = 2^-53, in any order (Higham, Accuracy
         and Stability of Numerical Algorithms, §3.1), so two orders differ
-        by at most 2γ_n Σ|v||m|. Let w be the largest |B^-1| entry, n the
-        rows of B, k the largest column sum of |[A | diag(±1)]|
-        (column_weight), which bounds those of |M_N|, and s = n w max|c|.
-        - x_B: Σ|v||m| is at most n w max|b|, so the bound is
-          _guard(n w max(1, max|b|), n).
+        by at most 2γ_n Σ|v||m|. The entries of B^-1 are 0 and ±1; let n
+        be the rows of B, k the largest column sum of |[A | diag(±1)]|
+        (column_weight), which bounds those of |M_N|, and s = n max|c|.
+        - x_B: Σ|v||m| is at most n max|b| < n, so the bound is
+          _guard(n, n).
         - Reduced costs: Σ|c_B| is at most n max|c|, so the duals differ
           by at most 2γ_n s and are at most (1 + γ_n) s in size. The
           products with M_N then differ by at most 4γ_n s k to first
           order, and the subtraction from c_N adds a rounding of each
-          side, 2u (max|c| + s k): the bound is _guard(max|c| (n w k + 1),
+          side, 2u (max|c| + s k): the bound is _guard(max|c| (n k + 1),
           2n + 2). The outright test is decided so; a column out of the
           tie band by more than the bound on every LP is no tie, and the
           LPs a tie could pass are decided again on the fixed-order sums.
@@ -382,12 +375,11 @@ class _BasisCache:
         that of the fixed-order sums, and the written x_B and benefits
         are those sums: no bit depends on the batch or on BLAS.
         """
-        floor = _floor(b)
         n, ships, prices = len(basis.basic), basis.basic_lanes, basis.nonbasic_lanes
         passed = _clears(
             basis.inverse @ b,
-            -basis.lead[:, None] * floor,
-            _guard(floor * (n * basis.width / PIVOT_TOL), n),  # floor / PIVOT_TOL = max(1, max|b|)
+            -basis.lead[:, None] * PIVOT_TOL,
+            _guard(n, n),
             lambda cols: _accumulate(basis.inverse, b[:, cols]),
         )
         rows = np.flatnonzero(passed)
@@ -396,7 +388,7 @@ class _BasisCache:
         by_lane = basis.inverse[:ships].T  # the duals are by_lane @ c_basic
         nonbasic = self.matrix[:, basis.nonbasic].T
         largest = np.abs(c).max(axis=0)
-        spread = n * basis.width * self.column_weight
+        spread = n * self.column_weight
 
         def priced(k, product):
             """Minus the reduced costs of columns k, from product."""
@@ -444,7 +436,7 @@ class _BasisCache:
         exponents of its max |b| and max |c|; its x is multiplied back by
         2^k and its benefit by 2^(k+j). That is exact in binary, it leaves
         the screen's absolute FEAS_TOL on the unscaled row, and it puts
-        every LP's _floor at PIVOT_TOL, the tableau's tolerance. Every
+        every LP in the frame the methods below assume (_BasisCache). Every
         cached basis is tested on every LP still waiting for an answer;
         the first LP none certifies goes to fresh, which starts warm from
         the pool, proposes a basis or solves the LP cold, and tests the
@@ -457,10 +449,9 @@ class _BasisCache:
         other than the one they were found at: where optimal supports do
         not repeat, no basis is retested on the next batch.
 
-        Finite data can still overflow on the way, in the simplex's
-        pricing or in a benefit past the float maximum: numpy stays
-        quiet, and a feasible row whose benefit or x is not finite
-        raises ValueError.
+        Finite data can still overflow where a benefit is multiplied back
+        past the float maximum: numpy stays quiet, and a feasible row
+        whose benefit or x is not finite raises ValueError.
         """
         m, n = self.shape
         feasible = np.ones(len(b), dtype=bool)

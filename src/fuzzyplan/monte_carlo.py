@@ -354,8 +354,13 @@ def _histogram(values: np.ndarray) -> BinnedHistogram:
 
 
 def _mean_std(values: np.ndarray):
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    """Mean and std (ddof=1) of values, taken on values / 2^k, k the frexp
+    exponent of max |value|, and multiplied back: exact in binary, and no
+    sum overflows on the way, even where the values near the float maximum."""
+    k = np.frexp(np.abs(values).max())[1]
+    scaled = np.ldexp(values, -k)
+    mean = float(np.ldexp(scaled.mean(), k))
+    std = float(np.ldexp(scaled.std(ddof=1), k)) if len(values) > 1 else 0.0
     return mean, std
 
 
@@ -421,7 +426,7 @@ def _degenerate_tol(trap: TrapezoidalFuzzyNumber) -> float:
     Relative to the quantity's magnitude because a point-mass histogram
     is stored with a hair-thin bin rather than zero width.
     """
-    return 1e-6 * max(1.0, abs(0.5 * (trap.a + trap.d)))
+    return 1e-6 * max(1.0, abs(midpoint(trap.a, trap.d)))
 
 
 def _ratio(fuzzy_width: float, mc_width: float, fuzzy_tol: float, mc_tol: float) -> float:

@@ -166,7 +166,7 @@ def solve(lp: LinearProgram) -> SimplexSolution:
     # rows are normalized to b >= 0, and a row whose |b| is within
     # PIVOT_TOL * max(1, max |b|) of 0 to a +1 slack, so that every row of
     # [b | key] starts lexicographically positive with such a b counted as
-    # 0, as fuzzyplan.basis counts it
+    # 0, as fuzzyplan.basis counts it on its LPs, where max |b| < 1
     zero = np.abs(b) <= PIVOT_TOL * max(1.0, np.abs(b).max())
     flip = np.where(zero, signs < 0, b < 0)
     # each normalized row's slack coefficient; a row without a +1 slack

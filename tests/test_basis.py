@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import dual_lexicographic_negative, fixed_order_certify, fixed_order_sum
 
 import fuzzyplan.basis as basis_module
-from fuzzyplan.basis import CERTIFY_MARGIN, TIE_MARGIN, _BasisCache, _floor
-from fuzzyplan.simplex import LinearProgram, solve
+from fuzzyplan.basis import CERTIFY_MARGIN, TIE_MARGIN, _BasisCache
+from fuzzyplan.simplex import PIVOT_TOL, LinearProgram, solve
 
 
 # test_exactly_one_basis_certifies_each_optimal_vertex enumerates a row
@@ -196,6 +196,7 @@ def test_certify_reads_each_row_alone(seed, size):
     for m, n in ((1, 3), (2, 2), (3, 2), (4, 5)):
         cache = _BasisCache((m, n))
         c, b = folded_batch(rng, m, n, size) if size == 30 else random_batch(rng, m, n, size)
+        c, b = scaled_as_answer_does(c), scaled_as_answer_does(b)
         bases = {}
         for row in range(len(b)):
             if len(bases) == (30 if size <= 64 else 2):
@@ -246,15 +247,14 @@ def placed_rows(cache, basis, c, b, pick):
     """(c, b) rows of one LP at the edges of the certificate: basic
     variable pick % n moved to its floor, then a nonbasic lane's reduced
     cost moved to minus the margin and to either edge of the tie band,
-    each from 3 ulps below to 3 above."""
+    each from 3 ulps below to 3 above. c and b are scaled as answer
+    scales them."""
     steps = np.arange(-3, 4)
     c_rows, b_rows = np.tile(c, (28, 1)), np.tile(b, (28, 1))
     j = pick % len(basis.basic)
     column = cache.matrix[:, basis.basic[j]]
-    at_floor = b.copy()
-    for _ in range(3):  # the floor moves with max |b|
-        x_j = fixed_order_sum(at_floor[None], basis.inverse.T)[0, j]
-        at_floor += (-basis.lead[j] * _floor(at_floor) - x_j) * column
+    x_j = fixed_order_sum(b[None], basis.inverse.T)[0, j]
+    at_floor = b + (-basis.lead[j] * PIVOT_TOL - x_j) * column
     r = np.flatnonzero(column)[0]
     b_rows[:7] = at_floor
     b_rows[:7, r] += steps * np.spacing(at_floor[r])
@@ -292,6 +292,7 @@ def test_banded_certify_equals_fixed_order(fixed_order_calls):
     def check(shape, seed, pick):
         cache = _BasisCache(shape)
         c, b = random_batch(np.random.default_rng(seed), *shape, 8)
+        c, b = scaled_as_answer_does(c), scaled_as_answer_does(b)
         sol = solve(LinearProgram(*cache.skeleton, b[0], c[0]))
         if sol.status != "optimal":
             return
@@ -309,10 +310,10 @@ def test_banded_certify_equals_fixed_order(fixed_order_calls):
 
 
 def test_rows_near_the_float_maximum_match_fixed_order(fixed_order_calls):
-    # rows scaled toward the float maximum overflow the BLAS products
-    # and their bounds to inf, and prices of both signs meet in a reduced
-    # cost as inf - inf = NaN; such rows are decided by the fixed-order
-    # sums, and a NaN never passes
+    # rows scaled toward the float maximum, outside the frame that answer
+    # gives the engine, overflow the BLAS products to inf, and prices of
+    # both signs meet in a reduced cost as inf - inf = NaN; certify still
+    # decides such rows as the fixed-order sums do, and a NaN never passes
     rng = np.random.default_rng(600)
     tops = np.array([1e300, 1e306, 1e307, 1.7e308])[:, None]
     nan_rows = 0
@@ -347,16 +348,17 @@ def test_both_slacks_of_a_folded_pair_basic_do_not_certify():
     # pair are basic. Folded at 9.5, that basis puts the capacity slack
     # at 0.5 and the contract slack at -0.5, a point that breaks the
     # minimum; certify must refuse it, and the optimum ships 1.5 to
-    # customer 1
+    # customer 1. The engine's methods get b over 16 and c over 8, as
+    # answer scales them
     cache = _BasisCache((1, 2))
     c = np.array([5.0, -1.0])
     unfolded = np.array([10.0, 8.0, 8.0, 2.0, 0.0, 1.0])
-    basis = cache._basis_at(np.array([8.0, 1.0]), unfolded, c)
+    basis = cache._basis_at(np.array([8.0, 1.0]) / 16, unfolded / 16, c / 8)
     lanes, pairs = 2, 3
     assert {lanes, lanes + pairs} <= set(basis.basic.tolist())  # s_cap and s_min of supplier 0
     folded = unfolded.copy()
     folded[[0, 3]] = 9.5
-    assert not certify(cache, basis, c[None], folded[None])[0][0]
+    assert not certify(cache, basis, c[None] / 8, folded[None] / 16)[0][0]
     feasible, benefit, x = cache.answer(c[None], folded[None])
     assert feasible[0] and x[0].tolist() == [8.0, 1.5] and benefit[0] == 38.5
 
@@ -388,7 +390,7 @@ def test_exactly_one_basis_certifies_each_optimal_vertex(seed):
                     continue
                 x = np.array(sol.x)
                 slacks = (b[row] - cache.matrix[:, : cache.lanes] @ x) * cache.signs
-                support = np.concatenate([x, slacks]) > _floor(b[row])
+                support = np.concatenate([x, slacks]) > PIVOT_TOL
                 missing = len(b[row]) - int(support.sum())
                 if math.comb(int((~support).sum()), missing) > COMPLETIONS:
                     continue
@@ -432,10 +434,11 @@ def test_pair_folded_at_0_is_certified(c, solves, tableau_solves):
     # supplier 1 has capacity and minimum 0, so it ships nothing, and its
     # basis holds both of its slacks (columns 5 and 9) at 0. In the
     # second case its lane (1, 0) would pay: that basis prices it above
-    # 0, and the row takes the tableau, to the same answer
+    # 0, and the row takes the tableau, to the same answer. _basis_at gets
+    # b over 16 and c over 8, as answer scales them
     b = np.array([10.0, 0.0, 8.0, 8.0, 1.0, 0.0, 1.0, 1.0])
     cache = _BasisCache((2, 2))
-    basis = cache._basis_at(np.array([8.0, 2.0, 0.0, 0.0]), b, np.array(c))
+    basis = cache._basis_at(np.array([8.0, 2.0, 0.0, 0.0]) / 16, b / 16, np.array(c) / 8)
     assert {5, 9} <= set(basis.basic.tolist())
     feasible, benefit, x = cache.answer(np.array([c]), b[None])
     assert len(tableau_solves) == solves
@@ -545,9 +548,8 @@ def test_the_tableau_ends_on_the_basis_certify_accepts():
                 continue
             basis = cache._basis(np.isin(np.arange(cache.matrix.shape[1]), sol.basis))
             x_basic = fixed_order_sum(b[row : row + 1], basis.inverse.T)[0]
-            floor = _floor(b[row])
-            assert (x_basic > -basis.lead * floor).all()
-            seen["degenerate"] += bool((x_basic <= floor).any())
+            assert (x_basic > -basis.lead * PIVOT_TOL).all()
+            seen["degenerate"] += bool((x_basic <= PIVOT_TOL).any())
             costs = np.concatenate([c[row], np.zeros(len(b[row]))])
             duals = fixed_order_sum(costs[None, basis.basic], basis.inverse)
             priced = fixed_order_sum(duals, cache.matrix[:, basis.nonbasic])[0]
@@ -641,3 +643,65 @@ def test_warm_starts_leave_every_answer_as_it_is(monkeypatch, engine_counts):
     counts = engine_counts()
     assert counts["warm"] > 100  # rows a warm start certified, in the runs with a pool
     assert counts["phase 2"] == counts["warm"]  # phase 2 ends on the basis certify accepts
+
+
+def test_engine_methods_get_lps_in_answers_frame(monkeypatch):
+    # every method below answer gets its LPs scaled as answer scales
+    # them: each LP's max|b| and max|c| is 0 or in [0.5, 1), at any
+    # scale of the batch and with all-zero rows mixed in; and every
+    # basis the engine meets has an inverse that np.linalg.inv already
+    # gives with entries 0 and ±1, at 40x40 as well, which _basis rounds
+    reads = {  # (c, b) from each method's arguments
+        "certify": lambda cache, basis, c, b: (c, b),
+        "warm": lambda cache, c, b: (c, b),
+        "propose": lambda cache, c, b: (c, b),
+        "_basis_at": lambda cache, x, b, c: (c, b),
+    }
+    seen = dict.fromkeys([*reads, "solve"], 0)
+    inverses = []
+
+    def in_frame(values):
+        top = np.abs(values).max(axis=0)
+        return ((top == 0.0) | ((top >= 0.5) & (top < 1.0))).all()
+
+    def recorded(name, method, read):
+        def record(*args):
+            assert all(map(in_frame, read(*args))), name
+            seen[name] += 1
+            return method(*args)
+
+        return record
+
+    for name, read in reads.items():
+        monkeypatch.setattr(_BasisCache, name, recorded(name, getattr(_BasisCache, name), read))
+    monkeypatch.setattr(basis_module, "solve", recorded("solve", solve, lambda lp: (lp.c, lp.b)))
+    inv = np.linalg.inv
+
+    def recorded_inv(matrix):
+        inverses.append(inv(matrix))
+        return inverses[-1]
+
+    monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        kind=st.sampled_from([random_batch, folded_batch, balanced_batch]),
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(-40, 40),
+        k=st.integers(-40, 40),
+    )
+    def check(shape, kind, seed, j, k):
+        rng = np.random.default_rng(seed)
+        c, b = kind(rng, *shape, 12)
+        tied = rng.random(len(c)) < 0.3
+        c[tied] = rng.choice([40.0, 60.0, 90.0], size=(tied.sum(), c.shape[1]))
+        c[rng.random(len(c)) < 0.2] = 0.0
+        b[rng.random(len(b)) < 0.2] = 0.0
+        _BasisCache(shape).answer(np.ldexp(c, j), np.ldexp(b, k))
+
+    check()
+    _BasisCache((40, 40)).answer(*random_batch(np.random.default_rng(40), 40, 40, 2))
+    assert all(seen.values()), seen
+    assert any(len(inverse) == 160 for inverse in inverses)
+    assert all(np.array_equal(inverse, np.rint(inverse)) for inverse in inverses)

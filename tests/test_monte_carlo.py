@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 from importlib.resources import files
 from unittest import mock
@@ -14,6 +15,7 @@ from fuzzyplan.cli import parse_problem
 from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from fuzzyplan.fuzzy_solver import solve_fuzzy
 from fuzzyplan.ingest import gaussian_to_trapezoid
+from fuzzyplan.intervals import midpoint
 from fuzzyplan.model import CrispInstance, DistributionProblem, lp_rows, midpoint_instance, to_lp
 import fuzzyplan.monte_carlo as monte_carlo
 from fuzzyplan.monte_carlo import (
@@ -495,9 +497,8 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
     here, mirrored = specs((5.0, 6.0)), specs((6.0, 5.0))
     cache = _BasisCache(here.shape)
     other = solve(to_lp(sample_instance(mirrored, 0, 0)))
-    stale = cache._basis_at(
-        np.array(other.x), np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]), np.array([5.0, 4.0])
-    )
+    b, c = np.array([10.0, 8.0, 8.0, 1.0, 1.0, 1.0]), np.array([5.0, 4.0])
+    stale = cache._basis_at(np.array(other.x) / 16, b / 16, c / 8)  # as answer scales them
     cache.bases.append(stale)
     _, _, x = cache.answer(*lp_rows(here.shape, monte_carlo._draws(here, 0, 0, 5)))
     assert [tuple(ship) for ship in x.tolist()] == [(2.0, 8.0)] * 5
@@ -625,3 +626,45 @@ def test_histogram_binning_spread():
     tiny = _histogram(np.array([3.0, 3.0, 3.0]))
     assert len(tiny.counts) == 1
     assert math.isclose(sum(tiny.counts), 3.0)
+
+
+# a 1x1 problem whose shipment nears the float maximum
+NEAR_MAX = {
+    "schema_version": 1,
+    "kind": "distribution",
+    "supply_max": [[1e308, 1.0001e308, 1.0002e308, 1.0003e308]],
+    "demand_max": [1.5e308],
+    "purchase_min": [0],
+    "sale_min": [0],
+    "purchase_price": [1e-300],
+    "sale_price": [3e-300],
+    "transport_cost": [[0]],
+}
+
+
+def test_mean_std_scales_by_a_power_of_two():
+    # _mean_std works on the values over a power of two, which is exact:
+    # the same bits as numpy's mean and std where their sums are finite,
+    # and finite where the values near the float maximum
+    values = np.random.default_rng(9).normal(500.0, 100.0, 1000)
+    assert monte_carlo._mean_std(values) == (float(values.mean()), float(values.std(ddof=1)))
+    mean, std = monte_carlo._mean_std(np.array(NEAR_MAX["supply_max"][0]))
+    assert mean == pytest.approx(1.00015e308, rel=1e-12)
+    assert std == pytest.approx(np.std([1.0, 1.0001, 1.0002, 1.0003], ddof=1) * 1e308, rel=1e-12)
+
+
+def test_compare_near_the_float_maximum(tmp_path):
+    # the shipment's mean and std stay finite, and x_11's degenerate
+    # tolerance takes its midpoint without overflow, so its width ratio
+    # (supports 3e304 and 2.996e304 wide) is D's, not the 1.0 of two
+    # widths below an infinite tolerance
+    path = tmp_path / "near_max.json"
+    path.write_text(json.dumps(NEAR_MAX))
+    problem = parse_problem(str(path))
+    mc = run(ParameterSpecs.from_problem(problem), 2000, seed=42)
+    assert all(map(math.isfinite, mc.shipment_means + mc.shipment_stds))
+    report = compare(solve_fuzzy(problem), mc)
+    lane, d = report.entry("x_11"), report.entry("D")
+    assert monte_carlo._degenerate_tol(lane.fuzzy) == 1e-6 * midpoint(lane.fuzzy.a, lane.fuzzy.d)
+    assert d.width_ratio > 1.001
+    assert lane.width_ratio == pytest.approx(d.width_ratio, rel=1e-9)

@@ -325,5 +325,7 @@ def test_each_pivot_keeps_the_tree_a_full_walk_gives(monkeypatch):
         modi_optimize(t, vogel_approximation(t))
         m, n = t.shape
         b = np.concatenate([rng.uniform(300.0, 700.0, m + n), rng.uniform(-100.0, 250.0, m + n)])
-        _BasisCache((m, n)).propose(rng.normal(50.0, 100.0, m * n), b)
+        c = rng.normal(50.0, 100.0, m * n)
+        scaled = [v / 2.0 ** np.frexp(np.abs(v).max())[1] for v in (c, b)]  # as answer scales them
+        _BasisCache((m, n)).propose(*scaled)
     assert len(pivots) > 100
