@@ -1,14 +1,12 @@
 """Distributor transportation planning under fuzzy and probabilistic uncertainty."""
 
-from .intervals import Interval, prob_geq
-from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber, prob_geq_fuzzy
+from .intervals import Interval
+from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Interval",
-    "prob_geq",
     "TrapezoidalFuzzyNumber",
     "AlphaGrid",
-    "prob_geq_fuzzy",
 ]

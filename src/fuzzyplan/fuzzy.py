@@ -1,4 +1,4 @@
-"""Trapezoidal fuzzy numbers, alpha-cut grids, and fuzzy ranking."""
+"""Trapezoidal fuzzy numbers, alpha-cut grids, and the one cut formula."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import Interval, prob_geq
+from .intervals import Interval
 
-__all__ = ["TrapezoidalFuzzyNumber", "AlphaGrid", "cut_ends", "prob_geq_fuzzy"]
+__all__ = ["TrapezoidalFuzzyNumber", "AlphaGrid", "cut_ends"]
 
 
 def cut_ends(a, b, c, d, alpha):
@@ -53,10 +53,6 @@ class TrapezoidalFuzzyNumber:
     def crisp(cls, v: float) -> "TrapezoidalFuzzyNumber":
         return cls(v, v, v, v)
 
-    @classmethod
-    def triangular(cls, a: float, m: float, d: float) -> "TrapezoidalFuzzyNumber":
-        return cls(a, m, m, d)
-
     @property
     def support(self) -> Interval:
         return Interval(self.a, self.d)
@@ -74,14 +70,6 @@ class TrapezoidalFuzzyNumber:
             # a < b guaranteed here since x in [a, b) is nonempty
             return (x - self.a) / (self.b - self.a)
         return (self.d - x) / (self.d - self.c)
-
-    def alpha_cut(self, alpha: float) -> Interval:
-        """Closed interval of points with membership >= alpha, alpha in (0, 1].
-
-        alpha = 0 returns the support (the closure convention).
-        """
-        lo, hi = cut_ends(self.a, self.b, self.c, self.d, alpha)
-        return Interval(float(lo), float(hi))
 
 
 @dataclass(frozen=True)
@@ -113,20 +101,3 @@ class AlphaGrid:
 
     def __len__(self):
         return len(self.levels)
-
-
-def prob_geq_fuzzy(
-    x: TrapezoidalFuzzyNumber,
-    y: TrapezoidalFuzzyNumber,
-    grid: AlphaGrid | None = None,
-) -> float:
-    """Rank two fuzzy numbers: mean of interval P(x >= y) over alpha cuts.
-
-    Each level contributes equally; the default grid is 11 uniform levels.
-    """
-    if grid is None:
-        grid = AlphaGrid.uniform(11)
-    total = 0.0
-    for alpha in grid:
-        total += prob_geq(x.alpha_cut(alpha), y.alpha_cut(alpha))
-    return total / len(grid)

@@ -172,10 +172,18 @@ def enforce_nesting(sol: FuzzySolution) -> FuzzySolution:
 def fit_trapezoid(sol: FuzzySolution, quantity="benefit") -> TrapezoidalFuzzyNumber:
     """Trapezoid for the total benefit or one lane's shipment.
 
-    quantity is "benefit" or a lane index k in lane order. Uses the
-    alpha=0 cut as support and the alpha=1 cut as core; both levels must
-    be present and feasible.
+    quantity is "benefit" or a lane index k in lane order, an int in
+    [0, MN). Uses the alpha=0 cut as support and the alpha=1 cut as core;
+    both levels must be present and feasible.
     """
+    lanes = sol.shape[0] * sol.shape[1]
+    if quantity == "benefit":
+        row = 0
+    elif isinstance(quantity, int) and not isinstance(quantity, bool) and 0 <= quantity < lanes:
+        row = 1 + quantity
+    else:
+        valid = f"'benefit' or a lane index in [0, {lanes})"
+        raise ValueError(f"quantity must be {valid}, got {quantity!r}")
     try:
         lo_level = sol.level_at(0.0)
         hi_level = sol.level_at(1.0)
@@ -183,6 +191,5 @@ def fit_trapezoid(sol: FuzzySolution, quantity="benefit") -> TrapezoidalFuzzyNum
         raise ValueError("grid must include levels 0 and 1 to fit a trapezoid") from None
     if not (lo_level.feasible and hi_level.feasible):
         raise ValueError("levels 0 and 1 must both be feasible to fit a trapezoid")
-    row = 0 if quantity == "benefit" else range(1, len(lo_level.cuts))[quantity]
     (a, d), (b, c) = lo_level.cuts[row].tolist(), hi_level.cuts[row].tolist()
     return TrapezoidalFuzzyNumber(a, b, c, d)

@@ -98,11 +98,10 @@ class _Tableau:
     def pivot(self, row: int, col: int):
         mat = self.mat
         mat[row] /= mat[row, col]
-        pivot_row = mat[row]
         # rows with a zero pivot-column entry would subtract nothing
-        for r in mat[:, col].nonzero()[0].tolist():
-            if r != row:
-                mat[r] -= mat[r, col] * pivot_row
+        rows = mat[:, col].nonzero()[0]
+        rows = rows[rows != row]
+        mat[rows] -= mat[rows, col, None] * mat[row]
         self.basis[row] = col
         self.iterations += 1
 

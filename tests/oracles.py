@@ -117,14 +117,6 @@ def dual_lexicographic_negative(cache, basis, j) -> bool:
     return terms[np.flatnonzero(terms)[0]] < 0
 
 
-def mc_prob_geq(a_lo, a_hi, b_lo, b_hi, n=1_000_000, seed=0):
-    """Monte Carlo estimate of P(x >= y), x ~ U[a], y ~ U[b]."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(a_lo, a_hi, n) if a_hi > a_lo else np.full(n, float(a_lo))
-    y = rng.uniform(b_lo, b_hi, n) if b_hi > b_lo else np.full(n, float(b_lo))
-    return float(np.mean(x >= y))
-
-
 def lp_optimum_by_enumeration(c, a_ub, b_ub, a_eq=None, b_eq=None, sense="max", tol=1e-9):
     """Brute-force LP solve by enumerating basic feasible points.
 

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,8 +8,9 @@ import pytest
 
 from fuzzyplan import cli
 from fuzzyplan.basis import _BasisCache
-from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
+from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber, cut_ends
 from fuzzyplan.ingest import gaussian_to_trapezoid
+from fuzzyplan.intervals import midpoint
 from fuzzyplan.model import (
     CrispInstance,
     DistributionProblem,
@@ -246,6 +248,15 @@ def test_fit_trapezoid_requires_end_levels():
     )
     with pytest.raises(ValueError, match="levels 0 and 1"):
         fit_trapezoid(sol, "benefit")
+
+
+def test_fit_trapezoid_rejects_lane_indexes_outside_the_lanes(demo_problem):
+    sol = solve_fuzzy(demo_problem)
+    assert fit_trapezoid(sol, 8) != fit_trapezoid(sol, 0)
+    valid = r"^quantity must be 'benefit' or a lane index in \[0, 9\), got "
+    for bad in (-1, 9, True, False, "x_11", 1.0, None):
+        with pytest.raises(ValueError, match=valid + re.escape(repr(bad)) + "$"):
+            fit_trapezoid(sol, bad)
 
 
 def test_grid_refinement_keeps_end_levels(demo_problem):
@@ -506,7 +517,7 @@ def mixed_problem(rng, m, n, contracts):
         if kind == 0:
             return T.crisp(float(center))
         a, b, c, d = np.sort(center + spread * rng.uniform(-1.0, 1.0, 4)).tolist()
-        return T.triangular(a, b, d) if kind == 1 else T(a, b, c, d)
+        return T(a, b, b, d) if kind == 1 else T(a, b, c, d)
 
     def vector(size, center, spread):
         return tuple(entry(center, spread) for _ in range(size))
@@ -562,9 +573,9 @@ def reference_corners(p, alpha):
 
     def corner(sign):
         def pick(field, index, t):
-            cut = t.alpha_cut(alpha)
+            lo, hi = map(float, cut_ends(t.a, t.b, t.c, t.d, alpha))
             direction = sign * field.direction
-            return cut.hi if direction > 0 else cut.lo if direction < 0 else cut.midpoint
+            return hi if direction > 0 else lo if direction < 0 else midpoint(lo, hi)
 
         return p.map(CrispInstance, pick)
 
@@ -578,7 +589,7 @@ def test_cut_past_the_float_maximum_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^alpha-cut ends must be finite$"):
-            wide.alpha_cut(0.5)
+            cut_ends(wide.a, wide.b, wide.c, wide.d, 0.5)
         with pytest.raises(ValueError, match="^alpha-cut ends must be finite$"):
             solve_fuzzy(single_lane_problem(sale=wide))
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
+from fuzzyplan.fuzzy import AlphaGrid, TrapezoidalFuzzyNumber, cut_ends
 from fuzzyplan.fuzzy_solver import solve_fuzzy
 from fuzzyplan.model import CrispInstance, DistributionProblem, to_lp
 from fuzzyplan.simplex import solve
@@ -75,8 +75,8 @@ def _point(p: DistributionProblem, alpha: float, fraction) -> CrispInstance:
     """The crisp instance at fraction(field) of each parameter's alpha-cut."""
 
     def pick(field, index, t):
-        cut = t.alpha_cut(alpha)
-        return cut.lo + fraction(field) * (cut.hi - cut.lo)
+        lo, hi = map(float, cut_ends(t.a, t.b, t.c, t.d, alpha))
+        return lo + fraction(field) * (hi - lo)
 
     return p.map(CrispInstance, pick)
 
@@ -130,5 +130,6 @@ def test_alpha_cut_ends_stay_ordered(corners, triangular, alpha):
     a, b, c, d = sorted(corners)
     if triangular:
         c = b
-    cut = TrapezoidalFuzzyNumber(a, b, c, d).alpha_cut(alpha)
-    assert a <= cut.lo <= b <= c <= cut.hi <= d
+    t = TrapezoidalFuzzyNumber(a, b, c, d)
+    lo, hi = cut_ends(t.a, t.b, t.c, t.d, alpha)
+    assert a <= lo <= b <= c <= hi <= d
