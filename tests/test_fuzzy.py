@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -99,3 +102,67 @@ def test_alpha_grid_uniform():
         AlphaGrid((0.0, 1.2))
     with pytest.raises(ValueError):
         AlphaGrid(())
+
+
+def test_cut_ends_broadcast_over_trapezoids_and_alphas():
+    corners = np.array([[0.0, 1.0, 2.0, 4.0], [-3.0, -1.0, -1.0, 5.0], [2.0, 2.0, 2.0, 2.0]])
+    alphas = np.array([0.0, 0.25, 1.0])
+    lo, hi = cut_ends(*corners.T, alphas)
+    for i, (row, alpha) in enumerate(zip(corners, alphas)):
+        assert (lo[i], hi[i]) == cut_ends(*row, alpha)
+    assert lo.tolist() == [0.0, -2.5, 2.0]
+    assert hi.tolist() == [4.0, 3.5, 2.0]
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [(-9.9, 0.9, 6.3, 8.7), (-4.0, -1.5, 0.8, 7.3)],
+    ids=["lo-rounds-above-b", "hi-rounds-below-c"],
+)
+def test_cut_at_alpha_one_is_exactly_the_core(corners):
+    a, b, c, d = corners
+    # the raw formula misses the core by one rounding on these corners
+    assert (a + 1.0 * (b - a), d - 1.0 * (d - c)) != (b, c)
+    assert cut_ends(*corners, 1.0) == (b, c)
+
+
+def test_cut_ends_rejects_nan_alpha():
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got nan$"):
+        cut_ends(0.0, 1.0, 2.0, 4.0, math.nan)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]"):
+        cut_ends(0.0, 1.0, 2.0, 4.0, np.array([0.5, 1.5]))
+
+
+def test_crisp_number_cuts_to_its_value():
+    t = TrapezoidalFuzzyNumber.crisp(3.0)
+    assert t == TrapezoidalFuzzyNumber(3.0, 3.0, 3.0, 3.0)
+    assert t.support == t.core == Interval(3.0, 3.0)
+    for alpha in (0.0, 0.5, 1.0):
+        assert cut_ends(t.a, t.b, t.c, t.d, alpha) == (3.0, 3.0)
+
+
+def test_membership_on_vertical_edges():
+    # a == b and c == d: the core reaches the support, with no division by zero
+    t = TrapezoidalFuzzyNumber(1.0, 1.0, 2.0, 2.0)
+    assert t.membership(0.999) == 0.0
+    assert t.membership(1.0) == 1.0
+    assert t.membership(2.0) == 1.0
+    assert t.membership(2.001) == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.a = 0.0
+
+
+def test_alpha_grid_levels_and_messages():
+    assert list(AlphaGrid.uniform(5)) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert AlphaGrid.uniform(2).levels == (0.0, 1.0)
+    assert len(AlphaGrid((0.3,))) == 1
+    with pytest.raises(ValueError, match=r"^alpha level nan outside \[0, 1\]$"):
+        AlphaGrid((0.0, math.nan))
+    with pytest.raises(ValueError, match=r"^alpha level -0.1 outside \[0, 1\]$"):
+        AlphaGrid((-0.1, 1.0))
+    with pytest.raises(ValueError, match="^alpha levels must be strictly increasing$"):
+        AlphaGrid((1.0, 0.5))
+    with pytest.raises(ValueError, match="^alpha grid must contain at least one level$"):
+        AlphaGrid(())
+    with pytest.raises(ValueError, match="^uniform grid needs at least 2 levels, got 1$"):
+        AlphaGrid.uniform(1)

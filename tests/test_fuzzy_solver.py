@@ -259,6 +259,26 @@ def test_fit_trapezoid_rejects_lane_indexes_outside_the_lanes(demo_problem):
             fit_trapezoid(sol, bad)
 
 
+def test_fit_trapezoid_reads_the_end_level_cuts(demo_problem):
+    sol = solve_fuzzy(demo_problem)
+    support, core = sol.level_at(0.0).cuts, sol.level_at(1.0).cuts
+    quantities = ["benefit", *range(9)]
+    for row, quantity in enumerate(quantities):
+        (a, d), (b, c) = support[row].tolist(), core[row].tolist()
+        assert fit_trapezoid(sol, quantity) == T(a, b, c, d)
+
+
+def test_fit_trapezoid_needs_both_end_levels_feasible():
+    for infeasible in (0.0, 1.0):
+        levels = tuple(
+            level(alpha) if alpha == infeasible else level(alpha, (0.0, 1.0), (0.0, 1.0))
+            for alpha in (0.0, 1.0)
+        )
+        sol = FuzzySolution(AlphaGrid((0.0, 1.0)), (1, 1), levels)
+        with pytest.raises(ValueError, match="^levels 0 and 1 must both be feasible"):
+            fit_trapezoid(sol, 0)
+
+
 def test_grid_refinement_keeps_end_levels(demo_problem):
     coarse = solve_fuzzy(demo_problem, AlphaGrid.uniform(11))
     fine = solve_fuzzy(demo_problem, AlphaGrid.uniform(21))

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from fuzzyplan.intervals import Interval
+from fuzzyplan.intervals import Interval, midpoint
 
 
 def test_construction_and_props():
@@ -38,3 +40,45 @@ def test_midpoint_of_huge_and_subnormal_endpoints():
     assert Interval(-1e308, 1e308).midpoint == 0.0
     # halving a subnormal endpoint first would round it to zero
     assert Interval(5e-324, 5e-324).midpoint == 5e-324
+
+
+def test_invalid_construction_messages():
+    with pytest.raises(ValueError, match=r"^interval lower bound 2.0 exceeds upper bound 1.0$"):
+        Interval(2.0, 1.0)
+    with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[0.0, inf\]$"):
+        Interval(0.0, math.inf)
+    with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[nan, 1.0\]$"):
+        Interval(math.nan, 1.0)
+
+
+def test_degenerate_point_interval():
+    point = Interval(2.0, 2.0)
+    assert point.midpoint == 2.0
+    assert point.contains(point)
+    assert Interval(1.0, 3.0).contains(point)
+    assert not point.contains(Interval(2.0, 2.5))
+
+
+def test_contains_within_tolerance():
+    outer = Interval(0.0, 1.0)
+    assert outer.contains(Interval(-5e-10, 1.0 + 5e-10))  # default tolerance 1e-9
+    assert not outer.contains(Interval(-1e-8, 1.0))
+    assert not outer.contains(Interval(0.0, 1.0 + 1e-8))
+    assert not outer.contains(Interval(-5e-10, 1.0), tol=0.0)
+    assert outer.contains(Interval(-0.1, 1.1), tol=0.1 + 1e-12)
+
+
+def test_interval_is_immutable():
+    iv = Interval(0.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iv.lo = 2.0
+    assert iv == Interval(0.0, 1.0)
+
+
+def test_midpoint_function_matches_property():
+    assert midpoint(-3.0, 5.0) == 1.0
+    rng = np.random.default_rng(11)
+    for lo, hi in np.sort(rng.uniform(-1e3, 1e3, (50, 2)), axis=1).tolist():
+        iv = Interval(lo, hi)
+        assert iv.midpoint == midpoint(lo, hi) == 0.5 * (lo + hi)
+        assert lo <= iv.midpoint <= hi
