@@ -28,8 +28,8 @@ every per-LP test (a largest |c|, a least gap) reduces along the long
 contiguous axis, and each step of a fixed-order sum adds whole
 contiguous rows. What depends only on the basis (how many basic and
 nonbasic columns are lanes: the columns ascend, so lanes come first) is
-made with its _Basis in _basis, kept with it in the pool, and dropped
-with it. No bit depends on the layout:
+made with its _Basis in _basis, stored with it, and dropped with it.
+No bit depends on the layout:
 each product commutes, and each fixed-order sum adds the same terms in
 the same order, r ascending. certify's sums leave out only exact zeros:
 the duals sum over the basic lanes alone, since a slack's profit is 0,
@@ -40,13 +40,18 @@ bit.
 _BasisCache.answer is the one way to answer a batch of these LPs, for
 the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
 scenarios and the fuzzy solver's alpha-cut corners alike: screen, scale
-each row's b and c by powers of two, certify the cached bases, and
+each row's b and c by powers of two, certify the stored bases, and
 answer what is left from the row's own (c, b), finding its basis
-(_BasisCache.fresh). The engines there come in this order:
+(_BasisCache.fresh). The cache has one store of bases, each B^-1 held as
+int8 since its entries are 0 and ±1. A batch tests every stored basis on
+every row; fresh stores each basis that certifies its own row, after
+testing it on every row still pending; and the batch ends keeping only
+the bases that answered a row other than their own. So every stored
+basis has been tested on every pending row. The engines of fresh come in
+this order:
 - warm: phase 2 of the tableau (simplex.reoptimize) from the newest
-  pooled basis that is primal feasible for the row. The pool holds the
-  last POOL bases that certified their own rows, whichever engine found
-  them, with int8 inverses: 0.8 MB when full at 40x40.
+  stored basis that is primal feasible for the row, whichever engine
+  found it.
 - propose: the transport solver, since the distributor LP is a
   transportation problem once each node splits in two.
 - the tableau from the slack basis of the shape's lp_skeleton.
@@ -58,7 +63,7 @@ so it ends on the one basis certify can accept, degenerate or tied, and
 certify tests that basis as it stands; at a near tie, the tableau's
 answer stands. So every answer is a function of its own row's (c, b),
 whatever the other rows of the batch are, in whatever order they come
-and whatever the pool holds. This is the only module that calls the
+and whatever the store holds. This is the only module that calls the
 simplex.
 """
 
@@ -82,11 +87,6 @@ __all__ = ["CERTIFY_MARGIN", "TIE_MARGIN"]
 # last bits of its values.
 CERTIFY_MARGIN = 1e-7
 TIE_MARGIN = 1e-11
-
-# The pool of warm starts keeps the POOL bases that certified their own
-# rows last, each inverse as int8. At 40x40 an inverse is 160x160, 25 KB,
-# so a full pool holds 0.8 MB.
-POOL = 32
 
 
 def _accumulate(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -161,7 +161,7 @@ class _BasisCache:
     such an LP, and no total or product of b and c comes near the float
     maximum. [A | diag(±1)] is totally unimodular (Hoffman & Kruskal,
     1956; Schrijver, Theory of Linear and Integer Programming, ch. 19),
-    so every B^-1 has entries 0 and ±1; _basis rounds it to them.
+    so every B^-1 has entries 0 and ±1; _basis rounds it to them, as int8.
     """
 
     def __init__(self, shape):
@@ -171,8 +171,7 @@ class _BasisCache:
         self.lanes = shape[0] * shape[1]
         self.matrix = np.hstack([a, np.diag(self.signs)])
         self.column_weight = np.abs(self.matrix).sum(axis=0).max()  # for certify's bound
-        self.bases = []  # _Basis, kept by answer
-        self.pool = {}  # basic.tobytes() -> _Basis, oldest first, for warm
+        self.bases = []  # _Basis, oldest first; what answer keeps and warm starts from
 
     def _basis(self, chosen: np.ndarray):
         """The basis of the columns in mask chosen, or None where they are
@@ -184,7 +183,7 @@ class _BasisCache:
         if len(basic) != self.matrix.shape[0]:
             return None
         try:
-            inverse = np.rint(np.linalg.inv(self.matrix[:, basic]))
+            inverse = np.rint(np.linalg.inv(self.matrix[:, basic])).astype(np.int8)
         except np.linalg.LinAlgError:
             return None
         signed = inverse * self.signs
@@ -258,14 +257,14 @@ class _BasisCache:
         return (f[:m, :n] + f[m:-1, :n] + f[:m, n:-1] + f[m:-1, n:-1]).ravel()
 
     def warm(self, c: np.ndarray, b: np.ndarray):
-        """The basis phase 2 ends on from the newest pooled basis that passes
-        certify's primal test on b, or None where no pooled basis does.
+        """The basis phase 2 ends on from the newest stored basis that passes
+        certify's primal test on b, or None where no stored basis does.
 
         Such a start has every row of [x_B | B^-1 diag(±1)]
         lexicographically positive, so simplex.reoptimize keeps them so
         and ends on the one basis certify can accept where c has one.
         """
-        for start in reversed(self.pool.values()):
+        for start in reversed(self.bases):
             if (start.inverse @ b > -start.lead * PIVOT_TOL).all():
                 lp = LinearProgram(*self.skeleton, b, c)
                 return self._solved(reoptimize(lp, start.basic, start.inverse))
@@ -282,23 +281,14 @@ class _BasisCache:
             return None
         return self._basis(np.isin(np.arange(self.matrix.shape[1]), sol.basis))
 
-    def _keep(self, basis: _Basis):
-        """Pool basis, which certified its own row, as the newest start. Its
-        inverse has entries 0 and ±1 (_basis), so int8 holds it."""
-        key = basis.basic.tobytes()
-        self.pool.pop(key, None)
-        self.pool[key] = basis._replace(inverse=basis.inverse.astype(np.int8))
-        if len(self.pool) > POOL:
-            del self.pool[next(iter(self.pool))]
-
     def fresh(self, c: np.ndarray, b: np.ndarray):
         """Answer LP 0 of the pending LPs (columns of c and b): none certifies it.
 
         Returns (basis, certified, cold solution): the basis found for
         LP 0 (None where it has no optimum), what certify gives for it
-        on every column, and the tableau's solution of LP 0. The cached
+        on every column, and the tableau's solution of LP 0. The stored
         bases have been tried; the engines then come in this order:
-        warm (phase 2 from the pool), _proposed (the transport solver),
+        warm (phase 2 from a stored basis), _proposed (the transport solver),
         and simplex.solve. The first two only propose. Where the basis
         they give certifies LP 0 there is no cold solution, since the
         tableau would end on the same basis; otherwise the next engine
@@ -307,8 +297,7 @@ class _BasisCache:
         that basis is certified as it stands; where it fails the test (a
         near tie: a reduced cost between TIE_MARGIN and CERTIFY_MARGIN
         times max |c|), the tableau's answer stands. A basis that
-        certifies LP 0 joins the pool (at most POOL bases, 0.8 MB at
-        40x40), whichever engine found it.
+        certifies LP 0 is stored, whichever engine found it.
         """
         c0, b0 = c[:, 0].copy(), b[:, 0].copy()
         for find in (self.warm, self._proposed):
@@ -316,7 +305,7 @@ class _BasisCache:
             if basis is not None:
                 certified = self.certify(basis, c, b)
                 if certified[0][0]:
-                    self._keep(basis)
+                    self.bases.append(basis)
                     return basis, certified, None
         sol = solve(LinearProgram(*self.skeleton, b0, c0))
         basis = self._solved(sol)
@@ -324,7 +313,7 @@ class _BasisCache:
             return None, None, sol
         certified = self.certify(basis, c, b)
         if certified[0][0]:
-            self._keep(basis)
+            self.bases.append(basis)
         return basis, certified, sol
 
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
@@ -437,15 +426,17 @@ class _BasisCache:
         2^k and its benefit by 2^(k+j). That is exact in binary, it leaves
         the screen's absolute FEAS_TOL on the unscaled row, and it puts
         every LP in the frame the methods below assume (_BasisCache). Every
-        cached basis is tested on every LP still waiting for an answer;
+        stored basis is tested on every LP still waiting for an answer;
         the first LP none certifies goes to fresh, which starts warm from
-        the pool, proposes a basis or solves the LP cold, and tests the
-        basis it finds on the LPs still pending. The pending columns are
-        kept packed: answered columns are dropped as they settle. A basis
-        found again after such a test answers nothing new: certify is a
-        function of (basis, LP), and every LP still pending was tested
-        on it.
-        Afterwards the cache holds only the bases that answered an LP
+        a stored basis, proposes a basis or solves the LP cold, tests the
+        basis it finds on the LPs still pending, and stores it where it
+        certifies its own LP. The pending columns are kept packed:
+        answered columns are dropped as they settle. So every stored
+        basis has been tested on every pending LP, and a basis found
+        again answers nothing new and is not stored twice: certify is a
+        function of (basis, LP). Within a batch the store grows by at
+        most one basis for each LP that reaches fresh, (2(M+N))^2 bytes
+        each. At the end it keeps only the bases that answered an LP
         other than the one they were found at: where optimal supports do
         not repeat, no basis is retested on the next batch.
 

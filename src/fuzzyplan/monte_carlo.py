@@ -340,11 +340,12 @@ class McResult:
 
 
 def _histogram(values: np.ndarray) -> BinnedHistogram:
-    """Freedman-Diaconis binning, at least 20 bins; point mass gets one bin."""
+    """Freedman-Diaconis binning, at least 20 bins; point mass gets one bin,
+    its edges kept finite at the float maximum."""
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
-        half = max(1e-6, abs(lo) * 1e-9)
-        return BinnedHistogram((lo - half, lo + half), (float(len(values)),))
+        half, top = max(1e-6, abs(lo) * 1e-9), np.finfo(float).max
+        return BinnedHistogram((max(lo - half, -top), min(lo + half, top)), (float(len(values)),))
     q25, q75 = np.percentile(values, [25, 75])
     width = 2.0 * (q75 - q25) / len(values) ** (1.0 / 3.0)
     bins = 20 if width <= 0 else max(20, int(math.ceil((hi - lo) / width)))

@@ -92,7 +92,7 @@ def tableau_solves(monkeypatch):
 def engine_counts(monkeypatch):
     """A function that reads what the engines of basis._BasisCache.answer
     have done so far: "cold" rows (fresh calls), "warm" rows (certified
-    by phase 2 from a pooled basis), "phase 2" runs, "proposed" rows,
+    by phase 2 from a stored basis), "phase 2" runs, "proposed" rows,
     "tableau" solves and "certify" calls. fresh proposes only where the
     warm start did not certify the row, so warm is cold minus proposed."""
     counts = collections.Counter()

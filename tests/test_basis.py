@@ -103,7 +103,6 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
     fresh = _BasisCache.fresh
 
     def observed(cache, c, b):
-        cache.pool.clear()  # proposals are under test here, not warm starts
         basis, certified, sol = fresh(cache, c, b)
         m, n = cache.shape
         if (b[: m + n, 0] < np.maximum(b[m + n :, 0], 0.0)).any():
@@ -115,6 +114,8 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
         return basis, certified, sol
 
     monkeypatch.setattr(_BasisCache, "fresh", observed)
+    # proposals are under test here, not warm starts
+    monkeypatch.setattr(_BasisCache, "warm", lambda cache, c, b: None)
 
     def outcome(cache, c, b):
         try:
@@ -607,16 +608,10 @@ def test_answers_scale_exactly_with_c():
 
 def test_warm_starts_leave_every_answer_as_it_is(monkeypatch, engine_counts):
     # a warm start only proposes a basis, and at most one basis certifies
-    # a row, so a cache whose pool is emptied before every cold row gives
-    # the same bytes and keeps the same bases, whatever the pool holds.
-    # Two batches a cache, so the pool also carries over from one batch
-    # to the next; some batches draw tied profits
-    fresh = _BasisCache.fresh
-
-    def without_pool(cache, c, b):
-        cache.pool.clear()
-        return fresh(cache, c, b)
-
+    # a row, so a cache that never starts warm gives the same bytes and
+    # keeps the same bases, whatever the cache holds. Two batches a
+    # cache, so the stored bases also carry over from one batch to the
+    # next; some batches draw tied profits
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         shape=st.sampled_from([(1, 3), (2, 2), (3, 2), (3, 3), (4, 5)]),
@@ -636,12 +631,12 @@ def test_warm_starts_leave_every_answer_as_it_is(monkeypatch, engine_counts):
 
         want = outcome(_BasisCache(shape))
         with monkeypatch.context() as patch:
-            patch.setattr(_BasisCache, "fresh", without_pool)
+            patch.setattr(_BasisCache, "warm", lambda cache, c, b: None)
             assert outcome(_BasisCache(shape)) == want
 
     check()
     counts = engine_counts()
-    assert counts["warm"] > 100  # rows a warm start certified, in the runs with a pool
+    assert counts["warm"] > 100  # rows a warm start certified, in the runs that start warm
     assert counts["phase 2"] == counts["warm"]  # phase 2 ends on the basis certify accepts
 
 

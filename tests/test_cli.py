@@ -271,6 +271,24 @@ def test_overflowing_benefit_exits_2(tmp_path, mode, warnings):
     assert (proc.returncode, proc.stderr) == (2, "error: optimal benefit must be finite\n")
 
 
+@pytest.mark.parametrize("mode", ["crisp", "fuzzy", "montecarlo", "compare"])
+def test_point_mass_at_float_maximum_runs(tmp_path, mode):
+    # every draw ships the float maximum down the one lane: Monte Carlo's
+    # one-bin histogram keeps finite edges, so every mode exits 0 with no
+    # warning, and the Monte Carlo modes write finite shipment means
+    top = sys.float_info.max
+    p = write_problem(
+        tmp_path / "top.json", supply_max=[top], demand_max=[top],
+        purchase_price=[0], sale_price=[0.5], transport_cost=[[0]],
+    )
+    out = tmp_path / "run"
+    proc = fresh_cli([p, "--mode", mode, "--mc-steps", "50", "--out-dir", out], "error")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if mode in ("montecarlo", "compare"):
+        means = json.loads((out / "mc_summary.json").read_text())["shipment_means"]
+        assert math.isfinite(means[0][0]) and means[0][0] > 1e308
+
+
 @pytest.mark.parametrize(
     "supplies, demands, costs, total",
     [
@@ -334,7 +352,7 @@ def test_crisp_mode_makes_one_cold_solve(tmp_path, counted_solves, tableau_solve
     )
     assert main([str(infeasible), "--mode", "crisp", "--out-dir", str(tmp_path / "inf")]) == 3
     assert len(counted_solves) == 2  # the precheck answered without a solve
-    # each run answers a batch of one on a new cache, whose pool is empty
+    # each run answers a batch of one on a new cache, which stores no basis
     assert engine_counts()["phase 2"] == 0
 
 

@@ -29,7 +29,7 @@ from fuzzyplan.monte_carlo import (
     run_range,
     sample_instance,
 )
-from fuzzyplan.simplex import solve
+from fuzzyplan.simplex import reoptimize, solve
 
 from conftest import DEMO, DEMO_OPTIMUM
 from oracles import residuals
@@ -306,7 +306,7 @@ def test_balanced_capacities_merge_exactly(table1_specs, tableau_solves):
     # scenario stays balanced, and where every node ships at capacity
     # its optimum is degenerate without a folded pair. The cuts cross a
     # chunk boundary; each shard starts with an empty basis cache. Of
-    # the 16 cold rows, 4 take the tableau; a warm start from a pooled
+    # the 16 cold rows, 4 take the tableau; a warm start from a stored
     # basis certifies the other 12, and no proposal does
     fixed = {
         field: tuple(GaussianSpec(spec.mean, 0.0) for spec in getattr(table1_specs, field))
@@ -431,6 +431,36 @@ def test_table1_cold_solve_count_pinned(table1_specs, counted_solves, engine_cou
     }
 
 
+def test_table1_warm_starts_each_pivot_from_one_store(table1_specs, monkeypatch):
+    # every basis the cache stores was tested on every row still pending,
+    # so a warm start from one never ends where it began: the mc-table1
+    # run at seed 1 makes 33 phase 2 runs, none of 0 pivots. After every
+    # batch the store holds each basis once, its inverse as int8 entries
+    # 0 and ±1
+    pivots = []
+
+    def counted(*args):
+        sol = reoptimize(*args)
+        pivots.append(sol.iterations)
+        return sol
+
+    answer = _BasisCache.answer
+
+    def checked(cache, c, b):
+        result = answer(cache, c, b)
+        for basis in cache.bases:
+            assert basis.inverse.dtype == np.int8
+            assert set(np.unique(basis.inverse).tolist()) <= {-1, 0, 1}
+        keys = [basis.basic.tobytes() for basis in cache.bases]
+        assert len(set(keys)) == len(keys)
+        return result
+
+    monkeypatch.setattr("fuzzyplan.basis.reoptimize", counted)
+    monkeypatch.setattr(_BasisCache, "answer", checked)
+    run_range(table1_specs, 0, 10_000, 1)
+    assert len(pivots) == 33 and min(pivots) > 0
+
+
 def test_table1_fuzzy_and_crisp_engine_counts_pinned(counted_solves, engine_counts):
     # the other halves of the mc-table1 workload, which do not depend on
     # the seed: compare's 11-level fuzzy batch, and the crisp anchor.
@@ -510,6 +540,13 @@ def test_cache_keeps_only_bases_that_answer_other_steps():
     cache = _BasisCache(here.shape)
     cache.answer(*lp_rows(here.shape, monte_carlo._draws(here, 0, 0, 1)))
     assert cache.bases == []
+
+
+@pytest.mark.parametrize("value", [-np.finfo(float).max, -3.0, 0.0, 3.0, np.finfo(float).max])
+def test_point_mass_bin_is_finite_around_its_value(value):
+    hist = monte_carlo._histogram(np.full(4, value))  # BinnedHistogram checks the edges are finite
+    lo, hi = hist.bin_edges
+    assert lo <= value <= hi and lo < hi and hist.counts == (4.0,)
 
 
 @pytest.mark.parametrize("excess, feasible", [(5e-8, True), (5e-7, False)])

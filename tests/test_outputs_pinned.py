@@ -147,7 +147,7 @@ def test_fuzzy_outputs_pinned_through_the_screen(tmp_path):
 
 
 def test_fuzzy_outputs_pinned_through_warm_starts(tmp_path, engine_counts):
-    # 10 of the 22 corners are cold; phase 2 from a pooled basis certifies
+    # 10 of the 22 corners are cold; phase 2 from a stored basis certifies
     # 6 of them, and the bytes are those of a run that proposed all 10
     source = tmp_path / "eight_by_eight.json"
     source.write_text(json.dumps(eight_by_eight()))
@@ -170,7 +170,7 @@ def test_montecarlo_outputs_pinned_where_bases_seldom_repeat(tmp_path, engine_co
     assert _digest(out) == EIGHT_BY_EIGHT_MONTECARLO
     counts = engine_counts()
     engines = ("cold", "warm", "proposed", "tableau")
-    assert [counts[key] for key in engines] == [400, 346, 54, 0]
+    assert [counts[key] for key in engines] == [400, 387, 13, 0]
 
 
 def test_transport_outputs_pinned(tmp_path):
