@@ -47,11 +47,11 @@ int8 since its entries are 0 and ±1. A batch tests every stored basis on
 every row; fresh stores each basis that certifies its own row, after
 testing it on every row still pending; and the batch ends keeping only
 the bases that answered a row other than their own. So every stored
-basis has been tested on every pending row. The engines of fresh come in
-this order:
-- warm: phase 2 of the tableau (simplex.reoptimize) from the newest
-  stored basis that is primal feasible for the row, whichever engine
-  found it.
+basis has been tested on every pending row, and certify's primal test
+is the one test of a start: answer keeps, for each row, the newest
+stored basis whose test it passed. The engines of fresh come in order:
+- warm: phase 2 of the tableau (simplex.reoptimize) from that basis,
+  whichever engine found it.
 - propose: the transport solver, since the distributor LP is a
   transportation problem once each node splits in two.
 - the tableau from the slack basis of the shape's lp_skeleton.
@@ -256,19 +256,16 @@ class _BasisCache:
         f = np.array(plan[0])
         return (f[:m, :n] + f[m:-1, :n] + f[:m, n:-1] + f[m:-1, n:-1]).ravel()
 
-    def warm(self, c: np.ndarray, b: np.ndarray):
-        """The basis phase 2 ends on from the newest stored basis that passes
-        certify's primal test on b, or None where no stored basis does.
+    def warm(self, c: np.ndarray, b: np.ndarray, start: _Basis):
+        """The basis phase 2 ends on from start, a stored basis that passed
+        certify's primal test on b (answer chooses it; warm tests nothing).
 
         Such a start has every row of [x_B | B^-1 diag(±1)]
         lexicographically positive, so simplex.reoptimize keeps them so
         and ends on the one basis certify can accept where c has one.
         """
-        for start in reversed(self.bases):
-            if (start.inverse @ b > -start.lead * PIVOT_TOL).all():
-                lp = LinearProgram(*self.skeleton, b, c)
-                return self._solved(reoptimize(lp, start.basic, start.inverse))
-        return None
+        lp = LinearProgram(*self.skeleton, b, c)
+        return self._solved(reoptimize(lp, start.basic, start.inverse))
 
     def _proposed(self, c: np.ndarray, b: np.ndarray):
         """The basis of propose's plan, or None."""
@@ -281,27 +278,28 @@ class _BasisCache:
             return None
         return self._basis(np.isin(np.arange(self.matrix.shape[1]), sol.basis))
 
-    def fresh(self, c: np.ndarray, b: np.ndarray):
+    def fresh(self, c: np.ndarray, b: np.ndarray, start: _Basis | None):
         """Answer LP 0 of the pending LPs (columns of c and b): none certifies it.
 
-        Returns (basis, certified, cold solution): the basis found for
-        LP 0 (None where it has no optimum), what certify gives for it
-        on every column, and the tableau's solution of LP 0. The stored
-        bases have been tried; the engines then come in this order:
-        warm (phase 2 from a stored basis), _proposed (the transport solver),
-        and simplex.solve. The first two only propose. Where the basis
-        they give certifies LP 0 there is no cold solution, since the
-        tableau would end on the same basis; otherwise the next engine
-        runs. The tableau breaks ties in b and in c by certify's rules,
-        so it ends on the one basis certify can accept, tied or not, and
-        that basis is certified as it stands; where it fails the test (a
-        near tie: a reduced cost between TIE_MARGIN and CERTIFY_MARGIN
-        times max |c|), the tableau's answer stands. A basis that
-        certifies LP 0 is stored, whichever engine found it.
+        Returns (basis, certified, cold solution): the basis found for LP 0
+        (None where it has no optimum), what certify gives for it on every
+        column, and the tableau's solution of LP 0. The stored bases have
+        been tried, and start is the newest whose primal test LP 0 passed,
+        or None. The engines: warm (phase 2 from start), _proposed (the
+        transport solver) and simplex.solve, in this order. The first two
+        only propose. Where the basis they give certifies LP 0 there is no
+        cold solution, since the tableau would end on the same basis;
+        otherwise the next engine runs. The tableau breaks ties in b and in
+        c by certify's rules, so it ends on the one basis certify can
+        accept, tied or not, and that basis is certified as it stands; where
+        it fails the test (a near tie: a reduced cost between TIE_MARGIN and
+        CERTIFY_MARGIN times max |c|), the tableau's answer stands. A basis
+        that certifies LP 0 is stored, whichever engine found it.
         """
         c0, b0 = c[:, 0].copy(), b[:, 0].copy()
-        for find in (self.warm, self._proposed):
-            basis = find(c0, b0)
+        warm = () if start is None else (lambda: self.warm(c0, b0, start),)
+        for find in (*warm, lambda: self._proposed(c0, b0)):
+            basis = find()
             if basis is not None:
                 certified = self.certify(basis, c, b)
                 if certified[0][0]:
@@ -319,21 +317,22 @@ class _BasisCache:
     def certify(self, basis: _Basis, c: np.ndarray, b: np.ndarray):
         """Which scenarios (columns of c and b) basis answers, as their one certified basis.
 
-        c is (MN, K) and b (2(M+N), K), one LP a column. Returns the
-        mask, the optimal shipments of the certified columns, (MN, r),
-        and their benefits. Certified means: every basic
-        variable above PIVOT_TOL, or within it of 0 with a positive lead,
-        and every nonbasic reduced cost below -CERTIFY_MARGIN max|c|, or
-        within TIE_MARGIN max|c| of 0 where simplex.tie_passes passes its
-        column (the lexicographic rules of the module docstring). A tie's
-        test is one of the basis alone, made only for the columns within
-        the band on some LP, from B^-1 M_j, whose entries are 0 and ±1;
-        only the LPs that fail outright are then decided again, so a
-        batch with no tie does no more work. At most one basis certifies
-        an LP. The tableau's final basis passes the primal test, since
-        its zero floor on these LPs is PIVOT_TOL too, and outside near
-        ties the dual test: its own tie band, PIVOT_TOL max|c|, lies a
-        hundredfold inside the margin and outside TIE_MARGIN.
+        c is (MN, K) and b (2(M+N), K), one LP a column. Returns the mask,
+        the optimal shipments of the certified columns, (MN, r), their
+        benefits, and the mask of the primal test alone, from which answer
+        chooses warm starts. Certified means: every basic variable above
+        PIVOT_TOL, or within it of 0 with a positive lead, and every
+        nonbasic reduced cost below -CERTIFY_MARGIN max|c|, or within
+        TIE_MARGIN max|c| of 0 where simplex.tie_passes passes its column
+        (the lexicographic rules of the module docstring). A tie's test is
+        one of the basis alone, made only for the columns within the band on
+        some LP, from B^-1 M_j, whose entries are 0 and ±1; only the LPs
+        that fail outright are then decided again, so a batch with no tie
+        does no more work. At most one basis certifies an LP. The tableau's
+        final basis passes the primal test, since its zero floor on these
+        LPs is PIVOT_TOL too, and outside near ties the dual test: its own
+        tie band, PIVOT_TOL max|c|, lies a hundredfold inside the margin and
+        outside TIE_MARGIN.
 
         An LP's tests, on x_B = B^-1 b and on the reduced costs
         c_N - M_N^T (B^-T c_B), M_N the nonbasic columns of the standard
@@ -407,7 +406,7 @@ class _BasisCache:
         benefit = np.zeros(len(rows))
         for r in range(ships):
             benefit += c_basic[r] * x_basic[r]
-        return ok, x, benefit
+        return ok, x, benefit, passed
 
     @np.errstate(over="ignore", invalid="ignore")
     def answer(self, c: np.ndarray, b: np.ndarray):
@@ -426,19 +425,20 @@ class _BasisCache:
         2^k and its benefit by 2^(k+j). That is exact in binary, it leaves
         the screen's absolute FEAS_TOL on the unscaled row, and it puts
         every LP in the frame the methods below assume (_BasisCache). Every
-        stored basis is tested on every LP still waiting for an answer;
-        the first LP none certifies goes to fresh, which starts warm from
-        a stored basis, proposes a basis or solves the LP cold, tests the
-        basis it finds on the LPs still pending, and stores it where it
-        certifies its own LP. The pending columns are kept packed:
-        answered columns are dropped as they settle. So every stored
-        basis has been tested on every pending LP, and a basis found
+        stored basis is tested on every LP still waiting for an answer; the
+        first LP none certifies goes to fresh, which starts warm from the
+        newest stored basis that passed certify's primal test on it
+        (starts), proposes a basis or solves the LP cold, tests the basis it
+        finds on the LPs still pending, and stores it, and so lets it start
+        them, only where it certifies its own LP. The pending columns are
+        kept packed: answered columns are dropped as they settle. So every
+        stored basis has been tested on every pending LP, and a basis found
         again answers nothing new and is not stored twice: certify is a
-        function of (basis, LP). Within a batch the store grows by at
-        most one basis for each LP that reaches fresh, (2(M+N))^2 bytes
-        each. At the end it keeps only the bases that answered an LP
-        other than the one they were found at: where optimal supports do
-        not repeat, no basis is retested on the next batch.
+        function of (basis, LP). Within a batch the store grows by at most
+        one basis for each LP that reaches fresh, (2(M+N))^2 bytes each. At
+        the end it keeps only the bases that answered an LP other than the
+        one they were found at: where optimal supports do not repeat, no
+        basis is retested on the next batch.
 
         Finite data can still overflow where a benefit is multiplied back
         past the float maximum: numpy stays quiet, and a feasible row
@@ -455,21 +455,26 @@ class _BasisCache:
         np.ldexp(c, -j, out=c)
         benefit, x = np.zeros(len(screened)), np.zeros((self.lanes, len(screened)))
         pending = np.arange(len(screened))  # columns of x still to answer, and of c and b
+        starts = np.full(len(screened), -1)  # per column: the newest basis in self.bases it passed
 
-        def settle(ok, x_ok, benefit_ok) -> int:
-            """Answer the pending LPs a basis certifies (ok); return how many."""
+        def settle(ok, x_ok, benefit_ok, passed, stored) -> int:
+            """Answer the pending LPs a basis certifies (ok), start those it passed
+            from it if it is self.bases[stored], and return how many it answered."""
             nonlocal pending, c, b
+            if stored is not None:
+                starts[pending[passed]] = stored
             if len(benefit_ok):
                 cols, keep = pending[ok], ~ok
                 x[:, cols], benefit[cols] = x_ok, benefit_ok
                 pending, c, b = pending[keep], c.compress(keep, axis=1), b.compress(keep, axis=1)
             return len(benefit_ok)
 
-        useful = [basis for basis in self.bases if settle(*self.certify(basis, c, b))]
+        useful = [old for i, old in enumerate(self.bases) if settle(*self.certify(old, c, b), i)]
         while pending.size:
-            col = int(pending[0])
-            basis, certified, sol = self.fresh(c, b)
-            others = settle(*certified) if basis is not None else 0
+            col, newest = int(pending[0]), starts[pending[0]]
+            basis, certified, sol = self.fresh(c, b, self.bases[newest] if newest >= 0 else None)
+            stored = len(self.bases) - 1 if basis is not None and certified[0][0] else None
+            others = settle(*certified, stored) if basis is not None else 0
             if pending.size and pending[0] == col:  # not certified: the cold answer stands
                 if sol.status == "optimal":
                     benefit[col], x[:, col] = sol.objective_value, sol.x

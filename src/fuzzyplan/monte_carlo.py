@@ -340,11 +340,11 @@ class McResult:
 
 
 def _histogram(values: np.ndarray) -> BinnedHistogram:
-    """Freedman-Diaconis binning, at least 20 bins; point mass gets one bin,
-    its edges kept finite at the float maximum."""
+    """Freedman-Diaconis binning, at least 20 bins; a point mass gets one bin, |v| 1e-8 (and at
+    least 1e-6) each way, so its edges differ at 9 digits, kept finite at the float maximum."""
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
-        half, top = max(1e-6, abs(lo) * 1e-9), np.finfo(float).max
+        half, top = max(1e-6, abs(lo) * 1e-8), np.finfo(float).max
         return BinnedHistogram((max(lo - half, -top), min(lo + half, top)), (float(len(values)),))
     q25, q75 = np.percentile(values, [25, 75])
     width = 2.0 * (q75 - q25) / len(values) ** (1.0 / 3.0)

@@ -59,15 +59,16 @@ def demo_problem() -> DistributionProblem:
 @pytest.fixture
 def counted_solves(monkeypatch):
     """Counts the cold rows of basis._BasisCache.answer: the LPs that no
-    cached basis certifies, which every crisp, Monte Carlo and fuzzy run
-    hands to _BasisCache.fresh (the transport proposal, then the simplex),
-    one call each, with the LPs still pending, one a column."""
+    stored basis certifies, which every crisp, Monte Carlo and fuzzy run
+    hands to _BasisCache.fresh (the warm start from a stored basis, the
+    transport proposal, then the simplex), one call each, with the LPs
+    still pending, one a column."""
     calls = []
     fresh = basis._BasisCache.fresh
 
-    def counted(self, c, b):
+    def counted(self, c, b, start):
         calls.append((c, b))
-        return fresh(self, c, b)
+        return fresh(self, c, b, start)
 
     monkeypatch.setattr(basis._BasisCache, "fresh", counted)
     return calls

@@ -73,18 +73,20 @@ def fixed_order_sum(vectors, matrix):
 
 
 def fixed_order_certify(cache, basis, c, b):
-    """(mask, x, benefit) of _BasisCache.certify, with every
+    """(mask, x, benefit, primal mask) of _BasisCache.certify, with every
     x_B, dual and reduced cost a fixed_order_sum over the whole batch.
 
-    A row passes where each basic variable is above minus its lead times
-    the floor PIVOT_TOL * max(1, max |b|), and each nonbasic reduced cost
-    below -CERTIFY_MARGIN * max |c|, or at most TIE_MARGIN * max |c| from
-    0 where dual_lexicographic_negative holds for its column; x and
-    benefit cover the passing rows.
+    The primal mask holds where each basic variable is above minus its
+    lead times the floor PIVOT_TOL * max(1, max |b|); a row passes where
+    it holds and each nonbasic reduced cost is below -CERTIFY_MARGIN *
+    max |c|, or at most TIE_MARGIN * max |c| from 0 where
+    dual_lexicographic_negative holds for its column; x and benefit
+    cover the passing rows.
     """
     floor = PIVOT_TOL * np.maximum(1.0, np.abs(b).max(axis=1))[:, None]
     x_basic = fixed_order_sum(b, basis.inverse.T)
-    rows = np.flatnonzero((x_basic > -basis.lead * floor).all(axis=1))
+    primal = (x_basic > -basis.lead * floor).all(axis=1)
+    rows = np.flatnonzero(primal)
     costs = np.zeros((len(rows), cache.matrix.shape[1]))
     costs[:, : cache.lanes] = c[rows]
     c_basic = costs[:, basis.basic]
@@ -104,7 +106,7 @@ def fixed_order_certify(cache, basis, c, b):
     benefit = np.zeros(len(rows))
     for r in shipped:
         benefit += c_basic[:, r] * x_basic[:, r]
-    return ok, x, benefit
+    return ok, x, benefit, primal
 
 
 def dual_lexicographic_negative(cache, basis, j) -> bool:

@@ -22,8 +22,8 @@ COMPLETIONS = 20_000
 def certify(cache, basis, c, b):
     """cache.certify on c and b with one LP a row, as answer lays them out
     (one LP a column), and x given back one LP a row."""
-    ok, x, benefit = cache.certify(basis, np.ascontiguousarray(c.T), np.ascontiguousarray(b.T))
-    return ok, np.ascontiguousarray(x.T), benefit
+    ok, x, benefit, passed = cache.certify(basis, *map(np.ascontiguousarray, (c.T, b.T)))
+    return ok, np.ascontiguousarray(x.T), benefit, passed
 
 
 def random_batch(rng, m, n, k):
@@ -102,8 +102,8 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
     plain = []  # caches whose proposer proposes nothing
     fresh = _BasisCache.fresh
 
-    def observed(cache, c, b):
-        basis, certified, sol = fresh(cache, c, b)
+    def observed(cache, c, b, start):
+        basis, certified, sol = fresh(cache, c, b, start)
         m, n = cache.shape
         if (b[: m + n, 0] < np.maximum(b[m + n :, 0], 0.0)).any():
             outcomes["skipped"] += 1
@@ -115,7 +115,7 @@ def test_proposals_leave_answers_and_cache_as_the_tableau_does(seed, monkeypatch
 
     monkeypatch.setattr(_BasisCache, "fresh", observed)
     # proposals are under test here, not warm starts
-    monkeypatch.setattr(_BasisCache, "warm", lambda cache, c, b: None)
+    monkeypatch.setattr(_BasisCache, "warm", lambda cache, c, b, start: None)
 
     def outcome(cache, c, b):
         try:
@@ -631,13 +631,103 @@ def test_warm_starts_leave_every_answer_as_it_is(monkeypatch, engine_counts):
 
         want = outcome(_BasisCache(shape))
         with monkeypatch.context() as patch:
-            patch.setattr(_BasisCache, "warm", lambda cache, c, b: None)
+            patch.setattr(_BasisCache, "warm", lambda cache, c, b, start: None)
             assert outcome(_BasisCache(shape)) == want
 
     check()
     counts = engine_counts()
     assert counts["warm"] > 100  # rows a warm start certified, in the runs that start warm
     assert counts["phase 2"] == counts["warm"]  # phase 2 ends on the basis certify accepts
+
+
+def near_tied(cache, c, b, rows):
+    """c with each of rows moved to a near tie: where the tableau's basis
+    of the row has a nonbasic lane, that lane's reduced cost is set to
+    -1e-8 max|c|, between TIE_MARGIN and CERTIFY_MARGIN, so no basis
+    certifies the row and the tableau's answer stands."""
+    c = c.copy()
+    costs = np.zeros(cache.matrix.shape[1])
+    for row in rows:
+        basis = cache._solved(solve(LinearProgram(*cache.skeleton, b[row], c[row])))
+        lanes = [] if basis is None else basis.nonbasic[basis.nonbasic < cache.lanes]
+        if len(lanes):
+            costs[: cache.lanes] = c[row]
+            price = costs[basis.basic] @ basis.inverse @ cache.matrix[:, lanes[0]]
+            for _ in range(3):  # the band moves with max |c|
+                c[row, lanes[0]] = price - 1e-8 * np.abs(c[row]).max()
+    return c
+
+
+def test_warm_starts_from_the_newest_stored_basis_the_row_passed(monkeypatch):
+    # certify's primal test is the only one that chooses a start: fresh
+    # gets, and passes to warm, the newest basis in the store whose mask
+    # passed on its row, or None where none did (and then warm does not
+    # run). Every stored basis has been through certify on the row by
+    # then. A basis that fresh finds but does not store (a near tie on
+    # its own row) is never a start in its batch
+    masks = {}  # (basic, row) -> certify's primal mask
+    seen = dict.fromkeys(["start", "none", "newest of several", "unstored", "unstored, passed"], 0)
+    state = {"start": None, "warm": 0, "unstored": []}
+    certify, warm = _BasisCache.certify, _BasisCache.warm
+    fresh, answer = _BasisCache.fresh, _BasisCache.answer
+
+    def key(c, b, k):
+        return c[:, k].tobytes() + b[:, k].tobytes()
+
+    def recorded(cache, basis, c, b):
+        result = certify(cache, basis, c, b)
+        for k, passed in enumerate(result[3]):
+            masks[basis.basic.tobytes(), key(c, b, k)] = passed
+        return result
+
+    def checked_fresh(cache, c, b, start):
+        row = key(c, b, 0)
+        passed = [masks[basis.basic.tobytes(), row] for basis in cache.bases]
+        newest = [basis for basis, ok in zip(cache.bases, passed) if ok][-1:]
+        assert start is (newest[0] if newest else None)
+        assert all(start is not basis for basis in state["unstored"])
+        seen["start" if newest else "none"] += 1
+        seen["newest of several"] += sum(passed) > 1
+        state["start"], calls = start, state["warm"]
+        basis, certified, sol = fresh(cache, c, b, start)
+        assert state["warm"] - calls == (start is not None)
+        if basis is not None and not certified[0][0]:
+            assert all(basis is not kept for kept in cache.bases)
+            state["unstored"].append(basis)
+            seen["unstored"] += 1
+            seen["unstored, passed"] += bool(masks[basis.basic.tobytes(), row])
+        return basis, certified, sol
+
+    def checked_warm(cache, c, b, start):
+        assert start is state["start"]
+        state["warm"] += 1
+        return warm(cache, c, b, start)
+
+    def batch(cache, c, b):
+        state["unstored"] = []  # a kept basis may start the next batch
+        return answer(cache, c, b)
+
+    monkeypatch.setattr(_BasisCache, "certify", recorded)
+    monkeypatch.setattr(_BasisCache, "fresh", checked_fresh)
+    monkeypatch.setattr(_BasisCache, "warm", checked_warm)
+    monkeypatch.setattr(_BasisCache, "answer", batch)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(1, 3), (2, 2), (3, 2), (3, 3), (4, 5)]),
+        kind=st.sampled_from([random_batch, folded_batch, balanced_batch]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(shape, kind, seed):
+        rng = np.random.default_rng(seed)
+        cache = _BasisCache(shape)
+        for _ in range(2):
+            c, b = kind(rng, *shape, 20)
+            c = near_tied(cache, c, b, np.flatnonzero(rng.random(len(c)) < 0.2))
+            cache.answer(c, b)
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_engine_methods_get_lps_in_answers_frame(monkeypatch):
@@ -648,7 +738,7 @@ def test_engine_methods_get_lps_in_answers_frame(monkeypatch):
     # gives with entries 0 and ±1, at 40x40 as well, which _basis rounds
     reads = {  # (c, b) from each method's arguments
         "certify": lambda cache, basis, c, b: (c, b),
-        "warm": lambda cache, c, b: (c, b),
+        "warm": lambda cache, c, b, start: (c, b),
         "propose": lambda cache, c, b: (c, b),
         "_basis_at": lambda cache, x, b, c: (c, b),
     }

@@ -7,6 +7,8 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyplan import basis, cli
 from fuzzyplan.cli import (
@@ -25,7 +27,7 @@ from fuzzyplan.ingest import (
     read_samples,
     to_trapezoid,
 )
-from fuzzyplan.model import DistributionProblem
+from fuzzyplan.model import FIELDS, DistributionProblem
 from fuzzyplan.transport import TransportInstance
 
 TABLE1 = str(files("fuzzyplan").joinpath("data/table1.json"))
@@ -287,6 +289,94 @@ def test_point_mass_at_float_maximum_runs(tmp_path, mode):
     if mode in ("montecarlo", "compare"):
         means = json.loads((out / "mc_summary.json").read_text())["shipment_means"]
         assert math.isfinite(means[0][0]) and means[0][0] > 1e308
+
+
+# where a point mass's histogram edges used to print alike at 9 digits,
+# and the values around them
+POINT_MASSES = (0.0, 3.0, -3.0, 1e3, 1.5e6, 1e300, sys.float_info.max)
+values = st.one_of(st.sampled_from(POINT_MASSES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def test_every_monte_carlo_histogram_reads_back(tmp_path):
+    # the CLI writes histogram edges to 9 significant digits, and a point
+    # mass's one bin is wide enough that its two edges differ there: every
+    # mc_hist_*.csv a run writes reads back through ingest, and through
+    # --mode ingest. Crisp 1xN problems ship |v| down one lane, and 0 down
+    # the other, for a benefit of v: a sale at price 1, or for v < 0 a
+    # contracted purchase at price 1 sold at 0
+    runs = iter(range(10**6))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(value=values, customers=st.integers(1, 2))
+    def check(value, customers):
+        v, loss = abs(value), value < 0
+        out = tmp_path / str(next(runs))
+        out.mkdir()
+        p = write_problem(
+            out / "point.json", supply_max=[v], demand_max=[v] * customers,
+            purchase_min=[v if loss else 0], sale_min=[0] * customers,
+            purchase_price=[1 if loss else 0], sale_price=[0 if loss else 1] * customers,
+            transport_cost=[[0] * customers],
+        )
+        argv = [p, "--mode", "montecarlo", "--mc-steps", "20", "--out-dir", out / "mc"]
+        assert main(list(map(str, argv))) == 0
+        written = sorted((out / "mc").glob("mc_hist_*.csv"))
+        assert len(written) == 1 + customers
+        for path in written:
+            hist = read_histogram_csv(path)
+            assert sum(hist.counts) == 20
+            # the bin holds the benefit, but for the last 3e-9 below the float
+            # maximum, whose edge is the maximum, which 9 digits round down
+            if path.name == "mc_hist_D.csv" and abs(value) < 1.79769313e308:
+                assert hist.bin_edges[0] <= value <= hist.bin_edges[-1]
+            assert main([str(path), "--mode", "ingest", "--out-dir", str(out / path.stem)]) == 0
+
+    check()
+
+
+@st.composite
+def problems(draw):
+    """A DistributionProblem of 1x1 to 3x3 trapezoids, corners drawn from
+    values, the optional contract prices present or not."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def trapezoid():
+        return TrapezoidalFuzzyNumber(*sorted(draw(st.lists(values, min_size=4, max_size=4))))
+
+    entries = {}
+    for f in FIELDS:
+        if f.optional and draw(st.booleans()):
+            continue
+        size = n if f.axis == "cols" else m
+        entry = [trapezoid() for _ in range(size)]
+        if f.axis == "lanes":
+            entry = [tuple(trapezoid() for _ in range(n)) for _ in entry]
+        entries[f.name] = tuple(entry)
+    return DistributionProblem(**entries)
+
+
+def test_export_problem_reads_back_equal(tmp_path):
+    # export_problem writes every corner at full precision, so
+    # parse_problem gives back the same problem, at ±3, 1e300 and the
+    # float maximum as well; so does a transport instance
+    nonnegative = values.map(abs)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        problem=problems(),
+        supplies=st.lists(nonnegative, min_size=1, max_size=3),
+        demands=st.lists(nonnegative, min_size=1, max_size=3),
+        cost=values,
+    )
+    def check(problem, supplies, demands, cost):
+        export_problem(problem, tmp_path / "problem.json")
+        assert parse_problem(tmp_path / "problem.json") == problem
+        costs = tuple(tuple(cost for _ in demands) for _ in supplies)
+        transport = TransportInstance(tuple(supplies), tuple(demands), costs)
+        export_problem(transport, tmp_path / "transport.json")
+        assert parse_problem(tmp_path / "transport.json") == transport
+
+    check()
 
 
 @pytest.mark.parametrize(
