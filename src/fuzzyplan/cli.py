@@ -434,12 +434,11 @@ def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
         lines.append(f"{line},{str(level.feasible).lower()},{str(level.repaired).lower()}")
     _write_csv(config.out_dir / "fuzzy_levels.csv", header, lines)
     try:
-        quads = {"D": _quad(fit_trapezoid(fz, "benefit"))}
-        for k, name in enumerate(names):
-            quads[name] = _quad(fit_trapezoid(fz, k))
+        traps = fit_trapezoid(fz)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE, fz
+    quads = {name: _quad(t) for name, t in zip(("D", *names), traps)}
     _write_json(config.out_dir / "fuzzy_quadruples.json", quads)
     return EXIT_OK, fz
 
@@ -470,25 +469,6 @@ def _run_montecarlo(config: RunConfig, problem: DistributionProblem):
     for name, hist in zip(lanes(mc.shape), mc.shipment_histograms):
         _write_csv(config.out_dir / f"mc_hist_{name}.csv", header, _hist_rows(hist))
     return EXIT_OK, mc
-
-
-def _report_payload(report):
-    return {
-        "gamma_core": report.gamma_core,
-        "gamma_support": report.gamma_support,
-        "entries": [
-            {
-                "name": e.name,
-                "fuzzy": _quad(e.fuzzy),
-                "mc": _quad(e.mc),
-                "fuzzy_support_width": e.fuzzy_support_width,
-                "mc_support_width": e.mc_support_width,
-                "width_ratio": e.width_ratio,
-                "mc_inside_fuzzy": e.mc_inside_fuzzy,
-            }
-            for e in report.entries
-        ],
-    }
 
 
 def _run_ingest(config: RunConfig) -> int:
@@ -534,8 +514,8 @@ def run(config: RunConfig) -> int:
     code, mc = _run_montecarlo(config, problem)
     if code != EXIT_OK:
         return code
-    report = compare(fz, mc, config.gamma_core, config.gamma_support)
-    _write_json(config.out_dir / "comparison.json", _report_payload(report))
+    payload = compare(fz, mc, config.gamma_core, config.gamma_support)
+    _write_json(config.out_dir / "comparison.json", payload)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ answer depends on the order of the batch.
 
 A feasible level's cuts are one (1 + MN, 2) array of [lo, hi] rows: the
 benefit, then lane k in row 1 + k, in lane order (the order of the LP's
-x and of model.lanes); fit_trapezoid(sol, k) is lane k's trapezoid.
+x and of model.lanes); fit_trapezoid(sol) gives one trapezoid per row.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ class FuzzySolution:
     shape: tuple
     levels: tuple  # AlphaLevelResult per grid level, ascending alpha
     nesting_adjusted: bool = False
-
-    def level_at(self, alpha: float) -> AlphaLevelResult:
-        for lv in self.levels:
-            if abs(lv.alpha - alpha) <= 1e-12:
-                return lv
-        raise KeyError(f"no result at alpha={alpha}")
 
 
 def corner_rows(p: DistributionProblem, alphas) -> np.ndarray:
@@ -169,27 +163,19 @@ def enforce_nesting(sol: FuzzySolution) -> FuzzySolution:
     return replace(sol, levels=tuple(levels), nesting_adjusted=adjusted)
 
 
-def fit_trapezoid(sol: FuzzySolution, quantity="benefit") -> TrapezoidalFuzzyNumber:
-    """Trapezoid for the total benefit or one lane's shipment.
+def fit_trapezoid(sol: FuzzySolution) -> tuple:
+    """A trapezoid per quantity, in cut-row order: the benefit, then lane k at 1 + k.
 
-    quantity is "benefit" or a lane index k in lane order, an int in
-    [0, MN). Uses the alpha=0 cut as support and the alpha=1 cut as core;
-    both levels must be present and feasible.
+    The first level's cuts are the supports and the last level's the
+    cores; they must be the levels at alpha 0 and 1 (to 1e-12), and both
+    feasible.
     """
-    lanes = sol.shape[0] * sol.shape[1]
-    if quantity == "benefit":
-        row = 0
-    elif isinstance(quantity, int) and not isinstance(quantity, bool) and 0 <= quantity < lanes:
-        row = 1 + quantity
-    else:
-        valid = f"'benefit' or a lane index in [0, {lanes})"
-        raise ValueError(f"quantity must be {valid}, got {quantity!r}")
-    try:
-        lo_level = sol.level_at(0.0)
-        hi_level = sol.level_at(1.0)
-    except KeyError:
-        raise ValueError("grid must include levels 0 and 1 to fit a trapezoid") from None
-    if not (lo_level.feasible and hi_level.feasible):
+    support, core = sol.levels[0], sol.levels[-1]
+    if abs(support.alpha) > 1e-12 or abs(core.alpha - 1.0) > 1e-12:
+        raise ValueError("grid must include levels 0 and 1 to fit a trapezoid")
+    if not (support.feasible and core.feasible):
         raise ValueError("levels 0 and 1 must both be feasible to fit a trapezoid")
-    (a, d), (b, c) = lo_level.cuts[row].tolist(), hi_level.cuts[row].tolist()
-    return TrapezoidalFuzzyNumber(a, b, c, d)
+    return tuple(
+        TrapezoidalFuzzyNumber(a, b, c, d)
+        for (a, d), (b, c) in zip(support.cuts.tolist(), core.cuts.tolist())
+    )

@@ -35,9 +35,9 @@ A PartialRun holds its results as read-only float arrays, which
 merge_partials concatenates and finalize reads as they are. Per-lane
 results are flat, in lane order (the order of the LP's x): each
 PartialRun shipment row and McResult's shipment histograms, means and
-standard deviations. compare pairs entry k with fit_trapezoid(fz, k),
-the trapezoid of row 1 + k of the fuzzy levels' cuts, under the k-th
-name of model.lanes.
+standard deviations. compare pairs lane k's histogram with
+fit_trapezoid(fz)[1 + k], the trapezoid of row 1 + k of the fuzzy
+levels' cuts, under the k-th name of model.lanes.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ __all__ = [
     "ParameterSpecs",
     "PartialRun",
     "McResult",
-    "ComparisonReport",
-    "QuantityComparison",
     "sample_instance",
     "run",
     "run_range",
@@ -340,18 +338,25 @@ class McResult:
 
 
 def _histogram(values: np.ndarray) -> BinnedHistogram:
-    """Freedman-Diaconis binning, at least 20 bins; a point mass gets one bin, |v| 1e-8 (and at
-    least 1e-6) each way, so its edges differ at 9 digits, kept finite at the float maximum."""
+    """Freedman-Diaconis binning, 20 to 400 bins over [lo, hi].
+
+    Where those edges would not rise strictly as cli writes them, at 9
+    significant digits (a point mass, lo == hi, or values a few ulps
+    apart), one bin over [lo, hi], max(|lo|, |hi|) 1e-8 (and at least
+    1e-6) wider each way, kept finite at the float maximum.
+    """
     lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        half, top = max(1e-6, abs(lo) * 1e-8), np.finfo(float).max
-        return BinnedHistogram((max(lo - half, -top), min(lo + half, top)), (float(len(values)),))
     q25, q75 = np.percentile(values, [25, 75])
     width = 2.0 * (q75 - q25) / len(values) ** (1.0 / 3.0)
     bins = 20 if width <= 0 else max(20, int(math.ceil((hi - lo) / width)))
     bins = min(bins, 400)
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    return BinnedHistogram(tuple(map(float, edges)), tuple(map(float, counts)))
+    edges = np.linspace(lo, hi, bins + 1).tolist()  # np.histogram's edges
+    printed = list(map(float, (",".join(["%.9g"] * len(edges)) % tuple(edges)).split(",")))
+    if printed == sorted(set(printed)):
+        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+        return BinnedHistogram(tuple(map(float, edges)), tuple(map(float, counts)))
+    half, top = max(1e-6, max(abs(lo), abs(hi)) * 1e-8), np.finfo(float).max
+    return BinnedHistogram((max(lo - half, -top), min(hi + half, top)), (float(len(values)),))
 
 
 def _mean_std(values: np.ndarray):
@@ -397,30 +402,6 @@ def run(specs: ParameterSpecs, steps: int, seed: int = 42) -> McResult:
     return finalize(run_range(specs, 0, steps, seed))
 
 
-@dataclass(frozen=True)
-class QuantityComparison:
-    name: str
-    fuzzy: TrapezoidalFuzzyNumber
-    mc: TrapezoidalFuzzyNumber
-    fuzzy_support_width: float
-    mc_support_width: float
-    width_ratio: float  # fuzzy / mc; 1.0 when both degenerate, inf when only mc is
-    mc_inside_fuzzy: bool
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    gamma_core: float
-    gamma_support: float
-    entries: tuple  # QuantityComparison; first entry is the benefit
-
-    def entry(self, name: str) -> QuantityComparison:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-
 def _degenerate_tol(trap: TrapezoidalFuzzyNumber) -> float:
     """Widths below this are treated as collapsed points.
 
@@ -430,42 +411,35 @@ def _degenerate_tol(trap: TrapezoidalFuzzyNumber) -> float:
     return 1e-6 * max(1.0, abs(midpoint(trap.a, trap.d)))
 
 
-def _ratio(fuzzy_width: float, mc_width: float, fuzzy_tol: float, mc_tol: float) -> float:
-    if fuzzy_width <= fuzzy_tol and mc_width <= mc_tol:
-        return 1.0
-    if mc_width <= mc_tol:
-        return math.inf
-    return fuzzy_width / mc_width
-
-
 def compare(
     fz: FuzzySolution,
     mc: McResult,
     gamma_core: float = DEFAULT_GAMMA_CORE,
     gamma_support: float = DEFAULT_GAMMA_SUPPORT,
-) -> ComparisonReport:
-    """Per-quantity quadruples from both methods, plus width diagnostics."""
+) -> dict:
+    """The comparison.json payload: both methods' quadruple per quantity, and their widths.
+
+    One entry per quantity, the benefit "D" first and then each lane by
+    name. width_ratio is fuzzy / mc support width; 1.0 where both are
+    degenerate, inf where only the Monte Carlo one is.
+    """
     if fz.shape != mc.shape:
         raise ValueError(f"fuzzy solution is {fz.shape}, Monte Carlo is {mc.shape}")
     if mc.feasible_count == 0:
         raise ValueError("Monte Carlo run has no feasible scenarios to compare")
-
-    def against(name, fuzzy_trap, hist):
+    entries = []
+    hists = (mc.benefit_histogram, *mc.shipment_histograms)
+    for name, fuzzy, hist in zip(("D", *lanes(fz.shape)), fit_trapezoid(fz), hists):
         mc_trap = to_trapezoid(ecdf_from_histogram(hist), gamma_core, gamma_support)
-        fw = fuzzy_trap.d - fuzzy_trap.a
-        mw = mc_trap.d - mc_trap.a
-        ftol, mtol = _degenerate_tol(fuzzy_trap), _degenerate_tol(mc_trap)
-        return QuantityComparison(
-            name=name,
-            fuzzy=fuzzy_trap,
-            mc=mc_trap,
-            fuzzy_support_width=fw,
-            mc_support_width=mw,
-            width_ratio=_ratio(fw, mw, ftol, mtol),
-            mc_inside_fuzzy=fuzzy_trap.support.contains(mc_trap.support, tol=max(ftol, mtol)),
-        )
-
-    entries = [against("D", fit_trapezoid(fz, "benefit"), mc.benefit_histogram)]
-    for k, name in enumerate(lanes(fz.shape)):
-        entries.append(against(name, fit_trapezoid(fz, k), mc.shipment_histograms[k]))
-    return ComparisonReport(gamma_core, gamma_support, tuple(entries))
+        fw, mw = fuzzy.d - fuzzy.a, mc_trap.d - mc_trap.a
+        ftol, mtol = _degenerate_tol(fuzzy), _degenerate_tol(mc_trap)
+        entries.append({
+            "name": name,
+            "fuzzy": [fuzzy.a, fuzzy.b, fuzzy.c, fuzzy.d],
+            "mc": [mc_trap.a, mc_trap.b, mc_trap.c, mc_trap.d],
+            "fuzzy_support_width": fw,
+            "mc_support_width": mw,
+            "width_ratio": (1.0 if fw <= ftol else math.inf) if mw <= mtol else fw / mw,
+            "mc_inside_fuzzy": fuzzy.support.contains(mc_trap.support, tol=max(ftol, mtol)),
+        })
+    return {"gamma_core": gamma_core, "gamma_support": gamma_support, "entries": entries}

@@ -62,7 +62,7 @@ def test_criterion_2_fuzzy_demo(capsys, demo_problem):
     t0 = time.perf_counter()
     problems = []
     fz = solve_fuzzy(demo_problem)
-    core = fz.level_at(1.0)
+    core = fz.levels[-1]
     if not core.feasible:
         problems.append("alpha=1 infeasible")
     elif not core.cuts[0, 0] - 1e-9 <= DEMO_OPTIMUM <= core.cuts[0, 1] + 1e-9:
@@ -91,16 +91,16 @@ def test_criterion_3_monte_carlo_scale(capsys, demo_problem):
     fz = solve_fuzzy(demo_problem)
     specs = ParameterSpecs.from_problem(demo_problem)
     mc = run(specs, 10_000, seed=42)
-    core_lo, core_hi = fz.level_at(1.0).cuts[0].tolist()
+    core_lo, core_hi = fz.levels[-1].cuts[0].tolist()
     if mc.benefit_mean is None:
         problems.append("no feasible scenarios")
     elif not core_lo <= mc.benefit_mean <= core_hi:
         problems.append(f"mean {mc.benefit_mean} outside core [{core_lo}, {core_hi}]")
-    entry = compare(fz, mc).entry("D")
-    if entry.fuzzy_support_width + 1e-9 < entry.mc_support_width:
+    entry = {e["name"]: e for e in compare(fz, mc)["entries"]}["D"]
+    if entry["fuzzy_support_width"] + 1e-9 < entry["mc_support_width"]:
         problems.append(
-            f"fuzzy support {entry.fuzzy_support_width} narrower than "
-            f"MC support {entry.mc_support_width}"
+            f"fuzzy support {entry['fuzzy_support_width']} narrower than "
+            f"MC support {entry['mc_support_width']}"
         )
     elapsed = time.perf_counter() - t0
     if elapsed >= 60.0:
@@ -249,7 +249,7 @@ def test_criterion_8_degenerate_collapse(capsys, demo_crisp_problem):
         if abs(lo - DEMO_OPTIMUM) > 1e-6:
             problems.append(f"level value {lo} vs {DEMO_OPTIMUM}")
             break
-    trap = fit_trapezoid(fz)
+    trap = fit_trapezoid(fz)[0]
     if abs(trap.a - DEMO_OPTIMUM) > 1e-6 or abs(trap.d - DEMO_OPTIMUM) > 1e-6:
         problems.append("fitted quadruple not collapsed")
     specs = ParameterSpecs.from_problem(demo_crisp_problem)

@@ -7,7 +7,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuzzyplan import basis, cli
@@ -298,23 +298,30 @@ values = st.one_of(st.sampled_from(POINT_MASSES), st.floats(allow_nan=False, all
 
 
 def test_every_monte_carlo_histogram_reads_back(tmp_path):
-    # the CLI writes histogram edges to 9 significant digits, and a point
-    # mass's one bin is wide enough that its two edges differ there: every
-    # mc_hist_*.csv a run writes reads back through ingest, and through
-    # --mode ingest. Crisp 1xN problems ship |v| down one lane, and 0 down
-    # the other, for a benefit of v: a sale at price 1, or for v < 0 a
-    # contracted purchase at price 1 sold at 0
+    # the CLI writes histogram edges to 9 significant digits, and where
+    # 20 bins would not show there (a point mass, or a spread of a few
+    # ulps to a few parts in 1e10) the values get one bin wide enough that
+    # its two edges differ: every mc_hist_*.csv a run writes reads back
+    # through ingest, and through --mode ingest. 1xN problems ship |v| down
+    # one lane, and 0 down the other, for a benefit of v: a sale at price
+    # 1, or for v < 0 a contracted purchase at price 1 sold at 0. That
+    # quantity is Gaussian with sigma |v| r (crisp at r = 0), and the
+    # capacities beside it leave it room for 8 sigma
     runs = iter(range(10**6))
+    spreads = st.sampled_from([0, 1e-16, 1e-12, 1e-10])
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(value=values, customers=st.integers(1, 2))
-    def check(value, customers):
+    @given(value=values, spread=spreads, customers=st.integers(1, 2))
+    def check(value, spread, customers):
         v, loss = abs(value), value < 0
+        room = v + 8 * v * spread
+        assume(room < math.inf)  # draws past the float maximum stop the run
+        drawn = {"mean": v, "sigma": v * spread}
         out = tmp_path / str(next(runs))
         out.mkdir()
         p = write_problem(
-            out / "point.json", supply_max=[v], demand_max=[v] * customers,
-            purchase_min=[v if loss else 0], sale_min=[0] * customers,
+            out / "point.json", supply_max=[room if loss else drawn], demand_max=[room] * customers,
+            purchase_min=[drawn if loss else 0], sale_min=[0] * customers,
             purchase_price=[1 if loss else 0], sale_price=[0 if loss else 1] * customers,
             transport_cost=[[0] * customers],
         )

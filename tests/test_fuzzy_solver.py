@@ -1,5 +1,4 @@
 import json
-import re
 import warnings
 from dataclasses import replace
 
@@ -122,12 +121,10 @@ def test_solve_fuzzy_crisp_collapses(demo_crisp_problem):
 
 def test_solve_fuzzy_single_lane_closed_form():
     sol = solve_fuzzy(single_lane_problem())
-    at0 = sol.level_at(0.0)
-    at1 = sol.level_at(1.0)
+    at0, at1 = sol.levels[0], sol.levels[-1]
     assert at0.cuts == pytest.approx(np.array([[10.0, 40.0], [10.0, 10.0]]))
     assert at1.cuts[0] == pytest.approx([20.0, 30.0])
-    assert fit_trapezoid(sol, "benefit") == T(10.0, 20.0, 30.0, 40.0)
-    assert fit_trapezoid(sol, 0) == T(10.0, 10.0, 10.0, 10.0)
+    assert fit_trapezoid(sol) == (T(10.0, 20.0, 30.0, 40.0), T(10.0, 10.0, 10.0, 10.0))
 
 
 def test_solve_fuzzy_demo(demo_problem):
@@ -136,7 +133,7 @@ def test_solve_fuzzy_demo(demo_problem):
     # clipping kicks in once contract minimums cross capacities, which
     # for these spreads happens on the wide half of the grid
     assert [lv.repaired for lv in sol.levels] == [True] * 6 + [False] * 5
-    core_lo, core_hi = sol.level_at(1.0).cuts[0]
+    core_lo, core_hi = sol.levels[-1].cuts[0]
     assert core_lo <= DEMO_OPTIMUM <= core_hi
     for lo_lv, hi_lv in zip(sol.levels, sol.levels[1:]):
         assert lo_lv.cuts.shape == hi_lv.cuts.shape == (10, 2)  # benefit and 9 lanes
@@ -169,7 +166,7 @@ def test_solve_fuzzy_all_infeasible_reported():
     assert all(not lv.feasible for lv in sol.levels)
     assert all(lv.cuts is None for lv in sol.levels)
     with pytest.raises(ValueError, match="feasible"):
-        fit_trapezoid(sol, "benefit")
+        fit_trapezoid(sol)
 
 
 def level(alpha, *cuts):
@@ -186,9 +183,9 @@ def test_enforce_nesting_widens():
     )
     fixed = enforce_nesting(raw)
     assert fixed.nesting_adjusted
-    assert np.array_equal(fixed.level_at(0.0).cuts, [[5.0, 6.0], [1.0, 2.0]])
-    assert np.array_equal(fixed.level_at(1.0).cuts, [[5.0, 6.0], [1.2, 1.8]])
-    assert np.array_equal(raw.level_at(0.0).cuts, [[5.5, 5.8], [1.0, 2.0]])  # input untouched
+    assert np.array_equal(fixed.levels[0].cuts, [[5.0, 6.0], [1.0, 2.0]])
+    assert np.array_equal(fixed.levels[1].cuts, [[5.0, 6.0], [1.2, 1.8]])
+    assert np.array_equal(raw.levels[0].cuts, [[5.5, 5.8], [1.0, 2.0]])  # input untouched
 
 
 def test_enforce_nesting_identity():
@@ -208,7 +205,7 @@ def test_enforce_nesting_keeps_tied_floats():
     raw = FuzzySolution(AlphaGrid((0.0, 1.0)), (1, 1), (below, above))
     fixed = enforce_nesting(raw)
     assert not fixed.nesting_adjusted
-    assert np.signbit(fixed.level_at(0.0).cuts).tolist() == [[True, False], [True, False]]
+    assert np.signbit(fixed.levels[0].cuts).tolist() == [[True, False], [True, False]]
 
 
 def test_enforce_nesting_carries_hull_across_infeasible_level(tmp_path, monkeypatch):
@@ -219,8 +216,8 @@ def test_enforce_nesting_carries_hull_across_infeasible_level(tmp_path, monkeypa
     )
     fixed = enforce_nesting(raw)
     assert fixed.nesting_adjusted
-    assert np.array_equal(fixed.level_at(0.0).cuts, [[5.0, 6.0], [1.0, 2.0]])
-    assert fixed.level_at(0.5).cuts is None and not fixed.level_at(0.5).feasible
+    assert np.array_equal(fixed.levels[0].cuts, [[5.0, 6.0], [1.0, 2.0]])
+    assert fixed.levels[1].cuts is None and not fixed.levels[1].feasible
 
     doc = {"schema_version": 1, "kind": "distribution", "supply_max": [9], "demand_max": [9]}
     doc.update(purchase_min=[0], sale_min=[0], purchase_price=[1], sale_price=[2])
@@ -247,25 +244,26 @@ def test_fit_trapezoid_requires_end_levels():
         grid, (1, 1), (level(0.2, (0.0, 1.0), (0.0, 1.0)), level(0.8, (0.2, 0.8), (0.2, 0.8)))
     )
     with pytest.raises(ValueError, match="levels 0 and 1"):
-        fit_trapezoid(sol, "benefit")
-
-
-def test_fit_trapezoid_rejects_lane_indexes_outside_the_lanes(demo_problem):
-    sol = solve_fuzzy(demo_problem)
-    assert fit_trapezoid(sol, 8) != fit_trapezoid(sol, 0)
-    valid = r"^quantity must be 'benefit' or a lane index in \[0, 9\), got "
-    for bad in (-1, 9, True, False, "x_11", 1.0, None):
-        with pytest.raises(ValueError, match=valid + re.escape(repr(bad)) + "$"):
-            fit_trapezoid(sol, bad)
+        fit_trapezoid(sol)
+    # the first and last levels are the ends, each to within 1e-12
+    for ends, fits in [((0.0, 0.8), False), ((0.2, 1.0), False), ((1e-13, 1 - 1e-13), True)]:
+        levels = (level(ends[0], (0.0, 1.0), (0.0, 1.0)), level(ends[1], (0.2, 0.8), (0.2, 0.8)))
+        sol = FuzzySolution(AlphaGrid(ends), (1, 1), levels)
+        if fits:
+            assert fit_trapezoid(sol) == (T(0.0, 0.2, 0.8, 1.0),) * 2
+        else:
+            with pytest.raises(ValueError, match="^grid must include levels 0 and 1"):
+                fit_trapezoid(sol)
 
 
 def test_fit_trapezoid_reads_the_end_level_cuts(demo_problem):
     sol = solve_fuzzy(demo_problem)
-    support, core = sol.level_at(0.0).cuts, sol.level_at(1.0).cuts
-    quantities = ["benefit", *range(9)]
-    for row, quantity in enumerate(quantities):
+    support, core = sol.levels[0].cuts, sol.levels[-1].cuts
+    traps = fit_trapezoid(sol)
+    assert len(traps) == 1 + 9
+    for row, trap in enumerate(traps):
         (a, d), (b, c) = support[row].tolist(), core[row].tolist()
-        assert fit_trapezoid(sol, quantity) == T(a, b, c, d)
+        assert trap == T(a, b, c, d)
 
 
 def test_fit_trapezoid_needs_both_end_levels_feasible():
@@ -276,15 +274,15 @@ def test_fit_trapezoid_needs_both_end_levels_feasible():
         )
         sol = FuzzySolution(AlphaGrid((0.0, 1.0)), (1, 1), levels)
         with pytest.raises(ValueError, match="^levels 0 and 1 must both be feasible"):
-            fit_trapezoid(sol, 0)
+            fit_trapezoid(sol)
 
 
 def test_grid_refinement_keeps_end_levels(demo_problem):
     coarse = solve_fuzzy(demo_problem, AlphaGrid.uniform(11))
     fine = solve_fuzzy(demo_problem, AlphaGrid.uniform(21))
-    for pick in (0.0, 1.0):
-        a = coarse.level_at(pick).cuts[0]
-        b = fine.level_at(pick).cuts[0]
+    for pick in (0, -1):
+        a = coarse.levels[pick].cuts[0]
+        b = fine.levels[pick].cuts[0]
         assert a == pytest.approx(b, abs=1e-9)
 
 
