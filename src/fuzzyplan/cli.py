@@ -157,9 +157,7 @@ def _quad(t: TrapezoidalFuzzyNumber):
 
 
 def _rows(per_lane, shape):
-    """Lane-order values as M rows of N, the layout of the JSON files; None stays None."""
-    if per_lane is None:
-        return None
+    """Lane-order values as M rows of N, the layout of the JSON files."""
     m, n = shape
     return [list(per_lane[start : start + n]) for start in range(0, m * n, n)]
 
@@ -450,23 +448,22 @@ def _hist_rows(hist):
 def _run_montecarlo(config: RunConfig, problem: DistributionProblem):
     specs = ParameterSpecs.from_problem(problem, config.gamma_support)
     mc = mc_run(specs, config.mc_steps, config.seed)
-    summary = {
+    summary = {  # means and stds are None where no step is feasible
         "steps": mc.steps,
         "seed": mc.seed,
         "feasible": mc.feasible_count,
         "infeasible": mc.infeasible_count,
-        "benefit_mean": mc.benefit_mean,
-        "benefit_std": mc.benefit_std,
-        "shipment_means": _rows(mc.shipment_means, mc.shape),
-        "shipment_stds": _rows(mc.shipment_stds, mc.shape),
+        "benefit_mean": mc.means and mc.means[0],
+        "benefit_std": mc.stds and mc.stds[0],
+        "shipment_means": mc.means and _rows(mc.means[1:], mc.shape),
+        "shipment_stds": mc.stds and _rows(mc.stds[1:], mc.shape),
     }
     _write_json(config.out_dir / "mc_summary.json", summary)
     if mc.feasible_count == 0:
         print("error: every Monte Carlo scenario was infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE, mc
     header = ["bin_lo", "bin_hi", "count"]
-    _write_csv(config.out_dir / "mc_hist_D.csv", header, _hist_rows(mc.benefit_histogram))
-    for name, hist in zip(lanes(mc.shape), mc.shipment_histograms):
+    for name, hist in zip(("D", *lanes(mc.shape)), mc.histograms):
         _write_csv(config.out_dir / f"mc_hist_{name}.csv", header, _hist_rows(hist))
     return EXIT_OK, mc
 

@@ -115,7 +115,10 @@ class EmpiricalCDF:
         p0, p1 = self.ps[j - 1], self.ps[j]
         x0, x1 = self.xs[j - 1], self.xs[j]
         # bisect_left guarantees p0 < g <= p1, so the segment has slope
-        return x0 + (g - p0) / (p1 - p0) * (x1 - x0)
+        t = (g - p0) / (p1 - p0)
+        if x1 - x0 < math.inf:
+            return x0 + t * (x1 - x0)
+        return (1.0 - t) * x0 + t * x1  # a bin wider than the float maximum
 
 
 def ecdf_from_samples(s: SampleSet) -> EmpiricalCDF:

@@ -31,13 +31,13 @@ A chunk is sized by the values it draws, not by its steps:
 max(1, CHUNK_VALUES // P) steps, P the parameters of one step, so its
 memory is the same at any shape (CHUNK_VALUES says why).
 
-A PartialRun holds its results as read-only float arrays, which
-merge_partials concatenates and finalize reads as they are. Per-lane
-results are flat, in lane order (the order of the LP's x): each
-PartialRun shipment row and McResult's shipment histograms, means and
-standard deviations. compare pairs lane k's histogram with
-fit_trapezoid(fz)[1 + k], the trapezoid of row 1 + k of the fuzzy
-levels' cuts, under the k-th name of model.lanes.
+Both methods keep every quantity in one order, the fuzzy levels' cut
+rows: the benefit first, then lane k at 1 + k, lanes in the order of
+the LP's x and of model.lanes. A PartialRun holds one read-only
+(F, 1 + MN) array, one row per feasible scenario in that order, which
+merge_partials concatenates and finalize reads column by column into
+McResult's histograms, means and standard deviations. compare pairs the
+k-th of them with fit_trapezoid(fz)[k].
 """
 
 from __future__ import annotations
@@ -131,23 +131,20 @@ def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstan
 class PartialRun:
     """Raw feasible-scenario results for a contiguous index range.
 
-    benefits is a (F,) float array and shipments an (F, MN) one, one
-    flat x-vector per feasible scenario; both are read-only. Two runs
-    are equal where every field is, the arrays bit for bit: dtype,
-    shape and bytes.
+    values is a read-only (F, 1 + MN) float array, one row per feasible
+    scenario: its benefit, then its flat x-vector. The other
+    stop - start - F steps were infeasible. Two runs are equal where
+    every field is, the array bit for bit: dtype, shape and bytes.
     """
 
     start: int
     stop: int
     seed: int
     shape: tuple
-    benefits: np.ndarray
-    shipments: np.ndarray
-    infeasible_count: int
+    values: np.ndarray
 
     def __post_init__(self):
-        self.benefits.flags.writeable = False
-        self.shipments.flags.writeable = False
+        self.values.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, PartialRun):
@@ -289,19 +286,14 @@ def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> Partia
     if seed < 0:
         raise ValueError(f"need a seed >= 0, got {seed}")
     cache = _BasisCache(specs.shape)
-    benefits, shipments, infeasible = [np.empty(0)], [np.empty((0, math.prod(specs.shape)))], 0
+    blocks = [np.empty((0, 1 + math.prod(specs.shape)))]
     chunk = _chunk_steps(specs)
     for lo in range(start, stop, chunk):
         c, b = lp_rows(specs.shape, _draws(specs, seed, lo, min(lo + chunk, stop)))
         b = b.copy()  # b is a view of the draws: this frees them
         feasible, benefit, x = cache.answer(c, b)
-        benefits.append(benefit[feasible])
-        shipments.append(x[feasible])
-        infeasible += len(b) - int(feasible.sum())
-    return PartialRun(
-        start, stop, seed, specs.shape, np.concatenate(benefits), np.concatenate(shipments),
-        infeasible,
-    )
+        blocks.append(np.column_stack((benefit, x))[feasible])
+    return PartialRun(start, stop, seed, specs.shape, np.concatenate(blocks))
 
 
 def merge_partials(parts) -> PartialRun:
@@ -316,9 +308,7 @@ def merge_partials(parts) -> PartialRun:
         parts[-1].stop,
         parts[0].seed,
         parts[0].shape,
-        np.concatenate([p.benefits for p in parts]),
-        np.concatenate([p.shipments for p in parts]),
-        sum(p.infeasible_count for p in parts),
+        np.concatenate([p.values for p in parts]),
     )
 
 
@@ -329,32 +319,34 @@ class McResult:
     shape: tuple
     feasible_count: int
     infeasible_count: int
-    benefit_histogram: BinnedHistogram | None
-    benefit_mean: float | None
-    benefit_std: float | None
-    shipment_histograms: tuple | None  # per lane, in lane order
-    shipment_means: tuple | None
-    shipment_stds: tuple | None
+    histograms: tuple | None  # per quantity: the benefit, then lane k at 1 + k
+    means: tuple | None
+    stds: tuple | None
 
 
 def _histogram(values: np.ndarray) -> BinnedHistogram:
     """Freedman-Diaconis binning, 20 to 400 bins over [lo, hi].
 
-    Where those edges would not rise strictly as cli writes them, at 9
-    significant digits (a point mass, lo == hi, or values a few ulps
-    apart), one bin over [lo, hi], max(|lo|, |hi|) 1e-8 (and at least
-    1e-6) wider each way, kept finite at the float maximum.
+    Where hi - lo passes the float maximum, or those edges would not
+    rise strictly as cli writes them, at 9 significant digits (a point
+    mass, lo == hi, or values a few ulps apart), one bin over [lo, hi],
+    max(|lo|, |hi|) 1e-8 (and at least 1e-6) wider each way, kept finite
+    at the float maximum.
     """
     lo, hi = float(values.min()), float(values.max())
-    q25, q75 = np.percentile(values, [25, 75])
-    width = 2.0 * (q75 - q25) / len(values) ** (1.0 / 3.0)
-    bins = 20 if width <= 0 else max(20, int(math.ceil((hi - lo) / width)))
-    bins = min(bins, 400)
-    edges = np.linspace(lo, hi, bins + 1).tolist()  # np.histogram's edges
-    printed = list(map(float, (",".join(["%.9g"] * len(edges)) % tuple(edges)).split(",")))
-    if printed == sorted(set(printed)):
-        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-        return BinnedHistogram(tuple(map(float, edges)), tuple(map(float, counts)))
+    if hi - lo < math.inf:  # then no difference of two values overflows
+        q25, q75 = np.percentile(values, [25, 75]).tolist()
+        # (hi - lo) / width, width = 2 (q75 - q25) / n^(1/3), with both halved:
+        # the same float unless the spread is subnormal, and 2 (q75 - q25),
+        # which may pass the float maximum, is never formed
+        half_width = (q75 - q25) / len(values) ** (1.0 / 3.0)
+        bins = 20 if half_width <= 0 else max(20, math.ceil((hi - lo) / 2 / half_width))
+        bins = min(bins, 400)
+        edges = np.linspace(lo, hi, bins + 1).tolist()  # np.histogram's edges
+        printed = list(map(float, (",".join(["%.9g"] * len(edges)) % tuple(edges)).split(",")))
+        if printed == sorted(set(printed)):
+            counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+            return BinnedHistogram(tuple(map(float, edges)), tuple(map(float, counts)))
     half, top = max(1e-6, max(abs(lo), abs(hi)) * 1e-8), np.finfo(float).max
     return BinnedHistogram((max(lo - half, -top), min(hi + half, top)), (float(len(values)),))
 
@@ -371,28 +363,13 @@ def _mean_std(values: np.ndarray):
 
 
 def finalize(part: PartialRun) -> McResult:
-    steps = part.stop - part.start
-    if not len(part.benefits):
-        return McResult(
-            steps, part.seed, part.shape, 0, part.infeasible_count,
-            None, None, None, None, None, None,
-        )
-    per_lane = part.shipments.T  # one row per lane, in lane order
-    benefit_mean, benefit_std = _mean_std(part.benefits)
-    ship_means, ship_stds = zip(*map(_mean_std, per_lane))
-    return McResult(
-        steps=steps,
-        seed=part.seed,
-        shape=part.shape,
-        feasible_count=len(part.benefits),
-        infeasible_count=part.infeasible_count,
-        benefit_histogram=_histogram(part.benefits),
-        benefit_mean=benefit_mean,
-        benefit_std=benefit_std,
-        shipment_histograms=tuple(map(_histogram, per_lane)),
-        shipment_means=ship_means,
-        shipment_stds=ship_stds,
-    )
+    steps, feasible = part.stop - part.start, len(part.values)
+    if not feasible:
+        return McResult(steps, part.seed, part.shape, 0, steps, None, None, None)
+    columns = part.values.T  # one row per quantity, in cut-row order
+    means, stds = zip(*map(_mean_std, columns))
+    hists = tuple(map(_histogram, columns))
+    return McResult(steps, part.seed, part.shape, feasible, steps - feasible, hists, means, stds)
 
 
 def run(specs: ParameterSpecs, steps: int, seed: int = 42) -> McResult:
@@ -428,8 +405,7 @@ def compare(
     if mc.feasible_count == 0:
         raise ValueError("Monte Carlo run has no feasible scenarios to compare")
     entries = []
-    hists = (mc.benefit_histogram, *mc.shipment_histograms)
-    for name, fuzzy, hist in zip(("D", *lanes(fz.shape)), fit_trapezoid(fz), hists):
+    for name, fuzzy, hist in zip(("D", *lanes(fz.shape)), fit_trapezoid(fz), mc.histograms):
         mc_trap = to_trapezoid(ecdf_from_histogram(hist), gamma_core, gamma_support)
         fw, mw = fuzzy.d - fuzzy.a, mc_trap.d - mc_trap.a
         ftol, mtol = _degenerate_tol(fuzzy), _degenerate_tol(mc_trap)

@@ -92,10 +92,10 @@ def test_criterion_3_monte_carlo_scale(capsys, demo_problem):
     specs = ParameterSpecs.from_problem(demo_problem)
     mc = run(specs, 10_000, seed=42)
     core_lo, core_hi = fz.levels[-1].cuts[0].tolist()
-    if mc.benefit_mean is None:
+    if mc.means is None:
         problems.append("no feasible scenarios")
-    elif not core_lo <= mc.benefit_mean <= core_hi:
-        problems.append(f"mean {mc.benefit_mean} outside core [{core_lo}, {core_hi}]")
+    elif not core_lo <= mc.means[0] <= core_hi:
+        problems.append(f"mean {mc.means[0]} outside core [{core_lo}, {core_hi}]")
     entry = {e["name"]: e for e in compare(fz, mc)["entries"]}["D"]
     if entry["fuzzy_support_width"] + 1e-9 < entry["mc_support_width"]:
         problems.append(
@@ -257,9 +257,9 @@ def test_criterion_8_degenerate_collapse(capsys, demo_crisp_problem):
     if mc.feasible_count != 200:
         problems.append(f"{mc.infeasible_count} infeasible degenerate scenarios")
     elif (
-        mc.benefit_std != 0.0
-        or abs(mc.benefit_mean - DEMO_OPTIMUM) > 1e-6
-        or len(mc.benefit_histogram.counts) != 1
+        mc.stds[0] != 0.0
+        or abs(mc.means[0] - DEMO_OPTIMUM) > 1e-6
+        or len(mc.histograms[0].counts) != 1
     ):
         problems.append("Monte Carlo did not collapse to a point")
     _report(capsys, 8, "degenerate collapse", problems)

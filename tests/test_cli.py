@@ -341,6 +341,27 @@ def test_every_monte_carlo_histogram_reads_back(tmp_path):
     check()
 
 
+def test_quantity_spread_past_the_float_maximum_runs(tmp_path):
+    # the benefit, -purchase_price with sigma 5e307, spreads its 200 draws
+    # over more than the float maximum: it gets one bin, not a traceback,
+    # and each histogram written reads back, through --mode ingest too
+    p = write_problem(
+        tmp_path / "wide.json", supply_max=[1], demand_max=[1], purchase_min=[1],
+        purchase_price=[{"mean": 0, "sigma": 5e307}], sale_price=[0], transport_cost=[[0]],
+    )
+    out = tmp_path / "mc"
+    proc = fresh_cli([p, "--mode", "montecarlo", "--mc-steps", "200", "--out-dir", out], "error")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = (out / "mc_hist_D.csv").read_text().splitlines()
+    assert lines == ["bin_lo,bin_hi,count", "-1.33916141e+308,1.50588869e+308,200"]
+    written = sorted(out.glob("mc_hist_*.csv"))
+    assert [path.name for path in written] == ["mc_hist_D.csv", "mc_hist_x_11.csv"]
+    for path in written:
+        assert sum(read_histogram_csv(path).counts) == 200
+        proc = fresh_cli([path, "--mode", "ingest", "--out-dir", tmp_path / path.stem], "error")
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @st.composite
 def problems(draw):
     """A DistributionProblem of 1x1 to 3x3 trapezoids, corners drawn from

@@ -163,6 +163,18 @@ def test_quantile_matches_searchsorted(f, data):
     assert got == want and type(got) is type(want)
 
 
+def test_quantile_across_a_bin_wider_than_the_float_maximum(tmp_path):
+    # x1 - x0 overflows on this bin: the quantiles interpolate as
+    # (1 - t) x0 + t x1 instead, finite and in order inside its edges
+    path = tmp_path / "wide.csv"
+    path.write_text("-1e308,1e308,5\n")
+    trap = to_trapezoid(ecdf_from_histogram(read_histogram_csv(path)))
+    quad = [trap.a, trap.b, trap.c, trap.d]
+    assert all(map(math.isfinite, quad))
+    assert -1e308 <= trap.a < trap.b < trap.c < trap.d <= 1e308
+    assert quad == pytest.approx([-0.9e308, -0.3e308, 0.3e308, 0.9e308], rel=1e-12)
+
+
 def test_quantile_matches_searchsorted_on_repeated_heights():
     f = ecdf_from_histogram(BinnedHistogram((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 0.0, 1.0)))
     assert len(set(f.ps)) < len(f.ps)

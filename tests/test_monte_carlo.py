@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 from importlib.resources import files
 from unittest import mock
 
@@ -236,9 +237,9 @@ def test_run_degenerate_specs(demo_crisp_specs):
     res = run(demo_crisp_specs, 50, seed=1)
     assert res.feasible_count == 50
     assert res.infeasible_count == 0
-    assert res.benefit_mean == pytest.approx(DEMO_OPTIMUM, abs=1e-6)
-    assert res.benefit_std == 0.0
-    hist = res.benefit_histogram
+    assert res.means[0] == pytest.approx(DEMO_OPTIMUM, abs=1e-6)
+    assert res.stds[0] == 0.0
+    hist = res.histograms[0]
     assert len(hist.counts) == 1
     assert sum(hist.counts) == 50
     assert hist.bin_edges[0] <= DEMO_OPTIMUM <= hist.bin_edges[-1]
@@ -248,8 +249,8 @@ def test_run_counts_and_histogram_mass(demo_specs):
     res = run(demo_specs, 200, seed=42)
     assert res.feasible_count + res.infeasible_count == 200
     assert res.infeasible_count > 0  # no repair on this path, wide draws do fail
-    assert sum(res.benefit_histogram.counts) == res.feasible_count
-    for hist in res.shipment_histograms:
+    assert sum(res.histograms[0].counts) == res.feasible_count
+    for hist in res.histograms[1:]:
         assert sum(hist.counts) == res.feasible_count
 
 
@@ -375,26 +376,25 @@ def test_chunk_budget_counts_drawn_values(table1_specs):
 
 def test_partial_run_holds_read_only_arrays_equal_bit_for_bit(demo_specs):
     part = run_range(demo_specs, 0, 40, 42)
-    feasible = 40 - part.infeasible_count
-    assert part.benefits.dtype == part.shipments.dtype == np.float64
-    assert part.benefits.shape == (feasible,)
-    assert part.shipments.shape == (feasible, 9)
+    feasible = len(part.values)
+    assert 0 < feasible < 40
+    assert part.values.dtype == np.float64
+    assert part.values.shape == (feasible, 1 + 9)
     with pytest.raises(ValueError, match="read-only"):
-        part.benefits[0] = 0.0
+        part.values[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        part.shipments[0, 0] = 0.0
+        part.values[0, 1] = 0.0
     assert part == run_range(demo_specs, 0, 40, 42)
-    assert (part.shipments == 0.0).any()
+    assert (part.values[:, 1:] == 0.0).any()
     for changed in [
-        dict(benefits=part.benefits.astype(np.float32).astype(np.float64)),  # other values
-        dict(benefits=part.benefits.astype(np.longdouble)),  # other dtype
-        dict(shipments=part.shipments.reshape(-1)),  # other shape, same bytes
-        dict(shipments=np.where(part.shipments == 0.0, -0.0, part.shipments)),  # equal values
-        dict(infeasible_count=part.infeasible_count + 1),
+        part.values.astype(np.float32).astype(np.float64),  # other values
+        part.values.astype(np.longdouble),  # other dtype
+        part.values.reshape(-1),  # other shape, same bytes
+        np.where(part.values == 0.0, -0.0, part.values),  # equal values
     ]:
-        assert dataclasses.replace(part, **changed) != part
-    nan = dataclasses.replace(part, benefits=np.full(feasible, np.nan))
-    assert nan == dataclasses.replace(part, benefits=np.full(feasible, np.nan))
+        assert dataclasses.replace(part, values=changed) != part
+    nan = dataclasses.replace(part, values=np.full((feasible, 10), np.nan))
+    assert nan == dataclasses.replace(part, values=np.full((feasible, 10), np.nan))
 
 
 def _support(x):
@@ -410,9 +410,9 @@ def test_certified_results_agree_with_cold_solves(
     assert len(counted_solves) < 100  # most answers come from cached bases
     cold = [solve(to_lp(sample_instance(specs, seed, index))) for index in range(2000)]
     optimal = [sol for sol in cold if sol.status == "optimal"]
-    assert part.infeasible_count == len(cold) - len(optimal)
-    assert len(part.benefits) == len(optimal)
-    for sol, benefit, x in zip(optimal, part.benefits, part.shipments):
+    assert part.stop - part.start - len(part.values) == len(cold) - len(optimal)
+    assert len(part.values) == len(optimal)
+    for sol, (benefit, *x) in zip(optimal, part.values):
         assert _support(x) == _support(sol.x)
         for got, want in zip(x, sol.x):
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -502,8 +502,8 @@ def test_tied_optimum_is_certified(sale_prices, counted_solves, tableau_solves):
     part = run_range(specs, 0, 3, 0)
     assert len(counted_solves) == 1 and not tableau_solves
     sol = solve(to_lp(sample_instance(specs, 0, 0)))
-    assert tuple(part.benefits) == (sol.objective_value,) * 3
-    assert tuple(map(tuple, part.shipments.tolist())) == (sol.x,) * 3
+    assert tuple(part.values[:, 0]) == (sol.objective_value,) * 3
+    assert tuple(map(tuple, part.values[:, 1:].tolist())) == (sol.x,) * 3
 
 
 def test_cache_keeps_only_bases_that_answer_other_steps():
@@ -558,6 +558,23 @@ def test_values_ulps_apart_get_one_bin_whose_printed_edges_differ():
     assert ["%.9g" % edge for edge in hist.bin_edges] == ["0.999999", "1.000001"]
 
 
+def test_histogram_spans_near_the_float_maximum_without_overflow():
+    top = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # hi - lo passes the float maximum: one bin, its edges kept finite
+        hist = monte_carlo._histogram(np.array([-top, 0.0, 0.5 * top, top]))
+        assert hist.bin_edges == (-top, top) and hist.counts == (4.0,)
+        # hi - lo within it, but 2 (q75 - q25) past it: 216,000 values at
+        # -0.45 and 0.45 times the maximum take (0.9 top) / (2 (0.9 top) / 60),
+        # 30 Freedman-Diaconis bins, not the 20 of an infinite bin width
+        values = np.repeat([-0.45 * top, 0.45 * top], 108_000)
+        hist = monte_carlo._histogram(values)
+    assert len(hist.counts) in (30, 31)
+    assert hist.bin_edges[0] == -0.45 * top and hist.bin_edges[-1] == 0.45 * top
+    assert hist.counts[0] == hist.counts[-1] == 108_000.0
+
+
 @pytest.mark.parametrize("excess, feasible", [(5e-8, True), (5e-7, False)])
 def test_screen_tolerance(demo_crisp_specs, excess, feasible, counted_solves):
     first = demo_crisp_specs.supply_max[0].mean + excess
@@ -585,7 +602,7 @@ def test_merge_validation(demo_specs):
 def test_feasible_samples_satisfy_their_scenarios(demo_specs):
     part = run_range(demo_specs, 0, 80, 42)
     checked = 0
-    feasible_iter = iter(zip(part.benefits, part.shipments))
+    feasible_iter = iter(zip(part.values[:, 0], part.values[:, 1:]))
     for index in range(80):
         inst = sample_instance(demo_specs, 42, index)
         lp = to_lp(inst)
@@ -594,7 +611,7 @@ def test_feasible_samples_satisfy_their_scenarios(demo_specs):
         benefit, x = next(feasible_iter)
         assert residuals(lp, x) <= 1e-7
         checked += 1
-    assert checked == part.stop - part.start - part.infeasible_count
+    assert checked == len(part.values)
 
 
 def test_all_infeasible_run():
@@ -611,16 +628,16 @@ def test_all_infeasible_run():
     res = run(specs, 10, seed=0)
     assert res.feasible_count == 0
     assert res.infeasible_count == 10
-    assert res.benefit_histogram is None
-    assert res == McResult(10, 0, (1, 2), 0, 10, None, None, None, None, None, None)
+    assert res.histograms is None
+    assert res == McResult(10, 0, (1, 2), 0, 10, None, None, None)
     # empty result arrays keep their dtype and lane count, also across a merge
     for part in (
         run_range(specs, 0, 10, 0),
         run_range(specs, 4, 4, 0),
         merge_partials([run_range(specs, 0, 3, 0), run_range(specs, 3, 3, 0)]),
     ):
-        assert part.benefits.shape == (0,) and part.shipments.shape == (0, 2)
-        assert part.benefits.dtype == part.shipments.dtype == np.float64
+        assert part.values.shape == (0, 1 + 2)
+        assert part.values.dtype == np.float64
     assert finalize(run_range(specs, 0, 10, 0)) == res
 
 
@@ -653,9 +670,9 @@ def test_compare_demo(demo_problem, demo_specs):
     assert d["mc_support_width"] > 0
     assert d["width_ratio"] > 1.0
     assert d["mc_inside_fuzzy"]
-    assert mc.benefit_mean is not None
+    assert mc.means is not None
     core_lo, core_hi = fz.levels[-1].cuts[0]
-    assert core_lo <= mc.benefit_mean <= core_hi
+    assert core_lo <= mc.means[0] <= core_hi
 
 
 def test_compare_shape_mismatch(demo_problem, demo_specs):
@@ -712,7 +729,7 @@ def test_compare_near_the_float_maximum(tmp_path):
     path.write_text(json.dumps(NEAR_MAX))
     problem = parse_problem(str(path))
     mc = run(ParameterSpecs.from_problem(problem), 2000, seed=42)
-    assert all(map(math.isfinite, mc.shipment_means + mc.shipment_stds))
+    assert all(map(math.isfinite, mc.means[1:] + mc.stds[1:]))
     entries = by_name(compare(solve_fuzzy(problem), mc))
     lane, d = entries["x_11"], entries["D"]
     fuzzy = TrapezoidalFuzzyNumber(*lane["fuzzy"])
