@@ -442,7 +442,14 @@ def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
 
 
 def _hist_rows(hist):
-    return list(map(_fmt_row, zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)))
+    """Rows of bin_lo,bin_hi,count to 9 digits, but an edge at the float
+    maximum in full: 9 digits round it below the values its bin holds."""
+    top = sys.float_info.max
+    edges = [
+        repr(edge) if abs(edge) == top else text
+        for edge, text in zip(hist.bin_edges, _fmt_row(hist.bin_edges).split(","))
+    ]
+    return list(map(",".join, zip(edges, edges[1:], _fmt_row(hist.counts).split(","))))
 
 
 def _run_montecarlo(config: RunConfig, problem: DistributionProblem):

@@ -3,14 +3,16 @@
 Every model parameter gets an independent Gaussian; each step draws a
 full crisp scenario, solves it, and the optimal benefit and shipments
 of the feasible scenarios are accumulated into histograms. Sampling is
-counter-based: step i draws from default_rng((seed, i)), so a run can
-be split across workers and merged without changing a single draw.
-sample_instance is that definition, one generator per step. run_range
-runs numpy's SeedSequence hash over a whole chunk's (seed, i) entropy
-at once in uint32 arrays, and np.random.PCG64 seeds each step's
-generator from its four hashed words, so the floats equal
-default_rng((seed, i)).normal(means, sigmas); tests/test_monte_carlo.py
-checks them against it.
+counter-based by blocks: with P parameters a step and B =
+max(1, BLOCK_VALUES // P) steps a block, step i is row i % B of
+means + sigmas * default_rng((seed, i // B)).standard_normal((B, P)).
+So every step is a pure function of (seed, i), and a run can be split
+anywhere and merged without changing a single draw. One generator per
+block, not per step, keeps seeding out of the run's time; numpy's
+SeedSequence gives each key (seed, block) its own stream.
+sample_instance is that definition for one step, and _draws fills a
+range of steps block by block; tests/test_monte_carlo.py checks the
+two against each other.
 
 Most scenarios need no simplex solve. run_range draws a chunk into one
 array, one scenario row per step, turns it into every scenario's (c, b)
@@ -27,9 +29,11 @@ the one they came from, so where optimal supports seldom repeat, each
 cold solve costs about one extra test. Every result stays a pure
 function of (seed, index), however chunked, split or cached.
 
-A chunk is sized by the values it draws, not by its steps:
-max(1, CHUNK_VALUES // P) steps, P the parameters of one step, so its
-memory is the same at any shape (CHUNK_VALUES says why).
+A chunk is a batch of work, sized by the values it draws, not by its
+steps: max(1, CHUNK_VALUES // P) steps, so its memory is the same at
+any shape (CHUNK_VALUES says why). Blocks fix the draws and chunks only
+batch them; by default the two are the same size, so each chunk draws
+exactly one block.
 
 Both methods keep every quantity in one order, the fuzzy levels' cut
 rows: the benefit first, then lane k at 1 + k, lanes in the order of
@@ -43,6 +47,7 @@ k-th of them with fit_trapezoid(fz)[k].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -117,14 +122,16 @@ class ParameterSpecs(ParameterTable):
 def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstance:
     """Scenario for one step; a pure function of (seed, index).
 
-    This is the reference definition of a step's draws: run_range's
-    chunked _draws gives the same floats, bit for bit. Parameters are
-    drawn in specs.values() order, which is FIELDS order: changing it
-    would silently reshuffle every reproducible run.
+    This is the reference definition of a step's draws: the P normals of
+    row index % B of its block's generator, B = _block_steps(specs),
+    scaled. run_range's _draws gives the same floats, bit for bit.
+    Parameters are drawn in specs.values() order, which is FIELDS
+    order: changing it would silently reshuffle every reproducible run.
     """
     means, sigmas = specs.moments
-    values = np.random.default_rng((seed, index)).normal(means, sigmas).tolist()
-    return specs.with_values(CrispInstance, values)
+    block, row = divmod(index, _block_steps(specs))
+    z = np.random.default_rng((seed, block)).standard_normal((row + 1, means.size))[-1]
+    return specs.with_values(CrispInstance, (means + sigmas * z).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,15 +165,27 @@ def _same(a, b) -> bool:
     return a == b
 
 
+# Steps one generator draws, as values: step i is row i % B of block
+# i // B, B = max(1, BLOCK_VALUES // parameters per step). Part of the
+# (seed, index) definition of every draw: changing it changes every run.
+BLOCK_VALUES = 100_000
+
 # Values drawn, screened and certified together: a chunk is
-# max(1, CHUNK_VALUES // parameters per step) steps. Results do not depend
-# on it. Each chunk retests every cached basis, and its end drops the
-# bases that answered no other row, so longer chunks test and relearn
-# less; but a chunk's draws, LP rows and pending rows grow with the
-# parameters per step. So a small problem, where bases repeat, gets long
-# chunks, and a large one, where they seldom do, gets short ones: 3,030
-# steps at 3x3 (33 parameters), 317 at 15x15 (315), 52 at 40x40 (1,920).
-CHUNK_VALUES = 100_000
+# max(1, CHUNK_VALUES // parameters per step) steps. A chunk is a batch
+# of work and results do not depend on it; equal to BLOCK_VALUES, it
+# draws one whole block. Each chunk retests every cached basis, and its
+# end drops the bases that answered no other row, so longer chunks test
+# and relearn less; but a chunk's draws, LP rows and pending rows grow
+# with the parameters per step. So a small problem, where bases repeat,
+# gets long chunks, and a large one, where they seldom do, gets short
+# ones: 3,030 steps at 3x3 (33 parameters), 317 at 15x15 (315), 52 at
+# 40x40 (1,920).
+CHUNK_VALUES = BLOCK_VALUES
+
+
+def _block_steps(specs: ParameterSpecs) -> int:
+    """Steps per block of the draws for specs."""
+    return max(1, BLOCK_VALUES // specs.moments[0].size)
 
 
 def _chunk_steps(specs: ParameterSpecs) -> int:
@@ -174,104 +193,28 @@ def _chunk_steps(specs: ParameterSpecs) -> int:
     return max(1, CHUNK_VALUES // specs.moments[0].size)
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe)
-POOL_WORDS = 4
-INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
-INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
-MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-MASK32 = (1 << 32) - 1
-
-
-def _words(n: int) -> int:
-    """Length of n as SeedSequence entropy: little-endian 32-bit words, at least one."""
-    return max(1, -(-n.bit_length() // 32))
-
-
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(words).generate_state(4, uint64) for each column of entropy.
-
-    entropy is (L, K) uint32: column k holds one step's L entropy words.
-    The hash constants depend only on how many hashes came before, so
-    every column runs the same sequence of uint32 operations, which wrap
-    as the C code's do. Returns (4, K) uint64.
-    """
-    hash_const = INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * MULT_A & MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = MIX_MULT_L * x - MIX_MULT_R * y
-        return result ^ result >> 16
-
-    zero = np.zeros(entropy.shape[1], dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(POOL_WORDS)]
-    for src in range(POOL_WORDS):
-        for dst in range(POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(POOL_WORDS, len(entropy)):  # entropy longer than the pool
-        for dst in range(POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    state, hash_const = [], INIT_B
-    for i in range(2 * POOL_WORDS):
-        value = pool[i % POOL_WORDS] ^ hash_const
-        hash_const = hash_const * MULT_B & MASK32
-        value = value * hash_const
-        state.append((value ^ value >> 16).astype(np.uint64))
-    return np.array([state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)])
-
-
-class _HashedWords:
-    """One step's four hashed words, as the ISeedSequence that PCG64 seeds from.
-
-    Any other request, another bit generator's, raises. _draws registers
-    the class, as subclassing would load numpy.random at every CLI start.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != POOL_WORDS or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"seeds PCG64 only, not {n_words} words of {np.dtype(dtype)}")
-        return self.words
-
-
 def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarray:
     """One row per step in [start, stop): the floats sample_instance draws.
 
-    _seed_states hashes the entropy words of seed then i for the whole
-    range at once, grouped by how many words i takes; PCG64 seeds step
-    i's generator from its four hashed words, as default_rng((seed, i))
-    does. Scaling by sigma and adding the mean is the product and sum
-    normal() makes per float. tests/test_monte_carlo.py checks the floats
-    at chunk edges, where i gains a word, and with entropy longer than
-    the pool.
+    Fills one array block by block: each block's generator writes its
+    rows in place, after drawing and dropping the rows before start
+    where the range begins inside the block, and stops at stop. Scaling
+    in place gives the floats of means + sigmas * z.
     """
-    np.random.bit_generator.ISeedSequence.register(_HashedWords)
     means, sigmas = specs.moments
+    steps = _block_steps(specs)
     z = np.empty((stop - start, means.size))
-    prefix = seed.to_bytes(4 * _words(seed), "little")
-    lo = start
-    while lo < stop:
-        width = _words(lo)
-        hi = min(stop, 1 << 32 * width)
-        raw = b"".join(prefix + i.to_bytes(4 * width, "little") for i in range(lo, hi))
-        entropy = np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(hi - lo, -1).T
-        # PCG64 reads the words' memory, so each step's row must be contiguous
-        for row, words in enumerate(_seed_states(entropy).T.copy(), lo - start):
-            np.random.Generator(np.random.PCG64(_HashedWords(words))).standard_normal(out=z[row])
-        lo = hi
+    for block in range(start // steps, -(-stop // steps)):
+        lo, hi = max(start, block * steps), min(stop, (block + 1) * steps)
+        rng = np.random.default_rng((seed, block))
+        rng.standard_normal((lo - block * steps, means.size))  # the rows before start
+        rng.standard_normal(out=z[lo - start : hi - start])
     with np.errstate(over="ignore"):
-        draws = means + sigmas * z
-    if not np.isfinite(draws).all():
+        z *= sigmas
+        z += means
+    if not np.isfinite(z).all():
         raise ValueError("crisp parameters must be finite")
-    return draws
+    return z
 
 
 def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> PartialRun:
@@ -347,7 +290,7 @@ def _histogram(values: np.ndarray) -> BinnedHistogram:
         if printed == sorted(set(printed)):
             counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
             return BinnedHistogram(tuple(map(float, edges)), tuple(map(float, counts)))
-    half, top = max(1e-6, max(abs(lo), abs(hi)) * 1e-8), np.finfo(float).max
+    half, top = max(1e-6, max(abs(lo), abs(hi)) * 1e-8), sys.float_info.max
     return BinnedHistogram((max(lo - half, -top), min(hi + half, top)), (float(len(values)),))
 
 
@@ -397,8 +340,9 @@ def compare(
     """The comparison.json payload: both methods' quadruple per quantity, and their widths.
 
     One entry per quantity, the benefit "D" first and then each lane by
-    name. width_ratio is fuzzy / mc support width; 1.0 where both are
-    degenerate, inf where only the Monte Carlo one is.
+    name. width_ratio is fuzzy / mc support width, taken on the halved
+    widths, which no support overflows; 1.0 where both are degenerate,
+    inf where only the Monte Carlo one is.
     """
     if fz.shape != mc.shape:
         raise ValueError(f"fuzzy solution is {fz.shape}, Monte Carlo is {mc.shape}")
@@ -407,15 +351,19 @@ def compare(
     entries = []
     for name, fuzzy, hist in zip(("D", *lanes(fz.shape)), fit_trapezoid(fz), mc.histograms):
         mc_trap = to_trapezoid(ecdf_from_histogram(hist), gamma_core, gamma_support)
-        fw, mw = fuzzy.d - fuzzy.a, mc_trap.d - mc_trap.a
+        fw, mw = fuzzy.d - fuzzy.a, mc_trap.d - mc_trap.a  # inf past the float maximum
         ftol, mtol = _degenerate_tol(fuzzy), _degenerate_tol(mc_trap)
+        if mw <= mtol:
+            ratio = 1.0 if fw <= ftol else math.inf
+        else:
+            ratio = (fuzzy.d / 2 - fuzzy.a / 2) / (mc_trap.d / 2 - mc_trap.a / 2)
         entries.append({
             "name": name,
             "fuzzy": [fuzzy.a, fuzzy.b, fuzzy.c, fuzzy.d],
             "mc": [mc_trap.a, mc_trap.b, mc_trap.c, mc_trap.d],
             "fuzzy_support_width": fw,
             "mc_support_width": mw,
-            "width_ratio": (1.0 if fw <= ftol else math.inf) if mw <= mtol else fw / mw,
+            "width_ratio": ratio,
             "mc_inside_fuzzy": fuzzy.support.contains(mc_trap.support, tol=max(ftol, mtol)),
         })
     return {"gamma_core": gamma_core, "gamma_support": gamma_support, "entries": entries}

@@ -7,7 +7,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyplan import basis, cli
@@ -292,8 +292,8 @@ def test_point_mass_at_float_maximum_runs(tmp_path, mode):
 
 
 # where a point mass's histogram edges used to print alike at 9 digits,
-# and the values around them
-POINT_MASSES = (0.0, 3.0, -3.0, 1e3, 1.5e6, 1e300, sys.float_info.max)
+# or below the point, and the values around them
+POINT_MASSES = (0.0, 3.0, -3.0, 1e3, 1.5e6, 1e300, 1.7976931300000002e308, sys.float_info.max)
 values = st.one_of(st.sampled_from(POINT_MASSES), st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -312,9 +312,11 @@ def test_every_monte_carlo_histogram_reads_back(tmp_path):
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(value=values, spread=spreads, customers=st.integers(1, 2))
+    @example(value=1.7976931300000002e308, spread=0, customers=1)
+    @example(value=-sys.float_info.max, spread=0, customers=2)
     def check(value, spread, customers):
         v, loss = abs(value), value < 0
-        room = v + 8 * v * spread
+        room = v + 8 * (v * spread)  # 8 v would overflow at the float maximum
         assume(room < math.inf)  # draws past the float maximum stop the run
         drawn = {"mean": v, "sigma": v * spread}
         out = tmp_path / str(next(runs))
@@ -332,9 +334,9 @@ def test_every_monte_carlo_histogram_reads_back(tmp_path):
         for path in written:
             hist = read_histogram_csv(path)
             assert sum(hist.counts) == 20
-            # the bin holds the benefit, but for the last 3e-9 below the float
-            # maximum, whose edge is the maximum, which 9 digits round down
-            if path.name == "mc_hist_D.csv" and abs(value) < 1.79769313e308:
+            # the bin holds the benefit, up to the float maximum, an edge
+            # that is written in full, as 9 digits would round it down
+            if path.name == "mc_hist_D.csv":
                 assert hist.bin_edges[0] <= value <= hist.bin_edges[-1]
             assert main([str(path), "--mode", "ingest", "--out-dir", str(out / path.stem)]) == 0
 
@@ -342,18 +344,18 @@ def test_every_monte_carlo_histogram_reads_back(tmp_path):
 
 
 def test_quantity_spread_past_the_float_maximum_runs(tmp_path):
-    # the benefit, -purchase_price with sigma 5e307, spreads its 200 draws
+    # the benefit, -purchase_price with sigma 4e307, spreads its 200 draws
     # over more than the float maximum: it gets one bin, not a traceback,
     # and each histogram written reads back, through --mode ingest too
     p = write_problem(
         tmp_path / "wide.json", supply_max=[1], demand_max=[1], purchase_min=[1],
-        purchase_price=[{"mean": 0, "sigma": 5e307}], sale_price=[0], transport_cost=[[0]],
+        purchase_price=[{"mean": 0, "sigma": 4e307}], sale_price=[0], transport_cost=[[0]],
     )
     out = tmp_path / "mc"
     proc = fresh_cli([p, "--mode", "montecarlo", "--mc-steps", "200", "--out-dir", out], "error")
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = (out / "mc_hist_D.csv").read_text().splitlines()
-    assert lines == ["bin_lo,bin_hi,count", "-1.33916141e+308,1.50588869e+308,200"]
+    assert lines == ["bin_lo,bin_hi,count", "-9.82969651e+307,1.45936514e+308,200"]
     written = sorted(out.glob("mc_hist_*.csv"))
     assert [path.name for path in written] == ["mc_hist_D.csv", "mc_hist_x_11.csv"]
     for path in written:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyplan.basis import _BasisCache
@@ -57,8 +57,9 @@ def _table1_specs():
     return ParameterSpecs.from_problem(parse_problem(str(table1)))
 
 
-# the steps per chunk of a run on table1's specs
+# the steps per chunk of a run on table1's specs, and per block of its draws
 TABLE1_CHUNK = monte_carlo._chunk_steps(_table1_specs())
+TABLE1_BLOCK = monte_carlo._block_steps(_table1_specs())
 
 
 @pytest.fixture
@@ -119,6 +120,8 @@ def test_sample_instance_deterministic(demo_specs):
 # demands, purchase minimums, sale minimums, purchase prices, sale
 # prices, transport costs row by row, contract prices) is part of the
 # (seed, index) reproducibility contract; reordering it fails here.
+# Step 0 is the first 33 normals of default_rng((42, 0)); step 9999 is
+# row 9999 % 3030 = 909 of block 3's generator, default_rng((42, 3)).
 TABLE1_DRAWS = {
     0: dict(
         supply_max=(463.0471707975443, 449.60015893759504, 617.5045119580645),
@@ -136,19 +139,19 @@ TABLE1_DRAWS = {
         contract_sale_price=(1021.4164760087046, 1125.935849836154, 1191.8775727092846),
     ),
     9999: dict(
-        supply_max=(443.0676252729903, 472.3985788379115, 602.5855947737041),
-        demand_max=(411.5196011465448, 520.0438874843543, 612.619376993776),
-        purchase_min=(419.96244754283225, 451.2705206190844, 586.0908816950397),
-        sale_min=(386.948811501506, 493.89646496469015, 601.0748966449946),
-        purchase_price=(588.1839716801459, 483.35217054205583, 561.0424185541367),
-        sale_price=(974.2093475074045, 1102.7958817025512, 1177.3138689632935),
+        supply_max=(477.7062318783477, 455.30413604115915, 615.9202033265781),
+        demand_max=(411.2581636807924, 500.5401129859154, 589.4369443472988),
+        purchase_min=(446.7086371866738, 433.5658827035796, 585.2529019786763),
+        sale_min=(391.82678490351094, 493.8647897608223, 586.3550260974996),
+        purchase_price=(588.3620061959289, 478.5416217352417, 552.6813333813346),
+        sale_price=(991.5228986732471, 1095.3352010217368, 1178.7957281706806),
         transport_cost=(
-            (95.56774250285848, 35.98993798436149, 91.07808054146207),
-            (100.57760078165401, 37.511317928737796, 412.6828892862544),
-            (133.6787747383154, 157.40774883529917, 23.771169682381192),
+            (115.29686803860162, 45.13562597478081, 91.77441832795986),
+            (99.33366662451269, 33.570195689591664, 390.1490270630593),
+            (131.88419930301305, 131.73237793493976, 14.541604437574605),
         ),
-        contract_purchase_price=(606.4162917100464, 496.74558413650686, 584.8207118632299),
-        contract_sale_price=(990.9447360614096, 1146.0430365465622, 1222.707353902528),
+        contract_purchase_price=(584.0042994501341, 497.8298277855147, 605.1586412736897),
+        contract_sale_price=(996.1259553887113, 1131.3866229137773, 1198.3985570455814),
     ),
 }
 
@@ -180,32 +183,43 @@ def test_batch_draws_match_sample_instance(table1_specs):
 @pytest.mark.parametrize(
     "start, stop, rows",
     [
-        (0, TABLE1_CHUNK + 2, [0, TABLE1_CHUNK - 1, TABLE1_CHUNK, TABLE1_CHUNK + 1]),
+        (0, TABLE1_BLOCK + 2, [0, TABLE1_BLOCK - 1, TABLE1_BLOCK, TABLE1_BLOCK + 1]),
         (2**32 - 3, 2**32 + 3, range(6)),  # the index gains a 32-bit word
         (2**64 - 2, 2**64 + 2, range(4)),
     ],
 )
 @pytest.mark.parametrize("specs_name", ["table1", "some sigmas zero"])
-def test_batch_draws_equal_default_rng(specs_name, seed, start, stop, rows, table1_specs):
-    # seed 2**128 + 5 alone is five entropy words, more than the 4-word pool
+def test_batch_draws_equal_the_block_definition(specs_name, seed, start, stop, rows, table1_specs):
+    # step i is row i % B of block i // B: the last two ranges start and
+    # end inside a block. seed 2**128 + 5 alone is five entropy words,
+    # more than SeedSequence's 4-word pool
     specs = table1_specs if specs_name == "table1" else single_lane_specs(sigma=3.0)
     means, sigmas = specs.moments
+    block = monte_carlo._block_steps(specs)
     draws = monte_carlo._draws(specs, seed, start, stop)
     assert draws.shape == (stop - start, means.size)
     for row in rows:
-        want = np.random.default_rng((seed, start + row)).normal(means, sigmas)
-        assert np.array_equal(draws[row], want), (seed, start + row)
+        index = start + row
+        z = np.random.default_rng((seed, index // block)).standard_normal((block, means.size))
+        assert np.array_equal(draws[row], means + sigmas * z[index % block]), (seed, index)
+        want = list(sample_instance(specs, seed, index).values())
+        assert draws[row].tolist() == want, (seed, index)
 
 
-@pytest.mark.parametrize("other", [np.random.SFC64, np.random.Philox])
-def test_hashed_words_seed_only_pcg64(other, table1_specs):
-    monte_carlo._draws(table1_specs, 0, 0, 1)  # registers _HashedWords as an ISeedSequence
-    words = np.random.SeedSequence((5, 7)).generate_state(4, np.uint64)
-    pcg64 = np.random.PCG64(monte_carlo._HashedWords(words))
-    assert pcg64.state == np.random.PCG64((5, 7)).state
-    # SFC64 asks for 3 uint64 words and Philox for 2: each would take the wrong ones
-    with pytest.raises(ValueError, match="PCG64 only"):
-        other(monte_carlo._HashedWords(words))
+@pytest.mark.parametrize("block", [1, 7])
+def test_batch_draws_cross_many_blocks(block, demo_specs):
+    # blocks of 1 and 7 steps: a range that starts and ends inside a block
+    # and crosses several gives each step its own block's row, as
+    # sample_instance draws it, and other blocks give other draws
+    parameters = demo_specs.moments[0].size
+    default = monte_carlo._draws(demo_specs, 5, 3, 40)
+    with mock.patch.object(monte_carlo, "BLOCK_VALUES", block * parameters + block - 1):
+        assert monte_carlo._block_steps(demo_specs) == block
+        draws = monte_carlo._draws(demo_specs, 5, 3, 40)
+        for row, index in enumerate(range(3, 40)):
+            assert draws[row].tolist() == list(sample_instance(demo_specs, 5, index).values())
+    assert np.array_equal(draws[0], default[0]) == (block > 3)
+    assert not np.array_equal(draws[-1], default[-1])
 
 
 def test_run_range_rejects_negative_seed(demo_specs):
@@ -221,9 +235,7 @@ def test_batch_draws_reject_non_finite():
 
 def test_sample_moments_match_spec():
     specs = single_lane_specs(sigma=10.0)
-    vals = np.array(
-        [sample_instance(specs, 11, i).supply_max[0] for i in range(60_000)]
-    )
+    vals = monte_carlo._draws(specs, 11, 0, 60_000)[:, 0]  # supply_max[0]
     assert vals.mean() == pytest.approx(460.0, abs=0.2)
     assert vals.std(ddof=1) == pytest.approx(10.0, abs=0.2)
 
@@ -277,7 +289,7 @@ def test_split_runs_merge_exactly(table1_specs):
     assert merge_partials(parts) == whole
 
 
-SHARD_STEPS = 2 * TABLE1_CHUNK + 552  # three chunks, the last one partial
+SHARD_STEPS = 2 * TABLE1_BLOCK + 552  # three blocks and chunks, the last one partial
 
 
 @functools.cache
@@ -286,15 +298,18 @@ def _table1_whole_run():
     return specs, run_range(specs, 0, SHARD_STEPS, 3)
 
 
-chunk_edges = [TABLE1_CHUNK - 1, TABLE1_CHUNK, TABLE1_CHUNK + 1, 2 * TABLE1_CHUNK]
-cut = st.integers(0, SHARD_STEPS) | st.sampled_from(chunk_edges)
+edges = [TABLE1_BLOCK - 1, TABLE1_BLOCK, TABLE1_BLOCK + 1, 2 * TABLE1_BLOCK]
+inside = [1, TABLE1_BLOCK // 2, TABLE1_BLOCK + 909, 2 * TABLE1_BLOCK + 551]
+cut = st.integers(0, SHARD_STEPS) | st.sampled_from(edges) | st.sampled_from(inside)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(cuts=st.lists(cut, max_size=4).map(sorted))
+@example(cuts=inside[1:])
 def test_any_shard_cuts_merge_to_one_run(cuts):
-    # cuts may repeat (an empty shard) and fall on or off chunk edges;
-    # every shard starts with an empty basis cache
+    # cuts may repeat (an empty shard) and fall on block and chunk edges
+    # or inside a block, where a shard starts or ends partway through a
+    # generator's rows; every shard starts with an empty basis cache
     specs, whole = _table1_whole_run()
     bounds = [0, *cuts, SHARD_STEPS]
     parts = [run_range(specs, a, b, 3) for a, b in zip(bounds, bounds[1:])]
@@ -425,16 +440,16 @@ def test_table1_cold_solve_count_pinned(table1_specs, counted_solves, engine_cou
     # keeps moves the cold count; the engines only change who answers a
     # cold row. The benchmark's tracer sees none of these counts
     run_range(table1_specs, 0, 10_000, 1)
-    assert len(counted_solves) == 45
+    assert len(counted_solves) == 44
     assert engine_counts() == {
-        "cold": 45, "warm": 33, "phase 2": 33, "proposed": 12, "tableau": 0, "certify": 167
+        "cold": 44, "warm": 34, "phase 2": 34, "proposed": 10, "tableau": 0, "certify": 164
     }
 
 
 def test_table1_warm_starts_each_pivot_from_one_store(table1_specs, monkeypatch):
     # every basis the cache stores was tested on every row still pending,
     # so a warm start from one never ends where it began: the mc-table1
-    # run at seed 1 makes 33 phase 2 runs, none of 0 pivots. After every
+    # run at seed 1 makes 34 phase 2 runs, none of 0 pivots. After every
     # batch the store holds each basis once, its inverse as int8 entries
     # 0 and ±1
     pivots = []
@@ -458,7 +473,7 @@ def test_table1_warm_starts_each_pivot_from_one_store(table1_specs, monkeypatch)
     monkeypatch.setattr("fuzzyplan.basis.reoptimize", counted)
     monkeypatch.setattr(_BasisCache, "answer", checked)
     run_range(table1_specs, 0, 10_000, 1)
-    assert len(pivots) == 33 and min(pivots) > 0
+    assert len(pivots) == 34 and min(pivots) > 0
 
 
 def test_table1_fuzzy_and_crisp_engine_counts_pinned(counted_solves, engine_counts):
@@ -734,5 +749,27 @@ def test_compare_near_the_float_maximum(tmp_path):
     lane, d = entries["x_11"], entries["D"]
     fuzzy = TrapezoidalFuzzyNumber(*lane["fuzzy"])
     assert monte_carlo._degenerate_tol(fuzzy) == 1e-6 * midpoint(fuzzy.a, fuzzy.d)
-    assert d["width_ratio"] > 1.001
+    # D's own ratio, of two widths above their tolerances, not the 1.0 of two degenerate ones
+    mc_d = TrapezoidalFuzzyNumber(*d["mc"])
+    assert d["mc_support_width"] > monte_carlo._degenerate_tol(mc_d)
+    assert d["width_ratio"] == d["fuzzy_support_width"] / d["mc_support_width"] != 1.0
     assert lane["width_ratio"] == pytest.approx(d["width_ratio"], rel=1e-9)
+
+
+def test_compare_width_ratio_past_the_float_maximum(tmp_path):
+    # the benefit, -purchase_price with sigma 4e307, spreads its 200
+    # draws over more than the float maximum, and so does its Monte Carlo
+    # support: that width is inf, and the ratio, taken on the halved
+    # widths, is finite (sigma 5e307 overflows a draw at seed 42)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "kind": "distribution", "supply_max": [1], "demand_max": [1],
+        "purchase_min": [1], "sale_min": [0], "purchase_price": [{"mean": 0, "sigma": 4e307}],
+        "sale_price": [0], "transport_cost": [[0]],
+    }))
+    problem = parse_problem(str(path))
+    d = by_name(compare(solve_fuzzy(problem), run(ParameterSpecs.from_problem(problem), 200)))["D"]
+    (fa, _, _, fd), (ma, _, _, md) = d["fuzzy"], d["mc"]
+    assert math.isfinite(d["fuzzy_support_width"]) and d["mc_support_width"] == math.inf
+    assert md - ma == math.inf and md / 2 - ma / 2 > d["fuzzy_support_width"] / 2
+    assert 0 < d["width_ratio"] == (fd / 2 - fa / 2) / (md / 2 - ma / 2) < 1

@@ -86,18 +86,18 @@ MODES = {
 DIGESTS = {
     ("table1", "crisp"): "e03f6324e54744bc54b084845c53ef2f5b5a7b8dbc8a3074b9ababd10f026ac3",
     ("table1", "fuzzy"): "252060c26b5ac4f3594ed98ab81f31cc362f0a11ebfc349634bbbfe6d588073a",
-    ("table1", "montecarlo"): "8f252534e90d6c4d59b8d4dd943c6a167bc7145036e89ae47b8be2451c6c7ee6",
-    ("table1", "compare"): "9ef96d366a53df6a94f5e2b32621050baa2dc62b6ae62cac90c12c6ca3a3fddb",
+    ("table1", "montecarlo"): "1c715b10ac5f3177005daca303f03fd8069d0f826478a7eff7a65c365dafdc9c",
+    ("table1", "compare"): "49b4df2ed2b437118f14ad9e72db3a1ce67e96d53c1c2add24296bc13838065e",
     ("2x3", "crisp"): "e5310c4b1eba9ac1190e3a52907d76617a63153821861247f1330eeedec6abf6",
     ("2x3", "fuzzy"): "8670d1a4b95ddf7babe1f49f3eb11ccf4ff1782e9538b5238f5d42550374cc0b",
-    ("2x3", "montecarlo"): "abc2e56d85c5132689b3fa487776d2e11846320383a8e9eb438b61dc9fae12c0",
-    ("2x3", "compare"): "991d7f6341247a373242fd4689849cd3bbc49f0bd83e1faf1ebb02e367d32a87",
+    ("2x3", "montecarlo"): "9733f21579e29978ba47a612c5998d6be9b85b8d7ed60ace06a23e4929136bbd",
+    ("2x3", "compare"): "ea9da5701d4f9eafd1658ef17eba3f87009687264b97ff498848c49499750623",
 }
 LOW_LEVELS_FUZZY = "982516c3ffa9a6185aeb7172c0645bc2e00c8c12e605b837293f68ce13645518"
 # the bytes of a run that proposes every cold corner, with no warm start
 EIGHT_BY_EIGHT_FUZZY = "7de547029e1eb49b18c2ec6fc1d0b7226afd57d2188c4b7ee6a4aad84f5d40b7"
 # no optimal basis repeats in these 400 steps, so every step reaches fresh
-EIGHT_BY_EIGHT_MONTECARLO = "8dc5e6a0e92f799f099f35fac60e3b3c1b18a418ae70953f5b32829883b2c4ad"
+EIGHT_BY_EIGHT_MONTECARLO = "f8194611cb44535b73444cb0f7250017170100b8000f684a1bacc54adad9a501"
 
 # fractional supplies and costs: shipments and total cost that 9 digits round
 FRACTIONAL_TRANSPORT = {
@@ -170,7 +170,7 @@ def test_montecarlo_outputs_pinned_where_bases_seldom_repeat(tmp_path, engine_co
     assert _digest(out) == EIGHT_BY_EIGHT_MONTECARLO
     counts = engine_counts()
     engines = ("cold", "warm", "proposed", "tableau")
-    assert [counts[key] for key in engines] == [400, 387, 13, 0]
+    assert [counts[key] for key in engines] == [400, 372, 28, 0]
 
 
 def test_transport_outputs_pinned(tmp_path):

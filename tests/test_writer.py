@@ -4,7 +4,8 @@ _json_text must write exactly json.dumps(_jsonable(x), indent=2), and
 _fmt_row exactly ",".join(map(_fmt, row)), for every value the rounding
 rule treats differently: signed zeros, infinities, nan, subnormals and
 the float maximum, beside ints, bools, None, strings and empty
-containers.
+containers. _hist_rows writes each edge as _fmt does, but an edge at the
+float maximum, whose 9 digits fall below it, in full.
 """
 
 import json
@@ -14,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzyplan import cli
+from fuzzyplan.ingest import BinnedHistogram
 
 EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308)
 floats = st.floats() | st.sampled_from(EDGE_FLOATS)
@@ -54,3 +56,21 @@ def test_write_json_ends_with_a_newline(tmp_path):
 @example(list(EDGE_FLOATS))
 def test_fmt_row_equals_joined_fmt(row):
     assert cli._fmt_row(row) == ",".join(map(cli._fmt, row))
+
+
+TOP = 1.7976931348623157e308
+
+
+@given(st.lists(finite, min_size=2, max_size=6, unique=True).map(sorted))
+@example([-TOP, 0.0, TOP])
+@example([1.79769311e308, TOP])
+def test_hist_rows_write_the_float_maximum_in_full(edges):
+    counts = tuple(float(k + 1) for k in range(len(edges) - 1))
+    rows = cli._hist_rows(BinnedHistogram(tuple(edges), counts))
+
+    def text(edge):
+        return repr(edge) if abs(edge) == TOP else cli._fmt(edge)
+
+    assert rows == [
+        f"{text(lo)},{text(hi)},{cli._fmt(n)}" for lo, hi, n in zip(edges, edges[1:], counts)
+    ]
