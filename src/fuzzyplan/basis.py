@@ -75,7 +75,7 @@ import numpy as np
 
 from .model import lp_skeleton, necessary_violations
 from .simplex import PIVOT_TOL, LinearProgram, reoptimize, solve, tie_passes
-from .transport import modi_arrays, vogel_arrays
+from .transport import modi_optimize, vogel_approximation
 
 __all__ = ["CERTIFY_MARGIN", "TIE_MARGIN"]
 
@@ -250,7 +250,7 @@ class _BasisCache:
         costs = np.zeros((2 * m + 1, 2 * n + 1))
         costs[: 2 * m, : 2 * n] = np.tile(-c.reshape(m, n), (2, 2))
         costs[:m, -1] = costs[-1, :n] = big
-        plan = modi_arrays(costs, *vogel_arrays(costs, supply.tolist(), demand.tolist()))
+        plan = modi_optimize(costs, *vogel_approximation(costs, supply.tolist(), demand.tolist()))
         if plan is None:
             return None
         f = np.array(plan[0])

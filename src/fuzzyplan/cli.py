@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .basis import _BasisCache
 from .fuzzy import AlphaGrid, TrapezoidalFuzzyNumber
 from .fuzzy_solver import fit_trapezoid, solve_fuzzy
@@ -388,18 +390,15 @@ def _run_crisp(config: RunConfig, problem) -> int:
         if not check_balance(problem):
             print("error: transport instance is unbalanced", file=sys.stderr)
             return EXIT_INFEASIBLE
-        plan = modi_optimize(problem, vogel_approximation(problem))
-        total = plan_cost(problem, plan)
+        costs = np.array(problem.costs, dtype=float)
+        start = vogel_approximation(costs, list(problem.supplies), list(problem.demands))
+        plan = modi_optimize(costs, *start)
+        if plan is None:
+            raise RuntimeError("potentials method failed to terminate")
+        total = plan_cost(problem.costs, plan[0])
         if not math.isfinite(total):
             raise ValueError("optimal total cost must be finite")
-        _write_json(
-            out,
-            {
-                "status": "optimal",
-                "total_cost": total,
-                "shipments": [list(row) for row in plan.shipments],
-            },
-        )
+        _write_json(out, {"status": "optimal", "total_cost": total, "shipments": plan[0]})
         return EXIT_OK
     inst = midpoint_instance(problem)
     report = feasibility_precheck(inst)  # names what phase 1 would only report

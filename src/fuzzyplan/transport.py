@@ -1,8 +1,10 @@
 """Classical balanced transportation problem.
 
 Provides the balance test, Vogel's approximation for an initial plan
-and the potentials (MODI) optimizer, which minimizes. All plans carry
-an explicit basis so degeneracy is visible instead of implicit.
+and the potentials (MODI) optimizer, which minimizes. Both work on an
+(M, N) cost array and give a plan as (x, cells), the shipments as M row
+lists and an explicit basis, so degeneracy is visible instead of
+implicit. Crisp transport mode and fuzzyplan.basis call both.
 
 A basis is a spanning tree of the bipartite graph whose nodes are the M
 rows and N columns and whose edges are the basis cells: M+N-1 cells, no
@@ -13,10 +15,6 @@ the cut-off part back on by the entering cell, and only that part is
 walked again, with the same c_ij - u formula along the same paths, so
 every float is the one a full walk from row 0 would give. Each pivot
 prices every cell at once over a numpy cost matrix.
-
-vogel_approximation and modi_optimize take and give tuples;
-vogel_arrays and modi_arrays are their array cores, which
-fuzzyplan.basis also calls to propose distributor bases.
 """
 
 from __future__ import annotations
@@ -30,12 +28,9 @@ import numpy as np
 
 __all__ = [
     "TransportInstance",
-    "TransportPlan",
     "check_balance",
     "vogel_approximation",
-    "vogel_arrays",
     "modi_optimize",
-    "modi_arrays",
     "plan_cost",
 ]
 
@@ -58,19 +53,10 @@ class TransportInstance:
         if not all(map(math.isfinite, chain.from_iterable(self.costs))):
             raise ValueError("costs must be finite")
 
-    @property
-    def shape(self) -> tuple:
-        return len(self.supplies), len(self.demands)
 
-
-@dataclass(frozen=True)
-class TransportPlan:
-    shipments: tuple  # row-major matrix
-    basis: frozenset  # of (i, j); superset of the positive cells
-
-
-def plan_cost(t: TransportInstance, plan: TransportPlan) -> float:
-    return sum(map(mul, chain.from_iterable(t.costs), chain.from_iterable(plan.shipments)))
+def plan_cost(costs, x) -> float:
+    """Sum of cost times shipment over the cells, row by row."""
+    return sum(map(mul, chain.from_iterable(costs), chain.from_iterable(x)))
 
 
 def check_balance(t: TransportInstance) -> bool:
@@ -86,15 +72,13 @@ def check_balance(t: TransportInstance) -> bool:
     return abs(sa - sb) <= 1e-9 * max(math.ldexp(1.0, -e), abs(sa), abs(sb))
 
 
-def _require_balanced(t: TransportInstance):
-    if not check_balance(t):
-        raise ValueError(
-            f"unbalanced instance: total supply {sum(t.supplies)} != total demand {sum(t.demands)}"
-        )
+@np.errstate(over="ignore")
+def vogel_approximation(costs: np.ndarray, supply: list, demand: list):
+    """Iterated max-penalty allocation on an (M, N) cost array: (x, cells).
 
-
-def vogel_approximation(t: TransportInstance) -> TransportPlan:
-    """Iterated max-penalty allocation.
+    supply and demand are lists, balanced (check_balance), and are used
+    up in place; x holds the shipments as M row lists and cells the M+N-1
+    basis cells in allocation order.
 
     Per iteration the open row or column with the largest penalty (gap
     between its two cheapest open cells) receives an allocation at its
@@ -103,21 +87,9 @@ def vogel_approximation(t: TransportInstance) -> TransportPlan:
     line closes per allocation (a simultaneous exhaustion closes the
     column and leaves the zero-supply row open), so each cell joins two
     components that each hold one open line: the cells form a spanning
-    tree with no loop to prune.
-    """
-    _require_balanced(t)
-    x, cells = vogel_arrays(np.array(t.costs, dtype=float), list(t.supplies), list(t.demands))
-    return TransportPlan(tuple(tuple(row) for row in x), frozenset(cells))
-
-
-@np.errstate(over="ignore")
-def vogel_arrays(costs: np.ndarray, supply: list, demand: list):
-    """vogel_approximation on an (M, N) cost array: (x as M row lists, cells).
-
-    supply and demand are lists and are used up in place; cells are the
-    M+N-1 basis cells in allocation order. Each line's penalty is kept
-    between allocations and found again only where the closed line held
-    one of its two cheapest open cells, from the same two floats.
+    tree with no loop to prune. Each line's penalty is kept between
+    allocations and found again only where the closed line held one of
+    its two cheapest open cells, from the same two floats.
     """
     m, n = costs.shape
     rows = list(range(m))  # open lines, ascending
@@ -169,40 +141,27 @@ def vogel_arrays(costs: np.ndarray, supply: list, demand: list):
     return x, cells
 
 
-def modi_optimize(t: TransportInstance, start: TransportPlan) -> TransportPlan:
-    """Potentials-method minimization of cost from a basic feasible start.
-
-    To maximize, pass the negated costs. The start's basis must be a
-    spanning tree, M+N-1 cells with no loop, zero-shipment cells
-    included, that holds every positive shipment, as Vogel's start
-    does; any other start raises ValueError.
-    """
-    m, n = t.shape
-    costs = np.array(t.costs, dtype=float)
-    x = [list(row) for row in start.shipments]
-    for i, j in np.argwhere(np.array(x) > 0).tolist():  # row-major
-        if (i, j) not in start.basis:
-            raise ValueError(f"positive shipment at ({i},{j}) missing from basis")
-    _require_spanning_tree(start.basis, m, n)
-    plan = modi_arrays(costs, x, start.basis)
-    if plan is None:
-        raise RuntimeError("potentials method failed to terminate")
-    x, cells = plan
-    return TransportPlan(tuple(tuple(row) for row in x), frozenset(cells))
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def modi_arrays(costs: np.ndarray, x: list, cells):
-    """modi_optimize on an (M, N) cost array to minimize: (x, cells) or None.
+def modi_optimize(costs: np.ndarray, x: list, cells):
+    """Potentials-method minimization of cost: (x, cells), or None.
 
-    x holds the start's shipments as M row lists and is updated in
-    place; cells is its spanning tree. Returns the optimal x and its
-    basis cells, or None after 10,000 pivots. A potential sums at most
-    M+N costs, so where that could pass the float maximum the costs are
-    first divided by a power of two (exact in binary); other costs pivot
-    unscaled. Overflow elsewhere raises no numpy warning; the caller
-    checks what it needs of the plan (the CLI, that its total cost is
-    finite).
+    To maximize, pass the negated costs. x holds a basic feasible
+    start's shipments as M row lists and is updated in place; cells is
+    its basis, a spanning tree that holds every positive shipment, as
+    Vogel's start is. Returns the optimal x and its basis cells in
+    row-major order, or None after 10,000 pivots.
+
+    Each tolerance is in the units of what it compares: a reduced cost
+    prices as improving below -1e-9 times the largest |cost|, and a
+    pivot stalls where it moves at most 1e-9 times the start's largest
+    shipment. So scaling the costs, or the supplies and demands, by a
+    power of two that neither overflows nor underflows them scales every
+    figure exactly and leaves every pivot as it was.
+    A potential sums at most M+N costs, so where that could pass the
+    float maximum the costs are first divided by a power of two (exact
+    in binary); other costs pivot unscaled. Overflow elsewhere raises no
+    numpy warning; the caller checks what it needs of the plan (the CLI,
+    that its total cost is finite).
     """
     m, n = costs.shape
     e = math.frexp(float(np.abs(costs).max()))[1] + (2 * (m + n)).bit_length() - 1023
@@ -211,7 +170,8 @@ def modi_arrays(costs: np.ndarray, x: list, cells):
     tree = _Tree(costs.tolist(), cells, m, n)
     basic = np.zeros((m, n), dtype=bool)
     basic[tuple(zip(*cells))] = True
-    tol = 1e-9 * (1.0 + float(np.abs(costs).max()))
+    tol = 1e-9 * float(np.abs(costs).max())
+    flow_tol = 1e-9 * max(map(max, x))
     stall = 0
     lex_rule = False
     for _ in range(10_000):
@@ -235,37 +195,13 @@ def modi_arrays(costs: np.ndarray, x: list, cells):
         basic[leaving] = False
         basic[entering] = True
         tree.exchange(entering, leaving)
-        if theta <= tol:
+        if theta <= flow_tol:
             stall += 1
             if stall >= 2 * (m + n):
                 lex_rule = True
         else:
             stall = 0
     return None
-
-
-def _require_spanning_tree(cells, m: int, n: int):
-    """Raise ValueError unless cells span the M rows and N columns as a tree.
-
-    Union-find over row nodes 0..m-1 and column nodes m..m+n-1; a cell
-    whose row and column are already joined closes a loop, and M+N-1
-    cells without a loop are a spanning tree.
-    """
-    parent = list(range(m + n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j) in cells:
-        a, b = find(i), find(m + j)
-        if a == b:
-            raise ValueError("start basis contains a loop")
-        parent[a] = b
-    if len(cells) != m + n - 1:
-        raise ValueError(f"start basis has {len(cells)} cells, a spanning tree has {m + n - 1}")
 
 
 class _Tree:

@@ -10,8 +10,7 @@ simplex.solve takes, each "=" row as a "<=" and ">=" pair.
 fixed_order_certify is basis certification with every test decided on
 fixed-order sums, the reference that the banded certify must equal bit
 for bit. north_west_corner is a poor transport start that gives MODI
-many pivots to make; negated turns a maximization into the
-minimization that MODI solves.
+many pivots to make.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 
 from fuzzyplan.basis import CERTIFY_MARGIN, TIE_MARGIN
 from fuzzyplan.simplex import PIVOT_TOL, LinearProgram, SimplexSolution, solve
-from fuzzyplan.transport import TransportInstance, TransportPlan, _require_balanced
 
 
 class GeneralLP(NamedTuple):
@@ -235,25 +233,25 @@ def check_transport_optimal(costs, supply, demand, flows, basis, sense="min", to
     return errs
 
 
-def north_west_corner(t: TransportInstance) -> TransportPlan:
-    """Greedy top-left allocation walking a staircase path.
+def north_west_corner(supplies, demands):
+    """Greedy top-left allocation walking a staircase path: (x, cells).
 
     Each step exhausts a column (move right) or a row (move down); a tie
     exhausts the column first, leaving a zero-shipment basic cell on the
     path. The last row always moves right, since balance holds only to a
-    tolerance. The path visits exactly M+N-1 cells.
+    tolerance. The path visits exactly M+N-1 cells, and x holds the
+    shipments as M row lists, the start that modi_optimize takes.
     """
-    _require_balanced(t)
-    m, n = t.shape
-    supply = list(t.supplies)
-    demand = list(t.demands)
+    m, n = len(supplies), len(demands)
+    supply = list(supplies)
+    demand = list(demands)
     x = [[0.0] * n for _ in range(m)]
-    basis = []
+    cells = []
     i = j = 0
     while True:
         q = min(supply[i], demand[j])
         x[i][j] = q
-        basis.append((i, j))
+        cells.append((i, j))
         supply[i] -= q
         demand[j] -= q
         if i == m - 1 and j == n - 1:
@@ -262,13 +260,7 @@ def north_west_corner(t: TransportInstance) -> TransportPlan:
             j += 1
         else:
             i += 1
-    return TransportPlan(tuple(tuple(row) for row in x), frozenset(basis))
-
-
-def negated(t: TransportInstance) -> TransportInstance:
-    """The instance with every cost negated: minimizing it maximizes t."""
-    costs = tuple(tuple(-c for c in row) for row in t.costs)
-    return TransportInstance(t.supplies, t.demands, costs)
+    return x, cells
 
 
 def is_spanning_tree(cells, m, n):

@@ -13,14 +13,13 @@ from fuzzyplan.ingest import SampleSet, ecdf_from_samples, to_trapezoid
 from fuzzyplan.model import to_lp
 from fuzzyplan.monte_carlo import ParameterSpecs, compare, run
 from fuzzyplan.simplex import solve
-from fuzzyplan.transport import TransportInstance, modi_optimize, plan_cost, vogel_approximation
+from fuzzyplan.transport import modi_optimize, plan_cost, vogel_approximation
 
 from conftest import DEMO_OPTIMUM
 from oracles import (
     GeneralLP,
     is_spanning_tree,
     lp_optimum_by_enumeration,
-    negated,
     solve_general,
 )
 
@@ -40,14 +39,11 @@ def test_criterion_1_crisp_anchor(capsys, demo_means):
         problems.append(f"simplex status {sol.status}")
     elif abs(sol.objective_value - DEMO_OPTIMUM) > 1e-6:
         problems.append(f"simplex benefit {sol.objective_value}")
-    inst = TransportInstance(
-        demo_means.supply_max,
-        demo_means.demand_max,
-        to_lp(demo_means).c.reshape(demo_means.shape),
-    )
-    losses = negated(inst)  # MODI minimizes: the least loss is the largest benefit
-    plan = modi_optimize(losses, vogel_approximation(losses))
-    benefit = plan_cost(inst, plan)
+    profits = to_lp(demo_means).c.reshape(demo_means.shape)
+    losses = -profits  # MODI minimizes: the least loss is the largest benefit
+    start = vogel_approximation(losses, list(demo_means.supply_max), list(demo_means.demand_max))
+    x, _ = modi_optimize(losses, *start)
+    benefit = plan_cost(profits.tolist(), x)
     if abs(benefit - DEMO_OPTIMUM) > 1e-6:
         problems.append(f"modi benefit {benefit}")
     if sol.status == "optimal" and abs(benefit - sol.objective_value) > 1e-6:
@@ -175,33 +171,29 @@ def _random_balanced(rng):
     cuts = sorted(rng.choice(np.arange(1, total), size=n - 1, replace=False))
     bounds = [0] + [int(c) for c in cuts] + [total]
     demands = tuple(float(hi - lo) for lo, hi in zip(bounds, bounds[1:]))
-    costs = tuple(
-        tuple(float(v) for v in rng.integers(1, 50, n)) for _ in range(m)
-    )
-    return TransportInstance(supplies, demands, costs)
+    costs = np.array([rng.integers(1, 50, n) for _ in range(m)], dtype=float)
+    return supplies, demands, costs
 
 
-def _check_start(inst, plan, label, trial, problems):
-    m, n = len(inst.supplies), len(inst.demands)
+def _check_start(supplies, demands, x, cells, label, trial, problems):
+    m, n = len(supplies), len(demands)
     for i in range(m):
-        if abs(sum(plan.shipments[i]) - inst.supplies[i]) > 1e-9:
+        if abs(sum(x[i]) - supplies[i]) > 1e-9:
             problems.append(f"trial {trial}: {label} row {i} off")
             return False
     for j in range(n):
-        col = sum(plan.shipments[i][j] for i in range(m))
-        if abs(col - inst.demands[j]) > 1e-9:
+        col = sum(x[i][j] for i in range(m))
+        if abs(col - demands[j]) > 1e-9:
             problems.append(f"trial {trial}: {label} col {j} off")
             return False
-    positive = {
-        (i, j) for i in range(m) for j in range(n) if plan.shipments[i][j] > 0
-    }
-    if len(plan.basis) != m + n - 1 or len(positive) > m + n - 1:
+    positive = {(i, j) for i in range(m) for j in range(n) if x[i][j] > 0}
+    if len(cells) != m + n - 1 or len(positive) > m + n - 1:
         problems.append(f"trial {trial}: {label} not basic")
         return False
-    if not positive <= plan.basis:
+    if not positive <= set(cells):
         problems.append(f"trial {trial}: {label} positive cell outside basis")
         return False
-    if not is_spanning_tree(plan.basis, m, n):
+    if not is_spanning_tree(cells, m, n):
         problems.append(f"trial {trial}: {label} basis has a loop")
         return False
     return True
@@ -211,24 +203,25 @@ def test_criterion_7_transport_suite(capsys):
     problems = []
     rng = np.random.default_rng(13)
     for trial in range(100):
-        inst = _random_balanced(rng)
-        m, n = len(inst.supplies), len(inst.demands)
-        costs_flat = tuple(inst.costs[i][j] for i in range(m) for j in range(n))
+        supplies, demands, costs = _random_balanced(rng)
+        m, n = costs.shape
+        costs_flat = tuple(costs.ravel().tolist())
         constraints = []
         for i in range(m):
             row = tuple(1.0 if k // n == i else 0.0 for k in range(m * n))
-            constraints.append((row, "=", inst.supplies[i]))
+            constraints.append((row, "=", supplies[i]))
         for j in range(n):
             col = tuple(1.0 if k % n == j else 0.0 for k in range(m * n))
-            constraints.append((col, "=", inst.demands[j]))
+            constraints.append((col, "=", demands[j]))
         ref = solve_general(GeneralLP(costs_flat, "min", tuple(constraints)))
         if ref.status != "optimal":
             problems.append(f"trial {trial}: simplex reference {ref.status}")
             break
-        plan = vogel_approximation(inst)
-        if not _check_start(inst, plan, "vam", trial, problems):
+        x, cells = vogel_approximation(costs, list(supplies), list(demands))
+        if not _check_start(supplies, demands, x, cells, "vam", trial, problems):
             break
-        cost = plan_cost(inst, modi_optimize(inst, plan))
+        x, _ = modi_optimize(costs, x, cells)
+        cost = plan_cost(costs.tolist(), x)
         if abs(cost - ref.objective_value) > 1e-6:
             problems.append(f"trial {trial}: modi from vam {cost} vs simplex {ref.objective_value}")
             break

@@ -603,6 +603,29 @@ def test_parse_transport_kind(tmp_path):
     assert payload["shipments"] == [[5.0, 0.0], [0.0, 5.0]]
 
 
+def test_transport_modi_out_of_pivots_exits_4(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "t.json"
+    doc = {"schema_version": 1, "kind": "transport", "supplies": [5, 5], "demands": [5, 5]}
+    p.write_text(json.dumps({**doc, "costs": [[1, 2], [2, 1]]}))
+    monkeypatch.setattr(cli, "modi_optimize", lambda costs, x, cells: None)
+    out = tmp_path / "out"
+    assert main([str(p), "--mode", "crisp", "--out-dir", str(out)]) == EXIT_SOLVER == 4
+    assert capsys.readouterr().err == "error: potentials method failed to terminate\n"
+    assert not (out / "crisp_solution.json").exists()
+
+
+def test_transport_tolerances_scale_with_the_costs(tmp_path):
+    # unit-scale optimum 87 at costs times 1e-12: every reduced cost is
+    # below an absolute 1e-9, yet Vogel's start (91e-12) is not optimal
+    p = tmp_path / "t.json"
+    doc = {"schema_version": 1, "kind": "transport", "supplies": [4, 2, 12], "demands": [6, 3, 9]}
+    costs = [[3e-12, 5e-12, 2e-12], [6e-12, 8e-12, 8e-12], [8e-12, 3e-12, 6e-12]]
+    p.write_text(json.dumps({**doc, "costs": costs}))
+    assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "crisp_solution.json").read_text())
+    assert payload["total_cost"] == 8.7e-11
+
+
 def test_export_round_trip(tmp_path):
     prob = parse_problem(TABLE1)
     out = tmp_path / "exported.json"

@@ -16,10 +16,10 @@ from fuzzyplan.model import (
 )
 from fuzzyplan.monte_carlo import ParameterSpecs
 from fuzzyplan.simplex import solve
-from fuzzyplan.transport import TransportInstance, modi_optimize, plan_cost
+from fuzzyplan.transport import modi_optimize, plan_cost
 
 from conftest import DEMO, DEMO_OPTIMUM
-from oracles import negated, north_west_corner
+from oracles import north_west_corner
 
 
 def one_by_one(purchase_price, sale_price, a=10.0, b=10.0, p=5.0, q=5.0):
@@ -309,6 +309,5 @@ def test_lp_matches_transport_on_saturated_instances():
         )
         sol = solve(to_lp(inst))
         assert sol.status == "optimal"
-        t = TransportInstance(tuple(supply), tuple(demand), tuple(map(tuple, profits)))
-        plan = modi_optimize(negated(t), north_west_corner(t))
-        assert sol.objective_value == pytest.approx(plan_cost(t, plan), abs=1e-6)
+        x, _ = modi_optimize(-profits, *north_west_corner(supply.tolist(), demand.tolist()))
+        assert sol.objective_value == pytest.approx(plan_cost(profits.tolist(), x), abs=1e-6)

@@ -7,7 +7,6 @@ import fuzzyplan.transport as transport
 from fuzzyplan.basis import _BasisCache
 from fuzzyplan.transport import (
     TransportInstance,
-    TransportPlan,
     check_balance,
     modi_optimize,
     plan_cost,
@@ -18,7 +17,6 @@ from oracles import (
     GeneralLP,
     check_transport_optimal,
     is_spanning_tree,
-    negated,
     north_west_corner,
     solve_general,
     walk_tree,
@@ -33,41 +31,44 @@ def inst(supplies, demands, costs):
     return TransportInstance(tuple(supplies), tuple(demands), tuple(tuple(r) for r in costs))
 
 
-def rowsums(plan):
-    return [sum(r) for r in plan.shipments]
+def vogel(costs, supplies, demands):
+    """Vogel's start from copies of the data, which stay as they were."""
+    return vogel_approximation(np.array(costs, dtype=float), list(supplies), list(demands))
 
 
-def colsums(plan):
-    return [sum(r[j] for r in plan.shipments) for j in range(len(plan.shipments[0]))]
+def modi(costs, start):
+    """MODI's optimum from a copy of start, which stays as it was."""
+    x, cells = start
+    return modi_optimize(np.array(costs, dtype=float), [list(row) for row in x], cells)
 
 
-def assert_feasible(t, plan):
-    assert rowsums(plan) == pytest.approx(list(t.supplies), abs=1e-7)
-    assert colsums(plan) == pytest.approx(list(t.demands), abs=1e-7)
-    m, n = t.shape
-    assert len(plan.basis) <= m + n - 1
+def assert_feasible(supplies, demands, plan):
+    x, cells = plan
+    m, n = len(supplies), len(demands)
+    assert [sum(row) for row in x] == pytest.approx(list(supplies), abs=1e-7)
+    assert [sum(row[j] for row in x) for j in range(n)] == pytest.approx(list(demands), abs=1e-7)
     for i in range(m):
         for j in range(n):
-            assert plan.shipments[i][j] >= -1e-9
-            if plan.shipments[i][j] > 0:
-                assert (i, j) in plan.basis
-    assert is_spanning_tree(plan.basis, m, n)
+            assert x[i][j] >= -1e-9
+            if x[i][j] > 0:
+                assert (i, j) in cells
+    assert is_spanning_tree(cells, m, n)
 
 
-def transport_lp(t, sense="min"):
-    m, n = t.shape
+def transport_lp(costs, supplies, demands, sense="min"):
+    m, n = len(supplies), len(demands)
     cons = []
     for i in range(m):
         e = [0.0] * (m * n)
         for j in range(n):
             e[i * n + j] = 1.0
-        cons.append((tuple(e), "=", t.supplies[i]))
+        cons.append((tuple(e), "=", supplies[i]))
     for j in range(n):
         e = [0.0] * (m * n)
         for i in range(m):
             e[i * n + j] = 1.0
-        cons.append((tuple(e), "=", t.demands[j]))
-    obj = tuple(t.costs[i][j] for i in range(m) for j in range(n))
+        cons.append((tuple(e), "=", demands[j]))
+    obj = tuple(costs[i][j] for i in range(m) for j in range(n))
     return GeneralLP(obj, sense, tuple(cons))
 
 
@@ -88,23 +89,17 @@ def test_check_balance():
     assert check_balance(inst(SUPPLIES, DEMANDS, PROFITS))
 
 
-def test_vam_rejects_unbalanced():
-    with pytest.raises(ValueError):
-        vogel_approximation(inst((1.0, 1.0), (3.0,), [[1], [1]]))
-
-
 def test_vam_single_cell():
-    plan = vogel_approximation(inst((5.0,), (5.0,), [[7.0]]))
-    assert plan.shipments == ((5.0,),)
+    assert vogel([[7.0]], (5.0,), (5.0,)) == ([[5.0]], [(0, 0)])
 
 
 def test_vam_diagonal():
-    t = inst((1.0, 1.0), (1.0, 1.0), [[1.0, 5.0], [5.0, 1.0]])
-    plan = vogel_approximation(t)
-    assert plan.shipments[0][0] == pytest.approx(1.0)
-    assert plan.shipments[1][1] == pytest.approx(1.0)
-    assert plan_cost(t, plan) == pytest.approx(2.0)
-    assert_feasible(t, plan)
+    costs = [[1.0, 5.0], [5.0, 1.0]]
+    x, cells = vogel(costs, (1.0, 1.0), (1.0, 1.0))
+    assert x[0][0] == pytest.approx(1.0)
+    assert x[1][1] == pytest.approx(1.0)
+    assert plan_cost(costs, x) == pytest.approx(2.0)
+    assert_feasible((1.0, 1.0), (1.0, 1.0), (x, cells))
 
 
 def test_plan_cost_sums_products_in_row_order():
@@ -112,10 +107,9 @@ def test_plan_cost_sums_products_in_row_order():
     rng = np.random.default_rng(4)
     costs = rng.uniform(-50.0, 400.0, (7, 9)) * 10.0 ** rng.integers(-8, 8, (7, 9))
     shipments = rng.uniform(0.0, 30.0, (7, 9)).tolist()
-    t = inst([1.0] * 7, [1.0] * 9, costs.tolist())
-    plan = TransportPlan(tuple(map(tuple, shipments)), frozenset())
-    want = sum(t.costs[i][j] * plan.shipments[i][j] for i in range(7) for j in range(9))
-    assert plan_cost(t, plan) == want
+    costs = costs.tolist()
+    want = sum(costs[i][j] * shipments[i][j] for i in range(7) for j in range(9))
+    assert plan_cost(costs, shipments) == want
 
 
 def _random_instance(rng, max_dim=4):
@@ -125,100 +119,73 @@ def _random_instance(rng, max_dim=4):
     demands = rng.integers(1, 30, n).astype(float)
     demands *= supplies.sum() / demands.sum()
     costs = rng.integers(1, 20, (m, n)).astype(float)
-    return inst(tuple(supplies), tuple(demands), costs.tolist())
+    return costs, supplies.tolist(), demands.tolist()
 
 
 def test_vam_usually_beats_nwcr():
     rng = np.random.default_rng(404)
     wins = 0
     for _ in range(100):
-        t = _random_instance(rng, max_dim=3)
-        nw = north_west_corner(t)
-        va = vogel_approximation(t)
-        assert_feasible(t, nw)
-        assert_feasible(t, va)
-        if plan_cost(t, va) <= plan_cost(t, nw) + 1e-9:
+        costs, supplies, demands = _random_instance(rng, max_dim=3)
+        nw = north_west_corner(supplies, demands)
+        va = vogel(costs, supplies, demands)
+        assert_feasible(supplies, demands, nw)
+        assert_feasible(supplies, demands, va)
+        if plan_cost(costs.tolist(), va[0]) <= plan_cost(costs.tolist(), nw[0]) + 1e-9:
             wins += 1
     assert wins >= 90
 
 
 def test_modi_diagonal_min():
-    t = inst((1.0, 1.0), (1.0, 1.0), [[1.0, 5.0], [5.0, 1.0]])
-    plan = modi_optimize(t, north_west_corner(t))
-    assert plan_cost(t, plan) == pytest.approx(2.0)
-    assert plan.shipments[0][0] == pytest.approx(1.0)
-    assert plan.shipments[1][1] == pytest.approx(1.0)
+    costs = [[1.0, 5.0], [5.0, 1.0]]
+    x, _ = modi(costs, north_west_corner((1.0, 1.0), (1.0, 1.0)))
+    assert plan_cost(costs, x) == pytest.approx(2.0)
+    assert x[0][0] == pytest.approx(1.0)
+    assert x[1][1] == pytest.approx(1.0)
 
 
 def test_modi_profit_maximization_anchor():
-    t = inst(SUPPLIES, DEMANDS, PROFITS)
-    plan = modi_optimize(negated(t), north_west_corner(t))
-    assert plan_cost(t, plan) == pytest.approx(781030.0)
-    assert plan.shipments[0][0] == pytest.approx(410.0)
-    assert plan.shipments[0][1] == pytest.approx(50.0)
-    assert plan.shipments[1][1] == pytest.approx(460.0)
-    assert plan.shipments[2][2] == pytest.approx(610.0)
-    errs = check_transport_optimal(
-        PROFITS, SUPPLIES, DEMANDS, plan.shipments, plan.basis, sense="max"
-    )
-    assert errs == []
-
-
-def test_modi_rejects_bad_starts():
-    t = inst((1.0, 1.0), (1.0, 1.0), [[1.0, 5.0], [5.0, 1.0]])
-    loopy = TransportPlan(
-        ((0.5, 0.5), (0.5, 0.5)),
-        frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
-    )
-    with pytest.raises(ValueError, match="loop"):
-        modi_optimize(t, loopy)
-    missing = TransportPlan(((1.0, 0.0), (0.0, 1.0)), frozenset({(0, 0)}))
-    with pytest.raises(ValueError, match="missing"):
-        modi_optimize(t, missing)
-    # degenerate, and short of M+N-1 cells: a start must be a spanning tree
-    short = TransportPlan(((1.0, 0.0), (0.0, 1.0)), frozenset({(0, 0), (1, 1)}))
-    with pytest.raises(ValueError, match="2 cells, a spanning tree has 3"):
-        modi_optimize(t, short)
+    x, cells = modi(-np.array(PROFITS), north_west_corner(SUPPLIES, DEMANDS))
+    assert plan_cost(PROFITS, x) == pytest.approx(781030.0)
+    assert x[0][0] == pytest.approx(410.0)
+    assert x[0][1] == pytest.approx(50.0)
+    assert x[1][1] == pytest.approx(460.0)
+    assert x[2][2] == pytest.approx(610.0)
+    assert check_transport_optimal(PROFITS, SUPPLIES, DEMANDS, x, cells, sense="max") == []
 
 
 def test_modi_degenerate_tie_instance():
     # equal supply and demand pairs force a zero basic cell from the start
-    t = inst((10.0, 10.0), (10.0, 10.0), [[1.0, 2.0], [3.0, 1.0]])
-    plan = modi_optimize(t, north_west_corner(t))
-    assert plan_cost(t, plan) == pytest.approx(20.0)
-    errs = check_transport_optimal(
-        t.costs, t.supplies, t.demands, plan.shipments, plan.basis, sense="min"
-    )
-    assert errs == []
+    costs, supplies, demands = [[1.0, 2.0], [3.0, 1.0]], (10.0, 10.0), (10.0, 10.0)
+    x, cells = modi(costs, north_west_corner(supplies, demands))
+    assert plan_cost(costs, x) == pytest.approx(20.0)
+    assert check_transport_optimal(costs, supplies, demands, x, cells, sense="min") == []
 
 
 def test_modi_both_starts_match_simplex():
     rng = np.random.default_rng(808)
     for _ in range(40):
-        t = _random_instance(rng)
-        from_nw = modi_optimize(t, north_west_corner(t))
-        from_va = modi_optimize(t, vogel_approximation(t))
-        assert_feasible(t, from_nw)
-        assert_feasible(t, from_va)
-        v1 = plan_cost(t, from_nw)
-        v2 = plan_cost(t, from_va)
+        costs, supplies, demands = _random_instance(rng)
+        from_nw = modi(costs, north_west_corner(supplies, demands))
+        from_va = modi(costs, vogel(costs, supplies, demands))
+        assert_feasible(supplies, demands, from_nw)
+        assert_feasible(supplies, demands, from_va)
+        v1 = plan_cost(costs.tolist(), from_nw[0])
+        v2 = plan_cost(costs.tolist(), from_va[0])
         assert v1 == pytest.approx(v2, abs=1e-6)
-        sol = solve_general(transport_lp(t))
+        sol = solve_general(transport_lp(costs, supplies, demands))
         assert sol.status == "optimal"
         assert v1 == pytest.approx(sol.objective_value, abs=1e-6)
-        errs = check_transport_optimal(
-            t.costs, t.supplies, t.demands, from_nw.shipments, from_nw.basis, sense="min"
-        )
-        assert errs == []
+        assert check_transport_optimal(costs, supplies, demands, *from_nw, sense="min") == []
 
 
 def test_modi_max_matches_simplex():
     rng = np.random.default_rng(909)
     for _ in range(15):
-        t = _random_instance(rng)
-        plan = modi_optimize(negated(t), vogel_approximation(t))
-        sol = solve_general(transport_lp(t, "max"))
-        assert plan_cost(t, plan) == pytest.approx(sol.objective_value, abs=1e-6)
+        costs, supplies, demands = _random_instance(rng)
+        x, _ = modi(-costs, vogel(costs, supplies, demands))
+        sol = solve_general(transport_lp(costs, supplies, demands, "max"))
+        assert plan_cost(costs.tolist(), x) == pytest.approx(sol.objective_value, abs=1e-6)
 
 
 def test_modi_near_the_float_maximum_pivots_as_at_unit_scale():
@@ -227,20 +194,19 @@ def test_modi_near_the_float_maximum_pivots_as_at_unit_scale():
     # costs by a power of two, and then makes the unit-scale pivots
     rng = np.random.default_rng(1009)
     for _ in range(40):
-        t = _random_instance(rng)
-        costs = np.array(t.costs) * rng.choice([-1.0, 1.0], (len(t.supplies), len(t.demands)))
-        small = inst(t.supplies, t.demands, costs.tolist())
-        huge = inst(t.supplies, t.demands, np.ldexp(costs, 1019).tolist())
-        want = modi_optimize(small, vogel_approximation(small))
-        assert modi_optimize(huge, vogel_approximation(huge)) == want
+        costs, supplies, demands = _random_instance(rng)
+        costs = costs * rng.choice([-1.0, 1.0], costs.shape)
+        huge = np.ldexp(costs, 1019)
+        want = modi(costs, vogel(costs, supplies, demands))
+        assert modi(huge, vogel(huge, supplies, demands)) == want
 
 
 def test_plans_deterministic():
     rng = np.random.default_rng(31415)
-    t = _random_instance(rng)
-    assert vogel_approximation(t) == vogel_approximation(t)
-    p = north_west_corner(t)
-    assert modi_optimize(t, p) == modi_optimize(t, p)
+    costs, supplies, demands = _random_instance(rng)
+    assert vogel(costs, supplies, demands) == vogel(costs, supplies, demands)
+    p = north_west_corner(supplies, demands)
+    assert modi(costs, p) == modi(costs, p)
 
 
 def test_nwcr_last_row_moves_right():
@@ -248,12 +214,12 @@ def test_nwcr_last_row_moves_right():
     # the walk reaches the last row: it must step right, not below the table
     t = inst((1.0, 1.0), (2.0 + 1e-12, 0.0), [[1.0, 2.0], [3.0, 4.0]])
     assert check_balance(t)
-    plan = north_west_corner(t)
-    assert plan.basis == frozenset({(0, 0), (1, 0), (1, 1)})
-    assert is_spanning_tree(plan.basis, 2, 2)
-    best = modi_optimize(t, plan)
-    assert is_spanning_tree(best.basis, 2, 2)
-    assert plan_cost(t, best) == pytest.approx(4.0)
+    plan = north_west_corner(t.supplies, t.demands)
+    assert plan[1] == [(0, 0), (1, 0), (1, 1)]
+    assert is_spanning_tree(plan[1], 2, 2)
+    x, cells = modi(t.costs, plan)
+    assert is_spanning_tree(cells, 2, 2)
+    assert plan_cost(t.costs, x) == pytest.approx(4.0)
 
 
 def _degenerate_instance(rng):
@@ -264,17 +230,16 @@ def _degenerate_instance(rng):
     supplies = rng.integers(0, 6, m)
     demands = rng.multinomial(int(supplies.sum()), np.full(n, 1.0 / n))
     costs = rng.integers(1, 4, (m, n)).astype(float)
-    return inst(supplies.astype(float).tolist(), demands.astype(float).tolist(), costs.tolist())
+    return costs, supplies.astype(float).tolist(), demands.astype(float).tolist()
 
 
 def test_starts_are_spanning_trees():
     rng = np.random.default_rng(2718)
     for _ in range(300):
-        t = _degenerate_instance(rng)
-        m, n = t.shape
-        plan = vogel_approximation(t)
-        assert is_spanning_tree(plan.basis, m, n), t
-        assert_feasible(t, plan)
+        costs, supplies, demands = _degenerate_instance(rng)
+        plan = vogel(costs, supplies, demands)
+        assert is_spanning_tree(plan[1], *costs.shape), (costs, supplies, demands)
+        assert_feasible(supplies, demands, plan)
 
 
 def test_modi_tie_breaks_pinned():
@@ -284,15 +249,55 @@ def test_modi_tie_breaks_pinned():
     supplies = rng.integers(1, 10, 12).astype(float)
     demands = rng.permutation(supplies)
     costs = rng.integers(1, 4, (12, 12)).astype(float)
-    t = inst(supplies.tolist(), demands.tolist(), costs.tolist())
+    supplies, demands = supplies.tolist(), demands.tolist()
     runs = []
-    for start in (north_west_corner(t), vogel_approximation(t)):
-        runs.append((start.shipments, sorted(start.basis)))
-        for costs in (t, negated(t)):  # minimize, then maximize
-            plan = modi_optimize(costs, start)
-            runs.append((plan.shipments, sorted(plan.basis)))
+    for x, cells in (north_west_corner(supplies, demands), vogel(costs, supplies, demands)):
+        runs.append((tuple(map(tuple, x)), sorted(cells)))
+        for sign in (1.0, -1.0):  # minimize, then maximize
+            plan = modi(sign * costs, (x, cells))
+            runs.append((tuple(map(tuple, plan[0])), sorted(plan[1])))
     digest = hashlib.sha256(repr(runs).encode()).hexdigest()
     assert digest == "8ecfe4d756c0092b38d4cbfc864cc378f1bac4832d76270f0d5b99702fa78d26"
+
+
+def test_modi_pivots_are_scale_free(monkeypatch):
+    # scaling the costs, or the supplies and demands, by 2^40 or 2^-40
+    # scales every reduced cost, or every flow, exactly; each tolerance is
+    # in the units of what it compares, so MODI makes the same (entering,
+    # leaving) pivots from either start, and the plans are the unit-scale
+    # plans, their shipments scaled with the amounts
+    exchange = transport._Tree.exchange
+    pivots = []
+
+    def logged(tree, entering, leaving):
+        pivots.append((entering, leaving))
+        exchange(tree, entering, leaving)
+
+    def run(costs, supplies, demands):
+        runs = []
+        for start in (north_west_corner(supplies, demands), vogel(costs, supplies, demands)):
+            pivots.clear()
+            runs.append((modi(costs, start), pivots[:]))
+        return runs
+
+    monkeypatch.setattr(transport._Tree, "exchange", logged)
+    rng = np.random.default_rng(2040)
+    made = past_limit = 0
+    for k in range(200):
+        if k % 2:  # ties, zero amounts and degenerate pivots
+            costs, supplies, demands = _degenerate_instance(rng)
+        else:  # generic floats of both signs, up to 32x32: runs past MODI's stall limit
+            costs, supplies, demands = _random_instance(rng, max_dim=32)
+            costs = costs * rng.uniform(-1.0, 1.5, costs.shape)
+        want = run(costs, supplies, demands)
+        made += sum(len(steps) for _, steps in want)
+        past_limit += sum(len(steps) > 2 * sum(costs.shape) for _, steps in want)
+        for e in (40, -40):
+            assert run(np.ldexp(costs, e), supplies, demands) == want
+            amounts = [np.ldexp(v, e).tolist() for v in (supplies, demands)]
+            scaled = [((np.ldexp(x, e).tolist(), cells), steps) for (x, cells), steps in want]
+            assert run(costs, *amounts) == scaled
+    assert made > 2000 and past_limit > 0
 
 
 def test_each_pivot_keeps_the_tree_a_full_walk_gives(monkeypatch):
@@ -315,15 +320,14 @@ def test_each_pivot_keeps_the_tree_a_full_walk_gives(monkeypatch):
     monkeypatch.setattr(transport._Tree, "exchange", checked)
     rng = np.random.default_rng(77)
     for _ in range(30):
-        t = _degenerate_instance(rng)
-        for costs in (t, negated(t)):
-            modi_optimize(costs, north_west_corner(t))
+        costs, supplies, demands = _degenerate_instance(rng)
+        for sign in (1.0, -1.0):
+            modi(sign * costs, north_west_corner(supplies, demands))
     for _ in range(10):  # generic floats, and the split-node problems of the distributor LP
-        t = _random_instance(rng, max_dim=12)
-        costs = np.array(t.costs) * rng.uniform(0.5, 1.5, t.shape)
-        t = inst(t.supplies, t.demands, costs)
-        modi_optimize(t, vogel_approximation(t))
-        m, n = t.shape
+        costs, supplies, demands = _random_instance(rng, max_dim=12)
+        costs = costs * rng.uniform(0.5, 1.5, costs.shape)
+        modi(costs, vogel(costs, supplies, demands))
+        m, n = costs.shape
         b = np.concatenate([rng.uniform(300.0, 700.0, m + n), rng.uniform(-100.0, 250.0, m + n)])
         c = rng.normal(50.0, 100.0, m * n)
         scaled = [v / 2.0 ** np.frexp(np.abs(v).max())[1] for v in (c, b)]  # as answer scales them
