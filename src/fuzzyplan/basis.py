@@ -38,7 +38,7 @@ left-out term would add ±0 to a sum that starts at +0, which moves no
 bit.
 
 _BasisCache.answer is the one way to answer a batch of these LPs, for
-the crisp midpoint LP (a batch of one), Monte Carlo's chunks of
+the crisp midpoint LP (a batch of one), Monte Carlo's blocks of
 scenarios and the fuzzy solver's alpha-cut corners alike: screen, scale
 each row's b and c by powers of two, certify the stored bases, and
 answer what is left from the row's own (c, b), finding its basis

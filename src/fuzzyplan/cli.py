@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from .ingest import (
     DEFAULT_GAMMA_CORE,
     DEFAULT_GAMMA_SUPPORT,
     _check_levels,
+    _fmt_row,
     ecdf_from_histogram,
     ecdf_from_samples,
     gaussian_to_trapezoid,
@@ -64,30 +64,6 @@ class ProblemFormatError(ValueError):
     """Schema or value violation in a problem file, with field path."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    problem: Path
-    alpha_levels: int = 11
-    mc_steps: int = 10_000
-    seed: int = 42
-    gamma_core: float = DEFAULT_GAMMA_CORE
-    gamma_support: float = DEFAULT_GAMMA_SUPPORT
-    out_dir: Path = Path(".")
-    export_problem: Path | None = None
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_levels(self.gamma_core, self.gamma_support)
-        if self.alpha_levels < 2:
-            raise ValueError(f"need at least 2 alpha levels, got {self.alpha_levels}")
-        if self.mc_steps < 1:
-            raise ValueError(f"need at least one Monte Carlo step, got {self.mc_steps}")
-        if self.seed < 0:
-            raise ValueError(f"need a seed >= 0, got {self.seed}")
-
-
 def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
@@ -103,11 +79,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
-
-
-def _fmt_row(values) -> str:
-    """",".join(map(_fmt, values)) in one % call: "%.9g" % v equals f"{v:.9g}"."""
-    return ",".join(["%.9g"] * len(values)) % tuple(values)
 
 
 def _float_texts(values):
@@ -384,7 +355,7 @@ def export_problem(problem, file) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _run_crisp(config: RunConfig, problem) -> int:
+def _run_crisp(config: argparse.Namespace, problem) -> int:
     out = config.out_dir / "crisp_solution.json"
     if isinstance(problem, TransportInstance):
         if not check_balance(problem):
@@ -415,7 +386,7 @@ def _run_crisp(config: RunConfig, problem) -> int:
     return EXIT_OK
 
 
-def _run_fuzzy(config: RunConfig, problem: DistributionProblem):
+def _run_fuzzy(config: argparse.Namespace, problem: DistributionProblem):
     fz = solve_fuzzy(problem, AlphaGrid.uniform(config.alpha_levels))
     names = lanes(fz.shape)
     header = ["alpha"]
@@ -451,7 +422,7 @@ def _hist_rows(hist):
     return list(map(",".join, zip(edges, edges[1:], _fmt_row(hist.counts).split(","))))
 
 
-def _run_montecarlo(config: RunConfig, problem: DistributionProblem):
+def _run_montecarlo(config: argparse.Namespace, problem: DistributionProblem):
     specs = ParameterSpecs.from_problem(problem, config.gamma_support)
     mc = mc_run(specs, config.mc_steps, config.seed)
     summary = {  # means and stds are None where no step is feasible
@@ -474,7 +445,7 @@ def _run_montecarlo(config: RunConfig, problem: DistributionProblem):
     return EXIT_OK, mc
 
 
-def _run_ingest(config: RunConfig) -> int:
+def _run_ingest(config: argparse.Namespace) -> int:
     path = config.problem
     if path.suffix.lower() == ".csv":
         ecdf = ecdf_from_histogram(read_histogram_csv(path))
@@ -493,8 +464,8 @@ def _run_ingest(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured run; returns the process exit code."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one run of the parsed options, which main has checked; returns the exit code."""
     config.out_dir.mkdir(parents=True, exist_ok=True)
     if config.mode == "ingest":
         return _run_ingest(config)
@@ -534,26 +505,37 @@ def _build_parser() -> argparse.ArgumentParser:
         help="problem JSON file; in ingest mode, a samples .txt or histogram .csv",
     )
     parser.add_argument("--mode", choices=MODES, default="crisp")
-    parser.add_argument("--alpha-levels", type=int, default=RunConfig.alpha_levels, metavar="K")
-    parser.add_argument("--mc-steps", type=int, default=RunConfig.mc_steps, metavar="N")
-    parser.add_argument("--seed", type=int, default=RunConfig.seed)
-    parser.add_argument("--gamma-core", type=float, default=RunConfig.gamma_core)
-    parser.add_argument("--gamma-support", type=float, default=RunConfig.gamma_support)
-    parser.add_argument("--out-dir", type=Path, default=RunConfig.out_dir, metavar="DIR")
+    parser.add_argument("--alpha-levels", type=int, default=11, metavar="K")
+    parser.add_argument("--mc-steps", type=int, default=10_000, metavar="N")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--gamma-core", type=float, default=DEFAULT_GAMMA_CORE)
+    parser.add_argument("--gamma-support", type=float, default=DEFAULT_GAMMA_SUPPORT)
+    parser.add_argument("--out-dir", type=Path, default=Path("."), metavar="DIR")
     parser.add_argument(
         "--export-problem",
         type=Path,
-        default=RunConfig.export_problem,
         metavar="FILE",
         help="also write the parsed problem back out in canonical quadruple form",
     )
     return parser
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """The option values argparse's types let through, refused in this order."""
+    _check_levels(args.gamma_core, args.gamma_support)
+    if args.alpha_levels < 2:
+        raise ValueError(f"need at least 2 alpha levels, got {args.alpha_levels}")
+    if args.mc_steps < 1:
+        raise ValueError(f"need at least one Monte Carlo step, got {args.mc_steps}")
+    if args.seed < 0:
+        raise ValueError(f"need a seed >= 0, got {args.seed}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return run(RunConfig(**vars(args)))
+        _check_options(args)  # before run, so a refused option writes nothing
+        return run(args)
     except (OSError, ValueError) as exc:  # ProblemFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

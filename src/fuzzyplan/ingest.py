@@ -193,7 +193,7 @@ def gaussian_to_trapezoid(
     """Analytic trapezoid for a Gaussian: intervals m +/- z((1+gamma)/2) sigma."""
     _check_gaussian(mean, sigma)
     _check_levels(gamma_core, gamma_support)
-    z_core, z_support = _z_values(gamma_core, gamma_support)
+    z_core, z_support = _z(gamma_core), _z(gamma_support)
     return TrapezoidalFuzzyNumber(
         mean - z_support * sigma,
         mean - z_core * sigma,
@@ -203,10 +203,16 @@ def gaussian_to_trapezoid(
 
 
 @lru_cache(maxsize=8)
-def _z_values(gamma_core: float, gamma_support: float) -> tuple:
-    """Standard normal quantiles z((1+gamma)/2) of the core and support levels."""
-    normal = NormalDist()
-    return normal.inv_cdf((1.0 + gamma_core) / 2.0), normal.inv_cdf((1.0 + gamma_support) / 2.0)
+def _z(gamma: float) -> float:
+    """Standard normal quantile z((1+gamma)/2): a Gaussian's central interval
+    of mass gamma is mean +/- z sigma, so its width gives sigma back."""
+    return NormalDist().inv_cdf((1.0 + gamma) / 2.0)
+
+
+def _fmt_row(values) -> str:
+    """Values at 9 significant digits, comma-separated, as the result files
+    hold them: ",".join(f"{v:.9g}" for v in values) in one % call."""
+    return ",".join(["%.9g"] * len(values)) % tuple(values)
 
 
 def read_samples(path) -> SampleSet:

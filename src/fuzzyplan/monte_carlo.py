@@ -14,26 +14,21 @@ sample_instance is that definition for one step, and _draws fills a
 range of steps block by block; tests/test_monte_carlo.py checks the
 two against each other.
 
-Most scenarios need no simplex solve. run_range draws a chunk into one
-array, one scenario row per step, turns it into every scenario's (c, b)
-with model.lp_rows, and answers the chunk with basis._BasisCache.answer,
+Most scenarios need no simplex solve. run_range answers a range block
+by block: it draws the range's part of a block into one array, one
+scenario row per step, turns it into every scenario's (c, b) with
+model.lp_rows, and answers that batch with basis._BasisCache.answer,
 on one cache for the whole range: a scenario that fails the
 feasibility screen counts as infeasible, one that an optimal basis
 found earlier in the run certifies is answered from that basis (the
 row's unique optimum, or a degenerate vertex where each basic variable
 at 0 has a row of B^-1 diag(±1) that leads positive: basis.certify),
 and anything else is solved cold from its own row of (c, b), with no
-CrispInstance built, and its basis is tested on the rest of the chunk.
-After a chunk the cache holds the bases that answered a step other than
+CrispInstance built, and its basis is tested on the rest of the batch.
+After a batch the cache holds the bases that answered a step other than
 the one they came from, so where optimal supports seldom repeat, each
 cold solve costs about one extra test. Every result stays a pure
-function of (seed, index), however chunked, split or cached.
-
-A chunk is a batch of work, sized by the values it draws, not by its
-steps: max(1, CHUNK_VALUES // P) steps, so its memory is the same at
-any shape (CHUNK_VALUES says why). Blocks fix the draws and chunks only
-batch them; by default the two are the same size, so each chunk draws
-exactly one block.
+function of (seed, index), however batched, split or cached.
 
 Both methods keep every quantity in one order, the fuzzy levels' cut
 rows: the benefit first, then lane k at 1 + k, lanes in the order of
@@ -59,6 +54,8 @@ from .ingest import (
     DEFAULT_GAMMA_SUPPORT,
     BinnedHistogram,
     _check_gaussian,
+    _fmt_row,
+    _z,
     ecdf_from_histogram,
     to_trapezoid,
 )
@@ -66,7 +63,6 @@ from .fuzzy import TrapezoidalFuzzyNumber
 from .fuzzy_solver import FuzzySolution, fit_trapezoid
 from .intervals import midpoint
 from .model import CrispInstance, DistributionProblem, ParameterTable, lanes, lp_rows
-from statistics import NormalDist
 
 __all__ = [
     "GaussianSpec",
@@ -105,7 +101,7 @@ class ParameterSpecs(ParameterTable):
         given confidence level. Exact for trapezoids built from
         Gaussians; an approximation for hand-shaped ones.
         """
-        z = NormalDist().inv_cdf((1.0 + gamma_support) / 2.0)
+        z = _z(gamma_support)
 
         def spec(field, index, t: TrapezoidalFuzzyNumber) -> GaussianSpec:
             return GaussianSpec(midpoint(t.b, t.c), (t.d - t.a) / (2.0 * z))
@@ -168,29 +164,20 @@ def _same(a, b) -> bool:
 # Steps one generator draws, as values: step i is row i % B of block
 # i // B, B = max(1, BLOCK_VALUES // parameters per step). Part of the
 # (seed, index) definition of every draw: changing it changes every run.
+# A block is also run_range's batch, drawn, screened and certified
+# together, so its memory is the same at any shape. Each batch retests
+# every cached basis, and its end drops the bases that answered no other
+# row, so longer batches test and relearn less; but a batch's draws, LP
+# rows and pending rows grow with the parameters per step. So a small
+# problem, where bases repeat, gets long blocks, and a large one, where
+# they seldom do, gets short ones: 3,030 steps at 3x3 (33 parameters),
+# 317 at 15x15 (315), 52 at 40x40 (1,920).
 BLOCK_VALUES = 100_000
-
-# Values drawn, screened and certified together: a chunk is
-# max(1, CHUNK_VALUES // parameters per step) steps. A chunk is a batch
-# of work and results do not depend on it; equal to BLOCK_VALUES, it
-# draws one whole block. Each chunk retests every cached basis, and its
-# end drops the bases that answered no other row, so longer chunks test
-# and relearn less; but a chunk's draws, LP rows and pending rows grow
-# with the parameters per step. So a small problem, where bases repeat,
-# gets long chunks, and a large one, where they seldom do, gets short
-# ones: 3,030 steps at 3x3 (33 parameters), 317 at 15x15 (315), 52 at
-# 40x40 (1,920).
-CHUNK_VALUES = BLOCK_VALUES
 
 
 def _block_steps(specs: ParameterSpecs) -> int:
     """Steps per block of the draws for specs."""
     return max(1, BLOCK_VALUES // specs.moments[0].size)
-
-
-def _chunk_steps(specs: ParameterSpecs) -> int:
-    """Steps per chunk of run_range for specs."""
-    return max(1, CHUNK_VALUES // specs.moments[0].size)
 
 
 def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarray:
@@ -218,25 +205,27 @@ def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarra
 
 
 def run_range(specs: ParameterSpecs, start: int, stop: int, seed: int) -> PartialRun:
-    """Solve every step in [start, stop).
+    """Solve every step in [start, stop), in one batch per block part of it.
 
-    Steps go in chunks of _chunk_steps(specs): draw, then answer the
-    chunk's LPs with basis._BasisCache.answer, on one cache for the
-    whole range.
+    Each batch is drawn, then its LPs answered with basis._BasisCache.answer,
+    on one cache for the whole range; an empty range answers nothing.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"bad step range [{start}, {stop})")
     if seed < 0:
         raise ValueError(f"need a seed >= 0, got {seed}")
     cache = _BasisCache(specs.shape)
-    blocks = [np.empty((0, 1 + math.prod(specs.shape)))]
-    chunk = _chunk_steps(specs)
-    for lo in range(start, stop, chunk):
-        c, b = lp_rows(specs.shape, _draws(specs, seed, lo, min(lo + chunk, stop)))
+    parts = [np.empty((0, 1 + math.prod(specs.shape)))]
+    steps = _block_steps(specs)
+    lo = start
+    while lo < stop:
+        hi = min(stop, lo - lo % steps + steps)
+        c, b = lp_rows(specs.shape, _draws(specs, seed, lo, hi))
         b = b.copy()  # b is a view of the draws: this frees them
         feasible, benefit, x = cache.answer(c, b)
-        blocks.append(np.column_stack((benefit, x))[feasible])
-    return PartialRun(start, stop, seed, specs.shape, np.concatenate(blocks))
+        parts.append(np.column_stack((benefit, x))[feasible])
+        lo = hi
+    return PartialRun(start, stop, seed, specs.shape, np.concatenate(parts))
 
 
 def merge_partials(parts) -> PartialRun:
@@ -286,7 +275,7 @@ def _histogram(values: np.ndarray) -> BinnedHistogram:
         bins = 20 if half_width <= 0 else max(20, math.ceil((hi - lo) / 2 / half_width))
         bins = min(bins, 400)
         edges = np.linspace(lo, hi, bins + 1).tolist()  # np.histogram's edges
-        printed = list(map(float, (",".join(["%.9g"] * len(edges)) % tuple(edges)).split(",")))
+        printed = list(map(float, _fmt_row(edges).split(",")))
         if printed == sorted(set(printed)):
             counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
             return BinnedHistogram(tuple(map(float, edges)), tuple(map(float, counts)))

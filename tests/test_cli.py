@@ -869,17 +869,6 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     )
     assert main([str(unbalanced), "--mode", "crisp", "--out-dir", str(out)]) == 3
 
-    bad_gamma = main([TABLE1, "--mode", "crisp", "--gamma-core", "0.95"])
-    assert bad_gamma == 2
-    capsys.readouterr()
-
-    # a negative seed is refused before the fuzzy half of compare writes anything
-    negative = tmp_path / "negative-seed"
-    negative.mkdir()
-    assert main([TABLE1, "--mode", "compare", "--seed", "-1", "--out-dir", str(negative)]) == 2
-    assert "error: need a seed >= 0, got -1" in capsys.readouterr().err
-    assert list(negative.iterdir()) == []
-
     def stuck(lp):
         raise RuntimeError("simplex failed to terminate")
 
@@ -889,3 +878,26 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # a failed precheck answers without a simplex run
     assert main([str(infeasible), "--mode", "crisp", "--out-dir", str(out)]) == 3
     assert "purchase_min[0]=50 exceeds supply_max[0]=40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--seed", "-1"], "need a seed >= 0, got -1"),
+        (["--alpha-levels", "1"], "need at least 2 alpha levels, got 1"),
+        (["--mc-steps", "0"], "need at least one Monte Carlo step, got 0"),
+        (["--gamma-core", "0.95"], "need 0 < gamma_core < gamma_support < 1, got (0.95, 0.9)"),
+        # several at once: the first of gammas, alpha levels, steps, seed
+        (
+            ["--seed", "-1", "--mc-steps", "0", "--alpha-levels", "1"],
+            "need at least 2 alpha levels, got 1",
+        ),
+    ],
+)
+def test_refused_option_writes_nothing(option, message, tmp_path, capsys):
+    # refused before the fuzzy half of compare writes anything
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([TABLE1, "--mode", "compare", *option, "--out-dir", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []

@@ -20,7 +20,9 @@ from fuzzyplan.ingest import (
     read_samples,
     to_trapezoid,
 )
-from fuzzyplan.ingest import _z_values
+from fuzzyplan.ingest import _z
+from fuzzyplan.model import FIELDS, DistributionProblem
+from fuzzyplan.monte_carlo import ParameterSpecs
 
 # inverse normal CDF at 0.65 and 0.95, frozen from statistics.NormalDist
 Z_CORE_30 = 0.38532046640756773
@@ -320,14 +322,14 @@ def test_read_samples_rejects_non_finite(tmp_path):
         read_samples(p)
 
 
-def test_gaussian_z_values_are_computed_once_per_level_pair():
-    _z_values.cache_clear()
+def test_gaussian_z_is_computed_once_per_level_and_read_both_ways():
+    _z.cache_clear()
     for mean in (1.0, 2.0, 3.0):
         gaussian_to_trapezoid(mean, 1.0, 0.4, 0.8)
-    assert _z_values.cache_info().misses == 1
+    assert _z.cache_info().misses == 2  # the core level and the support level
     normal = NormalDist()
     want = (normal.inv_cdf(0.7), normal.inv_cdf(0.9))
-    assert _z_values(0.4, 0.8) == want  # the same floats as computing them afresh
+    assert (_z(0.4), _z(0.8)) == want  # the same floats as computing them afresh
     t = gaussian_to_trapezoid(10.0, 2.0, 0.4, 0.8)
     assert (t.a, t.b, t.c, t.d) == (
         10.0 - want[1] * 2.0,
@@ -335,6 +337,11 @@ def test_gaussian_z_values_are_computed_once_per_level_pair():
         10.0 + want[0] * 2.0,
         10.0 + want[1] * 2.0,
     )
+    # ParameterSpecs reads sigma back from the support width with the same z
+    one = {f.name: ((t,),) if f.axis == "lanes" else (t,) for f in FIELDS if not f.optional}
+    spec = next(ParameterSpecs.from_problem(DistributionProblem(**one), 0.8).values())
+    assert (spec.mean, spec.sigma) == (10.0, (t.d - t.a) / (2.0 * want[1]))
+    assert _z.cache_info().misses == 2
 
 
 def test_read_histogram_csv(tmp_path):

@@ -57,8 +57,7 @@ def _table1_specs():
     return ParameterSpecs.from_problem(parse_problem(str(table1)))
 
 
-# the steps per chunk of a run on table1's specs, and per block of its draws
-TABLE1_CHUNK = monte_carlo._chunk_steps(_table1_specs())
+# the steps per block of table1's draws, and of a run's batches
 TABLE1_BLOCK = monte_carlo._block_steps(_table1_specs())
 
 
@@ -164,15 +163,15 @@ def test_sample_instance_table1_draws_pinned(index):
 
 
 def test_batch_draws_match_sample_instance(table1_specs):
-    # a run of `stop` steps draws two chunks: [0, chunk) and [chunk, stop)
-    chunk = TABLE1_CHUNK
-    stop = chunk + 300
-    first = monte_carlo._draws(table1_specs, 42, 0, chunk)
-    second = monte_carlo._draws(table1_specs, 42, chunk, stop)
+    # a run of `stop` steps draws two blocks: [0, block) and [block, stop)
+    block = TABLE1_BLOCK
+    stop = block + 300
+    first = monte_carlo._draws(table1_specs, 42, 0, block)
+    second = monte_carlo._draws(table1_specs, 42, block, stop)
     for draws, row, index in [
         (first, 0, 0),
-        (first, -1, chunk - 1),
-        (second, 0, chunk),
+        (first, -1, block - 1),
+        (second, 0, block),
         (second, -1, stop - 1),
     ]:
         want = np.array(list(sample_instance(table1_specs, 42, index).values()))
@@ -281,15 +280,15 @@ def test_partial_runs_merge(demo_specs):
 
 
 def test_split_runs_merge_exactly(table1_specs):
-    # the cuts cross a chunk boundary; each part has its own basis cache
-    chunk = TABLE1_CHUNK
-    whole = run_range(table1_specs, 0, 3 * chunk - 72, 7)
-    cuts = [0, chunk - 24, chunk + 753, 3 * chunk - 72]
+    # the cuts cross a block boundary; each part has its own basis cache
+    block = TABLE1_BLOCK
+    whole = run_range(table1_specs, 0, 3 * block - 72, 7)
+    cuts = [0, block - 24, block + 753, 3 * block - 72]
     parts = [run_range(table1_specs, a, b, 7) for a, b in zip(cuts, cuts[1:])]
     assert merge_partials(parts) == whole
 
 
-SHARD_STEPS = 2 * TABLE1_BLOCK + 552  # three blocks and chunks, the last one partial
+SHARD_STEPS = 2 * TABLE1_BLOCK + 552  # three blocks, the last one partial
 
 
 @functools.cache
@@ -307,7 +306,7 @@ cut = st.integers(0, SHARD_STEPS) | st.sampled_from(edges) | st.sampled_from(ins
 @given(cuts=st.lists(cut, max_size=4).map(sorted))
 @example(cuts=inside[1:])
 def test_any_shard_cuts_merge_to_one_run(cuts):
-    # cuts may repeat (an empty shard) and fall on block and chunk edges
+    # cuts may repeat (an empty shard) and fall on block edges
     # or inside a block, where a shard starts or ends partway through a
     # generator's rows; every shard starts with an empty basis cache
     specs, whole = _table1_whole_run()
@@ -321,7 +320,7 @@ def test_balanced_capacities_merge_exactly(table1_specs, tableau_solves):
     # table1's capacities total 1,530 on both sides: at sigma 0 every
     # scenario stays balanced, and where every node ships at capacity
     # its optimum is degenerate without a folded pair. The cuts cross a
-    # chunk boundary; each shard starts with an empty basis cache. Of
+    # block boundary; each shard starts with an empty basis cache. Of
     # the 16 cold rows, 4 take the tableau; a warm start from a stored
     # basis certifies the other 12, and no proposal does
     fixed = {
@@ -329,7 +328,7 @@ def test_balanced_capacities_merge_exactly(table1_specs, tableau_solves):
         for field in ("supply_max", "demand_max")
     }
     specs = dataclasses.replace(table1_specs, **fixed)
-    cuts = [0, 300, TABLE1_CHUNK + 7, TABLE1_CHUNK + 40]
+    cuts = [0, 300, TABLE1_BLOCK + 7, TABLE1_BLOCK + 40]
     parts = [run_range(specs, a, b, 11) for a, b in zip(cuts, cuts[1:])]
     assert merge_partials(parts) == run_range(specs, 0, cuts[-1], 11)
     assert len(tableau_solves) == 4
@@ -354,39 +353,67 @@ def random_specs(rng, m, n) -> ParameterSpecs:
     )
 
 
+@pytest.mark.parametrize("block", [1, 7])
 @pytest.mark.parametrize("problem", ["table1", "random 4x5"])
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(
     spec_seed=st.integers(0, 2**32 - 1),
-    start=st.integers(0, 10**6),
-    steps=st.integers(0, 40),
+    first_block=st.integers(0, 10**5),
+    offset=st.integers(1, 6),
+    steps=st.integers(1, 40),
     seed=st.integers(0, 2**64),
 )
-def test_results_do_not_depend_on_the_chunk_budget(problem, spec_seed, start, steps, seed):
-    # a chunk of 1 step, one of 7 steps and the default (one chunk here)
-    # give the same bytes: every answer is a function of (seed, index)
+def test_a_range_equals_its_one_step_ranges(
+    problem, block, spec_seed, first_block, offset, steps, seed
+):
+    # blocks of 1 and 7 steps; a range of 7-step blocks starts inside
+    # one, so its first batch draws and drops that block's leading rows.
+    # Batched by block or step by step, each on its own basis cache, the
+    # bytes are the same: every answer is a function of (seed, index)
     if problem == "table1":
         specs = _table1_specs()
     else:
         specs = random_specs(np.random.default_rng(spec_seed), 4, 5)
     parameters = specs.moments[0].size
-    whole = run_range(specs, start, start + steps, seed)
-    assert monte_carlo._chunk_steps(specs) > steps
-    for budget, chunk in [(parameters, 1), (7 * parameters + 6, 7)]:
-        with mock.patch.object(monte_carlo, "CHUNK_VALUES", budget):
-            assert monte_carlo._chunk_steps(specs) == chunk
-            assert run_range(specs, start, start + steps, seed) == whole
+    start = first_block * block + offset % block
+    with mock.patch.object(monte_carlo, "BLOCK_VALUES", block * parameters + block - 1):
+        assert monte_carlo._block_steps(specs) == block
+        whole = run_range(specs, start, start + steps, seed)
+        single = [run_range(specs, i, i + 1, seed) for i in range(start, start + steps)]
+    assert merge_partials(single) == whole
 
 
-def test_chunk_budget_counts_drawn_values(table1_specs):
+@pytest.mark.parametrize(
+    "start, stop, batches",
+    [(3, 40, [4, 7, 7, 7, 7, 5]), (7, 14, [7]), (0, 3, [3]), (5, 5, []), (7, 7, [])],
+)
+def test_run_range_answers_one_batch_per_block_part(start, stop, batches, demo_specs):
+    # blocks of 7 steps: one answer call per block part of the range,
+    # and none for an empty range, whose 0 rows lp_rows would refuse
+    parameters = demo_specs.moments[0].size
+    answer = _BasisCache.answer
+    rows = []
+
+    def counted(cache, c, b):
+        rows.append(len(c))
+        return answer(cache, c, b)
+
+    with mock.patch.object(monte_carlo, "BLOCK_VALUES", 7 * parameters + 6):
+        with mock.patch.object(_BasisCache, "answer", counted):
+            part = run_range(demo_specs, start, stop, 42)
+    assert rows == batches
+    assert (part.start, part.stop, part.values.shape[1]) == (start, stop, 1 + 9)
+
+
+def test_block_steps_count_drawn_values(table1_specs):
     # 33 parameters a step at 3x3, 315 at 15x15; never less than one step
     assert table1_specs.moments[0].size == 33
-    assert monte_carlo._chunk_steps(table1_specs) == monte_carlo.CHUNK_VALUES // 33
+    assert TABLE1_BLOCK == monte_carlo.BLOCK_VALUES // 33
     wide = random_specs(np.random.default_rng(0), 15, 15)
     assert wide.moments[0].size == 315
-    assert monte_carlo._chunk_steps(wide) == monte_carlo.CHUNK_VALUES // 315
-    with mock.patch.object(monte_carlo, "CHUNK_VALUES", 314):
-        assert monte_carlo._chunk_steps(wide) == 1
+    assert monte_carlo._block_steps(wide) == monte_carlo.BLOCK_VALUES // 315
+    with mock.patch.object(monte_carlo, "BLOCK_VALUES", 314):
+        assert monte_carlo._block_steps(wide) == 1
 
 
 def test_partial_run_holds_read_only_arrays_equal_bit_for_bit(demo_specs):

@@ -159,7 +159,7 @@ def test_fuzzy_outputs_pinned_through_warm_starts(tmp_path, engine_counts):
 
 
 def test_montecarlo_outputs_pinned_where_bases_seldom_repeat(tmp_path, engine_counts):
-    # one chunk of 400 scenarios: no cached basis answers a second row, so
+    # one block of 400 scenarios: no cached basis answers a second row, so
     # each row is warm-started or proposed, and certified; the bench's
     # Monte Carlo workload is the other case, where bases repeat
     source = tmp_path / "eight_by_eight.json"
