@@ -6,6 +6,10 @@ by Monte Carlo, compare the last two, or convert a raw sample or
 histogram file into a trapezoid quadruple. Result files are plot-ready
 CSV/JSON with numbers at 9 significant digits so repeated runs diff
 cleanly; problem export keeps full precision so round-trips are exact.
+A failure raises, and main alone maps it to an exit code and prints its
+one error line: 2 for an OSError or ValueError (a bad option or file),
+3 for an InfeasibleError (no feasible answer) and 4 for a RuntimeError
+(a solver that failed to terminate).
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ MODES = ("crisp", "fuzzy", "montecarlo", "compare", "ingest")
 
 class ProblemFormatError(ValueError):
     """Schema or value violation in a problem file, with field path."""
+
+
+class InfeasibleError(Exception):
+    """The problem has no feasible answer; main exits 3."""
 
 
 def _fmt(v: float) -> str:
@@ -187,49 +195,41 @@ class _Where:
         return self.name + "".join(f"[{k}]" for k in self.index)
 
 
+def _read_trapezoid(path: Path, histogram: bool, gamma_core, gamma_support):
+    """The trapezoid of a histogram CSV or a samples file; every ValueError names path once."""
+    try:
+        data = read_histogram_csv(path) if histogram else read_samples(path)
+    except OSError as exc:  # strerror: the message without the path again
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:  # the readers' messages name the file; these do not
+        ecdf = ecdf_from_histogram(data) if histogram else ecdf_from_samples(data)
+        return to_trapezoid(ecdf, gamma_core, gamma_support)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _as_trapezoid(value, where, base_dir, gamma_core, gamma_support):
+    """One entry as a trapezoid. Only _float's errors name where; the caller prefixes the rest."""
     if _is_number(value):
         return TrapezoidalFuzzyNumber.crisp(_float(value, where))
     if isinstance(value, list):
         if len(value) != 4 or not _all_numbers(value):
-            raise ProblemFormatError(f"{where}: quadruple must be four numbers")
-        corners = _floats(value, where)
-        try:
-            return TrapezoidalFuzzyNumber(*corners)
-        except ValueError as exc:
-            raise ProblemFormatError(f"{where}: {exc}") from None
-    if isinstance(value, dict):
-        keys = set(value)
-        if keys == {"mean", "sigma"}:
-            if not (_is_number(value["mean"]) and _is_number(value["sigma"])):
-                raise ProblemFormatError(f"{where}: mean and sigma must be numbers")
-            mean, sigma = _float(value["mean"], where), _float(value["sigma"], where)
-            try:
-                return gaussian_to_trapezoid(mean, sigma, gamma_core, gamma_support)
-            except ValueError as exc:
-                raise ProblemFormatError(f"{where}: {exc}") from None
-        if keys == {"histogram"} or keys == {"samples"}:
-            (form,) = keys
-            ref = value[form]
-            if not isinstance(ref, str):
-                raise ProblemFormatError(f"{where}: {form} reference must be a path string")
-            path = base_dir / ref
-            histogram = form == "histogram"
-            try:
-                data = read_histogram_csv(path) if histogram else read_samples(path)
-            except OSError as exc:  # strerror: the message without the path again
-                reason = exc.strerror or exc
-                raise ProblemFormatError(f"{where}: cannot read {path}: {reason}") from None
-            except ValueError as exc:  # the reader's message names the file
-                raise ProblemFormatError(f"{where}: {exc}") from None
-            try:
-                ecdf = ecdf_from_histogram(data) if histogram else ecdf_from_samples(data)
-                return to_trapezoid(ecdf, gamma_core, gamma_support)
-            except ValueError as exc:
-                raise ProblemFormatError(f"{where}: {path}: {exc}") from None
-    raise ProblemFormatError(
-        f"{where}: expected a number, [a,b,c,d], {{mean,sigma}}, "
-        "{histogram: path} or {samples: path}"
+            raise ValueError("quadruple must be four numbers")
+        return TrapezoidalFuzzyNumber(*_floats(value, where))
+    keys = set(value) if isinstance(value, dict) else None
+    if keys == {"mean", "sigma"}:
+        if not (_is_number(value["mean"]) and _is_number(value["sigma"])):
+            raise ValueError("mean and sigma must be numbers")
+        mean, sigma = _float(value["mean"], where), _float(value["sigma"], where)
+        return gaussian_to_trapezoid(mean, sigma, gamma_core, gamma_support)
+    if keys == {"histogram"} or keys == {"samples"}:
+        (form,) = keys
+        if not isinstance(value[form], str):
+            raise ValueError(f"{form} reference must be a path string")
+        path = base_dir / value[form]
+        return _read_trapezoid(path, form == "histogram", gamma_core, gamma_support)
+    raise ValueError(
+        "expected a number, [a,b,c,d], {mean,sigma}, {histogram: path} or {samples: path}"
     )
 
 
@@ -260,7 +260,12 @@ def _parse_distribution(raw, path, gamma_core, gamma_support) -> DistributionPro
         if type(value) is float and -math.inf < value < math.inf:
             return TrapezoidalFuzzyNumber.crisp(value)
         where = _Where(field.name, index)
-        return _as_trapezoid(value, where, path.parent, gamma_core, gamma_support)
+        try:
+            return _as_trapezoid(value, where, path.parent, gamma_core, gamma_support)
+        except ProblemFormatError:  # _float's, which names the entry already
+            raise
+        except ValueError as exc:
+            raise ProblemFormatError(f"{where}: {exc}") from None
 
     return table.map(DistributionProblem, convert)
 
@@ -273,24 +278,19 @@ def _parse_transport(raw, path) -> TransportInstance:
         if field not in raw:
             raise ProblemFormatError(f"{field}: missing required field")
 
-    def crisp_vector(field):
-        value = raw[field]
+    def numbers(value, where):
         if not isinstance(value, list) or not _all_numbers(value):
-            raise ProblemFormatError(f"{field}: must be a list of numbers")
-        return _floats(value, field)
+            raise ProblemFormatError(f"{where}: must be a list of numbers")
+        return _floats(value, where)
 
-    supplies = crisp_vector("supplies")
-    demands = crisp_vector("demands")
+    supplies = numbers(raw["supplies"], "supplies")
+    demands = numbers(raw["demands"], "demands")
     costs = raw["costs"]
     if not isinstance(costs, list) or len(costs) != len(supplies):
         raise ProblemFormatError(f"costs: must be a list of {len(supplies)} rows")
-    matrix = []
-    for i, row in enumerate(costs):
-        if not isinstance(row, list) or not _all_numbers(row):
-            raise ProblemFormatError(f"costs[{i}]: must be a list of numbers")
-        matrix.append(_floats(row, f"costs[{i}]"))
+    matrix = tuple(numbers(row, f"costs[{i}]") for i, row in enumerate(costs))
     try:
-        return TransportInstance(supplies, demands, tuple(matrix))
+        return TransportInstance(supplies, demands, matrix)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
 
@@ -323,7 +323,7 @@ def parse_problem(
     if not isinstance(raw, dict):
         raise ProblemFormatError(f"{path}: top level must be a JSON object")
     version = raw.get("schema_version")
-    if version != 1:
+    if version != 1 or isinstance(version, bool):  # True == 1
         raise ProblemFormatError(f"{path}: schema_version must be 1, got {version!r}")
     kind = raw.get("kind", "distribution")
     if kind == "transport":
@@ -355,12 +355,11 @@ def export_problem(problem, file) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _run_crisp(config: argparse.Namespace, problem) -> int:
+def _run_crisp(config: argparse.Namespace, problem) -> None:
     out = config.out_dir / "crisp_solution.json"
     if isinstance(problem, TransportInstance):
         if not check_balance(problem):
-            print("error: transport instance is unbalanced", file=sys.stderr)
-            return EXIT_INFEASIBLE
+            raise InfeasibleError("transport instance is unbalanced")
         costs = np.array(problem.costs, dtype=float)
         start = vogel_approximation(costs, list(problem.supplies), list(problem.demands))
         plan = modi_optimize(costs, *start)
@@ -370,7 +369,7 @@ def _run_crisp(config: argparse.Namespace, problem) -> int:
         if not math.isfinite(total):
             raise ValueError("optimal total cost must be finite")
         _write_json(out, {"status": "optimal", "total_cost": total, "shipments": plan[0]})
-        return EXIT_OK
+        return
     inst = midpoint_instance(problem)
     report = feasibility_precheck(inst)  # names what phase 1 would only report
     if report:
@@ -379,11 +378,9 @@ def _run_crisp(config: argparse.Namespace, problem) -> int:
     if not (report and feasible[0]):
         _write_json(out, {"status": "infeasible", "benefit": None, "shipments": None})
         detail = "" if report else ": " + "; ".join(report.violations)
-        print(f"error: crisp problem is infeasible{detail}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise InfeasibleError(f"crisp problem is infeasible{detail}")
     rows = _rows(x[0].tolist(), problem.shape)
     _write_json(out, {"status": "optimal", "benefit": float(benefit[0]), "shipments": rows})
-    return EXIT_OK
 
 
 def _run_fuzzy(config: argparse.Namespace, problem: DistributionProblem):
@@ -403,12 +400,11 @@ def _run_fuzzy(config: argparse.Namespace, problem: DistributionProblem):
     _write_csv(config.out_dir / "fuzzy_levels.csv", header, lines)
     try:
         traps = fit_trapezoid(fz)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE, fz
+    except ValueError as exc:  # level 0 or 1 infeasible
+        raise InfeasibleError(str(exc)) from None
     quads = {name: _quad(t) for name, t in zip(("D", *names), traps)}
     _write_json(config.out_dir / "fuzzy_quadruples.json", quads)
-    return EXIT_OK, fz
+    return fz
 
 
 def _hist_rows(hist):
@@ -437,21 +433,17 @@ def _run_montecarlo(config: argparse.Namespace, problem: DistributionProblem):
     }
     _write_json(config.out_dir / "mc_summary.json", summary)
     if mc.feasible_count == 0:
-        print("error: every Monte Carlo scenario was infeasible", file=sys.stderr)
-        return EXIT_INFEASIBLE, mc
+        raise InfeasibleError("every Monte Carlo scenario was infeasible")
     header = ["bin_lo", "bin_hi", "count"]
     for name, hist in zip(("D", *lanes(mc.shape)), mc.histograms):
         _write_csv(config.out_dir / f"mc_hist_{name}.csv", header, _hist_rows(hist))
-    return EXIT_OK, mc
+    return mc
 
 
-def _run_ingest(config: argparse.Namespace) -> int:
+def _run_ingest(config: argparse.Namespace) -> None:
     path = config.problem
-    if path.suffix.lower() == ".csv":
-        ecdf = ecdf_from_histogram(read_histogram_csv(path))
-    else:
-        ecdf = ecdf_from_samples(read_samples(path))
-    trap = to_trapezoid(ecdf, config.gamma_core, config.gamma_support)
+    histogram = path.suffix.lower() == ".csv"
+    trap = _read_trapezoid(path, histogram, config.gamma_core, config.gamma_support)
     _write_json(
         config.out_dir / "ingest_quadruple.json",
         {
@@ -461,11 +453,14 @@ def _run_ingest(config: argparse.Namespace) -> int:
             "quadruple": _quad(trap),
         },
     )
-    return EXIT_OK
 
 
-def run(config: argparse.Namespace) -> int:
-    """Execute one run of the parsed options, which main has checked; returns the exit code."""
+def run(config: argparse.Namespace) -> None:
+    """Execute one run of the parsed options, which main has checked.
+
+    A failure raises after the files written before it: compare mode
+    writes the fuzzy files, then the Monte Carlo ones, then the comparison.
+    """
     config.out_dir.mkdir(parents=True, exist_ok=True)
     if config.mode == "ingest":
         return _run_ingest(config)
@@ -476,21 +471,13 @@ def run(config: argparse.Namespace) -> int:
         return _run_crisp(config, problem)
     if isinstance(problem, TransportInstance):
         raise ProblemFormatError(f"mode {config.mode} needs a distribution problem file")
-    if config.mode == "fuzzy":
-        code, _ = _run_fuzzy(config, problem)
-        return code
-    if config.mode == "montecarlo":
-        code, _ = _run_montecarlo(config, problem)
-        return code
-    code, fz = _run_fuzzy(config, problem)
-    if code != EXIT_OK:
-        return code
-    code, mc = _run_montecarlo(config, problem)
-    if code != EXIT_OK:
-        return code
-    payload = compare(fz, mc, config.gamma_core, config.gamma_support)
-    _write_json(config.out_dir / "comparison.json", payload)
-    return EXIT_OK
+    if config.mode != "montecarlo":
+        fz = _run_fuzzy(config, problem)
+    if config.mode != "fuzzy":
+        mc = _run_montecarlo(config, problem)
+    if config.mode == "compare":
+        payload = compare(fz, mc, config.gamma_core, config.gamma_support)
+        _write_json(config.out_dir / "comparison.json", payload)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -532,16 +519,20 @@ def _check_options(args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
+    """Run the command line argv; the one place a failure becomes an error line and a code."""
     args = _build_parser().parse_args(argv)
     try:
         _check_options(args)  # before run, so a refused option writes nothing
-        return run(args)
+        run(args)
+        return EXIT_OK
     except (OSError, ValueError) as exc:  # ProblemFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        failure, code = exc, EXIT_USAGE
+    except InfeasibleError as exc:
+        failure, code = exc, EXIT_INFEASIBLE
     except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        failure, code = exc, EXIT_SOLVER
+    print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

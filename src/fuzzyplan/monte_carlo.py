@@ -10,9 +10,9 @@ So every step is a pure function of (seed, i), and a run can be split
 anywhere and merged without changing a single draw. One generator per
 block, not per step, keeps seeding out of the run's time; numpy's
 SeedSequence gives each key (seed, block) its own stream.
-sample_instance is that definition for one step, and _draws fills a
-range of steps block by block; tests/test_monte_carlo.py checks the
-two against each other.
+_draws fills a range of steps block by block, and sample_instance is
+its one-step view; tests/oracles.py holds the definition for one step,
+which tests/test_monte_carlo.py checks _draws against.
 
 Most scenarios need no simplex solve. run_range answers a range block
 by block: it draws the range's part of a block into one array, one
@@ -116,18 +116,13 @@ class ParameterSpecs(ParameterTable):
 
 
 def sample_instance(specs: ParameterSpecs, seed: int, index: int) -> CrispInstance:
-    """Scenario for one step; a pure function of (seed, index).
+    """Scenario for one step, the row of _draws over [index, index + 1).
 
-    This is the reference definition of a step's draws: the P normals of
-    row index % B of its block's generator, B = _block_steps(specs),
-    scaled. run_range's _draws gives the same floats, bit for bit.
+    Draws that overflow raise ValueError, as they do in run_range.
     Parameters are drawn in specs.values() order, which is FIELDS
     order: changing it would silently reshuffle every reproducible run.
     """
-    means, sigmas = specs.moments
-    block, row = divmod(index, _block_steps(specs))
-    z = np.random.default_rng((seed, block)).standard_normal((row + 1, means.size))[-1]
-    return specs.with_values(CrispInstance, (means + sigmas * z).tolist())
+    return specs.with_values(CrispInstance, _draws(specs, seed, index, index + 1)[0].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +176,7 @@ def _block_steps(specs: ParameterSpecs) -> int:
 
 
 def _draws(specs: ParameterSpecs, seed: int, start: int, stop: int) -> np.ndarray:
-    """One row per step in [start, stop): the floats sample_instance draws.
+    """One row per step in [start, stop): row i % B of block i // B's normals, scaled.
 
     Fills one array block by block: each block's generator writes its
     rows in place, after drawing and dropping the rows before start

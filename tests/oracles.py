@@ -10,7 +10,8 @@ simplex.solve takes, each "=" row as a "<=" and ">=" pair.
 fixed_order_certify is basis certification with every test decided on
 fixed-order sums, the reference that the banded certify must equal bit
 for bit. north_west_corner is a poor transport start that gives MODI
-many pivots to make.
+many pivots to make. step_draws is the definition of one Monte Carlo
+step's draws, which monte_carlo._draws must give bit for bit.
 """
 
 from __future__ import annotations
@@ -302,3 +303,14 @@ def walk_tree(costs, cells, m, n):
                 up[b], depth[b] = a, depth[a] + 1
                 queue.append(b)
     return potential, up, depth
+
+
+def step_draws(specs, seed, index, block):
+    """The parameter values of Monte Carlo step index, by definition: with
+    block steps a block, row index % block of the normals that
+    default_rng((seed, index // block)) draws as (block, P), times the
+    sigmas, plus the means."""
+    means, sigmas = specs.moments
+    rng = np.random.default_rng((seed, index // block))
+    z = rng.standard_normal((block, means.size))[index % block]
+    return (means + sigmas * z).tolist()

@@ -578,6 +578,150 @@ def test_sidecar_file_is_named_once(tmp_path, capsys, form, name, content, reaso
     assert err.count(name) == 1, err
 
 
+@pytest.mark.parametrize(
+    "name, content, start",
+    [
+        ("gone.txt", None, "cannot read {path}: No such file or directory\n"),
+        # only the file is pinned here: the reason text blames the CDF
+        # knots for what the counts did, a known defect
+        ("big.csv", b"0,1,1e308\n1,2,1e308\n2,3,1e308\n", "{path}: "),
+    ],
+    ids=["missing", "counts-past-the-float-maximum"],
+)
+def test_ingest_names_the_file_as_a_sidecar_does(tmp_path, capsys, name, content, start):
+    # one reader serves both modes: a sidecar's message is ingest's after the entry
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    out = str(tmp_path / "out")
+    assert main([str(path), "--mode", "ingest", "--out-dir", out]) == cli.EXIT_USAGE
+    reason = capsys.readouterr().err.removeprefix("error: ")
+    assert reason.startswith(start.format(path=path)), reason
+    assert reason.count(name) == 1 and reason.count("\n") == 1, reason
+    form = "histogram" if name.endswith(".csv") else "samples"
+    p = write_problem(tmp_path / "p.json", supply_max=[{form: name}])
+    assert main([str(p), "--mode", "crisp", "--out-dir", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: supply_max[0]: {reason}"
+
+
+TRANSPORT = {
+    "schema_version": 1,
+    "kind": "transport",
+    "supplies": [5, 5],
+    "demands": [5, 5],
+    "costs": [[1, 2], [2, 1]],
+}
+
+
+@pytest.mark.parametrize(
+    "base, overrides, message",
+    [
+        ({}, {"demand_max": [[1, 2, 3]]}, "demand_max[0]: quadruple must be four numbers"),
+        (
+            {},
+            {"purchase_min": [{"mean": "5", "sigma": 1}]},
+            "purchase_min[0]: mean and sigma must be numbers",
+        ),
+        (
+            {},
+            {"purchase_min": [{"mean": 5, "sigma": -1}]},
+            "purchase_min[0]: need finite mean and sigma >= 0, got (5.0, -1.0)",
+        ),
+        ({}, {"sale_min": [{"samples": 3}]}, "sale_min[0]: samples reference must be a path string"),
+        (
+            {},
+            {"supply_max": [{"samples": "gone.txt"}]},
+            "supply_max[0]: cannot read {dir}/gone.txt: No such file or directory",
+        ),
+        ({}, {"supply_max": 460}, "supply_max: must be a list"),
+        ({}, {"transport_cost": [30]}, "transport_cost[0]: must be a list"),
+        (TRANSPORT, {"extra": 1}, "unknown fields: ['extra']"),
+        (TRANSPORT, {"demands": None}, "demands: missing required field"),
+        (TRANSPORT, {"supplies": [5, "5"]}, "supplies: must be a list of numbers"),
+        (TRANSPORT, {"costs": [[1, 2]]}, "costs: must be a list of 2 rows"),
+        ({}, {"kind": "fuzzy"}, "{path}: kind must be 'distribution' or 'transport'"),
+        ({}, {"supply_max": []}, "need at least one supplier and one customer"),
+        ({}, {"schema_version": True}, "{path}: schema_version must be 1, got True"),
+    ],
+    ids=[
+        "short-quadruple",
+        "gaussian-string",
+        "negative-sigma",
+        "samples-number",
+        "missing-sidecar",
+        "field-not-list",
+        "lane-row-not-list",
+        "transport-unknown",
+        "transport-missing",
+        "transport-string-supply",
+        "transport-cost-rows",
+        "kind",
+        "no-supplier",
+        "schema-version-bool",
+    ],
+)
+def test_reader_messages_pinned(tmp_path, capsys, base, overrides, message):
+    # each message as parse_problem raises it and as main prints it: one line, exit 2
+    p = tmp_path / "p.json"
+    if base:
+        doc = {**base, **overrides}
+        p.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    else:
+        write_problem(p, **overrides)
+    message = message.format(path=p, dir=tmp_path)
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem(p)
+    assert str(info.value) == message
+    assert main([str(p), "--mode", "crisp", "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# purchase_min near 20 over a supply of 10: no scenario is feasible
+NO_FEASIBLE_SCENARIO = {
+    "supply_max": [10],
+    "demand_max": [30],
+    "purchase_min": [{"mean": 20, "sigma": 0.1}],
+}
+
+
+@pytest.mark.parametrize(
+    "mode, written",
+    [
+        ("montecarlo", ["mc_summary.json"]),
+        ("compare", ["fuzzy_levels.csv", "fuzzy_quadruples.json", "mc_summary.json"]),
+    ],
+)
+def test_every_scenario_infeasible_exits_3(tmp_path, capsys, mode, written):
+    p = write_problem(tmp_path / "p.json", **NO_FEASIBLE_SCENARIO)
+    out = tmp_path / "out"
+    argv = [str(p), "--mode", mode, "--mc-steps", "50", "--out-dir", str(out)]
+    assert main(argv) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "error: every Monte Carlo scenario was infeasible\n"
+    assert sorted(f.name for f in out.iterdir()) == written
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert (summary["feasible"], summary["infeasible"]) == (0, 50)
+    moments = ("benefit_mean", "benefit_std", "shipment_means", "shipment_stds")
+    assert [summary[key] for key in moments] == [None] * 4
+
+
+def test_compare_stops_where_the_end_levels_are_infeasible(tmp_path, capsys):
+    # sale minimums of 16 in all over a supply of 10, at every level
+    p = write_problem(
+        tmp_path / "p.json",
+        supply_max=[10],
+        demand_max=[460, 460],
+        sale_min=[8, 8],
+        sale_price=[1100, 1100],
+        transport_cost=[[30, 30]],
+    )
+    out = tmp_path / "out"
+    argv = [str(p), "--mode", "compare", "--mc-steps", "50", "--out-dir", str(out)]
+    assert main(argv) == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err == "error: levels 0 and 1 must both be feasible to fit a trapezoid\n"
+    assert [f.name for f in out.iterdir()] == ["fuzzy_levels.csv"]
+
+
 def test_parse_transport_kind(tmp_path):
     p = tmp_path / "t.json"
     p.write_text(

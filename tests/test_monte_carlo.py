@@ -33,7 +33,7 @@ from fuzzyplan.monte_carlo import (
 from fuzzyplan.simplex import reoptimize, solve
 
 from conftest import DEMO, DEMO_OPTIMUM
-from oracles import residuals
+from oracles import residuals, step_draws
 
 T = TrapezoidalFuzzyNumber
 
@@ -162,7 +162,7 @@ def test_sample_instance_table1_draws_pinned(index):
     assert sample_instance(specs, 42, index) == CrispInstance(**TABLE1_DRAWS[index])
 
 
-def test_batch_draws_match_sample_instance(table1_specs):
+def test_batch_draws_match_the_step_definition(table1_specs):
     # a run of `stop` steps draws two blocks: [0, block) and [block, stop)
     block = TABLE1_BLOCK
     stop = block + 300
@@ -174,8 +174,7 @@ def test_batch_draws_match_sample_instance(table1_specs):
         (second, 0, block),
         (second, -1, stop - 1),
     ]:
-        want = np.array(list(sample_instance(table1_specs, 42, index).values()))
-        assert np.array_equal(draws[row], want)
+        assert draws[row].tolist() == step_draws(table1_specs, 42, index, block)
 
 
 @pytest.mark.parametrize("seed", [0, 83, 2**63, 2**128 + 5])
@@ -193,30 +192,27 @@ def test_batch_draws_equal_the_block_definition(specs_name, seed, start, stop, r
     # end inside a block. seed 2**128 + 5 alone is five entropy words,
     # more than SeedSequence's 4-word pool
     specs = table1_specs if specs_name == "table1" else single_lane_specs(sigma=3.0)
-    means, sigmas = specs.moments
     block = monte_carlo._block_steps(specs)
     draws = monte_carlo._draws(specs, seed, start, stop)
-    assert draws.shape == (stop - start, means.size)
+    assert draws.shape == (stop - start, specs.moments[0].size)
     for row in rows:
         index = start + row
-        z = np.random.default_rng((seed, index // block)).standard_normal((block, means.size))
-        assert np.array_equal(draws[row], means + sigmas * z[index % block]), (seed, index)
-        want = list(sample_instance(specs, seed, index).values())
-        assert draws[row].tolist() == want, (seed, index)
+        assert draws[row].tolist() == step_draws(specs, seed, index, block), (seed, index)
+        assert list(sample_instance(specs, seed, index).values()) == draws[row].tolist()
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_batch_draws_cross_many_blocks(block, demo_specs):
     # blocks of 1 and 7 steps: a range that starts and ends inside a block
-    # and crosses several gives each step its own block's row, as
-    # sample_instance draws it, and other blocks give other draws
+    # and crosses several gives each step its own block's row, by the
+    # definition of a step's draws, and other blocks give other draws
     parameters = demo_specs.moments[0].size
     default = monte_carlo._draws(demo_specs, 5, 3, 40)
     with mock.patch.object(monte_carlo, "BLOCK_VALUES", block * parameters + block - 1):
         assert monte_carlo._block_steps(demo_specs) == block
         draws = monte_carlo._draws(demo_specs, 5, 3, 40)
         for row, index in enumerate(range(3, 40)):
-            assert draws[row].tolist() == list(sample_instance(demo_specs, 5, index).values())
+            assert draws[row].tolist() == step_draws(demo_specs, 5, index, block)
     assert np.array_equal(draws[0], default[0]) == (block > 3)
     assert not np.array_equal(draws[-1], default[-1])
 
@@ -471,6 +467,23 @@ def test_table1_cold_solve_count_pinned(table1_specs, counted_solves, engine_cou
     assert engine_counts() == {
         "cold": 44, "warm": 34, "phase 2": 34, "proposed": 10, "tableau": 0, "certify": 164
     }
+
+
+@pytest.mark.parametrize("problem, steps", [("table1", 3000), ("random 15x15", 120)])
+def test_proposer_out_of_pivots_leaves_rows_to_the_tableau(
+    problem, steps, table1_specs, monkeypatch, engine_counts
+):
+    # where MODI runs out of pivots, propose returns None and the row goes
+    # on to the tableau, whose answer the certificate makes the same
+    specs = table1_specs if problem == "table1" else random_specs(np.random.default_rng(15), 15, 15)
+    c, b = lp_rows(specs.shape, monte_carlo._draws(specs, 1, 0, steps))
+    want = [a.tobytes() for a in _BasisCache(specs.shape).answer(c, b)]
+    before = engine_counts()
+    assert before["proposed"] > 0 and before["tableau"] == 0
+    monkeypatch.setattr("fuzzyplan.basis.modi_optimize", lambda costs, x, cells: None)
+    assert [a.tobytes() for a in _BasisCache(specs.shape).answer(c, b)] == want
+    after = engine_counts()
+    assert after["tableau"] == after["proposed"] - before["proposed"] > 0
 
 
 def test_table1_warm_starts_each_pivot_from_one_store(table1_specs, monkeypatch):
